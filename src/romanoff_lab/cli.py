@@ -31,8 +31,8 @@ from .sieve import (
     PrimeList,
     build_sieve,
     chebyshev_theta,
-    factorize_trial,
     mertens_products,
+    totient_trial,
 )
 
 DEFAULT_SIEVE_LIMIT = 10**7
@@ -46,7 +46,6 @@ class RunConfig:
     prime_limit: int = DEFAULT_PRIME_LIMIT
     budget: int = rom.DEFAULT_PAIR_BUDGET
     output: str | None = None
-    format: str = "json"
     seed: int = 0
     threads: int = 1
 
@@ -57,7 +56,6 @@ class RunConfig:
             prime_limit=args.prime_limit,
             budget=args.budget,
             output=args.out,
-            format=args.format,
             seed=args.seed,
             threads=args.threads,
         )
@@ -146,9 +144,10 @@ def _cmd_moments(config: RunConfig, args: argparse.Namespace) -> None:
             raise ParameterError("--report theorem1 needs --seq")
         spec = seq.parse_sequence_spec(args.seq)
         x = args.x
-        needs_primes = isinstance(spec, seq.EllipticOrders)
         primes = (
-            config.make_primes(x + 2 * math.sqrt(x) + 2) if needs_primes else None
+            config.make_primes(seq.elliptic_prime_bound(x))
+            if isinstance(spec, seq.EllipticOrders)
+            else None
         )
         values = seq.enumerate_terms(spec, x, primes)
         if not values:
@@ -163,29 +162,15 @@ def _cmd_moments(config: RunConfig, args: argparse.Namespace) -> None:
         if args.poly is None:
             raise ParameterError("--report poly needs --poly")
         poly = mom.PolynomialSpec.from_descending(_parse_int_list(args.poly))
-        half = math.floor(args.z)
-        peak = max(
-            (abs(poly.evaluate(n)) for n in range(-half, half + 1)),
-            default=0,
-        )
-        sieve = config.make_sieve(max(peak, 2))
+        sieve = config.make_sieve(max(mom.poly_values(poly, args.z), default=0))
         report = mom.poly_moment_report(poly, args.z, args.s, sieve)
         _emit_json(config, {"report": "poly", "moment": dataclasses.asdict(report)})
     elif args.report == "linear":
         if args.a is None or args.bs is None:
             raise ParameterError("--report linear needs --a and --bs")
         shifts = _parse_int_list(args.bs)
-        half = math.floor(args.z)
-        excluded = set(shifts)
-        peak = max(
-            (
-                mom.delta_L(args.a, b, shifts)
-                for b in range(-half, half + 1)
-                if b not in excluded
-            ),
-            default=0,
-        )
-        sieve = config.make_sieve(max(peak, args.a, 2))
+        values = mom.delta_values(args.a, shifts, args.z)
+        sieve = config.make_sieve(max([args.a, *values]))
         x = args.x if args.x is not None else float(max(args.z, 3))
         report = mom.delta_moment_report(
             args.a, shifts, args.z, args.s, x, sieve
@@ -254,13 +239,10 @@ def _cmd_elliptic(config: RunConfig, args: argparse.Namespace) -> None:
         t = args.census_mod
         census = ell.congruence_class_census(curve, x, t, primes, orders=orders)
         pi_x = len(orders.entries)
-        phi_t = 1
-        for p, e in factorize_trial(t):
-            phi_t *= (p - 1) * p ** (e - 1)
         payload["census"] = {str(a): count for a, count in census.items()}
         payload["census_modulus"] = t
         # equidistribution baseline the residue counts are tabulated against
-        payload["census_pi_over_phi_t"] = pi_x / phi_t
+        payload["census_pi_over_phi_t"] = pi_x / totient_trial(t)
     _emit_json(config, payload)
 
 
@@ -271,12 +253,9 @@ def _cmd_romanoff(config: RunConfig, args: argparse.Namespace) -> None:
             raise ParameterError(f"--report {report} needs --seq")
         spec = seq.parse_sequence_spec(args.seq)
         x = args.x
-        needed = (
-            x + 2 * math.sqrt(x) + 2
-            if isinstance(spec, seq.EllipticOrders)
-            else x
+        primes = config.make_primes(
+            seq.elliptic_prime_bound(x) if isinstance(spec, seq.EllipticOrders) else x
         )
-        primes = config.make_primes(needed)
         if report == "profile":
             profile = rom.representation_counts(
                 spec, x, primes, budget=config.budget
@@ -357,15 +336,8 @@ def _cmd_romanoff(config: RunConfig, args: argparse.Namespace) -> None:
 def _cmd_lemmas(config: RunConfig, args: argparse.Namespace) -> None:
     records = []
     if args.gamma:
-        xs = [1.0 + 0.25 * i for i in range(int((args.x_max - 1.0) / 0.25) + 1)]
         for s in range(1, args.s_max + 1):
-            worst = 0.0
-            ok = True
-            for x in xs:
-                gv = lem.incomplete_gamma(s, x)
-                ratio = gv.value / gv.bound
-                worst = max(worst, ratio)
-                ok = ok and gv.value <= gv.bound
+            worst, ok = lem.gamma_bound_grid(s, args.x_max)
             records.append(
                 {
                     "lemma": "gamma_bound",
@@ -447,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     common.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
     common.add_argument("--budget", type=int, default=rom.DEFAULT_PAIR_BUDGET)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1)

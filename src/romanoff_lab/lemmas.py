@@ -51,6 +51,18 @@ def incomplete_gamma(s: int, x: float) -> GammaValue:
     return GammaValue(s=s, x=x, value=value, bound=bound)
 
 
+def gamma_bound_grid(s: int, x_max: float) -> tuple[float, bool]:
+    """Largest Gamma(s, x)/bound over the grid x = 1 + 0.25 i <= x_max, and
+    whether the bound holds at every grid point."""
+    worst = 0.0
+    ok = True
+    for i in range(int((x_max - 1.0) / 0.25) + 1):
+        gv = incomplete_gamma(s, 1.0 + 0.25 * i)
+        worst = max(worst, gv.value / gv.bound)
+        ok = ok and gv.value <= gv.bound
+    return worst, ok
+
+
 class PrimeLogPowerSums(NamedTuple):
     head: float
     tail_partial: float

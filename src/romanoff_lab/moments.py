@@ -220,6 +220,12 @@ def lemma3_report(n: int, alpha: float, sieve: FactorSieve) -> Lemma3Report:
     return Lemma3Report(ratio, product, ratio / product)
 
 
+def poly_values(poly: PolynomialSpec, z: float) -> list[int]:
+    """|R(n)| over -z <= n <= z, skipping the roots of R."""
+    half = math.floor(z)
+    return [abs(r) for r in map(poly.evaluate, range(-half, half + 1)) if r != 0]
+
+
 def poly_moment_report(
     poly: PolynomialSpec, z: float, s: int, sieve: FactorSieve
 ) -> MomentReport:
@@ -234,18 +240,9 @@ def poly_moment_report(
         raise ParameterError(f"s={s} must be >= 1")
     if poly.degree < 1:
         raise ParameterError("degree must be >= 1")
-    half = math.floor(z)
-    values = []
-    for n in range(-half, half + 1):
-        r = poly.evaluate(n)
-        if r == 0:
-            continue
-        r = abs(r)
-        if r > sieve.limit:
-            raise CapacityError(
-                f"|R({n})| = {r} exceeds sieve limit {sieve.limit}"
-            )
-        values.append(r)
+    values = poly_values(poly, z)
+    if max(values, default=0) > sieve.limit:
+        raise CapacityError(f"max |R(n)| exceeds sieve limit {sieve.limit}")
     lhs = float(moment_sum(values, s, sieve)) if values else 0.0
     delta = poly.content
     delta_ratio = float(totient_ratio(delta, sieve))
@@ -274,6 +271,13 @@ def delta_L(a: int, b: int, bs: Sequence[int]) -> int:
         raise ParameterError(f"a={a} must be >= 1")
     k = len(bs)
     return a ** (k + 1) * math.prod(abs(bi - b) for bi in bs)
+
+
+def delta_values(a: int, bs: Sequence[int], z: float) -> list[int]:
+    """Delta_L for every L(n) = an + b with b in [-z, z] outside the family."""
+    half = math.floor(z)
+    excluded = set(int(b) for b in bs)
+    return [delta_L(a, b, bs) for b in range(-half, half + 1) if b not in excluded]
 
 
 def delta_moment_report(
@@ -306,18 +310,9 @@ def delta_moment_report(
             "the measured constant is exploratory",
             stacklevel=2,
         )
-    excluded = set(int(b) for b in bs)
-    half = math.floor(z)
-    values = []
-    for b in range(-half, half + 1):
-        if b in excluded:
-            continue
-        d = delta_L(a, b, bs)
-        if d > sieve.limit:
-            raise CapacityError(
-                f"Delta_L = {d} at b={b} exceeds sieve limit {sieve.limit}"
-            )
-        values.append(d)
+    values = delta_values(a, bs, z)
+    if max(values, default=0) > sieve.limit:
+        raise CapacityError(f"max Delta_L exceeds sieve limit {sieve.limit}")
     k = len(bs)
     lhs = float(moment_sum(values, s, sieve)) if values else 0.0
     a_ratio = float(totient_ratio(a, sieve))

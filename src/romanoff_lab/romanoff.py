@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ParameterError, RangeError
 from .moments import PolynomialSpec
-from .sieve import FactorSieve, PrimeList, factorize_trial, is_prime
+from .sieve import FactorSieve, PrimeList, factorize_trial, is_prime, totient_trial
 from .sequences import (
+    Explicit,
     PowerTower,
     SequenceSpec,
     congruence_pair_sum,
@@ -124,18 +125,22 @@ def theorem6_report(
     Emits gamma_1 (halving ratio), gamma_2 (normalized congruence pair sum),
     the normalized second moment of r, and the (c_1, c_2) frontier: for each
     candidate c_1, the fraction of n <= x with r(n) >= c_1 N_A(x)/ln x.
+
+    A is enumerated once; every statistic reads the literal multiset of its
+    terms up to x, which holds the terms up to any y <= x as a prefix.
     """
-    n_total = count_terms(spec, x, primes)
+    terms = enumerate_terms(spec, x, primes)
+    n_total = len(terms)
     if n_total == 0:
         raise DomainError(f"sequence has no terms <= {x}")
-    spec_text = format_sequence_spec(spec)
-    base_params = {"sequence": spec_text, "x": x, "N_A": n_total}
+    table = Explicit(tuple(terms))
+    base_params = {"sequence": format_sequence_spec(spec), "x": x, "N_A": n_total}
     log_x = math.log(x)
 
-    gamma1 = doubling_ratio(spec, x, primes)
-    raw_pairs, gamma2 = congruence_pair_sum(spec, x, alpha, primes)
-    profile = representation_counts(spec, x, primes, budget=budget)
-    rho = max_multiplicity(spec, x, primes)
+    gamma1 = doubling_ratio(table, x)
+    raw_pairs, gamma2 = congruence_pair_sum(table, x, alpha, primes)
+    profile = representation_counts(table, x, primes, budget=budget)
+    rho = max_multiplicity(table, x)
     sq = second_moment(profile)
     sq_norm = (
         sq * log_x**2 / (x * n_total * (rho * log_x + n_total))
@@ -145,7 +150,7 @@ def theorem6_report(
         ConstantEstimate(
             name="gamma1",
             value=gamma1,
-            parameters=dict(base_params, half_count=count_terms(spec, x / 2, primes)),
+            parameters=dict(base_params, half_count=count_terms(table, x / 2)),
             direction="N_A(x/2) >= gamma1 * N_A(x)",
         ),
         ConstantEstimate(
@@ -200,10 +205,7 @@ def schnirelmann_pi2(x: float, a: int, primes: PrimeList) -> ShiftedPrimeCount:
     idx = np.searchsorted(primes.values, shifted)
     idx[idx >= len(primes.values)] = len(primes.values) - 1
     count = int(np.count_nonzero(primes.values[idx] == shifted))
-    phi_a = 1
-    for p, e in factorize_trial(a):
-        phi_a *= (p - 1) * p ** (e - 1)
-    normalized = count * math.log(x) ** 2 * phi_a / (x * a)
+    normalized = count * math.log(x) ** 2 * totient_trial(a) / (x * a)
     return ShiftedPrimeCount(count, normalized)
 
 
@@ -320,9 +322,13 @@ def order_distribution(
                 while m % d == 0:
                     m //= d
         if m > 1:
-            if m <= trial_cap * trial_cap or is_prime(m):
-                # composite cofactors below cap^2 are impossible, and larger
-                # ones certified by the deterministic primality test
+            # composite cofactors below cap^2 are impossible, and larger ones
+            # are certified by the deterministic primality test where it holds
+            try:
+                certified = m <= trial_cap * trial_cap or is_prime(m)
+            except CapacityError:
+                certified = False
+            if certified:
                 found.append(m)
             else:
                 exact = False
@@ -377,10 +383,10 @@ def theorem9_report(
         raise ParameterError("need a >= 2 and b >= 2")
     if x < 3:
         raise ParameterError(f"x={x} must be >= 3")
-    spec = PowerTower(a, b)
-    profile = representation_counts(spec, x, primes, budget=budget)
+    terms = enumerate_terms(PowerTower(a, b), x)
+    profile = representation_counts(Explicit(tuple(terms)), x, primes, budget=budget)
     representable = density_count(profile, 1)
-    n_total = count_terms(spec, x, primes)
+    n_total = len(terms)
     pi_x = primes.count_leq(x)
     scale = math.log(x) ** (1.0 - 1.0 / b) / x
     params = {

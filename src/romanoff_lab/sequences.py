@@ -20,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .elliptic import EllipticCurve, count_points
 from .errors import CapacityError, DomainError, ParameterError, RangeError
 from .moments import PolynomialSpec
@@ -156,13 +158,18 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> list[int]:
     return out
 
 
+def elliptic_prime_bound(x: float) -> float:
+    """Primes q an EllipticOrders enumeration up to x visits: #E(F_q) <= x
+    forces (sqrt(q)-1)^2 < x, i.e. q <= x + 2 sqrt(x) + 1."""
+    return x + 2 * math.sqrt(x) + 1
+
+
 def _elliptic_order_terms(
     curve: EllipticCurve, x: float, primes: PrimeList | None
 ) -> list[int]:
     if primes is None:
         raise RangeError("EllipticOrders enumeration needs a prime table")
-    # #E(F_q) <= x forces (sqrt(q)-1)^2 < x, i.e. q <= x + 2 sqrt(x) + 1
-    q_bound = x + 2 * math.sqrt(x) + 1
+    q_bound = elliptic_prime_bound(x)
     if q_bound > primes.limit:
         raise RangeError(
             f"prime table limit {primes.limit} below the needed bound {q_bound:g}"
@@ -241,11 +248,10 @@ def doubling_ratio(
     spec: SequenceSpec, x: float, primes: PrimeList | None = None
 ) -> float:
     """N_A(x/2) / N_A(x): the empirical halving constant gamma_1."""
-    total = count_terms(spec, x, primes)
-    if total == 0:
+    terms = enumerate_terms(spec, x, primes)
+    if not terms:
         raise DomainError(f"sequence has no terms <= {x}")
-    half = count_terms(spec, x / 2, primes) if x / 2 >= 1 else 0
-    return half / total
+    return bisect_right(terms, x / 2) / len(terms)
 
 
 def congruence_pair_sum(
@@ -256,9 +262,10 @@ def congruence_pair_sum(
 ) -> tuple[float, float]:
     """Weighted count of congruent pairs a_k < a_j <= x modulo small primes.
 
-    raw = sum over terms a_k < x, primes p <= (ln x)^alpha of
-    #{j : a_k < a_j <= x, a_j = a_k (mod p)} * ln(p)/p, bucketing terms by
-    residue per prime; normalized = raw / N_A(x)^2, the empirical gamma_2.
+    raw = sum over primes p <= (ln x)^alpha of ln(p)/p times the number of
+    pairs a_k < a_j <= x with a_j = a_k (mod p): sum_r C(m_r, 2) over the
+    residue classes r, less sum_v C(c_v, 2) over the values v, c_v = ord_A(v).
+    normalized = raw / N_A(x)^2, the empirical gamma_2.
     """
     if alpha <= 0:
         raise ParameterError(f"alpha={alpha} must be positive")
@@ -270,24 +277,14 @@ def congruence_pair_sum(
             f"prime cutoff {cutoff:g} exceeds prime table limit {primes.limit}"
         )
     terms = enumerate_terms(spec, x, primes)
-    total = len(terms)
-    if total == 0:
+    if not terms:
         raise DomainError(f"sequence has no terms <= {x}")
+    equal_pairs = sum(c * (c - 1) // 2 for c in Counter(terms).values())
     raw_parts = []
-    for p in primes.upto(cutoff):
-        p = int(p)
-        buckets: dict[int, list[int]] = {}
-        for v in terms:
-            buckets.setdefault(v % p, []).append(v)
-        pair_count = 0
-        for values in buckets.values():
-            # values are ascending; for each k with a_k < x count the strictly
-            # larger terms in the same residue class
-            m = len(values)
-            for i, v in enumerate(values):
-                if v >= x:
-                    break
-                pair_count += m - bisect_right(values, v, i)
+    for p in map(int, primes.upto(cutoff)):
+        # residues taken on Python ints, exact for terms beyond int64
+        m = np.bincount([v % p for v in terms])
+        pair_count = int((m * (m - 1) // 2).sum()) - equal_pairs
         raw_parts.append(pair_count * math.log(p) / p)
     raw = math.fsum(raw_parts)
-    return (raw, raw / total**2)
+    return (raw, raw / len(terms) ** 2)

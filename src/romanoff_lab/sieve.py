@@ -83,6 +83,11 @@ def factorize_trial(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def totient_trial(n: int) -> int:
+    """Euler's totient phi(n) by trial division, for n outside any sieve."""
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize_trial(n))
+
+
 @dataclass(frozen=True)
 class FactorSieve:
     """Smallest-prime-factor table for all n in [2, limit].

@@ -90,15 +90,10 @@ def verify_all(seed: int = 0) -> dict:
     peak = float(table3[1:].max())
     criteria.append(_criterion(3, "large_prime_product_max", peak < 5.0, max=peak))
 
-    # 4. incomplete gamma bound on the full grid
-    ok4 = True
-    worst = 0.0
-    for s in range(1, 13):
-        for i in range(0, 197):
-            x = 1.0 + 0.25 * i
-            gv = lem.incomplete_gamma(s, x)
-            worst = max(worst, gv.value / gv.bound)
-            ok4 = ok4 and gv.value <= gv.bound
+    # 4. incomplete gamma bound on the full grid, x = 1 + 0.25 i <= 50
+    grids = [lem.gamma_bound_grid(s, 50.0) for s in range(1, 13)]
+    worst = max(w for w, _ in grids)
+    ok4 = all(ok for _, ok in grids)
     criteria.append(_criterion(4, "gamma_bound_grid", ok4, worst_ratio=worst))
 
     # 5. extremal construction at the reference window

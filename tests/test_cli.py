@@ -292,3 +292,17 @@ class TestSpecRoundTrip:
         spec = parse_sequence_spec(text)
         printed = format_sequence_spec(spec)
         assert parse_sequence_spec(printed) == spec
+
+
+class TestRemovedAndRepairedPaths:
+    def test_format_flag_is_gone(self):
+        assert run(["romanoff", "--report", "theorem9", "--format", "json"]) == 2
+
+    def test_order_dist_beyond_primality_test(self, tmp_path):
+        code, out = run_to_file(
+            tmp_path,
+            "dist10.json",
+            ["romanoff", "--report", "order-dist", "--a", "10", "--z", "30", "--trial-cap", "100"],
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["all_exact"] is False

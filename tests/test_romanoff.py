@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from romanoff_lab import sequences
+from romanoff_lab.elliptic import EllipticCurve, count_points
 from romanoff_lab.errors import CapacityError, DomainError, RangeError
 from romanoff_lab.moments import PolynomialSpec
 from romanoff_lab.romanoff import (
@@ -25,6 +27,7 @@ from romanoff_lab.romanoff import (
     theorem9_report,
 )
 from romanoff_lab.sequences import (
+    EllipticOrders,
     Explicit,
     Geometric,
     Polynomial,
@@ -391,3 +394,29 @@ class TestTheorem9Report:
         assert lines[0] == "n,r"
         assert len(lines) == 7
         assert lines[4] == "4,2"
+
+
+class TestSingleEnumeration:
+    def test_theorem6_counts_each_curve_order_once(self, primes100k, monkeypatch):
+        calls = []
+
+        def counting(curve, p):
+            calls.append(p)
+            return count_points(curve, p)
+
+        monkeypatch.setattr(sequences, "count_points", counting)
+        x = 10**4
+        theorem6_report(EllipticOrders(EllipticCurve(1, 1)), x, 1.0, primes100k)
+        assert len(calls) == primes100k.count_leq(x + 2 * math.sqrt(x) + 1)
+        assert len(set(calls)) == len(calls)
+
+
+class TestOrderDistributionBeyondPrimalityTest:
+    def test_uncertifiable_cofactor_is_flagged(self):
+        # a cofactor of 10^n - 1 beyond the deterministic Miller-Rabin range
+        # cannot be certified; its entry is flagged, not raised
+        dist = order_distribution(10, 30, 100)
+        assert dist.all_exact is False
+        assert [e.n for e in dist.entries] == list(range(1, 31))
+        entries = {e.n: e for e in dist.entries}
+        assert entries[1].d_n == pytest.approx(math.log(3) / 3, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -257,3 +258,19 @@ class TestTextualForm:
     def test_zero_leading_coefficient_rejected(self):
         with pytest.raises(ParameterError):
             parse_sequence_spec("poly:0,1")
+
+
+class TestPrefixProperty:
+    @pytest.mark.parametrize(
+        "text",
+        ["geom:3:start=1", "tower:2:2", "poly:1,-3,5", "ecorders:1,1", "explicit:9,4,4,1,30,4,17,9"],
+    )
+    def test_terms_up_to_y_are_a_prefix(self, text, primes100k):
+        # the terms up to y <= x are the leading terms up to x, so one
+        # enumeration at x serves every statistic at a smaller bound
+        spec = parse_sequence_spec(text)
+        x = 5000
+        full = enumerate_terms(spec, x, primes100k)
+        for y in (1, 2.5, 4, 17, 100, 1234.5, 2500, 4999, x):
+            prefix = full[: bisect_right(full, y)]
+            assert enumerate_terms(spec, y, primes100k) == prefix

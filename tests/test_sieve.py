@@ -20,6 +20,7 @@ from romanoff_lab.sieve import (
     totient,
     totient_ratio,
     totient_table,
+    totient_trial,
 )
 
 
@@ -266,3 +267,14 @@ class TestPrimality:
         assert factorize_trial(1) == []
         assert factorize_trial(12) == [(2, 2), (3, 1)]
         assert factorize_trial(2**4 * 7**2 * 101) == [(2, 4), (7, 2), (101, 1)]
+
+
+class TestTotientTrial:
+    def test_matches_sieve_totient(self, sieve10k):
+        for n in range(1, 10**4 + 1):
+            assert totient_trial(n) == totient(n, sieve10k)
+
+    def test_beyond_any_sieve(self):
+        # 2^61 - 1 is prime; 10^12 = 2^12 5^12
+        assert totient_trial(2**61 - 1) == 2**61 - 2
+        assert totient_trial(10**12) == 4 * 10**11
