@@ -6,7 +6,8 @@ reports, the analytic-lemma suite, and a deterministic verify-all battery.
 JSON output is sorted and newline-terminated so identical invocations are
 byte-identical; large tabular outputs (profiles, order sequences) use CSV.
 
-Exit codes: 0 success, 2 parameter/usage errors, 3 capacity or budget errors.
+Exit codes: 0 success, 2 parameter/usage errors, 3 capacity or budget errors,
+4 a table failed an integrity check.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import moments as mom
 from . import romanoff as rom
 from . import sequences as seq
 from . import verify
-from .errors import CapacityError, DomainError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 from .sieve import (
     PrimeList,
     build_sieve,
@@ -205,7 +206,7 @@ def _cmd_extremal(config: RunConfig, args: argparse.Namespace) -> None:
         "Q": result.Q,
         "count": result.count,
         "empty": result.is_empty,
-        "mean_ratio": float(result.mean_ratio) if result.mean_ratio is not None else None,
+        "mean_ratio": result.mean_ratio,
         "member_min": result.members[0] if result.members else None,
         "member_max": result.members[-1] if result.members else None,
     }
@@ -516,6 +517,9 @@ def run(argv: list[str]) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except TableIntegrityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:  # parameter/range/domain/construction errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

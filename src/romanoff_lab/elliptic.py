@@ -18,9 +18,8 @@ from typing import IO
 import numpy as np
 
 from .errors import CapacityError, DomainError, ParameterError, RangeError
-from .exact import exact_fraction_sum
-from .moments import MomentReport
-from .sieve import FactorSieve, PrimeList, factorize_trial, is_prime, totient_ratio
+from .moments import MomentReport, _ratio_power_fsum
+from .sieve import FactorSieve, PrimeList, factorize_trial, is_prime
 
 # cap for the vectorized character table: a few p-length int64 arrays are
 # live at once, so this bounds peak memory near half a GB; int64 overflow
@@ -164,6 +163,7 @@ def theorem5_report(
 
     The sum is exactly >= pi(x) (each term >= 1); the implied constant is the
     plain ratio lhs/pi(x), the measured constant of the matching upper bound.
+    A gathered phi outside [1, #E(F_p)] raises TableIntegrityError.
     The absence of complex multiplication is a hypothesis of that upper
     bound; it is not checked here, and the report records that.
     """
@@ -177,14 +177,8 @@ def theorem5_report(
         )
     if orders is None:
         orders = order_sequence(curve, x, primes)
-    ratios = (
-        totient_ratio(order, sieve) ** s for order in orders.orders()
-    )
-    lhs_exact = exact_fraction_sum(ratios)
+    lhs = _ratio_power_fsum(orders.orders(), s, sieve)
     pi_x = len(orders.entries)
-    if lhs_exact < pi_x:
-        raise AssertionError("moment sum fell below pi(x); totient table corrupt")
-    lhs = float(lhs_exact)
     return MomentReport(
         lhs=lhs,
         rhs_core=float(pi_x),

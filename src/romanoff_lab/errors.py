@@ -1,9 +1,10 @@
 """Error taxonomy shared by all modules.
 
 Usage errors (bad values, out-of-table lookups, malformed specs) derive from
-ValueError; resource errors (tables or budgets that would be exceeded) derive
-from RuntimeError.  The CLI maps the former to exit code 2 and the latter to
-exit code 3.
+ValueError; resource errors (tables or budgets that would be exceeded) and
+integrity errors (a table that breaks its own invariants) derive from
+RuntimeError.  The CLI maps usage errors to exit code 2, CapacityError to
+exit code 3 and TableIntegrityError to exit code 4.
 """
 
 
@@ -25,3 +26,8 @@ class ConstructionError(ValueError):
 
 class CapacityError(RuntimeError):
     """A memory cap, operation budget, or overflow guard would be exceeded."""
+
+
+class TableIntegrityError(RuntimeError):
+    """A table contradicts an invariant it must satisfy (e.g. a corrupted spf
+    entry makes some gathered phi(n) fall outside [1, n])."""

@@ -11,23 +11,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .errors import CapacityError, ConstructionError, ParameterError
-from .exact import exact_fraction_sum
-from .sieve import FactorSieve, is_prime, totient_ratio
+from .moments import _ratio_power_fsum
+from .sieve import FactorSieve, is_prime
 
 
 @dataclass(frozen=True)
 class ExtremalSet:
-    """Construction output; empty (and flagged) when Q > M."""
+    """Construction output; empty (and flagged) when Q > M.
+
+    mean_ratio is the correctly rounded fsum of the members' n/phi(n) divided
+    by their count (None for an empty set).
+    """
 
     M: int
     y: float
     z: float
     Q: int
     members: tuple[int, ...]
-    mean_ratio: Fraction | None
+    mean_ratio: float | None
 
     @property
     def is_empty(self) -> bool:
@@ -66,15 +71,13 @@ def construct_extremal_set(
         return ExtremalSet(M=M, y=y, z=z, Q=Q, members=(), mean_ratio=None)
     if M > sieve.limit:
         raise CapacityError(f"M={M} exceeds sieve limit {sieve.limit}")
-    small = [p for p in range(2, math.floor(y) + 1) if is_prime(p)]
-    members = []
-    for n in range(Q, M + 1, Q):
-        if all(n % p for p in small):
-            members.append(n)
-    ratios = [totient_ratio(n, sieve) for n in members]
-    mean_ratio = exact_fraction_sum(ratios) / len(members)
+    members = np.arange(Q, M + 1, Q, dtype=np.int64)
+    for p in range(2, math.floor(y) + 1):
+        if is_prime(p):
+            members = members[members % p != 0]
+    mean_ratio = _ratio_power_fsum(members, 1, sieve) / len(members)
     return ExtremalSet(
-        M=M, y=y, z=z, Q=Q, members=tuple(members), mean_ratio=mean_ratio
+        M=M, y=y, z=z, Q=Q, members=tuple(members.tolist()), mean_ratio=mean_ratio
     )
 
 
@@ -115,7 +118,7 @@ def alpha_sweep(
                 AlphaSweepEntry(alpha, y, z, ext.Q, 0, math.nan, math.nan)
             )
             continue
-        mean = float(ext.mean_ratio)
+        mean = ext.mean_ratio
         out.append(
             AlphaSweepEntry(alpha, y, z, ext.Q, ext.count, mean, mean * alpha)
         )

@@ -4,8 +4,16 @@ totient-product lemmas they rest on.
 
 The bounds involve constants that are not effective, so every report returns
 the *implied constant*: the measured value C making lhs = C^s * rhs_core tight
-on the given input.  Sums of totient-ratio powers are kept as exact rationals
-until the report boundary.
+on the given input.
+
+The T1/T3/T4 reports here, and T5 and the extremal mean in their modules,
+sum totient-ratio powers one way (``_ratio_power_fsum``): phi is gathered for
+the listed values by ``FactorSieve.totients``, each term (n/phi(n))^s is
+formed in float64, and ``math.fsum`` adds the terms with a single correct
+rounding.  Against the exact sum, the result is within a
+relative (s + 3) * 2^-53, and it never falls below the term count, because
+n >= phi(n) makes every term round to >= 1.0.  ``moment_sum`` keeps the
+exact ``Fraction`` value and serves as the oracle for that bound.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 from .exact import exact_fraction_sum
 from .sieve import FactorSieve, PrimeList, is_prime, totient, totient_ratio
 
@@ -100,6 +108,31 @@ def moment_sum(values: Sequence[int], s: int, sieve: FactorSieve) -> Fraction:
     )
 
 
+# values per gather block: bounds the temporary arrays whatever the list size
+_FSUM_BLOCK = 1 << 16
+
+
+def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> float:
+    """sum (n/phi(n))^s over the list, correctly rounded from the float terms.
+
+    Raises TableIntegrityError when a gathered phi(n) leaves [1, n], which
+    only a corrupted spf table can cause.
+    """
+    arr = np.asarray(values, dtype=np.int64)
+
+    def terms():
+        for start in range(0, len(arr), _FSUM_BLOCK):
+            block = arr[start : start + _FSUM_BLOCK]
+            phi = sieve.totients(block)
+            if np.any((phi < 1) | (phi > block)):
+                raise TableIntegrityError(
+                    "a gathered phi(n) lies outside [1, n]; the spf table is corrupt"
+                )
+            yield from ((block / phi) ** s).tolist()
+
+    return math.fsum(terms())
+
+
 def _small_primes_upto(y: float) -> list[int]:
     if y < 2:
         return []
@@ -128,7 +161,7 @@ def theorem1_report(
     if M < int(arr.max()):
         raise ParameterError(f"M={M} must be >= max of the list")
     n_terms = len(arr)
-    lhs = float(moment_sum(arr, s, sieve))
+    lhs = _ratio_power_fsum(arr, s, sieve)
     cutoff = math.log(M) ** alpha if M > 1 else 0.0
     prime_part = math.fsum(
         omega_count(arr, p) * math.log(p) ** s / p for p in _small_primes_upto(cutoff)
@@ -243,7 +276,7 @@ def poly_moment_report(
     values = poly_values(poly, z)
     if max(values, default=0) > sieve.limit:
         raise CapacityError(f"max |R(n)| exceeds sieve limit {sieve.limit}")
-    lhs = float(moment_sum(values, s, sieve)) if values else 0.0
+    lhs = _ratio_power_fsum(values, s, sieve)
     delta = poly.content
     delta_ratio = float(totient_ratio(delta, sieve))
     log_k1 = math.log(poly.degree + 1)
@@ -298,6 +331,8 @@ def delta_moment_report(
     """
     if a < 1:
         raise ParameterError(f"a={a} must be >= 1")
+    if z <= 0:
+        raise ParameterError(f"z={z} must be positive")
     if s < 1:
         raise ParameterError(f"s={s} must be >= 1")
     if len(bs) == 0:
@@ -314,7 +349,7 @@ def delta_moment_report(
     if max(values, default=0) > sieve.limit:
         raise CapacityError(f"max Delta_L exceeds sieve limit {sieve.limit}")
     k = len(bs)
-    lhs = float(moment_sum(values, s, sieve)) if values else 0.0
+    lhs = _ratio_power_fsum(values, s, sieve)
     a_ratio = float(totient_ratio(a, sieve))
     log_k1 = math.log(k + 1)
     rhs_core = (a_ratio * log_k1) ** s * math.factorial(s) * z

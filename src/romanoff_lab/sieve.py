@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, RangeError
+from .errors import CapacityError, ParameterError, RangeError, TableIntegrityError
 
 # Hard cap on sieve size; spf entries are 32-bit, so 1e8 costs 400 MB.
 DEFAULT_LIMIT_CAP = 10**8
@@ -131,6 +131,39 @@ class FactorSieve:
     def is_prime(self, n: int) -> bool:
         self.check_range(n)
         return n >= 2 and int(self.spf[n]) == n
+
+    def totients(self, values) -> np.ndarray:
+        """phi(n) for every n in ``values``, as a flat int64 array.
+
+        Peels one prime factor per pass: p = spf[rem], phi *= p when p
+        repeats the previous pass's prime and p - 1 otherwise, rem //= p.
+        Only the listed values are touched, in at most Omega(n) passes over
+        a shrinking active set; no phi table is built.
+        """
+        try:
+            n = np.asarray(values, dtype=np.int64).ravel()
+        except OverflowError:
+            raise RangeError(f"a value exceeds sieve range [1, {self.limit}]") from None
+        if n.size and (n.min() < 1 or n.max() > self.limit):
+            bad = n[(n < 1) | (n > self.limit)][0]
+            raise RangeError(f"n={bad} outside sieve range [1, {self.limit}]")
+        phi = np.ones(n.shape, dtype=np.int64)
+        idx = np.flatnonzero(n > 1)
+        rem = n[idx]
+        last = np.zeros_like(rem)
+        # each pass divides rem by p >= 2, so a valid table needs fewer passes
+        # than limit has bits; the bound keeps a corrupted table from looping
+        for _ in range(self.limit.bit_length()):
+            if not idx.size:
+                break
+            p = self.spf[rem].astype(np.int64)
+            phi[idx] *= np.where(p == last, p, p - 1)
+            rem //= p
+            keep = rem > 1
+            idx, rem, last = idx[keep], rem[keep], p[keep]
+        if idx.size:
+            raise TableIntegrityError("spf table does not factor every value")
+        return phi
 
 
 def _sieve_spf(limit: int) -> np.ndarray:

@@ -112,7 +112,7 @@ def verify_all(seed: int = 0) -> dict:
             ok5,
             Q=ext5.Q,
             count=ext5.count,
-            mean_ratio=float(ext5.mean_ratio),
+            mean_ratio=ext5.mean_ratio,
         )
     )
 

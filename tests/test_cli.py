@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from romanoff_lab import cli
 from romanoff_lab.cli import run
+from romanoff_lab.sieve import FactorSieve, build_sieve
 from romanoff_lab.sequences import format_sequence_spec, parse_sequence_spec
 
 
@@ -306,3 +308,22 @@ class TestRemovedAndRepairedPaths:
         )
         assert code == 0
         assert json.loads(out.read_text())["all_exact"] is False
+
+
+class TestLinearZ:
+    @pytest.mark.parametrize("z", ["0", "-1"])
+    def test_nonpositive_z_is_2(self, z):
+        argv = ["moments", "--report", "linear", "--a", "5", "--bs=0", "--z", z]
+        assert run(argv) == 2
+
+
+class TestIntegrityExit:
+    def test_corrupt_sieve_is_4(self, monkeypatch):
+        def corrupt_sieve(limit, **kwargs):
+            spf = build_sieve(limit).spf.copy()
+            spf[7] = 13  # gathers phi(7) = 12 > 7
+            return FactorSieve(limit=limit, spf=spf)
+
+        monkeypatch.setattr(cli, "build_sieve", corrupt_sieve)
+        argv = ["moments", "--report", "theorem1", "--seq", "explicit:6,7,8", "--x", "10"]
+        assert run(argv) == 4

@@ -1,7 +1,10 @@
 import io
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from romanoff_lab.elliptic import (
     EllipticCurve,
@@ -12,7 +15,13 @@ from romanoff_lab.elliptic import (
     order_sequence,
     theorem5_report,
 )
-from romanoff_lab.errors import DomainError, ParameterError, RangeError
+from romanoff_lab.errors import DomainError, ParameterError, RangeError, TableIntegrityError
+from romanoff_lab.moments import moment_sum
+from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
+
+# hypothesis tests cannot take pytest fixtures; orders up to 1 + 2x stay in range
+HYP_SIEVE = build_sieve(10**4)
+HYP_PRIMES = PrimeList.build(2000)
 
 
 def brute_count(A: int, B: int, p: int) -> int:
@@ -213,3 +222,47 @@ class TestTheorem5Report:
         small = build_sieve(100)
         with pytest.raises(RangeError):
             theorem5_report(EllipticCurve(1, 1), 100, 1, small, primes100k)
+
+
+class TestTheorem5AgainstExactOracle:
+    """lhs is the fsum of float terms; moment_sum is the exact oracle."""
+
+    @given(
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=2, max_value=2000),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_within_bound(self, A, B, x, s):
+        if 4 * A**3 + 27 * B**2 == 0:
+            return
+        curve = EllipticCurve(A, B)
+        orders = order_sequence(curve, x, HYP_PRIMES)
+        rep = theorem5_report(curve, x, s, HYP_SIEVE, HYP_PRIMES, orders=orders)
+        exact = moment_sum(orders.orders(), s, HYP_SIEVE)
+        assert abs(Fraction(rep.lhs) - exact) <= Fraction(s + 3, 2**53) * exact
+        assert rep.lhs >= rep.rhs_core
+
+    def test_verify_all_input_bit_equal(self, sieve1m, primes100k):
+        orders = order_sequence(EllipticCurve(1, 1), 10**4, primes100k)
+        rep = theorem5_report(EllipticCurve(1, 1), 10**4, 1, sieve1m, primes100k, orders=orders)
+        assert rep.lhs == float(moment_sum(orders.orders(), 1, sieve1m))
+
+    def test_one_ulp_case(self, sieve1m, primes100k):
+        # (-41, -35) at x = 10^4, s = 1 rounds one ulp away from the exact sum
+        curve = EllipticCurve(-41, -35)
+        orders = order_sequence(curve, 10**4, primes100k)
+        rep = theorem5_report(curve, 10**4, 1, sieve1m, primes100k, orders=orders)
+        exact = moment_sum(orders.orders(), 1, sieve1m)
+        assert abs(rep.lhs - float(exact)) <= math.ulp(float(exact))
+        assert abs(Fraction(rep.lhs) - exact) <= Fraction(4, 2**53) * exact
+
+    def test_corrupt_table_is_typed_error(self, sieve1m, primes100k):
+        orders = order_sequence(EllipticCurve(1, 1), 100, primes100k)
+        victim = orders.orders()[5]
+        spf = sieve1m.spf.copy()
+        spf[victim] = victim + 2  # phi(victim) gathers as victim + 1 > victim
+        corrupt = FactorSieve(limit=sieve1m.limit, spf=spf)
+        with pytest.raises(TableIntegrityError):
+            theorem5_report(EllipticCurve(1, 1), 100, 1, corrupt, primes100k, orders=orders)

@@ -2,11 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from romanoff_lab.errors import ConstructionError, ParameterError
 from romanoff_lab.extremal import alpha_sweep, construct_extremal_set
-from romanoff_lab.moments import omega_count
-from romanoff_lab.sieve import p_minus, totient_ratio
+from romanoff_lab.moments import moment_sum, omega_count
+from romanoff_lab.sieve import build_sieve, p_minus, totient_ratio
+
+HYP_SIEVE = build_sieve(10**5)
 
 
 class TestConstruction:
@@ -85,3 +89,26 @@ class TestAlphaSweep:
         assert ratios[0] <= ratios[1] <= ratios[2]
         for e in entries:
             assert e.empirical_c == pytest.approx(e.mean_ratio * e.alpha, rel=1e-12)
+
+
+class TestMeanAgainstExactOracle:
+    """mean_ratio is fsum / count; the exact Fraction mean is the oracle."""
+
+    @given(
+        st.integers(min_value=1, max_value=10**5),
+        st.sampled_from([(2.2, 6.9), (2.5, 8.0), (2.0, 3.5), (3.5, 11.5), (2.0, 7.5)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_within_bound(self, M, window):
+        y, z = window
+        ext = construct_extremal_set(M, y, z, HYP_SIEVE)
+        if ext.is_empty:
+            return
+        assert isinstance(ext.mean_ratio, float)
+        exact = moment_sum(ext.members, 1, HYP_SIEVE) / ext.count
+        assert abs(Fraction(ext.mean_ratio) - exact) <= Fraction(4, 2**53) * exact
+
+    def test_verify_all_input_bit_equal(self, sieve1m):
+        ext = construct_extremal_set(10**5, 2.2, 6.9, sieve1m)
+        assert ext.mean_ratio == float(moment_sum(ext.members, 1, sieve1m) / ext.count)
+        assert all(type(n) is int for n in ext.members)

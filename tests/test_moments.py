@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romanoff_lab.errors import CapacityError, DomainError, ParameterError
+from romanoff_lab import moments
+from romanoff_lab.errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 from romanoff_lab.moments import (
     MomentReport,
     PolynomialSpec,
@@ -22,7 +24,7 @@ from romanoff_lab.moments import (
     poly_moment_report,
     theorem1_report,
 )
-from romanoff_lab.sieve import build_sieve, totient, totient_ratio
+from romanoff_lab.sieve import FactorSieve, build_sieve, totient, totient_ratio
 
 # hypothesis tests cannot take pytest fixtures; a small shared sieve is cheap
 HYP_SIEVE = build_sieve(10**4)
@@ -269,3 +271,87 @@ class TestDeltaMomentReport:
     def test_shift_bound_enforced(self, sieve10k):
         with pytest.raises(ParameterError):
             delta_moment_report(1, [100], 5, 1, 10, sieve10k)
+
+
+def assert_within_fsum_bound(fast: float, exact: Fraction, s: int) -> None:
+    """The reports' stated error: relative (s + 3) * 2^-53 from the exact sum."""
+    assert abs(Fraction(fast) - exact) <= Fraction(s + 3, 2**53) * exact
+
+
+class TestZRejected:
+    @pytest.mark.parametrize("z", [0, -1, -0.5])
+    def test_nonpositive_z(self, sieve10k, z):
+        with pytest.raises(ParameterError):
+            delta_moment_report(5, [0], z, 1, 10, sieve10k)
+
+
+class TestFsumAgainstExactOracle:
+    """The float reports against the exact Fraction moment_sum."""
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=10**4), min_size=1, max_size=60),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_theorem1(self, values, s):
+        rep = theorem1_report(values, s, 0.5, 10**4, HYP_SIEVE)
+        assert_within_fsum_bound(rep.lhs, moment_sum(values, s, HYP_SIEVE), s)
+        assert rep.lhs >= len(values)
+
+    @given(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=3).filter(
+            lambda c: c[0] != 0
+        ),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_poly(self, coeffs, z, s):
+        poly = PolynomialSpec.from_descending(coeffs)
+        values = moments.poly_values(poly, z)
+        if max(values, default=0) > HYP_SIEVE.limit:
+            return
+        rep = poly_moment_report(poly, z, s, HYP_SIEVE)
+        if values:
+            assert_within_fsum_bound(rep.lhs, moment_sum(values, s, HYP_SIEVE), s)
+        else:
+            assert rep.lhs == 0.0
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_delta(self, a, bs, z, s):
+        values = moments.delta_values(a, bs, z)
+        if max(values, default=0) > HYP_SIEVE.limit:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rep = delta_moment_report(a, bs, z, s, 10, HYP_SIEVE)
+        if values:
+            assert_within_fsum_bound(rep.lhs, moment_sum(values, s, HYP_SIEVE), s)
+        else:
+            assert rep.lhs == 0.0
+
+    def test_verify_all_inputs_bit_equal(self, sieve1m):
+        for n in (10**3, 10**4):
+            values = list(range(1, n + 1))
+            rep = theorem1_report(values, 1, 0.5, float(n), sieve1m)
+            assert rep.lhs == float(moment_sum(values, 1, sieve1m))
+
+    def test_block_boundaries(self, sieve1m):
+        rng = random.Random(5)
+        values = [rng.randint(1, 10**6) for _ in range(2 * moments._FSUM_BLOCK + 123)]
+        arr = np.array(values)
+        unblocked = math.fsum(((arr / sieve1m.totients(arr)) ** 2).tolist())
+        assert moments._ratio_power_fsum(values, 2, sieve1m) == unblocked
+
+    def test_corrupt_table_raises(self, sieve10k):
+        spf = sieve10k.spf.copy()
+        spf[7] = 13  # gathers phi(7) = 12 > 7
+        corrupt = FactorSieve(limit=sieve10k.limit, spf=spf)
+        with pytest.raises(TableIntegrityError):
+            theorem1_report([6, 7, 8], 1, 0.5, 10, corrupt)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from romanoff_lab.errors import CapacityError, ParameterError, RangeError
+from romanoff_lab.errors import CapacityError, ParameterError, RangeError, TableIntegrityError
 from romanoff_lab.sieve import (
+    FactorSieve,
     PrimeList,
     build_sieve,
     chebyshev_theta,
@@ -278,3 +279,36 @@ class TestTotientTrial:
         # 2^61 - 1 is prime; 10^12 = 2^12 5^12
         assert totient_trial(2**61 - 1) == 2**61 - 2
         assert totient_trial(10**12) == 4 * 10**11
+
+
+class TestTotients:
+    def test_matches_table(self):
+        sieve = build_sieve(10**5)
+        values = np.arange(1, 10**5 + 1)
+        assert np.array_equal(sieve.totients(values), totient_table(10**5)[1:])
+
+    def test_matches_per_n(self, sieve1m):
+        rng = random.Random(3)
+        values = [rng.randint(1, 10**6) for _ in range(2000)]
+        values += [1, 10**6]
+        values += [2**k for k in range(1, 20)] + [3**k for k in range(1, 13)]
+        phi = sieve1m.totients(values)
+        assert phi.dtype == np.int64
+        assert phi.tolist() == [totient(n, sieve1m) for n in values]
+
+    def test_empty_input(self, sieve10k):
+        phi = sieve10k.totients([])
+        assert phi.shape == (0,)
+        assert phi.dtype == np.int64
+
+    def test_range_error(self, sieve10k):
+        for bad in ([0], [10**4 + 1], [5, 0, 7], [2**70]):
+            with pytest.raises(RangeError):
+                sieve10k.totients(bad)
+
+    def test_corrupt_table_cannot_loop(self, sieve10k):
+        spf = sieve10k.spf.copy()
+        spf[9] = 1  # 9 would never shrink
+        corrupt = FactorSieve(limit=sieve10k.limit, spf=spf)
+        with pytest.raises(TableIntegrityError):
+            corrupt.totients([4, 9])
