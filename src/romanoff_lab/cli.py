@@ -48,7 +48,6 @@ class RunConfig:
     budget: int = rom.DEFAULT_PAIR_BUDGET
     output: str | None = None
     seed: int = 0
-    threads: int = 1
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -58,7 +57,6 @@ class RunConfig:
             budget=args.budget,
             output=args.out,
             seed=args.seed,
-            threads=args.threads,
         )
 
     def make_sieve(self, needed: float):
@@ -219,7 +217,7 @@ def _cmd_elliptic(config: RunConfig, args: argparse.Namespace) -> None:
     if x < 2:
         raise ParameterError(f"--x must be >= 2, got {x}")
     primes = config.make_primes(x)
-    orders = ell.order_sequence(curve, x, primes, threads=config.threads)
+    orders = ell.order_sequence(curve, x, primes)
     if args.report == "orders":
         _emit_csv(config, orders.write_csv)
         return
@@ -227,9 +225,7 @@ def _cmd_elliptic(config: RunConfig, args: argparse.Namespace) -> None:
     report = ell.theorem5_report(
         curve, x, args.s, sieve, primes, orders=orders
     )
-    margin = min(
-        2.0 * math.sqrt(p) - abs(order - (p + 1)) for p, order in orders.entries
-    )
+    margin = min(ell.hasse_margin(curve, p, order) for p, order in orders.entries)
     payload = {
         "report": "theorem5",
         "curve": _format_curve(curve),
@@ -422,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=rom.DEFAULT_PAIR_BUDGET)
     common.add_argument("--out", default=None)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="romanoff-lab",

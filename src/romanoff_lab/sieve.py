@@ -55,8 +55,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# past this trial divisor, factorize_trial asks is_prime about the cofactor
+_TRIAL_CERTIFY_FROM = 2**16
+
+
 def factorize_trial(n: int) -> list[tuple[int, int]]:
-    """Factor n by trial division; (prime, exponent) pairs in ascending order."""
+    """Factor n by trial division; (prime, exponent) pairs in ascending order.
+
+    Once the divisor passes _TRIAL_CERTIFY_FROM, a cofactor that is_prime
+    certifies ends the search (tested again whenever it shrinks); one beyond
+    the reach of is_prime is trial-divided to the end. Inputs below 2^32
+    never get that far and do no extra work.
+    """
     if n < 1:
         raise ParameterError(f"cannot factor n={n}")
     out = []
@@ -69,6 +79,7 @@ def factorize_trial(n: int) -> list[tuple[int, int]]:
             out.append((d, e))
     d = 5
     step = 2
+    certify = True
     while d * d <= n:
         if n % d == 0:
             e = 0
@@ -76,6 +87,14 @@ def factorize_trial(n: int) -> list[tuple[int, int]]:
                 n //= d
                 e += 1
             out.append((d, e))
+            certify = True
+        elif d > _TRIAL_CERTIFY_FROM and certify:
+            certify = False
+            try:
+                if is_prime(n):
+                    break
+            except CapacityError:
+                pass
         d += step
         step = 6 - step
     if n > 1:

@@ -131,7 +131,7 @@ def verify_all(seed: int = 0) -> dict:
                     rhs = (x * x * x + A * x + B) % p
                     brute6 += sum(1 for y in range(p) if (y * y - rhs) % p == 0)
                 ok6 = ok6 and count == brute6
-                margin = 2.0 * math.sqrt(p) - abs(count - (p + 1))
+                margin = ell.hasse_margin(curve, p, count)
                 min_margin = min(min_margin, margin)
     ok6 = ok6 and min_margin > 0
     criteria.append(

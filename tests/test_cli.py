@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -299,6 +300,20 @@ class TestSpecRoundTrip:
 class TestRemovedAndRepairedPaths:
     def test_format_flag_is_gone(self):
         assert run(["romanoff", "--report", "theorem9", "--format", "json"]) == 2
+
+    def test_threads_flag_is_gone(self):
+        assert run(["elliptic", "--curve", "1,1", "--x", "100", "--threads", "2"]) == 2
+
+    def test_hasse_min_margin_from_the_orders(self, tmp_path):
+        # x above the BSGS switch; the margin is the inline formula over the CSV orders
+        argv = ["elliptic", "--curve=-41,-35", "--x", "6000"]
+        code, out = run_to_file(tmp_path, "t5.json", argv)
+        assert code == 0
+        code, csv = run_to_file(tmp_path, "orders.csv", argv + ["--report", "orders"])
+        assert code == 0
+        rows = [line.split(",") for line in csv.read_text().strip().split("\n")[1:]]
+        expected = min(2.0 * math.sqrt(int(p)) - abs(int(n) - (int(p) + 1)) for p, n in rows)
+        assert json.loads(out.read_text())["hasse_min_margin"] == expected
 
     def test_order_dist_beyond_primality_test(self, tmp_path):
         code, out = run_to_file(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from romanoff_lab import elliptic as ell
 from romanoff_lab.elliptic import (
     EllipticCurve,
     congruence_class_census,
@@ -15,7 +16,13 @@ from romanoff_lab.elliptic import (
     order_sequence,
     theorem5_report,
 )
-from romanoff_lab.errors import DomainError, ParameterError, RangeError, TableIntegrityError
+from romanoff_lab.errors import (
+    CapacityError,
+    DomainError,
+    ParameterError,
+    RangeError,
+    TableIntegrityError,
+)
 from romanoff_lab.moments import moment_sum
 from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
 
@@ -136,6 +143,13 @@ class TestHasseMargin:
                     worst = min(worst, hasse_margin(curve, p))
         assert worst > 0
 
+    def test_known_order_gives_same_float(self):
+        curve = EllipticCurve(-41, -35)
+        for p in (5, 101, 4093, 10007, 99991):
+            n = count_points(curve, p)
+            assert hasse_margin(curve, p, n) == hasse_margin(curve, p)
+            assert hasse_margin(curve, p, n) == 2.0 * math.sqrt(p) - abs(n - (p + 1))
+
     def test_sqrt_bracket(self, primes100k):
         # (sqrt(p) - 1)^2 < #E < (sqrt(p) + 1)^2, both strict
         curve = EllipticCurve(1, 1)
@@ -157,12 +171,6 @@ class TestOrderSequence:
         assert [p for p, _ in seq.entries] == [2, 3, 5, 7]
         for p, order in seq.entries:
             assert order == brute_count(1, 1, p)
-
-    def test_threads_match_serial(self, primes100k):
-        curve = EllipticCurve(2, 5)
-        serial = order_sequence(curve, 2000, primes100k)
-        parallel = order_sequence(curve, 2000, primes100k, threads=4)
-        assert serial.entries == parallel.entries
 
     def test_csv_shape(self, primes100k):
         seq = order_sequence(EllipticCurve(1, 1), 10, primes100k)
@@ -266,3 +274,177 @@ class TestTheorem5AgainstExactOracle:
         corrupt = FactorSieve(limit=sieve1m.limit, spf=spf)
         with pytest.raises(TableIntegrityError):
             theorem5_report(EllipticCurve(1, 1), 100, 1, corrupt, primes100k, orders=orders)
+
+
+# --- Shanks-Mestre baby-step giant-step against the character sum -----------
+
+SWITCH = ell._BSGS_MIN_PRIME
+BSGS_PRIMES = [int(p) for p in PrimeList.build(2 * 10**4).values if p >= SWITCH]
+
+
+def curve_points(a: int, b: int, p: int):
+    """Every affine point with y != 0, by a square-root table."""
+    roots = {}
+    for y in range(1, p):
+        roots.setdefault(y * y % p, []).append(y)
+    return [(x, y) for x in range(p) for y in roots.get((x**3 + a * x + b) % p, [])]
+
+
+def point_order(P, a: int, p: int, group_order: int) -> int:
+    """Least divisor d of the group order with dP = O."""
+    divisors = [d for d in range(1, group_order + 1) if group_order % d == 0]
+    return next(d for d in divisors if ell._ec_mul(d, P, a, p) is None)
+
+
+def hasse_interval(p: int) -> tuple[int, int]:
+    r = math.isqrt(4 * p)
+    return p + 1 - r, p + 1 + r
+
+
+class TestBsgsAgainstCharacterSum:
+    def test_switch_is_not_below_mestre_bound(self):
+        assert SWITCH >= 229
+
+    @pytest.mark.parametrize("A,B", [(1, 1), (-41, -35), (0, 1), (0, 7), (1, 0), (-1, 0)])
+    def test_every_prime_from_switch(self, A, B):
+        curve = EllipticCurve(A, B)
+        for p in BSGS_PRIMES:
+            if curve.discriminant % p == 0:
+                continue
+            assert ell._count_points_bsgs(A % p, B % p, p) == ell._count_points_character(curve, p), (A, B, p)
+
+    @given(
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.sampled_from(BSGS_PRIMES),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_curves(self, A, B, p):
+        if 4 * A**3 + 27 * B**2 == 0:
+            return
+        curve = EllipticCurve(A, B)
+        assert count_points(curve, p) == ell._count_points_character(curve, p)
+
+    def test_repeated_calls_identical(self, primes100k):
+        curve = EllipticCurve(-41, -35)
+        first = order_sequence(curve, 3 * 10**4, primes100k)
+        second = order_sequence(curve, 3 * 10**4, primes100k)
+        assert first.entries == second.entries
+        p = 99991
+        assert len({count_points(curve, p) for _ in range(5)}) == 1
+
+
+class TestAnnihilators:
+    """_annihilators returns every m of the Hasse interval with mP = O."""
+
+    def test_every_point_against_its_order(self):
+        # every point of these curves; each kind occurs: ord <= s (O among the baby
+        # steps), s < ord < 2s (two baby steps share x), ord = 2s (y = 0 at
+        # step s) and ord > 2s
+        seen = set()
+        for p in (229, 233, 239, 241, 251, 257, 263, 269, 271, 277):
+            for A, B in ((1, 1), (0, 7), (-1, 0), (2, 3), (5, -2)):
+                a, b = A % p, B % p
+                if (4 * a**3 + 27 * b**2) % p == 0:
+                    continue
+                n = ell._count_points_character(EllipticCurve(A, B), p)
+                lo, hi = hasse_interval(p)
+                s = math.isqrt((hi - lo + 1) // 2) + 1
+                for P in curve_points(a, b, p):
+                    order = point_order(P, a, p, n)
+                    kind = (
+                        "baby_infinity" if order <= s
+                        else "x_collision" if order < 2 * s
+                        else "y_zero" if order == 2 * s
+                        else "large"
+                    )
+                    expected = [m for m in range(lo, hi + 1) if m % order == 0]
+                    assert ell._annihilators(P, a, p, lo, hi) == expected, (A, B, p, P)
+                    seen.add(kind)
+        assert seen == {"baby_infinity", "x_collision", "y_zero", "large"}
+
+    def test_x_collision_example(self):
+        # y^2 = x^3 + 1 over F_233 has 234 points; H = [204, 264] and s = 6.
+        # (14, 101) has order 9, so baby steps 4 and 5 share x (5P = -4P): the
+        # order comes from the collision and all its multiples in H count
+        p, a, P = 233, 0, (14, 101)
+        assert ell._count_points_character(EllipticCurve(0, 1), p) == 234
+        assert point_order(P, a, p, 234) == 9
+        assert ell._ec_mul(5, P, a, p)[0] == ell._ec_mul(4, P, a, p)[0]
+        assert ell._annihilators(P, a, p, 204, 264) == [207, 216, 225, 234, 243, 252, 261]
+
+
+def euler_criterion_count(A: int, B: int, p: int) -> int:
+    """Independent O(p) route: per-x quadratic character by modular powers."""
+    return p + 1 + sum(legendre_symbol(x * x * x + A * x + B, p) for x in range(p))
+
+
+class TestFallbackToCharacterSum:
+    @pytest.fixture
+    def character_calls(self, monkeypatch):
+        calls = []
+        kernel = ell._count_points_character
+
+        def counted(curve, p):
+            calls.append(p)
+            return kernel(curve, p)
+
+        monkeypatch.setattr(ell, "_count_points_character", counted)
+        return calls
+
+    def test_below_switch(self, character_calls):
+        assert count_points(EllipticCurve(1, 1), 4093) == euler_criterion_count(1, 1, 4093)
+        assert character_calls == [4093]
+
+    def test_good_reduction_from_switch(self, character_calls):
+        for p in BSGS_PRIMES[:100]:
+            count_points(EllipticCurve(1, 1), p)
+        assert character_calls == []
+
+    def test_bad_reduction(self, character_calls):
+        p = 4099
+        curve = EllipticCurve(-3, 2 + p)  # discriminant 27 p (p + 4)
+        assert curve.discriminant % p == 0
+        assert count_points(curve, p) == euler_criterion_count(-3, 2 + p, p)
+        assert character_calls == [p]
+
+    def test_unresolved(self, character_calls, monkeypatch):
+        # points that every m of the Hasse interval kills never pin the order
+        monkeypatch.setattr(ell, "_annihilators", lambda P, a, p, lo, hi: list(range(lo, hi + 1)))
+        p = 10007
+        assert count_points(EllipticCurve(2, 3), p) == euler_criterion_count(2, 3, p)
+        assert character_calls == [p]
+
+
+class TestCharacterTableCap:
+    """The 2^24 cap bounds the character table only: BSGS counts beyond it."""
+
+    P = 16777259  # least prime above 2^24; P = 3 (mod 4)
+
+    def test_bsgs_counts_beyond_cap(self):
+        p = self.P
+        assert p > ell._MAX_CHARACTER_PRIME and p % 4 == 3
+        n = count_points(EllipticCurve(1, 1), p)
+        assert (n - p - 1) ** 2 <= 4 * p
+        assert count_points(EllipticCurve(1, 1), p) == n
+        # n kills points of E, 2p + 2 - n kills points of the twist by -1
+        # (a non-residue as p = 3 mod 4): y^2 = x^3 + x - 1
+        for b, m in ((1, n), (p - 1, 2 * p + 2 - n)):
+            checked = 0
+            for x in range(1, 200):
+                f = (x**3 + x + b) % p
+                y = pow(f, (p + 1) // 4, p)
+                if f and y * y % p == f:
+                    assert ell._ec_mul(m, (x, y), 1, p) is None
+                    checked += 1
+            assert checked >= 20
+
+    def test_bad_reduction_beyond_cap(self):
+        p = self.P
+        with pytest.raises(CapacityError):
+            count_points(EllipticCurve(-3, 2 + p), p)
+
+    def test_unresolved_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(ell, "_annihilators", lambda P, a, p, lo, hi: list(range(lo, hi + 1)))
+        with pytest.raises(CapacityError):
+            count_points(EllipticCurve(1, 1), self.P)

@@ -281,6 +281,36 @@ class TestTotientTrial:
         assert totient_trial(10**12) == 4 * 10**11
 
 
+class TestFactorizeTrialCertifiedCofactor:
+    def test_large_prime_cofactor(self):
+        big = 2**61 - 1
+        assert factorize_trial(3 * 101 * 65537**2 * big) == [
+            (3, 1), (101, 1), (65537, 2), (big, 1)
+        ]
+        assert factorize_trial(2**64 + 1) == [(274177, 1), (67280421310721, 1)]
+
+    def test_composite_cofactors_keep_dividing(self):
+        assert factorize_trial(1000003 * 1000033 * 1000037) == [
+            (1000003, 1), (1000033, 1), (1000037, 1)
+        ]
+
+    def test_beyond_primality_test_keeps_trial_division(self):
+        # above 3.3e24 is_prime raises CapacityError; the search goes on
+        n = 65539**3 * 65543**3
+        with pytest.raises(CapacityError):
+            is_prime(n)
+        assert factorize_trial(n) == [(65539, 3), (65543, 3)]
+
+    def test_small_inputs_never_ask_is_prime(self, monkeypatch):
+        import romanoff_lab.sieve as sieve_module
+
+        calls = []
+        monkeypatch.setattr(sieve_module, "is_prime", lambda n: calls.append(n))
+        assert factorize_trial(4294967291) == [(4294967291, 1)]  # largest prime < 2^32
+        assert factorize_trial(65521 * 65519) == [(65519, 1), (65521, 1)]
+        assert calls == []
+
+
 class TestTotients:
     def test_matches_table(self):
         sieve = build_sieve(10**5)
