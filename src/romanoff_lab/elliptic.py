@@ -236,6 +236,11 @@ def count_points(curve: EllipticCurve, p: int) -> int:
     """
     if not is_prime(p):
         raise DomainError(f"p={p} is not prime")
+    return _count_points_prime(curve, p)
+
+
+def _count_points_prime(curve: EllipticCurve, p: int) -> int:
+    """count_points without the primality test, for p from a PrimeList."""
     if p <= 3:
         return _count_points_bruteforce(curve, p)
     if p >= _BSGS_MIN_PRIME and curve.discriminant % p:
@@ -259,7 +264,7 @@ def order_sequence(curve: EllipticCurve, x: float, primes: PrimeList) -> OrderSe
     """Curve orders at every prime p <= x, assembled in ascending p."""
     primes.check_range(x)
     ps = [int(p) for p in primes.upto(x)]
-    orders = [count_points(curve, q) for q in ps]
+    orders = [_count_points_prime(curve, q) for q in ps]
     return OrderSequence(curve=curve, x=x, entries=tuple(zip(ps, orders)))
 
 
@@ -311,6 +316,7 @@ def theorem5_report(
         orders = order_sequence(curve, x, primes)
     lhs = _ratio_power_fsum(orders.orders(), s, sieve)
     pi_x = len(orders.entries)
+    disc = curve.discriminant
     return MomentReport(
         lhs=lhs,
         rhs_core=float(pi_x),
@@ -322,8 +328,6 @@ def theorem5_report(
             "s": s,
             "pi_x": pi_x,
             "cm_checked": False,
-            "singular_primes": [
-                p for p in curve.singular_primes() if p <= x
-            ],
+            "singular_primes": [p for p, _ in orders.entries if disc % p == 0],
         },
     )

@@ -79,14 +79,22 @@ class PolynomialSpec:
         return acc
 
 
+# values per gather block: bounds the temporary arrays whatever the list size
+_FSUM_BLOCK = 1 << 16
+
+
 def omega_count(values: Sequence[int], d: int) -> int:
-    """omega(d) = number of list entries divisible by d."""
+    """omega(d) = number of list entries divisible by d; an array is
+    counted in blocks, so the temporaries stay small."""
     if len(values) == 0:
         raise DomainError("omega_count needs a nonempty list")
     if d < 1:
         raise DomainError(f"modulus d={d} must be >= 1")
     if isinstance(values, np.ndarray):
-        return int(np.count_nonzero(values % d == 0))
+        return sum(
+            int(np.count_nonzero(values[start : start + _FSUM_BLOCK] % d == 0))
+            for start in range(0, len(values), _FSUM_BLOCK)
+        )
     return sum(1 for v in values if v % d == 0)
 
 
@@ -106,10 +114,6 @@ def moment_sum(values: Sequence[int], s: int, sieve: FactorSieve) -> Fraction:
     return exact_fraction_sum(
         _ratio_power(int(v), s, sieve, cache) for v in values
     )
-
-
-# values per gather block: bounds the temporary arrays whatever the list size
-_FSUM_BLOCK = 1 << 16
 
 
 def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> float:

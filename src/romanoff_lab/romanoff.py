@@ -3,6 +3,8 @@ moments and density statistics, and the empirical-constant reports for the
 Romanoff-type density bounds, together with the supporting statistics:
 shifted-prime counts, multiplicative orders, order-weighted prime sums, and
 polynomial root counts modulo m.
+
+r(n) is counted exactly, by int8 shift-and-add of the prime indicator.
 """
 
 from __future__ import annotations
@@ -71,8 +73,12 @@ def representation_counts(
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> RepresentationProfile:
-    """Exact r(n) for all n <= x by iterating terms a_j <= x - 2 and
-    incrementing r at p + a_j for every prime p <= x - a_j."""
+    """Exact r(n) = #{(p, j) : p + a_j = n} for all n <= x.
+
+    Each term a_j <= x - 2 adds the int8 prime indicator, shifted by a_j,
+    into an int8 block, which is added into the int64 r every 127 terms.
+    CapacityError when N_A * pi(x), the (term, prime) pairs, exceeds budget.
+    """
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
     primes.check_range(x)
@@ -83,10 +89,15 @@ def representation_counts(
             f"{len(terms)} terms x {pi_x} primes exceeds budget {budget}"
         )
     r = np.zeros(x + 1, dtype=np.int64)
-    values = primes.values
-    for a in terms:
-        cut = int(np.searchsorted(values, x - a, side="right"))
-        r[values[:cut] + a] += 1
+    indicator = np.zeros(x + 1, dtype=np.int8)
+    indicator[primes.upto(x)] = 1
+    block = np.zeros(x + 1, dtype=np.int8)
+    # a term adds at most 1 to a cell, so an int8 block takes 127 terms
+    for start in range(0, len(terms), 127):
+        for a in terms[start : start + 127]:
+            block[a:] += indicator[: x + 1 - a]
+        r += block
+        block[:] = 0
     return RepresentationProfile(spec=spec, x=x, r=r)
 
 
@@ -221,6 +232,11 @@ def multiplicative_order(a: int, p: int, sieve: FactorSieve | None = None) -> in
         raise DomainError(f"p={p} is not prime")
     if a % p == 0:
         raise DomainError(f"gcd(a, p) != 1 for a={a}, p={p}")
+    return _order_mod_prime(a, p, sieve)
+
+
+def _order_mod_prime(a: int, p: int, sieve: FactorSieve | None) -> int:
+    """multiplicative_order for a prime p not dividing a, unchecked."""
     if sieve is not None and p - 1 <= sieve.limit and p > 2:
         factors = sieve.factorize(p - 1)
     else:
@@ -249,7 +265,7 @@ def order_weighted_sum(
         p = int(p)
         if a % p == 0:
             continue
-        h = multiplicative_order(a, p, sieve)
+        h = _order_mod_prime(a, p, sieve)
         parts.append(math.log(p) / (p * h ** (1.0 / b)))
     return math.fsum(parts)
 

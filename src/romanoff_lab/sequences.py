@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .elliptic import EllipticCurve, count_points
+from .elliptic import EllipticCurve, order_sequence
 from .errors import CapacityError, DomainError, ParameterError, RangeError
 from .moments import PolynomialSpec
 from .sieve import PrimeList
@@ -174,12 +174,7 @@ def _elliptic_order_terms(
         raise RangeError(
             f"prime table limit {primes.limit} below the needed bound {q_bound:g}"
         )
-    out = []
-    for q in primes.upto(q_bound):
-        order = count_points(curve, int(q))
-        if order <= x:
-            out.append(order)
-    return out
+    return [n for n in order_sequence(curve, q_bound, primes).orders() if n <= x]
 
 
 def enumerate_terms(

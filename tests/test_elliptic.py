@@ -224,6 +224,17 @@ class TestTheorem5Report:
         assert rep.parameters["cm_checked"] is False
         assert rep.parameters["singular_primes"] == [31]
 
+    def test_large_coefficients_return(self, sieve1m, primes100k):
+        # trial-factoring the whole discriminant (~4e27) takes tens of
+        # seconds; only the primes <= x are tested against it
+        curve = EllipticCurve(10**9 + 7, 10**9 + 9)
+        rep = theorem5_report(curve, 100, 1, sieve1m, primes100k)
+        expected = [
+            int(p) for p in primes100k.upto(100) if curve.discriminant % int(p) == 0
+        ]
+        assert rep.parameters["singular_primes"] == expected
+        assert rep.parameters["pi_x"] == 25
+
     def test_sieve_too_small(self, primes100k):
         from romanoff_lab.sieve import build_sieve
 

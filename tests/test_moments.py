@@ -45,6 +45,14 @@ class TestOmegaCount:
     def test_numpy_input(self):
         assert omega_count(np.array([4, 8, 9]), 4) == 2
 
+    def test_blocked_count_matches_unblocked(self):
+        # more than two 2^16 blocks, with a partial last block
+        rng = np.random.default_rng(5)
+        arr = rng.integers(1, 10**7, size=2 * moments._FSUM_BLOCK + 123, dtype=np.int64)
+        for d in (1, 2, 3, 7, 97, 65537):
+            assert omega_count(arr, d) == int(np.count_nonzero(arr % d == 0))
+            assert omega_count(arr, d) == omega_count(arr.tolist(), d)
+
     def test_errors(self):
         with pytest.raises(DomainError):
             omega_count([], 2)

@@ -4,11 +4,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from romanoff_lab import sequences
-from romanoff_lab.elliptic import EllipticCurve, count_points
+from romanoff_lab import elliptic
+from romanoff_lab import romanoff as rom_module
+from romanoff_lab import sieve as sieve_module
+from romanoff_lab.elliptic import EllipticCurve, count_points, order_sequence
 from romanoff_lab.errors import CapacityError, DomainError, RangeError
 from romanoff_lab.moments import PolynomialSpec
 from romanoff_lab.romanoff import (
@@ -34,7 +36,7 @@ from romanoff_lab.sequences import (
     PowerTower,
     enumerate_terms,
 )
-from romanoff_lab.sieve import factorize_trial, is_prime
+from romanoff_lab.sieve import PrimeList, factorize_trial, is_prime
 
 
 def profile_oracle(spec, x, primes):
@@ -47,6 +49,58 @@ def profile_oracle(spec, x, primes):
             if p + a <= x:
                 r[p + a] += 1
     return r
+
+
+def scatter_oracle(spec, x, primes):
+    """The int64 scatter loop: one fancy-index increment per term, at p + a
+    for every prime p <= x - a."""
+    terms = enumerate_terms(spec, x - 2, primes) if x >= 3 else []
+    r = np.zeros(x + 1, dtype=np.int64)
+    values = primes.values
+    for a in terms:
+        cut = int(np.searchsorted(values, x - a, side="right"))
+        r[values[:cut] + a] += 1
+    return r
+
+
+# hypothesis tests cannot take pytest fixtures
+HYP_PRIMES = PrimeList.build(3000)
+
+
+@st.composite
+def term_multisets(draw):
+    """(x, terms): x small or up to 3000; a term count around the int8 block
+    size; terms drawn freely, pinned to x - 2, or one value repeated."""
+    x = draw(st.sampled_from([1, 2, 3, 4, 5]) | st.integers(6, 3000))
+    n = draw(st.sampled_from([0, 1, 126, 127, 128, 254, 255, 300]) | st.integers(0, 400))
+    top = max(x - 2, 1)
+    kind = draw(st.sampled_from(["free", "edge", "repeat"]))
+    if kind == "repeat":
+        terms = [draw(st.integers(1, top))] * n
+    elif kind == "edge":
+        terms = [top] * n
+    else:
+        terms = draw(st.lists(st.integers(1, x + 5), min_size=n, max_size=n))
+    return x, tuple(sorted(terms))
+
+
+class TestShiftAddKernel:
+    @given(term_multisets())
+    @example((1, (1,) * 300))
+    @example((2, (1,) * 127))
+    @example((3, (1,) * 128))
+    @example((3000, (2998,) * 300))
+    @example((3000, tuple(range(1, 128))))
+    @example((3000, tuple(range(1, 129))))
+    @example((3000, tuple(range(1, 3000, 10))))
+    @example((3000, (7,) * 300))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_scatter_loop(self, case):
+        x, terms = case
+        spec = Explicit(terms)
+        prof = representation_counts(spec, x, HYP_PRIMES)
+        assert prof.r.dtype == np.int64
+        assert np.array_equal(prof.r, scatter_oracle(spec, x, HYP_PRIMES))
 
 
 class TestRepresentationCounts:
@@ -273,6 +327,17 @@ class TestOrderWeightedSum:
     def test_empty(self, primes100k):
         assert order_weighted_sum(3, 2, 1.5, primes100k) == 0.0
 
+    def test_never_asks_is_prime(self, primes100k, sieve1m, monkeypatch):
+        # primes come from the PrimeList; the 12-base Miller-Rabin is skipped
+        sieves = (sieve1m, None)
+        expected = [order_weighted_sum(2, 2, 5 * 10**4, primes100k, s) for s in sieves]
+        calls = []
+        monkeypatch.setattr(rom_module, "is_prime", lambda n: calls.append(n))
+        monkeypatch.setattr(sieve_module, "is_prime", lambda n: calls.append(n))
+        got = [order_weighted_sum(2, 2, 5 * 10**4, primes100k, s) for s in sieves]
+        assert got == expected
+        assert calls == []
+
     def test_nondecreasing_in_P(self, primes100k, sieve1m):
         values = [
             order_weighted_sum(2, 2, P, primes100k, sieve1m)
@@ -399,12 +464,13 @@ class TestTheorem9Report:
 class TestSingleEnumeration:
     def test_theorem6_counts_each_curve_order_once(self, primes100k, monkeypatch):
         calls = []
+        kernel = elliptic._count_points_prime
 
         def counting(curve, p):
             calls.append(p)
-            return count_points(curve, p)
+            return kernel(curve, p)
 
-        monkeypatch.setattr(sequences, "count_points", counting)
+        monkeypatch.setattr(elliptic, "_count_points_prime", counting)
         x = 10**4
         theorem6_report(EllipticOrders(EllipticCurve(1, 1)), x, 1.0, primes100k)
         assert len(calls) == primes100k.count_leq(x + 2 * math.sqrt(x) + 1)
@@ -420,3 +486,16 @@ class TestOrderDistributionBeyondPrimalityTest:
         assert [e.n for e in dist.entries] == list(range(1, 31))
         entries = {e.n: e for e in dist.entries}
         assert entries[1].d_n == pytest.approx(math.log(3) / 3, rel=1e-12)
+
+
+class TestOrderSequenceSkipsPrimalityTest:
+    def test_never_asks_is_prime(self, primes100k, monkeypatch):
+        # 5000 spans both the character sum and BSGS (from p = 4096)
+        curve = EllipticCurve(1, 1)
+        expected = [
+            (int(p), count_points(curve, int(p))) for p in primes100k.upto(5000)
+        ]
+        calls = []
+        monkeypatch.setattr(elliptic, "is_prime", lambda n: calls.append(n))
+        assert list(order_sequence(curve, 5000, primes100k).entries) == expected
+        assert calls == []
