@@ -11,6 +11,22 @@ survives, so a single survivor is the order; for p > 229 Mestre's theorem
 says points that leave one survivor exist. Cost is about p^(1/4) group
 operations per point.
 
+BSGS runs in numpy lanes for the primes of an order_sequence
+(_count_points_lanes): one lane per prime and one baby-step count s per
+batch of 16 s lanes, Jacobian coordinates with mixed addition, baby and
+giant x-coordinates made affine by Montgomery's batch inversion (one Fermat
+inversion per lane), and matches found by sorting lane-keyed x and one
+searchsorted. Products of two residues stay in int64 only while
+p < _LANE_PRIME_LIMIT = 2^31. Each round gives every open lane the next
+point of the scalar scan and intersects the orders it allows by the Chinese
+remainder theorem. The lanes left open, single count_points calls, runs of
+fewer than _LANE_MIN_BATCH primes and primes from 2^31 up take the scalar
+BSGS: a round has a fixed cost of 2-8 ms in numpy calls (p = 4096 to 10^7),
+so the two break even near 30-45 primes at p = 4096 and near 16 at
+p = 10^7. Per prime, the lanes took 22 / 24 / 32 us against 105 / 194 /
+407 us for the scalar BSGS on the primes of [4096, 10^5], [8*10^5, 10^6]
+and [9.8*10^6, 10^7] (2-core x86 host, CPython 3.11, numpy 2.4).
+
 Everything else goes to the O(p) character sum, which stays as the oracle:
 #E(F_p) = p + 1 + sum_x chi(x^3 + Ax + B) with chi the quadratic character
 mod p, evaluated through a residue table rather than per-x exponentiation.
@@ -25,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -45,6 +62,21 @@ _MAX_CHARACTER_PRIME = 2**24
 _BSGS_MIN_PRIME = 2**12
 # points tried on E and on its twist before falling back to the character sum
 _BSGS_POINT_TRIES = 4
+# lanes multiply two residues mod p in int64; p < 2^31 keeps products below 2^62
+_LANE_PRIME_LIMIT = 2**31
+# a lane batch holds this many lanes per baby step s: 192 near p = 4096,
+# 1280 near 1e7. Its (steps, lanes) arrays then hold about
+# 16 s^2 residues, small where runs are small, while large primes amortize
+# the fixed cost of a round. Fixed batches of 512 to 2048 lanes raised the
+# peak RSS of T5 at x = 2e4 by 0.3 to 2.7 MB more, and 4096 lanes were no
+# faster at x = 1e7
+_LANES_PER_STEP = 16
+# fewer open lanes than this go to the scalar BSGS (the measured break-even
+# is 30-45 at p = 4096 and falls to about 16 by p = 1e7)
+_LANE_MIN_BATCH = 40
+
+# CSV lines formatted by one % operation
+_CSV_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -65,7 +97,13 @@ class EllipticCurve:
         return 4 * self.A**3 + 27 * self.B**2
 
     def singular_primes(self) -> list[int]:
-        """Primes dividing the discriminant (bad reduction)."""
+        """Primes dividing the discriminant (bad reduction).
+
+        This trial-factors all of the discriminant, so it can take tens of
+        seconds for coefficients near 10^9 (about 40 s for (10^9 + 7,
+        10^9 + 9)). theorem5_report does not call it: it tests disc % p for
+        the primes p <= x that it already has.
+        """
         return [p for p, _ in factorize_trial(abs(self.discriminant))]
 
 
@@ -82,8 +120,9 @@ class OrderSequence:
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write("p,order\n")
-        for p, order in self.entries:
-            stream.write(f"{p},{order}\n")
+        for i in range(0, len(self.entries), _CSV_ROWS):
+            chunk = self.entries[i : i + _CSV_ROWS]
+            stream.write("%d,%d\n" * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -250,6 +289,254 @@ def _count_points_prime(curve: EllipticCurve, p: int) -> int:
     return _count_points_character(curve, p)
 
 
+# --- Lane-parallel Shanks-Mestre: one numpy lane per prime -------------------
+#
+# Points are Jacobian (X : Y : Z) with x = X/Z^2, y = Y/Z^3; Z = 0 is O. Every
+# product is of two residues mod p < 2^31, so it stays below 2^62 in int64.
+
+
+def _residues(n: int, ps: np.ndarray) -> np.ndarray:
+    """n mod p for each p of ps, exact for a Python int n of any size."""
+    return np.array([n % p for p in ps.tolist()], dtype=np.int64)
+
+
+def _powmod_lanes(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e mod p lane by lane, square-and-multiply over the bits of e."""
+    result = np.ones_like(base)
+    for bit in range(int(e.max()).bit_length()):
+        result = np.where((e >> bit) & 1 == 1, result * base % p, result)
+        base = base * base % p
+    return result
+
+
+def _dbl_lanes(X, Y, Z, a, p):
+    """2(X : Y : Z) on y^2 = x^3 + ax + b; exact for O and for y = 0 too."""
+    XX = X * X % p
+    YY = Y * Y % p
+    ZZ = Z * Z % p
+    S = 4 * (X * YY % p) % p
+    M = (3 * XX + a * (ZZ * ZZ % p)) % p
+    X3 = (M * M - 2 * S) % p
+    Y3 = (M * (S - X3) - 8 * (YY * YY % p)) % p
+    return X3, Y3, 2 * (Y * Z % p) % p
+
+
+def _madd_lanes(X1, Y1, Z1, x2, y2, a, p):
+    """(X1 : Y1 : Z1) + (x2, y2) with the second point affine, exact in every
+    case: the formula gives Z = 0 for Q + (-Q) by itself, and the lanes where
+    the first point is O or equals the second are mended afterwards."""
+    ZZ = Z1 * Z1 % p
+    H = (x2 * ZZ - X1) % p
+    R = (y2 * ZZ % p * Z1 - Y1) % p
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X1 * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    Y3 = (R * (V - X3) - Y1 * HHH) % p
+    Z3 = Z1 * H % p
+    if not Z3.all():  # Z3 = Z1 H is 0 in every lane that needs mending
+        i = np.flatnonzero((Z1 == 0) | ((H == 0) & (R == 0)))
+        at_infinity = Z1[i] == 0
+        for out, doubled, affine in zip(
+            (X3, Y3, Z3), _dbl_lanes(X1[i], Y1[i], Z1[i], a[i], p[i]), (x2[i], y2[i], 1)
+        ):
+            out[i] = np.where(at_infinity, affine, doubled)
+    return X3, Y3, Z3
+
+
+def _mul_lanes(k, bx, by, a, p):
+    """kP lane by lane for k >= 0, w bits at a time, from the affine
+    multiples jP = (bx[j - 1], by[j - 1]) for 1 <= j < 2^w <= len(bx) + 1."""
+    w = min(3, (len(bx) + 1).bit_length() - 1)
+    lane = np.arange(len(p))
+    R = np.ones_like(p), np.ones_like(p), np.zeros_like(p)
+    for shift in range(-(-int(k.max()).bit_length() // w) * w - w, -1, -w):
+        for _ in range(w):
+            R = _dbl_lanes(*R, a, p)
+        d = (k >> shift) & (2**w - 1)
+        added = _madd_lanes(*R, bx[d - 1, lane], by[d - 1, lane], a, p)
+        R = tuple(np.where(d > 0, s, r) for s, r in zip(added, R))
+    return R
+
+
+def _affine(X, Y, Z, p):
+    """Affine (x, y) of (steps, lanes) Jacobian arrays, by Montgomery's batch
+    inversion along the step axis with one Fermat inversion per lane. A point
+    at infinity comes back as arbitrary residues."""
+    Z = np.where(Z == 0, 1, Z)
+    inv = np.empty_like(Z)  # prefix products first, then the inverses
+    inv[0] = Z[0]
+    for i in range(1, len(Z)):
+        inv[i] = inv[i - 1] * Z[i] % p
+    acc = _powmod_lanes(inv[-1], p - 2, p)
+    for i in range(len(Z) - 1, 0, -1):
+        inv[i], acc = acc * inv[i - 1] % p, acc * Z[i] % p
+    inv[0] = acc
+    zz = inv * inv % p
+    return X * zz % p, Y * (zz * inv % p) % p
+
+
+def _event(j, order):
+    # the earliest step that shows a small order wins. At one step, jP = O
+    # (order j) beats an x collision of the arbitrary x that O is given
+    # (order i + j); (2s + 1)P = O counts as step s + 1
+    return j << 10 | order
+
+
+_NO_EVENT = np.iinfo(np.int64).max
+
+
+def _lane_killers(px, py, a, p, lo, hi, s):
+    """Every m in [lo, hi] with mP = O, lane by lane, for P = (px, py) on
+    y^2 = x^3 + ax + b, as the progression first + i * gap, 0 <= i < count
+    (gap = 1 when count < 2).
+
+    The steps of _annihilators, one lane per prime and one s for all: baby
+    steps jP (1 <= j <= s) keyed lane << 40 | x << 9 | j and sorted, giant
+    steps cP (c = lo + s, lo + 3s + 1, ...) looked up by searchsorted. The
+    killers are the multiples of ord(P) in [lo, hi], so gap = ord(P) when
+    there are two or more. A small order (jP = O, y = 0, an x collision, or
+    (2s + 1)P = O) is read off the baby steps exactly, as _annihilators does.
+    """
+    n = len(p)
+    lane = np.arange(n, dtype=np.int64)
+    # rows 0..s-1: baby steps jP; row s: the giant step (2s + 1)P
+    X, Y, Z = (np.empty((s + 1, n), dtype=np.int64) for _ in range(3))
+    R = (px, py, np.ones_like(px))
+    for j in range(s):
+        if j:
+            R = _madd_lanes(*R, px, py, a, p)
+        X[j], Y[j], Z[j] = R
+    X[s], Y[s], Z[s] = _madd_lanes(*_dbl_lanes(*R, a, p), px, py, a, p)
+
+    j = np.arange(1, s + 1, dtype=np.int64)[:, None]
+    infinite = Z[:s] == 0
+    event = np.minimum(
+        np.where(infinite, _event(j, j), _NO_EVENT).min(axis=0),
+        np.where(~infinite & (Y[:s] == 0), _event(j, 2 * j), _NO_EVENT).min(axis=0),
+    )
+    event = np.where(Z[s] == 0, np.minimum(event, _event(s + 1, 2 * s + 1)), event)
+    bx, by = _affine(X, Y, Z, p)
+    baby = np.sort((lane << 40 | bx[:s] << 9 | j).ravel())
+    same = np.flatnonzero((baby[1:] ^ baby[:-1]) < 512)
+    if same.size:
+        i, k = baby[same] & 511, baby[same + 1]
+        np.minimum.at(event, k >> 40, _event(k & 511, i + (k & 511)))
+    small = event != _NO_EVENT
+
+    step = 2 * s + 1
+    c0 = lo + s
+    steps = int((hi - lo).max()) // step + 1
+    R = _mul_lanes(c0, bx[:s], by[:s], a, p)
+    for k in range(steps):
+        if k:
+            R = _madd_lanes(*R, bx[s], by[s], a, p)
+        X[k], Y[k], Z[k] = R  # steps <= s rows
+    cx, cy = _affine(X[:steps], Y[:steps], Z[:steps], p)
+    # giant keys lane << 40 | x << 9 | k; sorted needles halve searchsorted's time
+    giant = np.sort((lane << 40 | cx << 9 | np.arange(steps)[:, None]).ravel())
+    pos = np.minimum(np.searchsorted(baby, giant & ~511), len(baby) - 1)
+    hit = (baby[pos] ^ giant) < 512
+    gl, gk, j = giant[hit] >> 40, giant[hit] & 511, baby[pos[hit]] & 511
+    c = c0[gl] + step * gk
+    m = np.where(cy[gk, gl] == by[j - 1, gl], c - j, c + j)
+    finite = Z[gk, gl] != 0
+    ik, il = np.nonzero(Z[:steps] == 0)  # cP = O: c itself kills P
+    ls = np.concatenate([gl[finite], il])
+    ms = np.concatenate([m[finite], c0[il] + step * ik])
+    found = np.sort((ls << 32 | ms)[(lo[ls] <= ms) & (ms <= hi[ls])])
+    count = np.bincount(found >> 32, minlength=n)
+    start = np.searchsorted(found >> 32, lane)
+    killers = np.append(found & 0xFFFFFFFF, [0, 0])
+    first = killers[start]
+    gap = np.where(count > 1, killers[start + 1] - first, 1)
+
+    order = event & 1023
+    low = -(-lo // order)
+    first = np.where(small, low * order, first)
+    gap = np.where(small, order, gap)
+    count = np.where(small, hi // order - low + 1, count)
+    return first, gap, count
+
+
+def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
+    """#E(F_p) for ascending good-reduction primes, or 0 in the lanes that
+    the points tried leave ambiguous.
+
+    Each round gives every lane of a batch the next x of _count_points_bsgs's
+    scan with v = x^3 + ax + b nonzero, and (vx, v^2) on E or on its twist as
+    Euler's criterion of v says. The orders a point allows form a progression
+    N = f (mod g) in the Hasse interval; a lane keeps the intersection of its
+    progressions by the Chinese remainder theorem and is resolved when one N
+    is left. A batch holds the open lanes of the last round, then the next
+    primes not yet started, _LANES_PER_STEP * s lanes in all. A lane stops
+    after 2 * _BSGS_POINT_TRIES points, and rounds stop once every prime has
+    started and fewer than _LANE_MIN_BATCH lanes are open.
+    """
+    a, b = _residues(curve.A, ps), _residues(curve.B, ps)
+    r = np.array([math.isqrt(4 * p) for p in ps.tolist()], dtype=np.int64)
+    lo, hi = ps + 1 - r, ps + 1 + r
+    orders = np.zeros(len(ps), dtype=np.int64)
+    x = np.zeros(len(ps), dtype=np.int64)
+    tried = np.zeros(len(ps), dtype=np.int64)
+    allowed: dict[int, tuple[int, int]] = {}  # lane -> (N mod g, g) so far
+    retry = np.zeros(0, dtype=np.int64)
+    started = 0
+    while started < len(ps) or len(retry) >= _LANE_MIN_BATCH:
+        head = int(r[started]) if started < len(ps) else int(r[retry].max())
+        size = _LANES_PER_STEP * (math.isqrt(head) + 1)
+        fresh = np.arange(started, min(len(ps), started + max(0, size - len(retry))))
+        started += len(fresh)
+        lanes = np.concatenate([retry, fresh])
+        # isqrt((hi - lo + 1) // 2) + 1 at the largest p of the batch
+        s = math.isqrt(int(r[lanes].max())) + 1
+        q, al, bl, xl = ps[lanes], a[lanes], b[lanes], x[lanes]
+        while True:
+            v = ((xl * xl % q * xl % q) + al * xl % q + bl) % q
+            if v.all():
+                break
+            xl = xl + (v == 0)
+        x[lanes] = xl + 1
+        tried[lanes] += 1
+        vv = v * v % q
+        first, gap, count = _lane_killers(
+            v * xl % q, vv, al * vv % q, q, lo[lanes], hi[lanes], s
+        )
+        # m kills a point of the twist when 2p + 2 - m is the order of E; of
+        # a progression of two or more, only N mod gap is used
+        twist = _powmod_lanes(v, (q - 1) // 2, q) != 1
+        first = np.where(twist, 2 * q + 2 - first, first)
+        one = count == 1
+        orders[lanes[one]] = first[one]
+        for i, f, g in zip(lanes[~one].tolist(), first[~one].tolist(), gap[~one].tolist()):
+            res, mod = allowed.get(i, (0, 1))
+            d = math.gcd(mod, g)
+            res += mod * ((f - res) // d * pow(mod // d, -1, g // d) % (g // d))
+            mod = mod // d * g
+            low = int(lo[i]) + (res - int(lo[i])) % mod
+            if low <= hi[i] < low + mod:
+                orders[i] = low
+            else:
+                allowed[i] = (res, mod)
+        retry = lanes[(orders[lanes] == 0) & (tried[lanes] < 2 * _BSGS_POINT_TRIES)]
+    return orders
+
+
+def _count_points_lanes(curve: EllipticCurve, ps) -> np.ndarray:
+    """#E(F_p) for ascending primes of good reduction with
+    _BSGS_MIN_PRIME <= p < _LANE_PRIME_LIMIT, in numpy lanes; the lanes left
+    open go to the scalar _count_points_prime."""
+    ps = np.asarray(ps, dtype=np.int64)
+    if ps.size and int(ps.max()) >= _LANE_PRIME_LIMIT:
+        raise CapacityError(
+            f"p={int(ps.max())} is not below the lane bound {_LANE_PRIME_LIMIT}"
+        )
+    orders = _lane_orders(curve, ps)
+    for i in np.flatnonzero(orders == 0).tolist():
+        orders[i] = _count_points_prime(curve, int(ps[i]))
+    return orders
+
+
 def hasse_margin(curve: EllipticCurve, p: int, order: int | None = None) -> float:
     """2*sqrt(p) - |#E(F_p) - (p+1)|; positive for every prime.
 
@@ -261,11 +548,24 @@ def hasse_margin(curve: EllipticCurve, p: int, order: int | None = None) -> floa
 
 
 def order_sequence(curve: EllipticCurve, x: float, primes: PrimeList) -> OrderSequence:
-    """Curve orders at every prime p <= x, assembled in ascending p."""
+    """Curve orders at every prime p <= x, assembled in ascending p.
+
+    The primes of good reduction in [_BSGS_MIN_PRIME, _LANE_PRIME_LIMIT) are
+    counted in lanes when there are at least _LANE_MIN_BATCH of them; every
+    other prime goes to _count_points_prime.
+    """
     primes.check_range(x)
-    ps = [int(p) for p in primes.upto(x)]
-    orders = [_count_points_prime(curve, q) for q in ps]
-    return OrderSequence(curve=curve, x=x, entries=tuple(zip(ps, orders)))
+    ps = primes.upto(x)
+    orders = np.zeros(len(ps), dtype=np.int64)
+    lanes = (ps >= _BSGS_MIN_PRIME) & (ps < _LANE_PRIME_LIMIT)
+    lanes[lanes] = _residues(curve.discriminant, ps[lanes]) != 0
+    if np.count_nonzero(lanes) >= _LANE_MIN_BATCH:
+        orders[lanes] = _count_points_lanes(curve, ps[lanes])
+    else:
+        lanes[:] = False
+    for i in np.flatnonzero(~lanes).tolist():
+        orders[i] = _count_points_prime(curve, int(ps[i]))
+    return OrderSequence(curve=curve, x=x, entries=tuple(zip(ps.tolist(), orders.tolist())))
 
 
 def congruence_class_census(

@@ -38,6 +38,9 @@ DEFAULT_EXPONENT_CAP = 40
 
 ROOT_COUNT_MODULUS_CAP = 10**7
 
+# CSV lines formatted by one % operation
+_CSV_ROWS = 2**16
+
 
 @dataclass(frozen=True)
 class RepresentationProfile:
@@ -52,8 +55,10 @@ class RepresentationProfile:
 
     def write_csv(self, stream) -> None:
         stream.write("n,r\n")
-        for n in range(1, self.x + 1):
-            stream.write(f"{n},{int(self.r[n])}\n")
+        for n in range(1, self.x + 1, _CSV_ROWS):
+            m = min(n + _CSV_ROWS, self.x + 1)
+            rows = np.column_stack((np.arange(n, m), self.r[n:m])).ravel().tolist()
+            stream.write("%d,%d\n" * (m - n) % tuple(rows))
 
 
 @dataclass(frozen=True)

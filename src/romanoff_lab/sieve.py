@@ -236,6 +236,15 @@ def _store_cached_spf(path: str, limit: int, spf: np.ndarray) -> None:
         pass  # cache is best-effort
 
 
+def _check_limit(table: str, limit: int, limit_cap: int) -> None:
+    """A table limit is an integer in [2, limit_cap]; a float is refused
+    whole, integral or not, rather than failing inside numpy."""
+    if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
+        raise ParameterError(f"{table} limit {limit!r} is not an integer")
+    if not 2 <= limit <= limit_cap:
+        raise CapacityError(f"{table} limit {limit} outside [2, {limit_cap}]")
+
+
 def build_sieve(
     limit: int, *, cache_dir: str | None = None, limit_cap: int = DEFAULT_LIMIT_CAP
 ) -> FactorSieve:
@@ -244,8 +253,7 @@ def build_sieve(
     ``cache_dir`` (e.g. from ROMANOFF_LAB_CACHE) memoizes the raw table to
     disk with a version tag and checksum; corrupt files are rebuilt.
     """
-    if not 2 <= limit <= limit_cap:
-        raise CapacityError(f"sieve limit {limit} outside [2, {limit_cap}]")
+    _check_limit("sieve", limit, limit_cap)
     if cache_dir:
         path = _spf_cache_path(cache_dir, limit)
         cached = _load_cached_spf(path, limit)
@@ -267,8 +275,7 @@ class PrimeList:
 
     @classmethod
     def build(cls, limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> "PrimeList":
-        if not 2 <= limit <= limit_cap:
-            raise CapacityError(f"prime table limit {limit} outside [2, {limit_cap}]")
+        _check_limit("prime table", limit, limit_cap)
         mask = np.ones(limit + 1, dtype=bool)
         mask[:2] = False
         for p in range(2, math.isqrt(limit) + 1):

@@ -2,6 +2,7 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,18 @@ class TestOrderSequence:
     def test_range_error(self, primes100k):
         with pytest.raises(RangeError):
             order_sequence(EllipticCurve(1, 1), 10**6, primes100k)
+
+    @pytest.mark.parametrize("rows", [0, 10**5])
+    def test_csv_matches_line_loop(self, rows):
+        # 10^5 rows span two formatting chunks; orders beyond 2^31 included
+        rng = np.random.default_rng(rows)
+        ps = rng.integers(2, 2**40, size=rows).tolist()
+        orders = rng.integers(1, 2**41, size=rows).tolist()
+        seq = ell.OrderSequence(EllipticCurve(1, 1), float(rows), tuple(zip(ps, orders)))
+        buf = io.StringIO()
+        seq.write_csv(buf)
+        expected = "p,order\n" + "".join(f"{p},{n}\n" for p, n in seq.entries)
+        assert buf.getvalue() == expected
 
 
 class TestCensus:
@@ -459,3 +472,123 @@ class TestCharacterTableCap:
         monkeypatch.setattr(ell, "_annihilators", lambda P, a, p, lo, hi: list(range(lo, hi + 1)))
         with pytest.raises(CapacityError):
             count_points(EllipticCurve(1, 1), self.P)
+
+
+# --- lane-parallel Shanks-Mestre against the character sum -------------------
+
+LANE_CURVES = [(1, 1), (-41, -35), (0, 1), (0, 7), (1, 0), (-1, 0)]
+WINDOW_PRIMES = [int(p) for p in PrimeList.build(5 * 10**4).values if p >= SWITCH]
+
+
+def good_primes(curve: EllipticCurve, ps) -> list[int]:
+    return [p for p in ps if curve.discriminant % p]
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    calls = []
+    kernel = ell._count_points_prime
+
+    def counted(curve, p):
+        calls.append(p)
+        return kernel(curve, p)
+
+    monkeypatch.setattr(ell, "_count_points_prime", counted)
+    return calls
+
+
+@pytest.fixture
+def lane_primes(monkeypatch):
+    primes = []
+    kernel = ell._count_points_lanes
+
+    def recorded(curve, ps):
+        primes.extend(int(p) for p in ps)
+        return kernel(curve, ps)
+
+    monkeypatch.setattr(ell, "_count_points_lanes", recorded)
+    return primes
+
+
+class TestLanesAgainstCharacterSum:
+    @pytest.mark.parametrize("A,B", LANE_CURVES)
+    def test_every_prime_from_switch(self, A, B, scalar_calls):
+        curve = EllipticCurve(A, B)
+        ps = good_primes(curve, BSGS_PRIMES)
+        orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+        # the lanes, not the scalar fallback, count almost every prime
+        assert len(scalar_calls) < len(ps) // 10
+
+    @given(
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.integers(min_value=0, max_value=len(WINDOW_PRIMES) - 1),
+        st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_curves_and_windows(self, A, B, start, length):
+        if 4 * A**3 + 27 * B**2 == 0:
+            return
+        curve = EllipticCurve(A, B)
+        ps = good_primes(curve, WINDOW_PRIMES[start : start + length])
+        orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+
+    def test_order_sequence_uses_lanes_from_switch(self, primes100k, lane_primes):
+        curve = EllipticCurve(-3, 2 + 4099)  # 4099 divides the discriminant
+        seq = order_sequence(curve, 2 * 10**4, primes100k)
+        assert lane_primes == good_primes(curve, BSGS_PRIMES) and 4099 not in lane_primes
+        assert dict(seq.entries)[4099] == euler_criterion_count(-3, 2 + 4099, 4099)
+
+
+class TestLaneKillers:
+    """_lane_killers returns what _annihilators returns, as a progression."""
+
+    def test_every_point_against_annihilators(self):
+        # all points of the curves that TestAnnihilators walks, one lane each:
+        # baby-step O, x collisions, y = 0 and large orders all occur
+        for p in (229, 233, 239, 241, 251, 257, 263, 269, 271, 277):
+            for A, B in ((1, 1), (0, 7), (-1, 0), (2, 3), (5, -2)):
+                a, b = A % p, B % p
+                if (4 * a**3 + 27 * b**2) % p == 0:
+                    continue
+                points = curve_points(a, b, p)
+                lo, hi = hasse_interval(p)
+                s = math.isqrt((hi - lo + 1) // 2) + 1
+                xs, ys = np.array(points, dtype=np.int64).T
+                a_, p_, lo_, hi_ = (np.full(len(points), v, dtype=np.int64) for v in (a, p, lo, hi))
+                first, gap, count = ell._lane_killers(xs, ys, a_, p_, lo_, hi_, s)
+                for P, f, g, n in zip(points, first, gap, count):
+                    expected = ell._annihilators(P, a, p, lo, hi)
+                    assert list(range(f, f + n * g, g)) == expected, (A, B, p, P)
+
+
+class TestLaneFallback:
+    def test_unresolved_lanes_reach_scalar(self, scalar_calls, monkeypatch):
+        # points that every m of the Hasse interval kills never pin a lane
+        monkeypatch.setattr(
+            ell, "_lane_killers", lambda px, py, a, p, lo, hi, s: (lo, lo * 0 + 1, hi - lo + 1)
+        )
+        curve = EllipticCurve(2, 3)
+        ps = good_primes(curve, BSGS_PRIMES[:100])
+        assert not ell._lane_orders(curve, np.array(ps)).any()
+        orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+        assert scalar_calls == ps
+
+    BIG = [2147483659, 2147483693]  # the least primes from 2^31
+
+    def test_lane_kernel_refuses_primes_from_limit(self):
+        assert all(p >= ell._LANE_PRIME_LIMIT and ell.is_prime(p) for p in self.BIG)
+        with pytest.raises(CapacityError):
+            ell._count_points_lanes(EllipticCurve(1, 1), [BSGS_PRIMES[0], self.BIG[0]])
+
+    def test_order_sequence_keeps_them_scalar(self, lane_primes):
+        curve, big, small = EllipticCurve(1, 1), self.BIG, BSGS_PRIMES[:100]
+        table = PrimeList(limit=big[-1], values=np.array(small + big, dtype=np.int64))
+        seq = order_sequence(curve, big[-1], table)
+        assert lane_primes == small
+        for p, n in seq.entries[-2:]:
+            assert (n - p - 1) ** 2 <= 4 * p
+            assert n == count_points(curve, p)

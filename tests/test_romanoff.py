@@ -460,17 +460,35 @@ class TestTheorem9Report:
         assert len(lines) == 7
         assert lines[4] == "4,2"
 
+    @pytest.mark.parametrize("x", [0, 10**5])
+    def test_csv_matches_line_loop(self, x):
+        # 10^5 rows span two formatting chunks
+        r = np.random.default_rng(x).integers(0, 2**40, size=x + 1)
+        prof = RepresentationProfile(spec=Explicit(()), x=x, r=r)
+        buf = io.StringIO()
+        prof.write_csv(buf)
+        expected = "n,r\n" + "".join(f"{n},{int(r[n])}\n" for n in range(1, x + 1))
+        assert buf.getvalue() == expected
+
 
 class TestSingleEnumeration:
     def test_theorem6_counts_each_curve_order_once(self, primes100k, monkeypatch):
         calls = []
         kernel = elliptic._count_points_prime
+        lanes = elliptic._lane_orders
 
         def counting(curve, p):
             calls.append(p)
             return kernel(curve, p)
 
+        def counting_lanes(curve, ps):
+            # lanes left open (0) are counted by the scalar path instead
+            orders = lanes(curve, ps)
+            calls.extend(int(p) for p, n in zip(ps, orders) if n)
+            return orders
+
         monkeypatch.setattr(elliptic, "_count_points_prime", counting)
+        monkeypatch.setattr(elliptic, "_lane_orders", counting_lanes)
         x = 10**4
         theorem6_report(EllipticOrders(EllipticCurve(1, 1)), x, 1.0, primes100k)
         assert len(calls) == primes100k.count_leq(x + 2 * math.sqrt(x) + 1)

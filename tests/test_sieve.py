@@ -1,10 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from romanoff_lab import sequences
 from romanoff_lab.errors import CapacityError, ParameterError, RangeError, TableIntegrityError
 from romanoff_lab.sieve import (
     FactorSieve,
@@ -55,6 +57,14 @@ class TestBuildSieve:
             build_sieve(1)
         with pytest.raises(CapacityError):
             build_sieve(10**9, limit_cap=10**8)
+
+    @pytest.mark.parametrize("limit", [20201.0, 20201.5, sequences.elliptic_prime_bound(2 * 10**4)])
+    def test_float_limit_is_parameter_error(self, limit):
+        with pytest.raises(ParameterError, match=re.escape(repr(limit))):
+            build_sieve(limit)
+
+    def test_numpy_integer_limit(self):
+        assert build_sieve(np.int64(10)).limit == 10
 
     def test_random_entries_match_trial_division(self, sieve1m):
         rng = random.Random(0)
@@ -199,6 +209,14 @@ class TestPrimeList:
     def test_range_error(self, primes100k):
         with pytest.raises(RangeError):
             primes100k.count_leq(10**5 + 1)
+
+    @pytest.mark.parametrize("limit", [20201.0, 20201.5, sequences.elliptic_prime_bound(2 * 10**4)])
+    def test_float_limit_is_parameter_error(self, limit):
+        with pytest.raises(ParameterError, match=re.escape(repr(limit))):
+            PrimeList.build(limit)
+
+    def test_numpy_integer_limit(self):
+        assert PrimeList.build(np.int64(10)).values.tolist() == [2, 3, 5, 7]
 
 
 class TestMertensProducts:
