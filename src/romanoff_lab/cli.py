@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import elliptic as ell
 from . import extremal as ext
@@ -41,56 +40,39 @@ DEFAULT_PRIME_LIMIT = 10**7
 CACHE_ENV_VAR = "ROMANOFF_LAB_CACHE"
 
 
-@dataclass
-class RunConfig:
-    sieve_limit: int = DEFAULT_SIEVE_LIMIT
-    prime_limit: int = DEFAULT_PRIME_LIMIT
-    budget: int = rom.DEFAULT_PAIR_BUDGET
-    output: str | None = None
-    seed: int = 0
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            sieve_limit=args.sieve_limit,
-            prime_limit=args.prime_limit,
-            budget=args.budget,
-            output=args.out,
-            seed=args.seed,
+def make_sieve(args: argparse.Namespace, needed: float):
+    needed_int = max(math.ceil(needed), 2)
+    if needed_int > args.sieve_limit:
+        raise CapacityError(
+            f"this run needs a sieve of size {needed_int}, above the "
+            f"--sieve-limit cap {args.sieve_limit}"
         )
-
-    def make_sieve(self, needed: float):
-        needed_int = max(math.ceil(needed), 2)
-        if needed_int > self.sieve_limit:
-            raise CapacityError(
-                f"this run needs a sieve of size {needed_int}, above the "
-                f"--sieve-limit cap {self.sieve_limit}"
-            )
-        cache = os.environ.get(CACHE_ENV_VAR)
-        return build_sieve(needed_int, cache_dir=cache)
-
-    def make_primes(self, needed: float) -> PrimeList:
-        needed_int = max(math.ceil(needed), 2)
-        if needed_int > self.prime_limit:
-            raise CapacityError(
-                f"this run needs primes up to {needed_int}, above the "
-                f"--prime-limit cap {self.prime_limit}"
-            )
-        return PrimeList.build(needed_int)
+    cache = os.environ.get(CACHE_ENV_VAR)
+    return build_sieve(needed_int, cache_dir=cache)
 
 
-def _emit_json(config: RunConfig, payload) -> None:
+def make_primes(args: argparse.Namespace, needed: float) -> PrimeList:
+    needed_int = max(math.ceil(needed), 2)
+    if needed_int > args.prime_limit:
+        raise CapacityError(
+            f"this run needs primes up to {needed_int}, above the "
+            f"--prime-limit cap {args.prime_limit}"
+        )
+    return PrimeList.build(needed_int)
+
+
+def _emit_json(args: argparse.Namespace, payload) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_csv(config: RunConfig, writer) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
+def _emit_csv(args: argparse.Namespace, writer) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer(fh)
     else:
         writer(sys.stdout)
@@ -113,14 +95,14 @@ def _parse_int_list(text: str) -> list[int]:
 # subcommand handlers
 
 
-def _cmd_sieve(config: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_sieve(args: argparse.Namespace) -> None:
     limit = args.limit
-    primes = config.make_primes(limit)
+    primes = make_primes(args, limit)
     x = args.x if args.x is not None else float(limit)
     theta = chebyshev_theta(x, primes)
     mert = mertens_products(x, primes)
     _emit_json(
-        config,
+        args,
         {
             "limit": limit,
             "x": x,
@@ -137,55 +119,55 @@ def _cmd_sieve(config: RunConfig, args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_moments(config: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_moments(args: argparse.Namespace) -> None:
     if args.report == "theorem1":
         if args.seq is None:
             raise ParameterError("--report theorem1 needs --seq")
         spec = seq.parse_sequence_spec(args.seq)
         x = args.x
         primes = (
-            config.make_primes(seq.elliptic_prime_bound(x))
+            make_primes(args, seq.elliptic_prime_bound(x))
             if isinstance(spec, seq.EllipticOrders)
             else None
         )
         values = seq.enumerate_terms(spec, x, primes)
         if not values:
             raise DomainError(f"sequence has no terms <= {x}")
-        sieve = config.make_sieve(max(values))
+        sieve = make_sieve(args, max(values))
         M = args.M if args.M is not None else float(x)
         report = mom.theorem1_report(values, args.s, args.alpha, M, sieve)
         payload = dataclasses.asdict(report)
         payload["parameters"]["sequence"] = seq.format_sequence_spec(spec)
-        _emit_json(config, {"report": "theorem1", "moment": payload})
+        _emit_json(args, {"report": "theorem1", "moment": payload})
     elif args.report == "poly":
         if args.poly is None:
             raise ParameterError("--report poly needs --poly")
         poly = mom.PolynomialSpec.from_descending(_parse_int_list(args.poly))
-        sieve = config.make_sieve(max(mom.poly_values(poly, args.z), default=0))
+        sieve = make_sieve(args, max(mom.poly_values(poly, args.z), default=0))
         report = mom.poly_moment_report(poly, args.z, args.s, sieve)
-        _emit_json(config, {"report": "poly", "moment": dataclasses.asdict(report)})
+        _emit_json(args, {"report": "poly", "moment": dataclasses.asdict(report)})
     elif args.report == "linear":
         if args.a is None or args.bs is None:
             raise ParameterError("--report linear needs --a and --bs")
         shifts = _parse_int_list(args.bs)
         values = mom.delta_values(args.a, shifts, args.z)
-        sieve = config.make_sieve(max([args.a, *values]))
+        sieve = make_sieve(args, max([args.a, *values]))
         x = args.x if args.x is not None else float(max(args.z, 3))
         report = mom.delta_moment_report(
             args.a, shifts, args.z, args.s, x, sieve
         )
-        _emit_json(config, {"report": "linear", "moment": dataclasses.asdict(report)})
+        _emit_json(args, {"report": "linear", "moment": dataclasses.asdict(report)})
     else:
         raise ParameterError(f"unknown moments report {args.report!r}")
 
 
-def _cmd_extremal(config: RunConfig, args: argparse.Namespace) -> None:
-    sieve = config.make_sieve(args.M)
+def _cmd_extremal(args: argparse.Namespace) -> None:
+    sieve = make_sieve(args, args.M)
     if args.alphas:
         alphas = [float(v) for v in args.alphas.split(",")]
         entries = ext.alpha_sweep(args.M, alphas, sieve)
         _emit_json(
-            config,
+            args,
             {
                 "report": "alpha_sweep",
                 "M": args.M,
@@ -208,20 +190,20 @@ def _cmd_extremal(config: RunConfig, args: argparse.Namespace) -> None:
         "member_min": result.members[0] if result.members else None,
         "member_max": result.members[-1] if result.members else None,
     }
-    _emit_json(config, payload)
+    _emit_json(args, payload)
 
 
-def _cmd_elliptic(config: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_elliptic(args: argparse.Namespace) -> None:
     curve = _parse_curve(args.curve)
     x = args.x
     if x < 2:
         raise ParameterError(f"--x must be >= 2, got {x}")
-    primes = config.make_primes(x)
+    primes = make_primes(args, x)
     orders = ell.order_sequence(curve, x, primes)
     if args.report == "orders":
-        _emit_csv(config, orders.write_csv)
+        _emit_csv(args, orders.write_csv)
         return
-    sieve = config.make_sieve(int(1 + 2 * x))
+    sieve = make_sieve(args, int(1 + 2 * x))
     report = ell.theorem5_report(
         curve, x, args.s, sieve, primes, orders=orders
     )
@@ -240,30 +222,30 @@ def _cmd_elliptic(config: RunConfig, args: argparse.Namespace) -> None:
         payload["census_modulus"] = t
         # equidistribution baseline the residue counts are tabulated against
         payload["census_pi_over_phi_t"] = pi_x / totient_trial(t)
-    _emit_json(config, payload)
+    _emit_json(args, payload)
 
 
-def _cmd_romanoff(config: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_romanoff(args: argparse.Namespace) -> None:
     report = args.report
     if report in ("frontier", "profile"):
         if args.seq is None:
             raise ParameterError(f"--report {report} needs --seq")
         spec = seq.parse_sequence_spec(args.seq)
         x = args.x
-        primes = config.make_primes(
-            seq.elliptic_prime_bound(x) if isinstance(spec, seq.EllipticOrders) else x
+        primes = make_primes(
+            args, seq.elliptic_prime_bound(x) if isinstance(spec, seq.EllipticOrders) else x
         )
         if report == "profile":
             profile = rom.representation_counts(
-                spec, x, primes, budget=config.budget
+                spec, x, primes, budget=args.budget
             )
-            _emit_csv(config, profile.write_csv)
+            _emit_csv(args, profile.write_csv)
             return
         estimates = rom.theorem6_report(
-            spec, x, args.alpha, primes, budget=config.budget
+            spec, x, args.alpha, primes, budget=args.budget
         )
         _emit_json(
-            config,
+            args,
             {
                 "report": "frontier",
                 "sequence": seq.format_sequence_spec(spec),
@@ -273,22 +255,22 @@ def _cmd_romanoff(config: RunConfig, args: argparse.Namespace) -> None:
             },
         )
     elif report == "theorem9":
-        primes = config.make_primes(args.x)
+        primes = make_primes(args, args.x)
         estimates = rom.theorem9_report(
-            args.a, args.b, args.x, primes, budget=config.budget
+            args.a, args.b, args.x, primes, budget=args.budget
         )
         _emit_json(
-            config,
+            args,
             {
                 "report": "theorem9",
                 "estimates": [dataclasses.asdict(e) for e in estimates],
             },
         )
     elif report == "schnirelmann":
-        primes = config.make_primes(args.x + args.a)
+        primes = make_primes(args, args.x + args.a)
         out = rom.schnirelmann_pi2(args.x, args.a, primes)
         _emit_json(
-            config,
+            args,
             {
                 "report": "schnirelmann",
                 "x": args.x,
@@ -298,11 +280,11 @@ def _cmd_romanoff(config: RunConfig, args: argparse.Namespace) -> None:
             },
         )
     elif report == "order-sum":
-        primes = config.make_primes(args.P)
-        sieve = config.make_sieve(max(2, args.P))
+        primes = make_primes(args, args.P)
+        sieve = make_sieve(args, max(2, args.P))
         value = rom.order_weighted_sum(args.a, args.b, args.P, primes, sieve)
         _emit_json(
-            config,
+            args,
             {
                 "report": "order-sum",
                 "a": args.a,
@@ -314,7 +296,7 @@ def _cmd_romanoff(config: RunConfig, args: argparse.Namespace) -> None:
     elif report == "order-dist":
         dist = rom.order_distribution(args.a, args.z, args.trial_cap)
         _emit_json(
-            config,
+            args,
             {
                 "report": "order-dist",
                 "a": dist.a,
@@ -330,7 +312,7 @@ def _cmd_romanoff(config: RunConfig, args: argparse.Namespace) -> None:
         raise ParameterError(f"unknown romanoff report {report!r}")
 
 
-def _cmd_lemmas(config: RunConfig, args: argparse.Namespace) -> None:
+def _cmd_lemmas(args: argparse.Namespace) -> None:
     records = []
     if args.gamma:
         for s in range(1, args.s_max + 1):
@@ -345,7 +327,7 @@ def _cmd_lemmas(config: RunConfig, args: argparse.Namespace) -> None:
                 }
             )
     if args.prime_sums:
-        primes = config.make_primes(args.tail_limit)
+        primes = make_primes(args, args.tail_limit)
         for k in (2, 10, 100, 1000):
             for s in (1, 2, 3):
                 out = lem.prime_log_power_sums(k, s, primes, args.tail_limit)
@@ -360,7 +342,7 @@ def _cmd_lemmas(config: RunConfig, args: argparse.Namespace) -> None:
                     }
                 )
     if args.min_pk:
-        primes = config.make_primes(args.tail_limit)
+        primes = make_primes(args, args.tail_limit)
         for k in (1, 2, 10, 100):
             for s in (1, 2, 3):
                 out = lem.min_pk_sum(k, s, primes, args.tail_limit)
@@ -376,7 +358,7 @@ def _cmd_lemmas(config: RunConfig, args: argparse.Namespace) -> None:
     if args.abel:
         import random
 
-        rng = random.Random(config.seed)
+        rng = random.Random(args.seed)
         worst = 0.0
         ok = True
         for _ in range(20):
@@ -390,7 +372,7 @@ def _cmd_lemmas(config: RunConfig, args: argparse.Namespace) -> None:
         records.append(
             {
                 "lemma": "abel_identity",
-                "parameters": {"vectors": 20, "seed": config.seed},
+                "parameters": {"vectors": 20, "seed": args.seed},
                 "witness_value": worst,
                 "bound": 1e-12,
                 "pass": ok,
@@ -400,12 +382,12 @@ def _cmd_lemmas(config: RunConfig, args: argparse.Namespace) -> None:
         raise ParameterError(
             "lemmas needs at least one of --gamma/--prime-sums/--min-pk/--abel"
         )
-    _emit_json(config, {"report": "lemmas", "records": records})
+    _emit_json(args, {"report": "lemmas", "records": records})
 
 
-def _cmd_verify_all(config: RunConfig, args: argparse.Namespace) -> None:
-    report = verify.verify_all(seed=config.seed)
-    _emit_json(config, report)
+def _cmd_verify_all(args: argparse.Namespace) -> None:
+    report = verify.verify_all(seed=args.seed)
+    _emit_json(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     common.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
-    common.add_argument("--budget", type=int, default=rom.DEFAULT_PAIR_BUDGET)
+    common.add_argument("--budget", type=int, default=rom.DEFAULT_BUDGET)
     common.add_argument("--out", default=None)
     common.add_argument("--seed", type=int, default=0)
 
@@ -506,9 +488,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    config = RunConfig.from_args(args)
     try:
-        args.handler(config, args)
+        args.handler(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

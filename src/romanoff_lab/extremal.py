@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, ConstructionError, ParameterError
 from .moments import _ratio_power_fsum
-from .sieve import FactorSieve, is_prime
+from .sieve import FactorSieve, PrimeList
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,6 @@ class ExtremalSet:
         return len(self.members)
 
 
-def _window_primes(y: float, z: float) -> list[int]:
-    ps = [p for p in range(2, math.floor(z) + 1) if p > y and is_prime(p)]
-    if not ps:
-        raise ConstructionError(f"no prime in the window ({y}, {z}]")
-    return ps
-
-
 def construct_extremal_set(
     M: int, y: float, z: float, sieve: FactorSieve
 ) -> ExtremalSet:
@@ -58,6 +51,8 @@ def construct_extremal_set(
 
     Q is formed in big-integer arithmetic and compared to M before any
     enumeration; when Q > M the set is empty and flagged rather than an error.
+    The primes up to z come from one PrimeList, so a z above its cap (10^8)
+    raises CapacityError before any table is built.
     """
     if M < 1:
         raise ParameterError(f"M={M} must be >= 1")
@@ -65,16 +60,18 @@ def construct_extremal_set(
         raise ParameterError(f"y={y} must be >= 2")
     if z <= y:
         raise ParameterError(f"need z > y, got y={y}, z={z}")
-    window = _window_primes(y, z)
+    ps = PrimeList.build(math.floor(z)).values
+    window = ps[ps > y].tolist()
+    if not window:
+        raise ConstructionError(f"no prime in the window ({y}, {z}]")
     Q = math.prod(window)
     if Q > M:
         return ExtremalSet(M=M, y=y, z=z, Q=Q, members=(), mean_ratio=None)
     if M > sieve.limit:
         raise CapacityError(f"M={M} exceeds sieve limit {sieve.limit}")
     members = np.arange(Q, M + 1, Q, dtype=np.int64)
-    for p in range(2, math.floor(y) + 1):
-        if is_prime(p):
-            members = members[members % p != 0]
+    for p in ps[ps <= y].tolist():
+        members = members[members % p != 0]
     mean_ratio = _ratio_power_fsum(members, 1, sieve) / len(members)
     return ExtremalSet(
         M=M, y=y, z=z, Q=Q, members=tuple(members.tolist()), mean_ratio=mean_ratio

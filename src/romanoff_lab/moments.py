@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 from .exact import exact_fraction_sum
-from .sieve import FactorSieve, PrimeList, is_prime, totient, totient_ratio
+from .sieve import FactorSieve, PrimeList, totient, totient_ratio
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,9 @@ class PolynomialSpec:
         return acc
 
 
-# values per gather block: bounds the temporary arrays whatever the list size
-_FSUM_BLOCK = 1 << 16
+# values per gather block: bounds the temporary arrays whatever the list size;
+# 64 KB of int64 stays under glibc's mmap threshold, so blocks reuse heap pages
+_FSUM_BLOCK = 1 << 13
 
 
 def omega_count(values: Sequence[int], d: int) -> int:
@@ -137,12 +138,6 @@ def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> floa
     return math.fsum(terms())
 
 
-def _small_primes_upto(y: float) -> list[int]:
-    if y < 2:
-        return []
-    return [p for p in range(2, math.floor(y) + 1) if is_prime(p)]
-
-
 def theorem1_report(
     values: Sequence[int],
     s: int,
@@ -167,9 +162,8 @@ def theorem1_report(
     n_terms = len(arr)
     lhs = _ratio_power_fsum(arr, s, sieve)
     cutoff = math.log(M) ** alpha if M > 1 else 0.0
-    prime_part = math.fsum(
-        omega_count(arr, p) * math.log(p) ** s / p for p in _small_primes_upto(cutoff)
-    )
+    small = PrimeList.build(math.floor(cutoff)).values.tolist() if cutoff >= 2 else []
+    prime_part = math.fsum(omega_count(arr, p) * math.log(p) ** s / p for p in small)
     rhs_core = n_terms + prime_part
     implied = (lhs / rhs_core) ** (1.0 / s)
     return MomentReport(

@@ -30,7 +30,8 @@ from .sequences import (
     max_multiplicity,
 )
 
-DEFAULT_PAIR_BUDGET = 10**9
+# representation_counts work cap, in byte adds of the shift-and-add kernel
+DEFAULT_BUDGET = 10**11
 
 # order_distribution factors a^n - 1; beyond this exponent the numbers are
 # out of honest trial-division reach
@@ -76,22 +77,24 @@ def representation_counts(
     x: int,
     primes: PrimeList,
     *,
-    budget: int = DEFAULT_PAIR_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> RepresentationProfile:
     """Exact r(n) = #{(p, j) : p + a_j = n} for all n <= x.
 
     Each term a_j <= x - 2 adds the int8 prime indicator, shifted by a_j,
     into an int8 block, which is added into the int64 r every 127 terms.
-    CapacityError when N_A * pi(x), the (term, prime) pairs, exceeds budget.
+    ``budget`` caps that work in byte adds: a term a costs x + 1 - a, and
+    CapacityError is raised before any add when the sum over the terms
+    exceeds it.
     """
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
     primes.check_range(x)
     terms = enumerate_terms(spec, x - 2, primes) if x >= 3 else []
-    pi_x = primes.count_leq(x) if x >= 2 else 0
-    if len(terms) * pi_x > budget:
+    cost = len(terms) * (x + 1) - sum(terms)
+    if cost > budget:
         raise CapacityError(
-            f"{len(terms)} terms x {pi_x} primes exceeds budget {budget}"
+            f"{len(terms)} terms cost {cost} byte adds, above budget {budget}"
         )
     r = np.zeros(x + 1, dtype=np.int64)
     indicator = np.zeros(x + 1, dtype=np.int8)
@@ -133,7 +136,7 @@ def theorem6_report(
     alpha: float,
     primes: PrimeList,
     *,
-    budget: int = DEFAULT_PAIR_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     c1_grid: tuple[float, ...] = DEFAULT_C1_GRID,
 ) -> list[ConstantEstimate]:
     """Empirical constants of the Romanoff-type density machinery (T6).
@@ -396,7 +399,7 @@ def theorem9_report(
     x: int,
     primes: PrimeList,
     *,
-    budget: int = DEFAULT_PAIR_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[ConstantEstimate]:
     """Density of n <= x representable as p + a^(j^b), against both sides of
     the two-sided bound ~ x / (ln x)^(1-1/b) (T9)."""

@@ -3,6 +3,8 @@
 The two core tables are :class:`FactorSieve` (smallest prime factor of every
 n up to a limit) and :class:`PrimeList` (ascending primes up to a limit).
 Both are immutable after construction and safe to share across threads.
+There is one sieve loop, the Eratosthenes mask in :meth:`PrimeList.build`;
+the spf table is filled from its primes up to sqrt(limit).
 """
 
 from __future__ import annotations
@@ -137,15 +139,7 @@ class FactorSieve:
         return out
 
     def distinct_primes(self, n: int) -> list[int]:
-        self.check_range(n)
-        out = []
-        spf = self.spf
-        while n > 1:
-            p = int(spf[n])
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        return out
+        return [p for p, _ in self.factorize(n)]
 
     def is_prime(self, n: int) -> bool:
         self.check_range(n)
@@ -186,13 +180,12 @@ class FactorSieve:
 
 
 def _sieve_spf(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    untouched = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[untouched] = untouched.astype(np.uint32)
+    """Every n starts as its own factor; each prime p <= sqrt(limit) then
+    writes p over its multiples from p^2, largest first, so the least wins."""
+    spf = np.arange(limit + 1, dtype=np.uint32)
+    spf[:2] = 0
+    for p in PrimeList.build(max(2, math.isqrt(limit))).values[::-1].tolist():
+        spf[p * p :: p] = p
     spf.setflags(write=False)  # shared read-only across threads
     return spf
 

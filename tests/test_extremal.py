@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romanoff_lab.errors import ConstructionError, ParameterError
+from romanoff_lab.errors import CapacityError, ConstructionError, ParameterError
 from romanoff_lab.extremal import alpha_sweep, construct_extremal_set
 from romanoff_lab.moments import moment_sum, omega_count
 from romanoff_lab.sieve import build_sieve, p_minus, totient_ratio
@@ -112,3 +112,38 @@ class TestMeanAgainstExactOracle:
         ext = construct_extremal_set(10**5, 2.2, 6.9, sieve1m)
         assert ext.mean_ratio == float(moment_sum(ext.members, 1, sieve1m) / ext.count)
         assert all(type(n) is int for n in ext.members)
+
+
+class TestWindowPrimesFromPrimeList:
+    def test_never_asks_is_prime(self, sieve1m, monkeypatch):
+        # window and small primes come from one PrimeList, not Miller-Rabin
+        from romanoff_lab import extremal
+        from romanoff_lab import sieve as sieve_module
+
+        expected_set = construct_extremal_set(10**6, 2.2, 6.9, sieve1m)
+        expected_sweep = alpha_sweep(10**6, [0.5, 0.45, 0.4], sieve1m)
+        calls = []
+        monkeypatch.setattr(sieve_module, "is_prime", lambda n: calls.append(n))
+        monkeypatch.setattr(extremal, "is_prime", lambda n: calls.append(n), raising=False)
+        assert construct_extremal_set(10**6, 2.2, 6.9, sieve1m) == expected_set
+        assert alpha_sweep(10**6, [0.5, 0.45, 0.4], sieve1m) == expected_sweep
+        assert calls == []
+
+    def test_z_beyond_prime_table_cap(self, sieve1m, monkeypatch):
+        # refused by the table's limit check, before any sieving or testing
+        from romanoff_lab import sieve as sieve_module
+
+        calls = []
+        monkeypatch.setattr(sieve_module, "is_prime", lambda n: calls.append(n))
+        with pytest.raises(CapacityError, match="prime table limit 200000000"):
+            construct_extremal_set(10**6, 2.2, 2 * 10**8, sieve1m)
+        assert calls == []
+
+    def test_members_avoid_every_prime_up_to_y(self, sieve1m):
+        # y = 10.5: the window (10.5, 13.5] is {11, 13}; 2, 3, 5, 7 are avoided
+        ext = construct_extremal_set(10**6, 10.5, 13.5, sieve1m)
+        assert ext.Q == 143
+        expected = [
+            n for n in range(143, 10**6 + 1, 143) if all(n % p for p in (2, 3, 5, 7))
+        ]
+        assert list(ext.members) == expected

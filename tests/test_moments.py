@@ -363,3 +363,31 @@ class TestFsumAgainstExactOracle:
         corrupt = FactorSieve(limit=sieve10k.limit, spf=spf)
         with pytest.raises(TableIntegrityError):
             theorem1_report([6, 7, 8], 1, 0.5, 10, corrupt)
+
+
+class TestTheorem1CutoffPrimes:
+    def test_never_asks_is_prime(self, sieve10k, monkeypatch):
+        # the cutoff primes come from a PrimeList, not a Miller-Rabin scan
+        from romanoff_lab import sieve as sieve_module
+
+        values = list(range(1, 5001))
+        expected = theorem1_report(values, 2, 0.9, 10**6, sieve10k)
+        calls = []
+        monkeypatch.setattr(sieve_module, "is_prime", lambda n: calls.append(n))
+        monkeypatch.setattr(moments, "is_prime", lambda n: calls.append(n), raising=False)
+        assert theorem1_report(values, 2, 0.9, 10**6, sieve10k) == expected
+        assert expected.parameters["prime_cutoff"] > 5
+        assert calls == []
+
+    def test_cutoff_primes_match_trial_division(self, sieve10k):
+        # (ln M)^alpha = 30.0..., so omega(p) enters for p = 2, 3, ..., 29
+        values = list(range(1, 1001))
+        M = math.exp(30.5)
+        rep = theorem1_report(values, 1, 0.999, M, sieve10k)
+        cutoff = math.log(M) ** 0.999
+        small = [p for p in range(2, math.floor(cutoff) + 1) if all(p % d for d in range(2, p))]
+        assert small[-1] == 29
+        expected = len(values) + math.fsum(
+            omega_count(values, p) * math.log(p) / p for p in small
+        )
+        assert rep.rhs_core == expected

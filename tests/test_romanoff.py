@@ -517,3 +517,26 @@ class TestOrderSequenceSkipsPrimalityTest:
         monkeypatch.setattr(elliptic, "is_prime", lambda n: calls.append(n))
         assert list(order_sequence(curve, 5000, primes100k).entries) == expected
         assert calls == []
+
+
+class TestBudgetInByteAdds:
+    """budget caps the shift-and-add work: a term a <= x - 2 costs x + 1 - a."""
+
+    def test_single_term_at_large_x_is_counted(self, primes100k):
+        # one term, 9592 primes: 10^5 byte adds, far above 10^4
+        with pytest.raises(CapacityError, match="100000 byte adds"):
+            representation_counts(Explicit((1,)), 10**5, primes100k, budget=10**4)
+
+    def test_boundary(self, primes100k):
+        spec, x = Explicit((1, 1, 5, 40)), 1000
+        cost = sum(x + 1 - a for a in (1, 1, 5, 40))
+        full = representation_counts(spec, x, primes100k)
+        exact = representation_counts(spec, x, primes100k, budget=cost)
+        assert np.array_equal(exact.r, full.r)
+        with pytest.raises(CapacityError):
+            representation_counts(spec, x, primes100k, budget=cost - 1)
+
+    def test_terms_above_x_minus_2_cost_nothing(self, primes100k):
+        # only terms a <= x - 2 reach the kernel; 999 and 1000 add no work
+        prof = representation_counts(Explicit((1, 999, 1000)), 1000, primes100k, budget=1000)
+        assert prof.total() == primes100k.count_leq(999)

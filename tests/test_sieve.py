@@ -360,3 +360,20 @@ class TestTotients:
         corrupt = FactorSieve(limit=sieve10k.limit, spf=spf)
         with pytest.raises(TableIntegrityError):
             corrupt.totients([4, 9])
+
+
+def _fill_edge_limits() -> list[int]:
+    """2..200, then p^2 - 1, p^2 and p^2 + 1 for every prime p <= 31: the
+    limits where the slice spf[p*p::p] starts at or just past the end."""
+    small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    edges = {p * p + d for p in small_primes for d in (-1, 0, 1)}
+    return sorted(set(range(2, 201)) | edges)
+
+
+class TestSpfFillEdges:
+    @pytest.mark.parametrize("limit", _fill_edge_limits())
+    def test_every_entry_is_least_prime_factor(self, limit):
+        spf = build_sieve(limit).spf
+        assert spf.shape == (limit + 1,)
+        assert int(spf[0]) == int(spf[1]) == 0
+        assert [int(v) for v in spf[2:]] == [trial_spf(n) for n in range(2, limit + 1)]
