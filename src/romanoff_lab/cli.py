@@ -51,31 +51,27 @@ def make_sieve(args: argparse.Namespace, needed: float):
     return build_sieve(needed_int, cache_dir=cache)
 
 
-def make_primes(args: argparse.Namespace, needed: float) -> PrimeList:
+def make_primes(args: argparse.Namespace, needed: float, sieve=None) -> PrimeList:
     needed_int = max(math.ceil(needed), 2)
     if needed_int > args.prime_limit:
         raise CapacityError(
             f"this run needs primes up to {needed_int}, above the "
             f"--prime-limit cap {args.prime_limit}"
         )
-    return PrimeList.build(needed_int)
+    return PrimeList.build(needed_int) if sieve is None else sieve.primes(needed_int)
 
 
-def _emit_json(args: argparse.Namespace, payload) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(args: argparse.Namespace, writer) -> None:
+def _emit(args: argparse.Namespace, writer) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer(fh)
     else:
         writer(sys.stdout)
+
+
+def _emit_json(args: argparse.Namespace, payload) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _emit(args, lambda fh: fh.write(text))
 
 
 def _parse_curve(text: str) -> ell.EllipticCurve:
@@ -157,8 +153,6 @@ def _cmd_moments(args: argparse.Namespace) -> None:
             args.a, shifts, args.z, args.s, x, sieve
         )
         _emit_json(args, {"report": "linear", "moment": dataclasses.asdict(report)})
-    else:
-        raise ParameterError(f"unknown moments report {args.report!r}")
 
 
 def _cmd_extremal(args: argparse.Namespace) -> None:
@@ -198,15 +192,13 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
     x = args.x
     if x < 2:
         raise ParameterError(f"--x must be >= 2, got {x}")
-    primes = make_primes(args, x)
+    sieve = make_sieve(args, int(1 + 2 * x)) if args.report == "theorem5" else None
+    primes = make_primes(args, x, sieve)
     orders = ell.order_sequence(curve, x, primes)
     if args.report == "orders":
-        _emit_csv(args, orders.write_csv)
+        _emit(args, orders.write_csv)
         return
-    sieve = make_sieve(args, int(1 + 2 * x))
-    report = ell.theorem5_report(
-        curve, x, args.s, sieve, primes, orders=orders
-    )
+    report = ell.theorem5_report(curve, x, args.s, sieve, primes, orders=orders)
     margin = min(ell.hasse_margin(curve, p, order) for p, order in orders.entries)
     payload = {
         "report": "theorem5",
@@ -239,7 +231,7 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
             profile = rom.representation_counts(
                 spec, x, primes, budget=args.budget
             )
-            _emit_csv(args, profile.write_csv)
+            _emit(args, profile.write_csv)
             return
         estimates = rom.theorem6_report(
             spec, x, args.alpha, primes, budget=args.budget
@@ -280,8 +272,8 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
             },
         )
     elif report == "order-sum":
-        primes = make_primes(args, args.P)
         sieve = make_sieve(args, max(2, args.P))
+        primes = make_primes(args, args.P, sieve)
         value = rom.order_weighted_sum(args.a, args.b, args.P, primes, sieve)
         _emit_json(
             args,
@@ -308,8 +300,6 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
                 "entries": [dataclasses.asdict(e) for e in dist.entries],
             },
         )
-    else:
-        raise ParameterError(f"unknown romanoff report {report!r}")
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> None:
@@ -326,8 +316,9 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
                     "pass": ok,
                 }
             )
-    if args.prime_sums:
+    if args.prime_sums or args.min_pk:
         primes = make_primes(args, args.tail_limit)
+    if args.prime_sums:
         for k in (2, 10, 100, 1000):
             for s in (1, 2, 3):
                 out = lem.prime_log_power_sums(k, s, primes, args.tail_limit)
@@ -342,7 +333,6 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
                     }
                 )
     if args.min_pk:
-        primes = make_primes(args, args.tail_limit)
         for k in (1, 2, 10, 100):
             for s in (1, 2, 3):
                 out = lem.min_pk_sum(k, s, primes, args.tail_limit)
@@ -395,11 +385,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    common.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
-    common.add_argument("--budget", type=int, default=rom.DEFAULT_BUDGET)
     common.add_argument("--out", default=None)
-    common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="romanoff-lab",
@@ -409,11 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", parents=[common], help="prime table statistics")
+    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
     p.add_argument("--limit", type=int, default=10**6)
     p.add_argument("--x", type=float, default=None)
     p.set_defaults(handler=_cmd_sieve)
 
     p = sub.add_parser("moments", parents=[common], help="moment-sum reports")
+    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
     p.add_argument("--report", choices=("theorem1", "poly", "linear"), default="theorem1")
     p.add_argument("--seq", default=None)
     p.add_argument("--x", type=int, default=1000)
@@ -427,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_moments)
 
     p = sub.add_parser("extremal", parents=[common], help="extremal-set construction")
+    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--y", type=float, default=None)
     p.add_argument("--z", type=float, default=None)
@@ -434,6 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_extremal)
 
     p = sub.add_parser("elliptic", parents=[common], help="curve order statistics")
+    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
     p.add_argument("--curve", required=True, help="A,B")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--s", type=int, default=1)
@@ -442,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_elliptic)
 
     p = sub.add_parser("romanoff", parents=[common], help="representation-count reports")
+    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
     p.add_argument(
         "--report",
         choices=(
@@ -462,9 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=float, default=10**4)
     p.add_argument("--z", type=int, default=20)
     p.add_argument("--trial-cap", type=int, default=10**5)
+    p.add_argument("--budget", type=int, default=rom.DEFAULT_BUDGET)
     p.set_defaults(handler=_cmd_romanoff)
 
     p = sub.add_parser("lemmas", parents=[common], help="analytic lemma suite")
+    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", action="store_true")
     p.add_argument("--s-max", type=int, default=12)
     p.add_argument("--x-max", type=float, default=50.0)
@@ -477,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-all", parents=[common], help="deterministic desk-scale battery"
     )
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify_all)
 
     return parser

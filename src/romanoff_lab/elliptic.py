@@ -238,7 +238,8 @@ def _count_points_bsgs(a: int, b: int, p: int) -> int | None:
     """#E(F_p) by Shanks-Mestre for a, b reduced mod a prime p of good
     reduction, or None if the points tried leave more than one candidate.
 
-    Points come from x = 0, 1, ... with v = x^3 + ax + b nonzero:
+    Points come from x = 0, 1, ... with v = x^3 + ax + b nonzero (from x = 1
+    when a = 0, where x = 0 gives a point of order 3 that decides nothing):
     (vx, v^2) lies on y^2 = X^3 + av^2 X + bv^3, which is E when v is a
     square and its quadratic twist, with 2p + 2 - #E points, when it is not.
     """
@@ -247,7 +248,7 @@ def _count_points_bsgs(a: int, b: int, p: int) -> int | None:
     half = (p - 1) // 2
     left = {1: _BSGS_POINT_TRIES, p - 1: _BSGS_POINT_TRIES}  # Euler's criterion of v
     candidates = None
-    for x in range(p):
+    for x in range(a == 0, p):
         v = (x * x * x + a * x + b) % p
         side = pow(v, half, p)
         if not left.get(side):
@@ -477,7 +478,7 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
     r = np.array([math.isqrt(4 * p) for p in ps.tolist()], dtype=np.int64)
     lo, hi = ps + 1 - r, ps + 1 + r
     orders = np.zeros(len(ps), dtype=np.int64)
-    x = np.zeros(len(ps), dtype=np.int64)
+    x = (a == 0).astype(np.int64)
     tried = np.zeros(len(ps), dtype=np.int64)
     allowed: dict[int, tuple[int, int]] = {}  # lane -> (N mod g, g) so far
     retry = np.zeros(0, dtype=np.int64)

@@ -69,9 +69,10 @@ def construct_extremal_set(
         return ExtremalSet(M=M, y=y, z=z, Q=Q, members=(), mean_ratio=None)
     if M > sieve.limit:
         raise CapacityError(f"M={M} exceeds sieve limit {sieve.limit}")
-    members = np.arange(Q, M + 1, Q, dtype=np.int64)
+    keep = np.ones(M // Q, dtype=bool)  # keep[k - 1]: is Qk a member
     for p in ps[ps <= y].tolist():
-        members = members[members % p != 0]
+        keep[p - 1 :: p] = False  # Q has no prime <= y, so p | Qk iff p | k
+    members = Q * (np.flatnonzero(keep) + 1)
     mean_ratio = _ratio_power_fsum(members, 1, sieve) / len(members)
     return ExtremalSet(
         M=M, y=y, z=z, Q=Q, members=tuple(members.tolist()), mean_ratio=mean_ratio

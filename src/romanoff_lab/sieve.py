@@ -145,6 +145,18 @@ class FactorSieve:
         self.check_range(n)
         return n >= 2 and int(self.spf[n]) == n
 
+    def primes(self, x: int) -> "PrimeList":
+        """The primes up to x, read off the table: n <= sqrt(x) is prime when
+        spf[n] == n, and n above sqrt(x) when spf[n] > sqrt(x), since a
+        composite's entry never exceeds sqrt(n). No second sieve runs."""
+        self.check_range(x)
+        r = math.isqrt(x)
+        head = np.flatnonzero(self.spf[2 : r + 1] == np.arange(2, r + 1)) + 2
+        tail = np.flatnonzero(self.spf[r + 1 : x + 1] > r) + (r + 1)
+        values = np.concatenate([head, tail], dtype=np.int64)
+        values.setflags(write=False)
+        return PrimeList(limit=x, values=values)
+
     def totients(self, values) -> np.ndarray:
         """phi(n) for every n in ``values``, as a flat int64 array.
 

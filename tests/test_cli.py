@@ -1,11 +1,13 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from romanoff_lab import cli
-from romanoff_lab.cli import run
-from romanoff_lab.sieve import FactorSieve, build_sieve
+from romanoff_lab.cli import build_parser, run
+from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
 from romanoff_lab.sequences import format_sequence_spec, parse_sequence_spec
 
 
@@ -342,3 +344,97 @@ class TestIntegrityExit:
         monkeypatch.setattr(cli, "build_sieve", corrupt_sieve)
         argv = ["moments", "--report", "theorem1", "--seq", "explicit:6,7,8", "--x", "10"]
         assert run(argv) == 4
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Record the limit of every spf table the CLI builds and of every
+    PrimeList.build call, the sieve's own small one included."""
+    built = {"spf": [], "primes": []}
+    build_spf, build_list = cli.build_sieve, PrimeList.build.__func__
+
+    def spf(limit, **kwargs):
+        built["spf"].append(limit)
+        return build_spf(limit, **kwargs)
+
+    def primes(cls, limit, **kwargs):
+        built["primes"].append(limit)
+        return build_list(cls, limit, **kwargs)
+
+    monkeypatch.setattr(cli, "build_sieve", spf)
+    monkeypatch.setattr(PrimeList, "build", classmethod(primes))
+    return built
+
+
+class TestOneTablePerRun:
+    def test_theorem5_reads_primes_off_spf(self, tmp_path, tables):
+        argv = ["elliptic", "--curve", "1,1", "--x", "3000", "--census-mod", "4"]
+        code, _ = run_to_file(tmp_path, "t5.json", argv)
+        assert code == 0
+        assert tables["spf"] == [6001]
+        assert all(limit < 3000 for limit in tables["primes"])
+
+    def test_order_sum_reads_primes_off_spf(self, tmp_path, tables):
+        argv = ["romanoff", "--report", "order-sum", "--P", "20000"]
+        code, _ = run_to_file(tmp_path, "os.json", argv)
+        assert code == 0
+        assert tables["spf"] == [20000]
+        assert all(limit < 20000 for limit in tables["primes"])
+
+    def test_lemmas_build_their_primes_once(self, tmp_path, tables):
+        argv = ["lemmas", "--prime-sums", "--min-pk", "--tail-limit", "10000"]
+        code, _ = run_to_file(tmp_path, "lemmas.json", argv)
+        assert code == 0
+        assert tables["spf"] == [] and tables["primes"] == [10000]
+
+    def test_orders_csv_builds_no_spf(self, tmp_path, tables):
+        argv = ["elliptic", "--curve", "1,1", "--x", "3000", "--report", "orders"]
+        code, _ = run_to_file(tmp_path, "orders.csv", argv)
+        assert code == 0
+        assert tables["spf"] == [] and tables["primes"] == [3000]
+
+
+class TestFlagsPerSubcommand:
+    # an argv that parses, for each subcommand
+    BASE = {
+        "sieve": ["sieve", "--limit", "100"],
+        "moments": ["moments", "--report", "poly", "--poly", "1,0,1", "--z", "10"],
+        "extremal": ["extremal", "--M", "100", "--y", "2.2", "--z", "6.9"],
+        "elliptic": ["elliptic", "--curve", "1,1", "--x", "100"],
+        "romanoff": ["romanoff", "--report", "order-dist"],
+        "lemmas": ["lemmas", "--gamma"],
+        "verify-all": ["verify-all"],
+    }
+    DROPPED = [
+        ("sieve", "--sieve-limit"),
+        ("sieve", "--budget"),
+        ("sieve", "--seed"),
+        ("moments", "--budget"),
+        ("moments", "--seed"),
+        ("extremal", "--prime-limit"),
+        ("extremal", "--budget"),
+        ("extremal", "--seed"),
+        ("elliptic", "--budget"),
+        ("elliptic", "--seed"),
+        ("romanoff", "--seed"),
+        ("lemmas", "--sieve-limit"),
+        ("lemmas", "--budget"),
+        ("verify-all", "--sieve-limit"),
+        ("verify-all", "--prime-limit"),
+        ("verify-all", "--budget"),
+    ]
+
+    @pytest.mark.parametrize("command,flag", DROPPED)
+    def test_flag_nothing_reads_is_2(self, command, flag):
+        argv = self.BASE[command]
+        build_parser().parse_args(argv)
+        assert run(argv + [flag, "10"]) == 2
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("romanoff-lab ")]
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
+        assert {shlex.split(line)[1] for line in lines} == set(self.BASE)

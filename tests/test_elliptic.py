@@ -592,3 +592,33 @@ class TestLaneFallback:
         for p, n in seq.entries[-2:]:
             assert (n - p - 1) ** 2 <= 4 * p
             assert n == count_points(curve, p)
+
+
+class TestOrderThreePointSkipped:
+    """On y^2 = x^3 + B, x = 0 gives (0, B^2), a point of order 3 at every
+    prime, which never decides an order; neither BSGS path tries it."""
+
+    @pytest.mark.parametrize("A,B", [(0, 1), (0, 7)])
+    def test_no_point_at_x_zero(self, A, B, monkeypatch):
+        scalar_xs, lane_xs = [], []
+        annihilators, killers = ell._annihilators, ell._lane_killers
+
+        def scalar(P, *args):
+            scalar_xs.append(P[0])
+            return annihilators(P, *args)
+
+        def lanes(px, *args):
+            lane_xs.extend(px.tolist())
+            return killers(px, *args)
+
+        monkeypatch.setattr(ell, "_annihilators", scalar)
+        monkeypatch.setattr(ell, "_lane_killers", lanes)
+        curve = EllipticCurve(A, B)
+        ps = good_primes(curve, BSGS_PRIMES)
+        orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+        for p in ps[:40]:
+            order = ell._count_points_bsgs(A, B % p, p)
+            assert order in (None, ell._count_points_character(curve, p))
+        assert scalar_xs and lane_xs
+        assert 0 not in scalar_xs and 0 not in lane_xs

@@ -147,3 +147,23 @@ class TestWindowPrimesFromPrimeList:
             n for n in range(143, 10**6 + 1, 143) if all(n % p for p in (2, 3, 5, 7))
         ]
         assert list(ext.members) == expected
+
+
+def members_by_definition(M: int, y: float, z: float) -> list[int]:
+    """{n <= M : Q | n, no prime <= y divides n}, by trial division."""
+    primes = [p for p in range(2, math.floor(z) + 1) if all(p % d for d in range(2, p))]
+    Q = math.prod(p for p in primes if p > y)
+    return [n for n in range(1, M + 1) if n % Q == 0 and all(n % p for p in primes if p <= y)]
+
+
+class TestMembersAgainstDefinition:
+    # (y, z, Q): y = 2.99 and 4.99 sit just below the primes 3 and 5
+    WINDOWS = [(2.2, 6.9, 15), (2.99, 7.0, 105), (4.99, 11.5, 385), (2.0, 11.0, 1155)]
+
+    @pytest.mark.parametrize("y,z,Q", WINDOWS)
+    def test_members(self, y, z, Q):
+        # M = Q, below 2Q, at 2Q, off a multiple of Q, and well past it
+        for M in (Q, 2 * Q - 1, 2 * Q, 7 * Q + 3, 10**5 - 1):
+            ext = construct_extremal_set(M, y, z, HYP_SIEVE)
+            assert ext.Q == Q
+            assert list(ext.members) == members_by_definition(M, y, z), (M, y, z)
