@@ -2,36 +2,38 @@
 margins, order sequences over ascending primes, and congruence-class
 statistics of curve orders.
 
-Counting is Shanks-Mestre baby-step giant-step (Cohen, GTM 138, section 7.4)
-for primes of good reduction from _BSGS_MIN_PRIME up: every m in the Hasse
-interval H = [p + 1 - r, p + 1 + r], r = isqrt(4p), that kills a point of E
-is kept, and so is every m for which 2p + 2 - m kills a point of the
-quadratic twist; the points are fixed by (A, B, p). The true order always
-survives, so a single survivor is the order; for p > 229 Mestre's theorem
-says points that leave one survivor exist. Cost is about p^(1/4) group
-operations per point.
+Counting is Shanks-Mestre baby-step giant-step (Cohen, GTM 138, section 7.4):
+every m in the Hasse interval H = [p + 1 - r, p + 1 + r], r = isqrt(4p),
+that kills a point of E is kept, and so is every m for which 2p + 2 - m
+kills a point of the quadratic twist; the points are fixed by (A, B, p). The
+true order always survives, so a single survivor is the order; for p > 229
+Mestre's theorem says points that leave one survivor exist, and below that a
+prime may stay ambiguous. Cost is about p^(1/4) group operations per point.
 
-BSGS runs in numpy lanes for the primes of an order_sequence
-(_count_points_lanes): one lane per prime and one baby-step count s per
-batch of 16 s lanes, Jacobian coordinates with mixed addition, baby and
-giant x-coordinates made affine by Montgomery's batch inversion (one Fermat
-inversion per lane), and matches found by sorting lane-keyed x and one
-searchsorted. Products of two residues stay in int64 only while
-p < _LANE_PRIME_LIMIT = 2^31. Each round gives every open lane the next
-point of the scalar scan and intersects the orders it allows by the Chinese
-remainder theorem. The lanes left open, single count_points calls, runs of
-fewer than _LANE_MIN_BATCH primes and primes from 2^31 up take the scalar
-BSGS: a round has a fixed cost of 2-8 ms in numpy calls (p = 4096 to 10^7),
-so the two break even near 30-45 primes at p = 4096 and near 16 at
-p = 10^7. Per prime, the lanes took 22 / 24 / 32 us against 105 / 194 /
-407 us for the scalar BSGS on the primes of [4096, 10^5], [8*10^5, 10^6]
-and [9.8*10^6, 10^7] (2-core x86 host, CPython 3.11, numpy 2.4).
+An order_sequence counts its primes of good reduction from p = 5 to
+_LANE_PRIME_LIMIT = 2^31 (int64 products) in numpy lanes
+(_count_points_lanes): one lane per prime, rounds of 16 (isqrt(r) + 1) lanes
+for the r of the sequence's largest prime with one baby-step count s each,
+Jacobian coordinates with mixed addition, baby and giant x-coordinates made
+affine by Montgomery's batch inversion (one Fermat inversion per lane), and
+matches found by sorting lane-keyed x and one searchsorted. Each round gives
+every open lane the next point of the scalar scan and intersects the orders
+it allows by the Chinese remainder theorem. The lanes left open, runs of
+fewer than _LANE_MIN_BATCH primes and primes from 2^31 up take
+_count_points_prime: a round costs 2-8 ms in numpy calls (p = 4096 to 10^7),
+so lanes and scalar BSGS break even near 30-45 primes at p = 4096 and near
+16 at p = 10^7. Per prime, the lanes took 22 / 24 / 32 us against 105 / 194 /
+407 us for the scalar BSGS on the primes of [4096, 10^5], [8*10^5, 10^6] and
+[9.8*10^6, 10^7], and 15 against 40 us for the character sum on [5, 4096)
+(2-core x86 host, CPython 3.11, numpy 2.4).
 
-Everything else goes to the O(p) character sum, which stays as the oracle:
-#E(F_p) = p + 1 + sum_x chi(x^3 + Ax + B) with chi the quadratic character
-mod p, evaluated through a residue table rather than per-x exponentiation.
-It serves primes below the switch, primes of bad reduction (p | disc), and
-the rare prime that _BSGS_POINT_TRIES points per side leave ambiguous.
+_count_points_prime, which also serves single count_points calls, takes the
+scalar BSGS from _BSGS_MIN_PRIME up. Everything else goes to the O(p)
+character sum, which stays as the oracle: #E(F_p) = p + 1 + sum_x
+chi(x^3 + Ax + B) with chi the quadratic character mod p, evaluated through
+a residue table rather than per-x exponentiation. It serves smaller primes,
+primes of bad reduction (p | disc), and the rare prime that
+_BSGS_POINT_TRIES points per side leave ambiguous.
 Only the character table is capped (_MAX_CHARACTER_PRIME): a prime above
 the cap that BSGS resolves is counted, one that needs the character sum
 raises CapacityError. p = 2 and p = 3 are enumerated directly.
@@ -55,21 +57,22 @@ from .sieve import FactorSieve, PrimeList, factorize_trial, is_prime
 # would only bite far later, near p ~ 3e9
 _MAX_CHARACTER_PRIME = 2**24
 
-# BSGS breaks even with the character sum between p = 1.5e3 and 2e3 on a
-# 2-core x86 host (CPython 3.11) and is 1.6-1.7x faster at 4096; below the
-# switch the gain is small next to timing noise, and short runs keep the
-# oracle path
+# single count_points calls and the lanes an order_sequence leaves open take
+# the scalar BSGS from here up and the character sum below: the scalar BSGS
+# breaks even with it between p = 1.5e3 and 2e3 on a 2-core x86 host
+# (CPython 3.11) and is 1.6-1.7x faster at 4096
 _BSGS_MIN_PRIME = 2**12
 # points tried on E and on its twist before falling back to the character sum
 _BSGS_POINT_TRIES = 4
 # lanes multiply two residues mod p in int64; p < 2^31 keeps products below 2^62
 _LANE_PRIME_LIMIT = 2**31
-# a lane batch holds this many lanes per baby step s: 192 near p = 4096,
-# 1280 near 1e7. Its (steps, lanes) arrays then hold about
-# 16 s^2 residues, small where runs are small, while large primes amortize
-# the fixed cost of a round. Fixed batches of 512 to 2048 lanes raised the
-# peak RSS of T5 at x = 2e4 by 0.3 to 2.7 MB more, and 4096 lanes were no
-# faster at x = 1e7
+# every round of a lane batch holds this many lanes per baby step s of the
+# sequence's largest prime: 272 lanes at x = 2e4, 1280 at x = 1e7. Rounds of
+# small primes are as wide as the last one, so they pay the fixed cost of a
+# round less often (9 rounds at x = 2e4; 13 when each round was sized from
+# its first prime), and their (s + 1, lanes) arrays stay small. Fixed batches
+# of 512 to 2048 lanes raised the peak RSS of T5 at x = 2e4 by 0.3 to 2.7 MB
+# more, and 4096 lanes were no faster at x = 1e7
 _LANES_PER_STEP = 16
 # fewer open lanes than this go to the scalar BSGS (the measured break-even
 # is 30-45 at p = 4096 and falls to about 16 by p = 1e7)
@@ -470,9 +473,9 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
     N = f (mod g) in the Hasse interval; a lane keeps the intersection of its
     progressions by the Chinese remainder theorem and is resolved when one N
     is left. A batch holds the open lanes of the last round, then the next
-    primes not yet started, _LANES_PER_STEP * s lanes in all. A lane stops
-    after 2 * _BSGS_POINT_TRIES points, and rounds stop once every prime has
-    started and fewer than _LANE_MIN_BATCH lanes are open.
+    primes not yet started: _LANES_PER_STEP * s lanes for the s of the last
+    prime. A lane stops after 2 * _BSGS_POINT_TRIES points, and rounds stop
+    once every prime has started and fewer than _LANE_MIN_BATCH lanes are open.
     """
     a, b = _residues(curve.A, ps), _residues(curve.B, ps)
     r = np.array([math.isqrt(4 * p) for p in ps.tolist()], dtype=np.int64)
@@ -483,9 +486,8 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
     allowed: dict[int, tuple[int, int]] = {}  # lane -> (N mod g, g) so far
     retry = np.zeros(0, dtype=np.int64)
     started = 0
+    size = _LANES_PER_STEP * (math.isqrt(int(r[-1])) + 1) if len(ps) else 0
     while started < len(ps) or len(retry) >= _LANE_MIN_BATCH:
-        head = int(r[started]) if started < len(ps) else int(r[retry].max())
-        size = _LANES_PER_STEP * (math.isqrt(head) + 1)
         fresh = np.arange(started, min(len(ps), started + max(0, size - len(retry))))
         started += len(fresh)
         lanes = np.concatenate([retry, fresh])
@@ -525,8 +527,8 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
 
 def _count_points_lanes(curve: EllipticCurve, ps) -> np.ndarray:
     """#E(F_p) for ascending primes of good reduction with
-    _BSGS_MIN_PRIME <= p < _LANE_PRIME_LIMIT, in numpy lanes; the lanes left
-    open go to the scalar _count_points_prime."""
+    5 <= p < _LANE_PRIME_LIMIT, in numpy lanes; the lanes left open go to
+    the scalar _count_points_prime."""
     ps = np.asarray(ps, dtype=np.int64)
     if ps.size and int(ps.max()) >= _LANE_PRIME_LIMIT:
         raise CapacityError(
@@ -551,14 +553,14 @@ def hasse_margin(curve: EllipticCurve, p: int, order: int | None = None) -> floa
 def order_sequence(curve: EllipticCurve, x: float, primes: PrimeList) -> OrderSequence:
     """Curve orders at every prime p <= x, assembled in ascending p.
 
-    The primes of good reduction in [_BSGS_MIN_PRIME, _LANE_PRIME_LIMIT) are
-    counted in lanes when there are at least _LANE_MIN_BATCH of them; every
-    other prime goes to _count_points_prime.
+    The primes of good reduction in [5, _LANE_PRIME_LIMIT) are counted in
+    lanes when there are at least _LANE_MIN_BATCH of them; every other prime
+    goes to _count_points_prime.
     """
     primes.check_range(x)
     ps = primes.upto(x)
     orders = np.zeros(len(ps), dtype=np.int64)
-    lanes = (ps >= _BSGS_MIN_PRIME) & (ps < _LANE_PRIME_LIMIT)
+    lanes = (ps > 3) & (ps < _LANE_PRIME_LIMIT)
     lanes[lanes] = _residues(curve.discriminant, ps[lanes]) != 0
     if np.count_nonzero(lanes) >= _LANE_MIN_BATCH:
         orders[lanes] = _count_points_lanes(curve, ps[lanes])
@@ -582,6 +584,8 @@ def congruence_class_census(
         raise ParameterError(f"modulus t={t} must be >= 1")
     if orders is None:
         orders = order_sequence(curve, x, primes)
+    elif (orders.curve, orders.x) != (curve, x):
+        raise ParameterError(f"orders of {orders.curve} to x={orders.x}, not {curve} to x={x}")
     census = {a: 0 for a in range(t)}
     for _, order in orders.entries:
         census[order % t] += 1
@@ -615,6 +619,8 @@ def theorem5_report(
         )
     if orders is None:
         orders = order_sequence(curve, x, primes)
+    elif (orders.curve, orders.x) != (curve, x):
+        raise ParameterError(f"orders of {orders.curve} to x={orders.x}, not {curve} to x={x}")
     lhs = _ratio_power_fsum(orders.orders(), s, sieve)
     pi_x = len(orders.entries)
     disc = curve.discriminant

@@ -256,6 +256,32 @@ class TestTheorem5Report:
             theorem5_report(EllipticCurve(1, 1), 100, 1, small, primes100k)
 
 
+class TestOrdersFromAnotherRun:
+    """orders= must be the sequence of the same curve up to the same x."""
+
+    def census(self, curve, x, sieve, primes, orders=None):
+        return congruence_class_census(curve, x, 4, primes, orders=orders)
+
+    def t5(self, curve, x, sieve, primes, orders=None):
+        return theorem5_report(curve, x, 2, sieve, primes, orders=orders)
+
+    @pytest.mark.parametrize("report", ["census", "t5"])
+    @pytest.mark.parametrize("curve,x", [(EllipticCurve(1, 1), 1000), (EllipticCurve(0, 7), 10**4)])
+    def test_mismatch_raises(self, report, curve, x, sieve1m, primes100k):
+        orders = order_sequence(EllipticCurve(0, 7), 1000, primes100k)
+        with pytest.raises(ParameterError):
+            getattr(self, report)(curve, x, sieve1m, primes100k, orders=orders)
+
+    @pytest.mark.parametrize("report", ["census", "t5"])
+    def test_matching_orders_same_report(self, report, sieve1m, primes100k):
+        curve = EllipticCurve(0, 7)
+        orders = order_sequence(curve, 1000, primes100k)
+        build = getattr(self, report)
+        assert build(curve, 1000, sieve1m, primes100k, orders=orders) == build(
+            curve, 1000, sieve1m, primes100k
+        )
+
+
 class TestTheorem5AgainstExactOracle:
     """lhs is the fsum of float terms; moment_sum is the exact oracle."""
 
@@ -478,6 +504,8 @@ class TestCharacterTableCap:
 
 LANE_CURVES = [(1, 1), (-41, -35), (0, 1), (0, 7), (1, 0), (-1, 0)]
 WINDOW_PRIMES = [int(p) for p in PrimeList.build(5 * 10**4).values if p >= SWITCH]
+# order_sequence sends the lanes every good prime from 5 up
+LANE_PRIMES = [int(p) for p in PrimeList.build(5 * 10**4).values if p >= 5]
 
 
 def good_primes(curve: EllipticCurve, ps) -> list[int]:
@@ -520,6 +548,15 @@ class TestLanesAgainstCharacterSum:
         # the lanes, not the scalar fallback, count almost every prime
         assert len(scalar_calls) < len(ps) // 10
 
+    @pytest.mark.parametrize("A,B", LANE_CURVES)
+    def test_every_prime_below_switch(self, A, B, scalar_calls):
+        # below Mestre's bound a lane may stay open; a resolved one is exact
+        curve = EllipticCurve(A, B)
+        ps = good_primes(curve, [p for p in LANE_PRIMES if p < SWITCH])
+        orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+        assert len(scalar_calls) < len(ps) // 10
+
     @given(
         st.integers(min_value=-(10**9), max_value=10**9),
         st.integers(min_value=-(10**9), max_value=10**9),
@@ -535,11 +572,41 @@ class TestLanesAgainstCharacterSum:
         orders = ell._count_points_lanes(curve, ps)
         assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
 
+    @given(
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.integers(min_value=0, max_value=len(LANE_PRIMES) - 1),
+        st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_curves_and_windows_from_five(self, A, B, start, length):
+        if 4 * A**3 + 27 * B**2 == 0:
+            return
+        curve = EllipticCurve(A, B)
+        ps = good_primes(curve, LANE_PRIMES[start : start + length])
+        orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+
     def test_order_sequence_uses_lanes_from_switch(self, primes100k, lane_primes):
         curve = EllipticCurve(-3, 2 + 4099)  # 4099 divides the discriminant
         seq = order_sequence(curve, 2 * 10**4, primes100k)
-        assert lane_primes == good_primes(curve, BSGS_PRIMES) and 4099 not in lane_primes
+        expected = good_primes(curve, [p for p in LANE_PRIMES if p <= 2 * 10**4])
+        assert lane_primes == expected and 4099 not in lane_primes
         assert dict(seq.entries)[4099] == euler_criterion_count(-3, 2 + 4099, 4099)
+
+    @pytest.mark.parametrize("A,B", [(1, 1), (0, 7)])
+    def test_order_sequence_every_x_to_400(self, A, B, primes100k, lane_primes):
+        # runs of fewer than _LANE_MIN_BATCH good primes stay scalar, longer ones
+        # take the lanes: x = 400 has 78 primes
+        curve = EllipticCurve(A, B)
+        scalar = {int(p): ell._count_points_prime(curve, int(p)) for p in primes100k.upto(400)}
+        on_lanes = []
+        for x in range(2, 401):
+            lane_primes.clear()
+            seq = order_sequence(curve, x, primes100k)
+            assert list(seq.entries) == [(p, n) for p, n in scalar.items() if p <= x], x
+            on_lanes.append(bool(lane_primes))
+        assert not on_lanes[0] and on_lanes[-1]
 
 
 class TestLaneKillers:

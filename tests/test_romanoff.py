@@ -508,7 +508,7 @@ class TestOrderDistributionBeyondPrimalityTest:
 
 class TestOrderSequenceSkipsPrimalityTest:
     def test_never_asks_is_prime(self, primes100k, monkeypatch):
-        # 5000 spans both the character sum and BSGS (from p = 4096)
+        # 5000 spans the lanes (from p = 5) and the scalar path (p = 2, 3)
         curve = EllipticCurve(1, 1)
         expected = [
             (int(p), count_points(curve, int(p))) for p in primes100k.upto(5000)
