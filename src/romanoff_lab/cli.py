@@ -40,25 +40,22 @@ DEFAULT_PRIME_LIMIT = 10**7
 CACHE_ENV_VAR = "ROMANOFF_LAB_CACHE"
 
 
+def _table_size(needed: float, cap: int, table: str, flag: str) -> int:
+    """needed rounded up to a table limit of at least 2, within the flag's cap."""
+    size = max(math.ceil(needed), 2)
+    if size > cap:
+        raise CapacityError(f"this run needs {table} {size}, above the {flag} cap {cap}")
+    return size
+
+
 def make_sieve(args: argparse.Namespace, needed: float):
-    needed_int = max(math.ceil(needed), 2)
-    if needed_int > args.sieve_limit:
-        raise CapacityError(
-            f"this run needs a sieve of size {needed_int}, above the "
-            f"--sieve-limit cap {args.sieve_limit}"
-        )
-    cache = os.environ.get(CACHE_ENV_VAR)
-    return build_sieve(needed_int, cache_dir=cache)
+    size = _table_size(needed, args.sieve_limit, "a sieve of size", "--sieve-limit")
+    return build_sieve(size, cache_dir=os.environ.get(CACHE_ENV_VAR))
 
 
 def make_primes(args: argparse.Namespace, needed: float, sieve=None) -> PrimeList:
-    needed_int = max(math.ceil(needed), 2)
-    if needed_int > args.prime_limit:
-        raise CapacityError(
-            f"this run needs primes up to {needed_int}, above the "
-            f"--prime-limit cap {args.prime_limit}"
-        )
-    return PrimeList.build(needed_int) if sieve is None else sieve.primes(needed_int)
+    size = _table_size(needed, args.prime_limit, "primes up to", "--prime-limit")
+    return PrimeList.build(size) if sieve is None else sieve.primes(size)
 
 
 def _emit(args: argparse.Namespace, writer) -> None:
@@ -105,12 +102,7 @@ def _cmd_sieve(args: argparse.Namespace) -> None:
             "pi": primes.count_leq(x),
             "theta": theta,
             "theta_over_x": theta / x,
-            "mertens": {
-                "plus_product": mert.plus_product,
-                "minus_product": mert.minus_product,
-                "plus_over_log": mert.plus_over_log,
-                "minus_over_log": mert.minus_over_log,
-            },
+            "mertens": mert._asdict(),
         },
     )
 
@@ -192,7 +184,7 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
     x = args.x
     if x < 2:
         raise ParameterError(f"--x must be >= 2, got {x}")
-    sieve = make_sieve(args, int(1 + 2 * x)) if args.report == "theorem5" else None
+    sieve = make_sieve(args, 1 + 2 * x) if args.report == "theorem5" else None
     primes = make_primes(args, x, sieve)
     orders = ell.order_sequence(curve, x, primes)
     if args.report == "orders":
@@ -206,7 +198,7 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
         "moment": dataclasses.asdict(report),
         "hasse_min_margin": margin,
     }
-    if args.census_mod:
+    if args.census_mod is not None:
         t = args.census_mod
         census = ell.congruence_class_census(curve, x, t, primes, orders=orders)
         pi_x = len(orders.entries)
@@ -262,17 +254,10 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
         primes = make_primes(args, args.x + args.a)
         out = rom.schnirelmann_pi2(args.x, args.a, primes)
         _emit_json(
-            args,
-            {
-                "report": "schnirelmann",
-                "x": args.x,
-                "a": args.a,
-                "count": out.count,
-                "normalized": out.normalized,
-            },
+            args, {"report": "schnirelmann", "x": args.x, "a": args.a, **out._asdict()}
         )
     elif report == "order-sum":
-        sieve = make_sieve(args, max(2, args.P))
+        sieve = make_sieve(args, args.P)
         primes = make_primes(args, args.P, sieve)
         value = rom.order_weighted_sum(args.a, args.b, args.P, primes, sieve)
         _emit_json(
@@ -291,13 +276,10 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
             args,
             {
                 "report": "order-dist",
-                "a": dist.a,
-                "z": dist.z,
-                "trial_cap": dist.trial_cap,
+                **dataclasses.asdict(dist),
                 "D": dist.total,
                 "normalized": dist.normalized,
                 "all_exact": dist.all_exact,
-                "entries": [dataclasses.asdict(e) for e in dist.entries],
             },
         )
 

@@ -5,10 +5,12 @@ statistics of curve orders.
 Counting is Shanks-Mestre baby-step giant-step (Cohen, GTM 138, section 7.4):
 every m in the Hasse interval H = [p + 1 - r, p + 1 + r], r = isqrt(4p),
 that kills a point of E is kept, and so is every m for which 2p + 2 - m
-kills a point of the quadratic twist; the points are fixed by (A, B, p). The
-true order always survives, so a single survivor is the order; for p > 229
-Mestre's theorem says points that leave one survivor exist, and below that a
-prime may stay ambiguous. Cost is about p^(1/4) group operations per point.
+kills a point of the quadratic twist. The points, fixed by (A, B, p), come
+from a scan of x = 0, 1, ... that skips (_decides_nothing) each x giving no
+point or one of order 3 or 4, which would decide nothing. The true order
+always survives, so a single survivor is the order; for p > 229 Mestre's
+theorem says points that leave one survivor exist, and below that a prime
+may stay ambiguous. Cost is about p^(1/4) group operations per point.
 
 An order_sequence counts its primes of good reduction from p = 5 to
 _LANE_PRIME_LIMIT = 2^31 (int64 products) in numpy lanes
@@ -237,24 +239,35 @@ def _annihilators(P, a: int, p: int, lo: int, hi: int) -> list[int]:
     return [m for m in found if lo <= m <= hi]
 
 
+def _decides_nothing(x, v, a, b, p):
+    """True where the scan's x yields no point that decides an order (ints or
+    lane arrays; a, b reduced mod p, v = x^3 + ax + b): v = 0 gives no point,
+    x = 0 with a = 0 the point (0, b^2) of order 3, and x^2 = a with b = 0 a
+    point P with 2P = (0, 0), of order 4. The last rule starts at p = 7: at
+    p = 5 with a = 1 or 4 it would leave no x, and the lane scan would hang."""
+    return (v == 0) | ((x == 0) & (a == 0)) | ((b == 0) & (p > 5) & (x * x % p == a))
+
+
 def _count_points_bsgs(a: int, b: int, p: int) -> int | None:
     """#E(F_p) by Shanks-Mestre for a, b reduced mod a prime p of good
     reduction, or None if the points tried leave more than one candidate.
 
-    Points come from x = 0, 1, ... with v = x^3 + ax + b nonzero (from x = 1
-    when a = 0, where x = 0 gives a point of order 3 that decides nothing):
-    (vx, v^2) lies on y^2 = X^3 + av^2 X + bv^3, which is E when v is a
-    square and its quadratic twist, with 2p + 2 - #E points, when it is not.
+    Points come from x = 0, 1, ..., skipping every x for which
+    _decides_nothing holds: (vx, v^2) with v = x^3 + ax + b lies on
+    y^2 = X^3 + av^2 X + bv^3, which is E when v is a square and its
+    quadratic twist, with 2p + 2 - #E points, when it is not.
     """
     r = math.isqrt(4 * p)
     lo, hi = p + 1 - r, p + 1 + r
     half = (p - 1) // 2
     left = {1: _BSGS_POINT_TRIES, p - 1: _BSGS_POINT_TRIES}  # Euler's criterion of v
     candidates = None
-    for x in range(a == 0, p):
+    for x in range(p):
         v = (x * x * x + a * x + b) % p
+        if _decides_nothing(x, v, a, b, p):
+            continue
         side = pow(v, half, p)
-        if not left.get(side):
+        if not left[side]:
             if not any(left.values()):
                 break
             continue
@@ -468,11 +481,11 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
     the points tried leave ambiguous.
 
     Each round gives every lane of a batch the next x of _count_points_bsgs's
-    scan with v = x^3 + ax + b nonzero, and (vx, v^2) on E or on its twist as
-    Euler's criterion of v says. The orders a point allows form a progression
-    N = f (mod g) in the Hasse interval; a lane keeps the intersection of its
-    progressions by the Chinese remainder theorem and is resolved when one N
-    is left. A batch holds the open lanes of the last round, then the next
+    scan, skipping those for which _decides_nothing holds, and (vx, v^2) with
+    v = x^3 + ax + b on E or on its twist as Euler's criterion of v says. The
+    orders a point allows form a progression N = f (mod g) in the Hasse
+    interval; a lane keeps the intersection of its progressions by the Chinese
+    remainder theorem and is resolved when one N is left. A batch holds the open lanes of the last round, then the next
     primes not yet started: _LANES_PER_STEP * s lanes for the s of the last
     prime. A lane stops after 2 * _BSGS_POINT_TRIES points, and rounds stop
     once every prime has started and fewer than _LANE_MIN_BATCH lanes are open.
@@ -481,7 +494,7 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
     r = np.array([math.isqrt(4 * p) for p in ps.tolist()], dtype=np.int64)
     lo, hi = ps + 1 - r, ps + 1 + r
     orders = np.zeros(len(ps), dtype=np.int64)
-    x = (a == 0).astype(np.int64)
+    x = np.zeros(len(ps), dtype=np.int64)
     tried = np.zeros(len(ps), dtype=np.int64)
     allowed: dict[int, tuple[int, int]] = {}  # lane -> (N mod g, g) so far
     retry = np.zeros(0, dtype=np.int64)
@@ -496,9 +509,10 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
         q, al, bl, xl = ps[lanes], a[lanes], b[lanes], x[lanes]
         while True:
             v = ((xl * xl % q * xl % q) + al * xl % q + bl) % q
-            if v.all():
+            skip = _decides_nothing(xl, v, al, bl, q)
+            if not skip.any():
                 break
-            xl = xl + (v == 0)
+            xl = xl + skip
         x[lanes] = xl + 1
         tried[lanes] += 1
         vv = v * v % q
@@ -557,7 +571,6 @@ def order_sequence(curve: EllipticCurve, x: float, primes: PrimeList) -> OrderSe
     lanes when there are at least _LANE_MIN_BATCH of them; every other prime
     goes to _count_points_prime.
     """
-    primes.check_range(x)
     ps = primes.upto(x)
     orders = np.zeros(len(ps), dtype=np.int64)
     lanes = (ps > 3) & (ps < _LANE_PRIME_LIMIT)
@@ -571,6 +584,17 @@ def order_sequence(curve: EllipticCurve, x: float, primes: PrimeList) -> OrderSe
     return OrderSequence(curve=curve, x=x, entries=tuple(zip(ps.tolist(), orders.tolist())))
 
 
+def _orders_for(
+    curve: EllipticCurve, x: float, primes: PrimeList, orders: OrderSequence | None
+) -> OrderSequence:
+    """The given orders, checked to be those of the curve to x, or counted."""
+    if orders is None:
+        return order_sequence(curve, x, primes)
+    if (orders.curve, orders.x) != (curve, x):
+        raise ParameterError(f"orders of {orders.curve} to x={orders.x}, not {curve} to x={x}")
+    return orders
+
+
 def congruence_class_census(
     curve: EllipticCurve,
     x: float,
@@ -582,12 +606,8 @@ def congruence_class_census(
     """#{p <= x : #E(F_p) = a (mod t)} for every residue a in [0, t)."""
     if t < 1:
         raise ParameterError(f"modulus t={t} must be >= 1")
-    if orders is None:
-        orders = order_sequence(curve, x, primes)
-    elif (orders.curve, orders.x) != (curve, x):
-        raise ParameterError(f"orders of {orders.curve} to x={orders.x}, not {curve} to x={x}")
     census = {a: 0 for a in range(t)}
-    for _, order in orders.entries:
+    for _, order in _orders_for(curve, x, primes, orders).entries:
         census[order % t] += 1
     return census
 
@@ -617,10 +637,7 @@ def theorem5_report(
         raise RangeError(
             f"orders up to 1+2x = {1 + 2 * x:g} exceed sieve limit {sieve.limit}"
         )
-    if orders is None:
-        orders = order_sequence(curve, x, primes)
-    elif (orders.curve, orders.x) != (curve, x):
-        raise ParameterError(f"orders of {orders.curve} to x={orders.x}, not {curve} to x={x}")
+    orders = _orders_for(curve, x, primes, orders)
     lhs = _ratio_power_fsum(orders.orders(), s, sieve)
     pi_x = len(orders.entries)
     disc = curve.discriminant

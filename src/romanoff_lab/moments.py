@@ -180,6 +180,11 @@ def theorem1_report(
     )
 
 
+def _plus_product(ps) -> float:
+    """prod (1 + 1/p) over ps, exact in rationals and rounded once."""
+    return float(math.prod(Fraction(p + 1, p) for p in ps))
+
+
 def lemma1_product(n: int, y: float, sieve: FactorSieve) -> tuple[float, float]:
     """prod_{p|n, p>y} (1 + 1/p) together with its bound exp(nu(n)/y)."""
     if n <= 1:
@@ -187,9 +192,7 @@ def lemma1_product(n: int, y: float, sieve: FactorSieve) -> tuple[float, float]:
     if y <= 0:
         raise ParameterError(f"y={y} must be positive")
     primes = sieve.distinct_primes(n)
-    product = float(
-        math.prod(Fraction(p + 1, p) for p in primes if p > y)
-    )
+    product = _plus_product(p for p in primes if p > y)
     bound = math.exp(len(primes) / y)
     return (product, bound)
 
@@ -200,11 +203,7 @@ def lemma2_check(n: int, sieve: FactorSieve) -> float:
     if n == 1:
         return 1.0
     log_n = math.log(n)
-    return float(
-        math.prod(
-            Fraction(p + 1, p) for p in sieve.distinct_primes(n) if p > log_n
-        )
-    )
+    return _plus_product(p for p in sieve.distinct_primes(n) if p > log_n)
 
 
 def lemma2_product_table(limit: int, primes: PrimeList) -> np.ndarray:
@@ -238,17 +237,32 @@ def lemma3_report(n: int, alpha: float, sieve: FactorSieve) -> Lemma3Report:
     """n/phi(n) against prod_{p|n, p <= (ln n)^alpha} (1 + 1/p)."""
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha={alpha} must lie in (0, 1)")
-    sieve.check_range(n)
     ratio = float(totient_ratio(n, sieve))
     if n == 1:
         return Lemma3Report(1.0, 1.0, 1.0)
     cutoff = math.log(n) ** alpha
-    product = float(
-        math.prod(
-            Fraction(p + 1, p) for p in sieve.distinct_primes(n) if p <= cutoff
-        )
-    )
+    product = _plus_product(p for p in sieve.distinct_primes(n) if p <= cutoff)
     return Lemma3Report(ratio, product, ratio / product)
+
+
+def _family_report(values, what, lead, k, z, s, sieve, parameters) -> MomentReport:
+    """T3/T4 from their values: the moment sum against rhs_core =
+    (lead/phi(lead) * ln(k+1))^s * s! * z, and the implied constant that
+    strips those factors from the lhs. ``what`` names the values in the
+    capacity error, and the report's parameters gain the term count."""
+    if max(values, default=0) > sieve.limit:
+        raise CapacityError(f"max {what} exceeds sieve limit {sieve.limit}")
+    lhs = _ratio_power_fsum(values, s, sieve)
+    lead_ratio = float(totient_ratio(lead, sieve))
+    log_k1 = math.log(k + 1)
+    rhs_core = (lead_ratio * log_k1) ** s * math.factorial(s) * z
+    implied = (lhs / (math.factorial(s) * z)) ** (1.0 / s) / (lead_ratio * log_k1)
+    return MomentReport(
+        lhs=lhs,
+        rhs_core=rhs_core,
+        implied_constant=implied,
+        parameters={**parameters, "terms": len(values)},
+    )
 
 
 def poly_values(poly: PolynomialSpec, z: float) -> list[int]:
@@ -272,26 +286,15 @@ def poly_moment_report(
     if poly.degree < 1:
         raise ParameterError("degree must be >= 1")
     values = poly_values(poly, z)
-    if max(values, default=0) > sieve.limit:
-        raise CapacityError(f"max |R(n)| exceeds sieve limit {sieve.limit}")
-    lhs = _ratio_power_fsum(values, s, sieve)
-    delta = poly.content
-    delta_ratio = float(totient_ratio(delta, sieve))
-    log_k1 = math.log(poly.degree + 1)
-    rhs_core = (delta_ratio * log_k1) ** s * math.factorial(s) * z
-    implied = (lhs / (math.factorial(s) * z)) ** (1.0 / s) / (delta_ratio * log_k1)
-    return MomentReport(
-        lhs=lhs,
-        rhs_core=rhs_core,
-        implied_constant=implied,
-        parameters={
-            "coeffs_descending": list(reversed(poly.coeffs)),
-            "degree": poly.degree,
-            "content": delta,
-            "z": z,
-            "s": s,
-            "terms": len(values),
-        },
+    parameters = {
+        "coeffs_descending": list(reversed(poly.coeffs)),
+        "degree": poly.degree,
+        "content": poly.content,
+        "z": z,
+        "s": s,
+    }
+    return _family_report(
+        values, "|R(n)|", poly.content, poly.degree, z, s, sieve, parameters
     )
 
 
@@ -318,14 +321,12 @@ def delta_moment_report(
     s: int,
     x: float,
     sieve: FactorSieve,
-    *,
-    epsilon: float = 0.5,
 ) -> MomentReport:
     """Moment sum of Delta_L/phi(Delta_L) over b in [-z, z], L not in the
     family (T4); rhs_core = (a/phi(a) * ln(k+1))^s * s! * z.
 
-    The window (ln x)^epsilon <= z <= x is advisory: runs outside it warn
-    but proceed, so exploratory parameter scans stay possible.
+    The window (ln x)^0.5 <= z <= x is advisory: runs outside it warn but
+    proceed, so exploratory parameter scans stay possible.
     """
     if a < 1:
         raise ParameterError(f"a={a} must be >= 1")
@@ -337,32 +338,20 @@ def delta_moment_report(
         raise ParameterError("the linear family must be nonempty")
     if any(abs(b) > x for b in bs):
         raise ParameterError(f"all |b_i| must be <= x={x}")
-    if x >= 3 and not (math.log(x) ** epsilon <= z <= x):
+    if x >= 3 and not (math.log(x) ** 0.5 <= z <= x):
         warnings.warn(
-            f"z={z} outside the window [(ln x)^{epsilon}, x]; "
+            f"z={z} outside the window [(ln x)^0.5, x]; "
             "the measured constant is exploratory",
             stacklevel=2,
         )
     values = delta_values(a, bs, z)
-    if max(values, default=0) > sieve.limit:
-        raise CapacityError(f"max Delta_L exceeds sieve limit {sieve.limit}")
     k = len(bs)
-    lhs = _ratio_power_fsum(values, s, sieve)
-    a_ratio = float(totient_ratio(a, sieve))
-    log_k1 = math.log(k + 1)
-    rhs_core = (a_ratio * log_k1) ** s * math.factorial(s) * z
-    implied = (lhs / (math.factorial(s) * z)) ** (1.0 / s) / (a_ratio * log_k1)
-    return MomentReport(
-        lhs=lhs,
-        rhs_core=rhs_core,
-        implied_constant=implied,
-        parameters={
-            "a": a,
-            "shifts": [int(b) for b in bs],
-            "k": k,
-            "z": z,
-            "s": s,
-            "x": x,
-            "terms": len(values),
-        },
-    )
+    parameters = {
+        "a": a,
+        "shifts": [int(b) for b in bs],
+        "k": k,
+        "z": z,
+        "s": s,
+        "x": x,
+    }
+    return _family_report(values, "Delta_L", a, k, z, s, sieve, parameters)

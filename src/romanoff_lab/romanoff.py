@@ -137,7 +137,6 @@ def theorem6_report(
     primes: PrimeList,
     *,
     budget: int = DEFAULT_BUDGET,
-    c1_grid: tuple[float, ...] = DEFAULT_C1_GRID,
 ) -> list[ConstantEstimate]:
     """Empirical constants of the Romanoff-type density machinery (T6).
 
@@ -187,7 +186,7 @@ def theorem6_report(
             ),
         ),
     ]
-    for c1 in c1_grid:
+    for c1 in DEFAULT_C1_GRID:
         threshold = c1 * n_total / log_x
         count = density_count(profile, threshold)
         out.append(
@@ -267,7 +266,6 @@ def order_weighted_sum(
     nondecreasing in P and convergent, the key sum behind the tower bounds."""
     if a < 2 or b < 2:
         raise ParameterError("need a >= 2 and b >= 2")
-    primes.check_range(P)
     parts = []
     for p in primes.upto(P):
         p = int(p)
@@ -311,13 +309,7 @@ def _order_is_exactly(a: int, p: int, n: int) -> bool:
     return all(pow(a, n // q, p) != 1 for q, _ in factorize_trial(n))
 
 
-def order_distribution(
-    a: int,
-    z: int,
-    trial_cap: int,
-    *,
-    exponent_cap: int = DEFAULT_EXPONENT_CAP,
-) -> OrderDistribution:
+def order_distribution(a: int, z: int, trial_cap: int) -> OrderDistribution:
     """d_n = sum of ln(p)/p over primes p with h_a(p) = n, for n <= z.
 
     Primes are found by trial-dividing a^n - 1 up to trial_cap and filtering
@@ -329,8 +321,8 @@ def order_distribution(
         raise ParameterError(f"a={a} must be >= 2")
     if z < 1:
         raise ParameterError(f"z={z} must be >= 1")
-    if z > exponent_cap:
-        raise CapacityError(f"z={z} exceeds the exponent cap {exponent_cap}")
+    if z > DEFAULT_EXPONENT_CAP:
+        raise CapacityError(f"z={z} exceeds the exponent cap {DEFAULT_EXPONENT_CAP}")
     if trial_cap < 2:
         raise ParameterError(f"trial_cap={trial_cap} must be >= 2")
     entries = []

@@ -158,10 +158,11 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> list[int]:
     return out
 
 
-def elliptic_prime_bound(x: float) -> float:
+def elliptic_prime_bound(x: float) -> int:
     """Primes q an EllipticOrders enumeration up to x visits: #E(F_q) <= x
-    forces (sqrt(q)-1)^2 < x, i.e. q <= x + 2 sqrt(x) + 1."""
-    return x + 2 * math.sqrt(x) + 1
+    forces (sqrt(q)-1)^2 < x, i.e. q <= x + 2 sqrt(x) + 1. The bound is
+    returned as an integer table limit."""
+    return math.floor(x + 2 * math.sqrt(x) + 1)
 
 
 def _elliptic_order_terms(
@@ -172,7 +173,7 @@ def _elliptic_order_terms(
     q_bound = elliptic_prime_bound(x)
     if q_bound > primes.limit:
         raise RangeError(
-            f"prime table limit {primes.limit} below the needed bound {q_bound:g}"
+            f"prime table limit {primes.limit} below the needed bound {q_bound}"
         )
     return [n for n in order_sequence(curve, q_bound, primes).orders() if n <= x]
 

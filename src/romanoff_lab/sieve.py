@@ -104,9 +104,14 @@ def factorize_trial(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _phi(factors: list[tuple[int, int]]) -> int:
+    """Euler's totient from the (prime, exponent) pairs of n."""
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factors)
+
+
 def totient_trial(n: int) -> int:
     """Euler's totient phi(n) by trial division, for n outside any sieve."""
-    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize_trial(n))
+    return _phi(factorize_trial(n))
 
 
 @dataclass(frozen=True)
@@ -241,24 +246,22 @@ def _store_cached_spf(path: str, limit: int, spf: np.ndarray) -> None:
         pass  # cache is best-effort
 
 
-def _check_limit(table: str, limit: int, limit_cap: int) -> None:
-    """A table limit is an integer in [2, limit_cap]; a float is refused
-    whole, integral or not, rather than failing inside numpy."""
+def _check_limit(table: str, limit: int) -> None:
+    """A table limit is an integer in [2, DEFAULT_LIMIT_CAP]; a float is
+    refused whole, integral or not, rather than failing inside numpy."""
     if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
         raise ParameterError(f"{table} limit {limit!r} is not an integer")
-    if not 2 <= limit <= limit_cap:
-        raise CapacityError(f"{table} limit {limit} outside [2, {limit_cap}]")
+    if not 2 <= limit <= DEFAULT_LIMIT_CAP:
+        raise CapacityError(f"{table} limit {limit} outside [2, {DEFAULT_LIMIT_CAP}]")
 
 
-def build_sieve(
-    limit: int, *, cache_dir: str | None = None, limit_cap: int = DEFAULT_LIMIT_CAP
-) -> FactorSieve:
+def build_sieve(limit: int, *, cache_dir: str | None = None) -> FactorSieve:
     """Build a FactorSieve for [2, limit].
 
     ``cache_dir`` (e.g. from ROMANOFF_LAB_CACHE) memoizes the raw table to
     disk with a version tag and checksum; corrupt files are rebuilt.
     """
-    _check_limit("sieve", limit, limit_cap)
+    _check_limit("sieve", limit)
     if cache_dir:
         path = _spf_cache_path(cache_dir, limit)
         cached = _load_cached_spf(path, limit)
@@ -279,8 +282,8 @@ class PrimeList:
     values: np.ndarray
 
     @classmethod
-    def build(cls, limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> "PrimeList":
-        _check_limit("prime table", limit, limit_cap)
+    def build(cls, limit: int) -> "PrimeList":
+        _check_limit("prime table", limit)
         mask = np.ones(limit + 1, dtype=bool)
         mask[:2] = False
         for p in range(2, math.isqrt(limit) + 1):
@@ -301,7 +304,6 @@ class PrimeList:
 
     def upto(self, x: float) -> np.ndarray:
         """All primes <= x, as an int64 array view."""
-        self.check_range(x)
         return self.values[: self.count_leq(x)]
 
     def contains(self, n: int) -> bool:
@@ -311,11 +313,7 @@ class PrimeList:
 
 def totient(n: int, sieve: FactorSieve) -> int:
     """Euler's totient phi(n) = #{1 <= m <= n : gcd(m, n) = 1}."""
-    sieve.check_range(n)
-    result = 1
-    for p, e in sieve.factorize(n):
-        result *= (p - 1) * p ** (e - 1)
-    return result
+    return _phi(sieve.factorize(n))
 
 
 def totient_ratio(n: int, sieve: FactorSieve) -> Fraction:
@@ -377,7 +375,6 @@ def mertens_products(x: float, primes: PrimeList) -> MertensProducts:
     """
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
-    primes.check_range(x)
     ps = primes.upto(x)
     log_plus = math.fsum(math.log1p(1.0 / p) for p in ps)
     log_minus = -math.fsum(math.log1p(-1.0 / p) for p in ps)
@@ -391,5 +388,4 @@ def chebyshev_theta(x: float, primes: PrimeList) -> float:
     """theta(x) = sum of log p over primes p <= x."""
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
-    primes.check_range(x)
     return math.fsum(math.log(p) for p in primes.upto(x))

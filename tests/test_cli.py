@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shlex
@@ -7,6 +8,7 @@ import pytest
 
 from romanoff_lab import cli
 from romanoff_lab.cli import build_parser, run
+from romanoff_lab.elliptic import EllipticCurve, theorem5_report
 from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
 from romanoff_lab.sequences import format_sequence_spec, parse_sequence_spec
 
@@ -27,6 +29,10 @@ class TestExitCodes:
 
     def test_invalid_parameter_is_2(self):
         assert run(["elliptic", "--curve", "1,1", "--x", "-5"]) == 2
+
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_census_modulus_below_one_is_2(self, t):
+        assert run(["elliptic", "--curve", "1,1", "--x", "100", "--census-mod", t]) == 2
 
     def test_singular_curve_is_2(self):
         assert run(["elliptic", "--curve", "0,0", "--x", "100"]) == 2
@@ -122,6 +128,15 @@ class TestReports:
         assert payload["hasse_min_margin"] > 0
         assert payload["curve"] == "1,1"
         assert payload["census_pi_over_phi_t"] == pytest.approx(25.0)  # phi(2)=1
+
+    def test_fractional_elliptic_x(self, tmp_path):
+        # the spf table covers 1 + 2x = 202.4, not int(202.4) = 202
+        code, out = run_to_file(tmp_path, "ell.json", ["elliptic", "--curve", "1,1", "--x", "100.7"])
+        assert code == 0
+        moment = json.loads(out.read_text())["moment"]
+        assert moment["parameters"]["pi_x"] == 25
+        direct = theorem5_report(EllipticCurve(1, 1), 100.7, 1, build_sieve(203), PrimeList.build(101))
+        assert moment == json.loads(json.dumps(dataclasses.asdict(direct)))
 
     def test_extremal_report(self, tmp_path):
         code, out = run_to_file(

@@ -689,3 +689,37 @@ class TestOrderThreePointSkipped:
             assert order in (None, ell._count_points_character(curve, p))
         assert scalar_xs and lane_xs
         assert 0 not in scalar_xs and 0 not in lane_xs
+
+
+class TestOrderFourPointSkipped:
+    """On y^2 = x^3 + ax, an x with x^2 = a gives a point P with
+    2P = (0, 0), of order 4 at every prime, which never decides an order;
+    neither BSGS path tries it."""
+
+    @pytest.mark.parametrize("A", [1, 4])
+    def test_no_point_doubles_to_two_torsion(self, A, monkeypatch):
+        tried = []  # (x, y, a, p) of every point either path tries
+        annihilators, killers = ell._annihilators, ell._lane_killers
+
+        def scalar(P, a, p, *args):
+            tried.append((*P, a, p))
+            return annihilators(P, a, p, *args)
+
+        def lanes(px, py, a, p, *args):
+            tried.extend(zip(px.tolist(), py.tolist(), a.tolist(), p.tolist()))
+            return killers(px, py, a, p, *args)
+
+        monkeypatch.setattr(ell, "_annihilators", scalar)
+        monkeypatch.setattr(ell, "_lane_killers", lanes)
+        curve = EllipticCurve(A, 0)
+        ps = good_primes(curve, BSGS_PRIMES)
+        orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+        lane_points = len(tried)
+        for p in ps[:40]:
+            order = ell._count_points_bsgs(A % p, 0, p)
+            assert order in (None, ell._count_points_character(curve, p))
+        assert lane_points and len(tried) > lane_points
+        assert all(ell._ec_add((x, y), (x, y), a, p) != (0, 0) for x, y, a, p in tried)
+        if A == 1:
+            assert lane_points < 1.5 * len(ps)

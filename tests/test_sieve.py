@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from romanoff_lab import sequences
+from romanoff_lab.elliptic import EllipticCurve
 from romanoff_lab.errors import CapacityError, ParameterError, RangeError, TableIntegrityError
+from romanoff_lab.romanoff import theorem6_report
 from romanoff_lab.sieve import (
     FactorSieve,
     PrimeList,
@@ -56,9 +58,9 @@ class TestBuildSieve:
         with pytest.raises(CapacityError):
             build_sieve(1)
         with pytest.raises(CapacityError):
-            build_sieve(10**9, limit_cap=10**8)
+            build_sieve(10**9)
 
-    @pytest.mark.parametrize("limit", [20201.0, 20201.5, sequences.elliptic_prime_bound(2 * 10**4)])
+    @pytest.mark.parametrize("limit", [20201.0, 20201.5])
     def test_float_limit_is_parameter_error(self, limit):
         with pytest.raises(ParameterError, match=re.escape(repr(limit))):
             build_sieve(limit)
@@ -210,13 +212,22 @@ class TestPrimeList:
         with pytest.raises(RangeError):
             primes100k.count_leq(10**5 + 1)
 
-    @pytest.mark.parametrize("limit", [20201.0, 20201.5, sequences.elliptic_prime_bound(2 * 10**4)])
+    @pytest.mark.parametrize("limit", [20201.0, 20201.5])
     def test_float_limit_is_parameter_error(self, limit):
         with pytest.raises(ParameterError, match=re.escape(repr(limit))):
             PrimeList.build(limit)
 
     def test_numpy_integer_limit(self):
         assert PrimeList.build(np.int64(10)).values.tolist() == [2, 3, 5, 7]
+
+    def test_sized_by_elliptic_prime_bound(self):
+        # the bound is an integer limit, so it sizes an ecorders run's table
+        table = PrimeList.build(sequences.elliptic_prime_bound(10**4))
+        assert table.limit == 10201
+        spec = sequences.EllipticOrders(EllipticCurve(1, 1))
+        estimates = theorem6_report(spec, 10**4, 1.0, table)
+        n_a = len(sequences.enumerate_terms(spec, 10**4, table))
+        assert estimates[0].parameters["N_A"] == n_a > 0
 
 
 class TestMertensProducts:
