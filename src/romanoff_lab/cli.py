@@ -71,13 +71,15 @@ def _emit_json(args: argparse.Namespace, payload) -> None:
     _emit(args, lambda fh: fh.write(text))
 
 
-def _parse_curve(text: str) -> ell.EllipticCurve:
-    a_text, _, b_text = text.partition(",")
-    return ell.EllipticCurve(int(a_text), int(b_text))
-
-
-def _format_curve(curve: ell.EllipticCurve) -> str:
-    return f"{curve.A},{curve.B}"
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan, inf and overflow exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -180,7 +182,7 @@ def _cmd_extremal(args: argparse.Namespace) -> None:
 
 
 def _cmd_elliptic(args: argparse.Namespace) -> None:
-    curve = _parse_curve(args.curve)
+    curve = seq.parse_curve(args.curve)
     x = args.x
     if x < 2:
         raise ParameterError(f"--x must be >= 2, got {x}")
@@ -194,7 +196,7 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
     margin = min(ell.hasse_margin(curve, p, order) for p, order in orders.entries)
     payload = {
         "report": "theorem5",
-        "curve": _format_curve(curve),
+        "curve": seq.format_curve(curve),
         "moment": dataclasses.asdict(report),
         "hasse_min_margin": margin,
     }
@@ -292,7 +294,8 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
             records.append(
                 {
                     "lemma": "gamma_bound",
-                    "parameters": {"s": s, "x_min": 1.0, "x_max": args.x_max, "step": 0.25},
+                    "parameters": {"s": s, "x_min": lem.GAMMA_GRID_X_MIN,
+                                   "x_max": args.x_max, "step": lem.GAMMA_GRID_STEP},
                     "witness_value": worst,
                     "bound": 1.0,
                     "pass": ok,
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sieve", parents=[common], help="prime table statistics")
     p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
     p.add_argument("--limit", type=int, default=10**6)
-    p.add_argument("--x", type=float, default=None)
+    p.add_argument("--x", type=_finite_float, default=None)
     p.set_defaults(handler=_cmd_sieve)
 
     p = sub.add_parser("moments", parents=[common], help="moment-sum reports")
@@ -389,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", default=None)
     p.add_argument("--x", type=int, default=1000)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--M", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=0.5)
+    p.add_argument("--M", type=_finite_float, default=None)
     p.add_argument("--poly", default=None, help="coefficients a_k,...,a_0")
-    p.add_argument("--z", type=float, default=100.0)
+    p.add_argument("--z", type=_finite_float, default=100.0)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--bs", default=None, help="comma-separated shifts b_i")
     p.set_defaults(handler=_cmd_moments)
@@ -400,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", parents=[common], help="extremal-set construction")
     p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--z", type=float, default=None)
+    p.add_argument("--y", type=_finite_float, default=None)
+    p.add_argument("--z", type=_finite_float, default=None)
     p.add_argument("--alphas", default=None, help="comma-separated alpha sweep")
     p.set_defaults(handler=_cmd_extremal)
 
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
     p.add_argument("--curve", required=True, help="A,B")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--census-mod", type=int, default=None)
     p.add_argument("--report", choices=("theorem5", "orders"), default="theorem5")
@@ -432,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seq", default=None)
     p.add_argument("--x", type=int, default=2**16)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--a", type=int, default=2)
     p.add_argument("--b", type=int, default=2)
-    p.add_argument("--P", type=float, default=10**4)
+    p.add_argument("--P", type=_finite_float, default=10**4)
     p.add_argument("--z", type=int, default=20)
     p.add_argument("--trial-cap", type=int, default=10**5)
     p.add_argument("--budget", type=int, default=rom.DEFAULT_BUDGET)
@@ -446,11 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", action="store_true")
     p.add_argument("--s-max", type=int, default=12)
-    p.add_argument("--x-max", type=float, default=50.0)
+    p.add_argument("--x-max", type=_finite_float, default=50.0)
     p.add_argument("--prime-sums", action="store_true")
     p.add_argument("--min-pk", action="store_true")
     p.add_argument("--abel", action="store_true")
-    p.add_argument("--tail-limit", type=float, default=10**5)
+    p.add_argument("--tail-limit", type=_finite_float, default=10**5)
     p.set_defaults(handler=_cmd_lemmas)
 
     p = sub.add_parser(

@@ -320,7 +320,7 @@ def _residues(n: int, ps: np.ndarray) -> np.ndarray:
 def _powmod_lanes(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """base^e mod p lane by lane, square-and-multiply over the bits of e."""
     result = np.ones_like(base)
-    for bit in range(int(e.max()).bit_length()):
+    for bit in range(int(e.max(initial=0)).bit_length()):
         result = np.where((e >> bit) & 1 == 1, result * base % p, result)
         base = base * base % p
     return result

@@ -51,13 +51,17 @@ def incomplete_gamma(s: int, x: float) -> GammaValue:
     return GammaValue(s=s, x=x, value=value, bound=bound)
 
 
+GAMMA_GRID_X_MIN = 1.0
+GAMMA_GRID_STEP = 0.25
+
+
 def gamma_bound_grid(s: int, x_max: float) -> tuple[float, bool]:
-    """Largest Gamma(s, x)/bound over the grid x = 1 + 0.25 i <= x_max, and
-    whether the bound holds at every grid point."""
+    """Largest Gamma(s, x)/bound over the grid x = GAMMA_GRID_X_MIN + i *
+    GAMMA_GRID_STEP <= x_max, and whether the bound holds at every point."""
     worst = 0.0
     ok = True
-    for i in range(int((x_max - 1.0) / 0.25) + 1):
-        gv = incomplete_gamma(s, 1.0 + 0.25 * i)
+    for i in range(int((x_max - GAMMA_GRID_X_MIN) / GAMMA_GRID_STEP) + 1):
+        gv = incomplete_gamma(s, GAMMA_GRID_X_MIN + GAMMA_GRID_STEP * i)
         worst = max(worst, gv.value / gv.bound)
         ok = ok and gv.value <= gv.bound
     return worst, ok

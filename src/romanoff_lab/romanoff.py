@@ -4,7 +4,10 @@ Romanoff-type density bounds, together with the supporting statistics:
 shifted-prime counts, multiplicative orders, order-weighted prime sums, and
 polynomial root counts modulo m.
 
-r(n) is counted exactly, by int8 shift-and-add of the prime indicator.
+r(n) is counted exactly, by int8 shift-and-add of the prime indicator. The
+orders h_a(p) of an order-weighted sum are found in numpy lanes, one per
+prime, peeling p - 1 through the spf table; multiplicative_order is the
+scalar path and their oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, RangeError
+from .elliptic import _LANE_PRIME_LIMIT, _powmod_lanes, _residues
+from .errors import CapacityError, DomainError, ParameterError, RangeError, TableIntegrityError
 from .moments import PolynomialSpec
 from .sieve import FactorSieve, PrimeList, factorize_trial, is_prime, totient_trial
 from .sequences import (
@@ -41,6 +45,9 @@ ROOT_COUNT_MODULUS_CAP = 10**7
 
 # CSV lines formatted by one % operation
 _CSV_ROWS = 2**16
+
+# primes per _lane_orders call of order_weighted_sum; bounds the lane arrays
+_ORDER_LANES = 2**16
 
 
 @dataclass(frozen=True)
@@ -255,6 +262,48 @@ def _order_mod_prime(a: int, p: int, sieve: FactorSieve | None) -> int:
     return h
 
 
+def _lane_orders(
+    a: int, ps: np.ndarray, sieve: FactorSieve | None, primes: PrimeList
+) -> np.ndarray:
+    """h_a(p) for each prime p of ps (0 where p divides a): the descent of
+    _order_mod_prime in numpy lanes. From h = rem = p - 1, each pass peels q =
+    the least prime factor of rem (from the sieve where it covers rem, else by
+    trial division over the primes up to sqrt(max ps), a leftover being prime);
+    a lane not closed on q divides h by q if a^(h/q) = 1 (mod p), else closes."""
+    assert (ps < _LANE_PRIME_LIMIT).all()  # residue products fit in int64
+    base = np.int64(a) % ps if a < 2**62 else _residues(a, ps)
+    h = np.where(base == 0, 0, ps - 1)
+    idx = np.flatnonzero(h > 1)
+    top = int(ps.max(initial=2))
+    spf = sieve.spf if sieve is not None else np.zeros(1, dtype=np.uint32)
+    small = np.append(primes.upto(math.isqrt(top)), math.isqrt(top) + 1)
+    rem, closed_on, trial = h[idx], np.zeros_like(idx), np.zeros_like(idx)
+    # each pass divides rem by q >= 2; the bound keeps a corrupted table from looping
+    for _ in range(top.bit_length()):
+        covered = rem < spf.size
+        q = np.where(covered, spf[np.minimum(rem, spf.size - 1)], rem)
+        look = np.flatnonzero(~covered)
+        while look.size:
+            d = small[trial[look]]
+            hit = rem[look] % d == 0
+            q[look[hit]] = d[hit]
+            look = look[~hit & (d * d <= rem[look])]
+            trial[look] += 1
+        if not q.all() or (rem % q).any():
+            break  # an spf entry that does not divide its n
+        t = np.flatnonzero(q != closed_on)
+        j = idx[t]
+        ok = np.zeros(idx.size, dtype=bool)
+        ok[t] = _powmod_lanes(base[j], h[j] // q[t], ps[j]) == 1
+        h[idx[ok]] //= q[ok]
+        rem //= q
+        keep = rem > 1
+        idx, rem, closed_on, trial = (v[keep] for v in (idx, rem, np.where(ok, 0, q), trial))
+    if idx.size:
+        raise TableIntegrityError("spf table does not factor every p - 1")
+    return h
+
+
 def order_weighted_sum(
     a: int,
     b: int,
@@ -263,17 +312,18 @@ def order_weighted_sum(
     sieve: FactorSieve | None = None,
 ) -> float:
     """Partial sum over p <= P, p coprime to a, of ln(p) / (p * h_a(p)^(1/b));
-    nondecreasing in P and convergent, the key sum behind the tower bounds."""
+    nondecreasing in P and convergent, the key sum behind the tower bounds.
+    Orders come from _lane_orders; multiplicative_order is their scalar oracle."""
     if a < 2 or b < 2:
         raise ParameterError("need a >= 2 and b >= 2")
-    parts = []
-    for p in primes.upto(P):
-        p = int(p)
-        if a % p == 0:
-            continue
-        h = _order_mod_prime(a, p, sieve)
-        parts.append(math.log(p) / (p * h ** (1.0 / b)))
-    return math.fsum(parts)
+    ps = primes.upto(P)
+    chunks = (ps[i : i + _ORDER_LANES] for i in range(0, len(ps), _ORDER_LANES))
+    return math.fsum(
+        math.log(p) / (p * h ** (1.0 / b))
+        for c in chunks
+        for p, h in zip(c.tolist(), _lane_orders(a, c, sieve, primes).tolist())
+        if h
+    )
 
 
 @dataclass(frozen=True)

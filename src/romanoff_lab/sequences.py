@@ -79,9 +79,24 @@ class Explicit:
 SequenceSpec = Union[Geometric, PowerTower, Polynomial, EllipticOrders, Explicit]
 
 
+def parse_curve(text: str) -> EllipticCurve:
+    """The curve of the text "A,B" (``--curve``, ``ecorders:A,B``)."""
+    try:
+        A, B = (int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"malformed curve {text!r}: {exc}") from exc
+    return EllipticCurve(A, B)
+
+
+def format_curve(curve: EllipticCurve) -> str:  # inverse of parse_curve
+    return f"{curve.A},{curve.B}"
+
+
 def parse_sequence_spec(text: str) -> SequenceSpec:
     """Parse the canonical textual form; inverse of format_sequence_spec."""
     kind, _, rest = text.partition(":")
+    if kind == "ecorders":
+        return EllipticOrders(parse_curve(rest))
     try:
         if kind == "geom":
             parts = rest.split(":")
@@ -99,9 +114,6 @@ def parse_sequence_spec(text: str) -> SequenceSpec:
         if kind == "poly":
             coeffs = [int(c) for c in rest.split(",")]
             return Polynomial(PolynomialSpec.from_descending(coeffs))
-        if kind == "ecorders":
-            a_text, b_text = rest.split(",")
-            return EllipticOrders(EllipticCurve(int(a_text), int(b_text)))
         if kind == "explicit":
             if rest.startswith("@"):
                 with open(rest[1:], "r", encoding="utf-8") as fh:
@@ -125,7 +137,7 @@ def format_sequence_spec(spec: SequenceSpec) -> str:
         coeffs = ",".join(str(c) for c in reversed(spec.poly.coeffs))
         return f"poly:{coeffs}"
     if isinstance(spec, EllipticOrders):
-        return f"ecorders:{spec.curve.A},{spec.curve.B}"
+        return f"ecorders:{format_curve(spec.curve)}"
     if isinstance(spec, Explicit):
         return "explicit:" + ",".join(str(v) for v in spec.values)
     raise ParameterError(f"not a sequence spec: {spec!r}")

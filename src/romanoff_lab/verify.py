@@ -91,7 +91,7 @@ def verify_all(seed: int = 0) -> dict:
     peak = float(table3[1:].max())
     criteria.append(_criterion(3, "large_prime_product_max", peak < 5.0, max=peak))
 
-    # 4. incomplete gamma bound on the full grid, x = 1 + 0.25 i <= 50
+    # 4. incomplete gamma bound on the full lemmas.gamma_bound_grid grid up to x = 50
     grids = [lem.gamma_bound_grid(s, 50.0) for s in range(1, 13)]
     worst = max(w for w, _ in grids)
     ok4 = all(ok for _, ok in grids)
