@@ -314,6 +314,8 @@ def _count_points_prime(curve: EllipticCurve, p: int) -> int:
 
 def _residues(n: int, ps: np.ndarray) -> np.ndarray:
     """n mod p for each p of ps, exact for a Python int n of any size."""
+    if -(2**62) < n < 2**62:  # numpy's %, like Python's, takes the sign of p
+        return np.int64(n) % ps
     return np.array([n % p for p in ps.tolist()], dtype=np.int64)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, ConstructionError, ParameterError
 from .moments import _ratio_power_fsum
-from .sieve import FactorSieve, PrimeList
+from .sieve import FactorSieve, PrimeList, check_finite
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ def construct_extremal_set(
     """
     if M < 1:
         raise ParameterError(f"M={M} must be >= 1")
-    if y < 2:
+    check_finite("z", z)
+    if not y >= 2:  # false for nan too
         raise ParameterError(f"y={y} must be >= 2")
     if z <= y:
         raise ParameterError(f"need z > y, got y={y}, z={z}")

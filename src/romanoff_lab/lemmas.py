@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ParameterError
-from .sieve import PrimeList
+from .sieve import PrimeList, check_finite
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ def incomplete_gamma(s: int, x: float) -> GammaValue:
     """
     if s < 1:
         raise ParameterError(f"s={s} must be a positive integer")
+    check_finite("x", x)
     if x < 0:
         raise ParameterError(f"x={x} must be >= 0")
     term = 1.0
@@ -58,6 +59,7 @@ GAMMA_GRID_STEP = 0.25
 def gamma_bound_grid(s: int, x_max: float) -> tuple[float, bool]:
     """Largest Gamma(s, x)/bound over the grid x = GAMMA_GRID_X_MIN + i *
     GAMMA_GRID_STEP <= x_max, and whether the bound holds at every point."""
+    check_finite("x_max", x_max)
     worst = 0.0
     ok = True
     for i in range(int((x_max - GAMMA_GRID_X_MIN) / GAMMA_GRID_STEP) + 1):

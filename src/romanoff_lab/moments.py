@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 from .exact import exact_fraction_sum
-from .sieve import FactorSieve, PrimeList, totient, totient_ratio
+from .sieve import FactorSieve, PrimeList, check_finite, totient, totient_ratio
 
 
 @dataclass(frozen=True)
@@ -267,6 +267,7 @@ def _family_report(values, what, lead, k, z, s, sieve, parameters) -> MomentRepo
 
 def poly_values(poly: PolynomialSpec, z: float) -> list[int]:
     """|R(n)| over -z <= n <= z, skipping the roots of R."""
+    check_finite("z", z)
     half = math.floor(z)
     return [abs(r) for r in map(poly.evaluate, range(-half, half + 1)) if r != 0]
 
@@ -309,6 +310,7 @@ def delta_L(a: int, b: int, bs: Sequence[int]) -> int:
 
 def delta_values(a: int, bs: Sequence[int], z: float) -> list[int]:
     """Delta_L for every L(n) = an + b with b in [-z, z] outside the family."""
+    check_finite("z", z)
     half = math.floor(z)
     excluded = set(int(b) for b in bs)
     return [delta_L(a, b, bs) for b in range(-half, half + 1) if b not in excluded]

@@ -7,7 +7,9 @@ polynomial root counts modulo m.
 r(n) is counted exactly, by int8 shift-and-add of the prime indicator. The
 orders h_a(p) of an order-weighted sum are found in numpy lanes, one per
 prime, peeling p - 1 through the spf table; multiplicative_order is the
-scalar path and their oracle.
+scalar path and their oracle. A call given no table, or one short of the
+largest p - 1, builds one up to the largest p with build_sieve: about 4 bytes
+per n, so 400 MB at the 10^8 table cap.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import _LANE_PRIME_LIMIT, _powmod_lanes, _residues
-from .errors import CapacityError, DomainError, ParameterError, RangeError, TableIntegrityError
+from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 from .moments import PolynomialSpec
-from .sieve import FactorSieve, PrimeList, factorize_trial, is_prime, totient_trial
+from .sieve import FactorSieve, PrimeList, build_sieve, factorize_trial, is_prime, totient_trial
 from .sequences import (
     Explicit,
     PowerTower,
@@ -46,7 +48,7 @@ ROOT_COUNT_MODULUS_CAP = 10**7
 # CSV lines formatted by one % operation
 _CSV_ROWS = 2**16
 
-# primes per _lane_orders call of order_weighted_sum; bounds the lane arrays
+# primes per _lane_mult_orders call of order_weighted_sum; bounds the lane arrays
 _ORDER_LANES = 2**16
 
 
@@ -221,10 +223,7 @@ def schnirelmann_pi2(x: float, a: int, primes: PrimeList) -> ShiftedPrimeCount:
         raise ParameterError(f"shift a={a} must be >= 1")
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
-    if x + a > primes.limit:
-        raise RangeError(
-            f"x + a = {x + a:g} exceeds prime table limit {primes.limit}"
-        )
+    primes.check_range(x + a)
     ps = primes.upto(x)
     shifted = ps + a
     idx = np.searchsorted(primes.values, shifted)
@@ -246,15 +245,8 @@ def multiplicative_order(a: int, p: int, sieve: FactorSieve | None = None) -> in
         raise DomainError(f"p={p} is not prime")
     if a % p == 0:
         raise DomainError(f"gcd(a, p) != 1 for a={a}, p={p}")
-    return _order_mod_prime(a, p, sieve)
-
-
-def _order_mod_prime(a: int, p: int, sieve: FactorSieve | None) -> int:
-    """multiplicative_order for a prime p not dividing a, unchecked."""
-    if sieve is not None and p - 1 <= sieve.limit and p > 2:
-        factors = sieve.factorize(p - 1)
-    else:
-        factors = factorize_trial(p - 1) if p > 2 else []
+    covered = sieve is not None and p - 1 <= sieve.limit
+    factors = sieve.factorize(p - 1) if covered else factorize_trial(p - 1)
     h = p - 1
     for q, _ in factors:
         while h % q == 0 and pow(a, h // q, p) == 1:
@@ -262,43 +254,30 @@ def _order_mod_prime(a: int, p: int, sieve: FactorSieve | None) -> int:
     return h
 
 
-def _lane_orders(
-    a: int, ps: np.ndarray, sieve: FactorSieve | None, primes: PrimeList
-) -> np.ndarray:
+def _lane_mult_orders(a: int, ps: np.ndarray, sieve: FactorSieve) -> np.ndarray:
     """h_a(p) for each prime p of ps (0 where p divides a): the descent of
-    _order_mod_prime in numpy lanes. From h = rem = p - 1, each pass peels q =
-    the least prime factor of rem (from the sieve where it covers rem, else by
-    trial division over the primes up to sqrt(max ps), a leftover being prime);
-    a lane not closed on q divides h by q if a^(h/q) = 1 (mod p), else closes."""
+    multiplicative_order in numpy lanes, over a sieve that covers every p - 1.
+    From h = rem = p - 1, each pass peels q = spf[rem]; a lane not closed on q
+    divides h by q if a^(h/q) = 1 (mod p), else closes."""
     assert (ps < _LANE_PRIME_LIMIT).all()  # residue products fit in int64
-    base = np.int64(a) % ps if a < 2**62 else _residues(a, ps)
+    top = int(ps.max(initial=2))
+    sieve.check_range(top - 1)
+    base = _residues(a, ps)
     h = np.where(base == 0, 0, ps - 1)
     idx = np.flatnonzero(h > 1)
-    top = int(ps.max(initial=2))
-    spf = sieve.spf if sieve is not None else np.zeros(1, dtype=np.uint32)
-    small = np.append(primes.upto(math.isqrt(top)), math.isqrt(top) + 1)
-    rem, closed_on, trial = h[idx], np.zeros_like(idx), np.zeros_like(idx)
+    rem, closed_on = h[idx], np.zeros_like(idx)
     # each pass divides rem by q >= 2; the bound keeps a corrupted table from looping
     for _ in range(top.bit_length()):
-        covered = rem < spf.size
-        q = np.where(covered, spf[np.minimum(rem, spf.size - 1)], rem)
-        look = np.flatnonzero(~covered)
-        while look.size:
-            d = small[trial[look]]
-            hit = rem[look] % d == 0
-            q[look[hit]] = d[hit]
-            look = look[~hit & (d * d <= rem[look])]
-            trial[look] += 1
+        q = sieve.spf[rem].astype(np.int64)
         if not q.all() or (rem % q).any():
             break  # an spf entry that does not divide its n
-        t = np.flatnonzero(q != closed_on)
-        j = idx[t]
-        ok = np.zeros(idx.size, dtype=bool)
-        ok[t] = _powmod_lanes(base[j], h[j] // q[t], ps[j]) == 1
+        ok = q != closed_on
+        j = idx[ok]
+        ok[ok] = _powmod_lanes(base[j], h[j] // q[ok], ps[j]) == 1
         h[idx[ok]] //= q[ok]
         rem //= q
         keep = rem > 1
-        idx, rem, closed_on, trial = (v[keep] for v in (idx, rem, np.where(ok, 0, q), trial))
+        idx, rem, closed_on = idx[keep], rem[keep], np.where(ok, 0, q)[keep]
     if idx.size:
         raise TableIntegrityError("spf table does not factor every p - 1")
     return h
@@ -313,15 +292,18 @@ def order_weighted_sum(
 ) -> float:
     """Partial sum over p <= P, p coprime to a, of ln(p) / (p * h_a(p)^(1/b));
     nondecreasing in P and convergent, the key sum behind the tower bounds.
-    Orders come from _lane_orders; multiplicative_order is their scalar oracle."""
+    Orders come from _lane_mult_orders; multiplicative_order is their scalar
+    oracle. Without a sieve that covers max p - 1, one is built up to max p."""
     if a < 2 or b < 2:
         raise ParameterError("need a >= 2 and b >= 2")
     ps = primes.upto(P)
+    if ps.size and (sieve is None or sieve.limit < ps[-1] - 1):
+        sieve = build_sieve(int(ps[-1]))
     chunks = (ps[i : i + _ORDER_LANES] for i in range(0, len(ps), _ORDER_LANES))
     return math.fsum(
         math.log(p) / (p * h ** (1.0 / b))
         for c in chunks
-        for p, h in zip(c.tolist(), _lane_orders(a, c, sieve, primes).tolist())
+        for p, h in zip(c.tolist(), _lane_mult_orders(a, c, sieve).tolist())
         if h
     )
 

@@ -25,7 +25,7 @@ import numpy as np
 from .elliptic import EllipticCurve, order_sequence
 from .errors import CapacityError, DomainError, ParameterError, RangeError
 from .moments import PolynomialSpec
-from .sieve import PrimeList
+from .sieve import PrimeList, check_finite
 
 # generation guard: no family may expand to more terms than this
 MAX_GENERATED_TERMS = 10**8
@@ -183,10 +183,7 @@ def _elliptic_order_terms(
     if primes is None:
         raise RangeError("EllipticOrders enumeration needs a prime table")
     q_bound = elliptic_prime_bound(x)
-    if q_bound > primes.limit:
-        raise RangeError(
-            f"prime table limit {primes.limit} below the needed bound {q_bound}"
-        )
+    primes.check_range(q_bound)
     return [n for n in order_sequence(curve, q_bound, primes).orders() if n <= x]
 
 
@@ -194,6 +191,7 @@ def enumerate_terms(
     spec: SequenceSpec, x: float, primes: PrimeList | None = None
 ) -> list[int]:
     """All terms a_j <= x, with multiplicity, in ascending order."""
+    check_finite("x", x)
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
     if isinstance(spec, Geometric):
@@ -275,15 +273,12 @@ def congruence_pair_sum(
     residue classes r, less sum_v C(c_v, 2) over the values v, c_v = ord_A(v).
     normalized = raw / N_A(x)^2, the empirical gamma_2.
     """
-    if alpha <= 0:
+    if not alpha > 0:  # nan too
         raise ParameterError(f"alpha={alpha} must be positive")
     if x <= 1:
         raise ParameterError(f"x={x} must exceed 1")
     cutoff = math.log(x) ** alpha
-    if cutoff > primes.limit:
-        raise RangeError(
-            f"prime cutoff {cutoff:g} exceeds prime table limit {primes.limit}"
-        )
+    primes.check_range(cutoff)
     terms = enumerate_terms(spec, x, primes)
     if not terms:
         raise DomainError(f"sequence has no terms <= {x}")

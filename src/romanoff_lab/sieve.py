@@ -57,6 +57,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_finite(name: str, value: float) -> None:
+    """ParameterError for nan or +-inf; unlike math.isfinite, takes ints of any size."""
+    if not -math.inf < value < math.inf:
+        raise ParameterError(f"{name}={value} is not a finite number")
+
+
 # past this trial divisor, factorize_trial asks is_prime about the cofactor
 _TRIAL_CERTIFY_FROM = 2**16
 
@@ -136,6 +142,8 @@ class FactorSieve:
         spf = self.spf
         while n > 1:
             p = int(spf[n])
+            if p < 2 or n % p:
+                raise TableIntegrityError(f"spf entry {p} at n={n} does not factor it")
             e = 0
             while n % p == 0:
                 n //= p
@@ -294,6 +302,7 @@ class PrimeList:
         return cls(limit=limit, values=values)
 
     def check_range(self, x: float) -> None:
+        check_finite("x", x)
         if x > self.limit:
             raise RangeError(f"x={x} exceeds prime table limit {self.limit}")
 

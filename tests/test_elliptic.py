@@ -25,7 +25,7 @@ from romanoff_lab.errors import (
     TableIntegrityError,
 )
 from romanoff_lab.moments import moment_sum
-from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
+from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve, is_prime
 
 # hypothesis tests cannot take pytest fixtures; orders up to 1 + 2x stay in range
 HYP_SIEVE = build_sieve(10**4)
@@ -723,3 +723,29 @@ class TestOrderFourPointSkipped:
         assert all(ell._ec_add((x, y), (x, y), a, p) != (0, 0) for x, y, a, p in tried)
         if A == 1:
             assert lane_points < 1.5 * len(ps)
+
+
+def next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+class TestResidues:
+    """_residues in int64 for |n| < 2^62 and on Python ints beyond."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(2**62 - 2**12, 2**62 + 2**12),
+            st.integers(-(2**62) - 2**12, -(2**62) + 2**12),
+            st.integers(-(2**70), 0),
+            st.integers(2**64, 2**90),
+        ),
+        # 2^31 - 1 is prime, so every next_prime stays below 2^31
+        ps=st.lists(st.integers(2, 2**31 - 1).map(next_prime), max_size=20),
+    )
+    def test_equals_python_mod(self, n, ps):
+        got = ell._residues(n, np.array(ps, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [n % p for p in ps]

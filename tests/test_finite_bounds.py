@@ -1,0 +1,71 @@
+"""Every library call with a float bound refuses nan and +-inf with
+ParameterError, at once: none hangs, and none raises OverflowError or a bare
+ValueError from int() or math.floor."""
+
+import math
+import signal
+
+import pytest
+
+from romanoff_lab.elliptic import EllipticCurve
+from romanoff_lab.errors import ParameterError
+from romanoff_lab.extremal import construct_extremal_set
+from romanoff_lab.lemmas import gamma_bound_grid, incomplete_gamma
+from romanoff_lab.moments import PolynomialSpec, delta_values, poly_values
+from romanoff_lab.romanoff import order_weighted_sum, schnirelmann_pi2
+from romanoff_lab.sequences import (
+    EllipticOrders,
+    Geometric,
+    Polynomial,
+    PowerTower,
+    congruence_pair_sum,
+    enumerate_terms,
+)
+from romanoff_lab.sieve import PrimeList, build_sieve, chebyshev_theta, mertens_products
+
+PRIMES = PrimeList.build(10**4)
+SIEVE = build_sieve(1000)
+SQUARES = PolynomialSpec.from_descending([1, 0, 0])
+
+CALLS = {
+    "PrimeList.upto": lambda v: PRIMES.upto(v),
+    "enumerate_terms tower": lambda v: enumerate_terms(PowerTower(2, 2), v),
+    "enumerate_terms poly": lambda v: enumerate_terms(Polynomial(SQUARES), v),
+    "enumerate_terms geom": lambda v: enumerate_terms(Geometric(2), v),
+    "enumerate_terms ecorders": lambda v: enumerate_terms(
+        EllipticOrders(EllipticCurve(1, 1)), v, PRIMES
+    ),
+    "congruence_pair_sum x": lambda v: congruence_pair_sum(Geometric(2), v, 1.0, PRIMES),
+    "congruence_pair_sum alpha": lambda v: congruence_pair_sum(Geometric(2), 100, v, PRIMES),
+    "order_weighted_sum": lambda v: order_weighted_sum(2, 2, v, PRIMES),
+    "schnirelmann_pi2": lambda v: schnirelmann_pi2(v, 2, PRIMES),
+    "chebyshev_theta": lambda v: chebyshev_theta(v, PRIMES),
+    "mertens_products": lambda v: mertens_products(v, PRIMES),
+    "incomplete_gamma": lambda v: incomplete_gamma(2, v),
+    "gamma_bound_grid": lambda v: gamma_bound_grid(2, v),
+    "poly_values": lambda v: poly_values(SQUARES, v),
+    "delta_values": lambda v: delta_values(1, [0], v),
+    "construct_extremal_set y": lambda v: construct_extremal_set(100, v, 10.0, SIEVE),
+    "construct_extremal_set z": lambda v: construct_extremal_set(100, 2.5, v, SIEVE),
+}
+
+
+@pytest.fixture
+def within_a_second():
+    """Turns a hang into a failure: SIGALRM raises after one second."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the call did not return within a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(CALLS))
+def test_nonfinite_bound_is_a_parameter_error(call, value, within_a_second):
+    with pytest.raises(ParameterError):
+        CALLS[call](value)

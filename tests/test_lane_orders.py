@@ -7,22 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from romanoff_lab import romanoff
-from romanoff_lab.errors import TableIntegrityError
-from romanoff_lab.romanoff import (
-    _lane_orders,
-    _order_mod_prime,
-    multiplicative_order,
-    order_weighted_sum,
-)
+from romanoff_lab.errors import RangeError, TableIntegrityError
+from romanoff_lab.romanoff import _lane_mult_orders, multiplicative_order, order_weighted_sum
 from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
 
 # hypothesis tests cannot take pytest fixtures
 LANE_PRIMES = PrimeList.build(2 * 10**4)
-LANE_SIEVES = {
-    "covering": build_sieve(2 * 10**4),
-    "none": None,
-    "short": build_sieve(1000),  # p - 1 above 1000 goes to trial division
-}
+LANE_SIEVE = build_sieve(2 * 10**4)
+# order_weighted_sum builds its own covering table for the last two
+SUM_SIEVES = {"covering": LANE_SIEVE, "none": None, "short": build_sieve(1000)}
 
 
 class TestLaneOrders:
@@ -31,18 +24,17 @@ class TestLaneOrders:
         a=st.integers(2, 2**70),
         start=st.integers(0, len(LANE_PRIMES.values)),
         width=st.integers(0, 300),
-        route=st.sampled_from(sorted(LANE_SIEVES)),
     )
-    @example(a=3, start=0, width=1, route="covering")  # the window {2}
-    @example(a=2, start=0, width=0, route="none")  # the empty window
-    @example(a=2 * 3 * 5 * 7, start=0, width=30, route="short")  # p | a skipped
-    @example(a=211, start=0, width=6, route="none")  # 211 = 1 mod 2, 3, 5, 7
-    @example(a=2**62 - 1, start=2000, width=262, route="short")  # int64 residues
-    @example(a=2**62, start=2000, width=262, route="covering")  # Python residues
-    def test_matches_scalar_descent(self, a, start, width, route):
+    @example(a=3, start=0, width=1)  # the window {2}
+    @example(a=2, start=0, width=0)  # the empty window
+    @example(a=2 * 3 * 5 * 7, start=0, width=30)  # p | a skipped
+    @example(a=211, start=0, width=6)  # 211 = 1 mod 2, 3, 5, 7
+    @example(a=2**62 - 1, start=2000, width=262)  # int64 residues
+    @example(a=2**62, start=2000, width=262)  # Python residues
+    def test_matches_scalar_descent(self, a, start, width):
         ps = LANE_PRIMES.values[start : start + width]
-        got = _lane_orders(a, ps, LANE_SIEVES[route], LANE_PRIMES)
-        want = [0 if a % p == 0 else _order_mod_prime(a, p, None) for p in ps.tolist()]
+        got = _lane_mult_orders(a, ps, LANE_SIEVE)
+        want = [0 if a % p == 0 else multiplicative_order(a, p) for p in ps.tolist()]
         assert got.tolist() == want
 
     # 101 - 1 = 2 * 50 never leaves 50; 29 - 1 = 4 * 7 meets 13 or 0 at 7
@@ -52,7 +44,11 @@ class TestLaneOrders:
         spf[n] = entry
         broken = FactorSieve(limit=200, spf=spf)
         with pytest.raises(TableIntegrityError):
-            _lane_orders(3, LANE_PRIMES.upto(200), broken, LANE_PRIMES)
+            _lane_mult_orders(3, LANE_PRIMES.upto(200), broken)
+
+    def test_table_short_of_p_minus_1_is_refused(self):
+        with pytest.raises(RangeError):
+            _lane_mult_orders(3, LANE_PRIMES.upto(2000), build_sieve(1000))
 
 
 def reference_sum(a, b, P, primes):
@@ -67,10 +63,20 @@ def reference_sum(a, b, P, primes):
 class TestOrderWeightedSumMatchesScalar:
     @pytest.mark.parametrize("b", [2, 3])
     @pytest.mark.parametrize("a", [2, 3, 6, 2**70])
-    def test_equal_to_reference(self, a, b, primes100k, sieve1m):
+    def test_equal_to_reference(self, a, b, primes100k):
         want = reference_sum(a, b, 2 * 10**4, primes100k)
-        for sieve in (sieve1m, None):
+        for sieve in SUM_SIEVES.values():
             assert order_weighted_sum(a, b, 2 * 10**4, primes100k, sieve) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.integers(2, 2**70),
+        P=st.floats(0, 2 * 10**4),
+        route=st.sampled_from(["none", "short"]),
+    )
+    def test_every_route_gives_the_covering_sum(self, a, P, route):
+        want = order_weighted_sum(a, 2, P, LANE_PRIMES, LANE_SIEVE)
+        assert order_weighted_sum(a, 2, P, LANE_PRIMES, SUM_SIEVES[route]) == want
 
     def test_chunk_boundaries_leave_the_sum_unchanged(self, primes100k, sieve1m, monkeypatch):
         want = order_weighted_sum(2, 2, 2 * 10**4, primes100k, sieve1m)

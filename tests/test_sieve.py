@@ -373,6 +373,20 @@ class TestTotients:
             corrupt.totients([4, 9])
 
 
+class TestFactorizeCorruptTable:
+    # the corruptions of test_lane_orders' test_table_that_does_not_factor:
+    # an entry of 1, one that does not divide its n, and 0
+    @pytest.mark.parametrize("n, entry", [(50, 1), (7, 13), (7, 0)])
+    def test_raises_instead_of_looping(self, n, entry):
+        spf = build_sieve(200).spf.copy()
+        spf[n] = entry
+        broken = FactorSieve(limit=200, spf=spf)
+        with pytest.raises(TableIntegrityError):
+            broken.factorize(n)
+        with pytest.raises(TableIntegrityError):
+            totient(n, broken)
+
+
 def _fill_edge_limits() -> list[int]:
     """2..200, then p^2 - 1, p^2 and p^2 + 1 for every prime p <= 31: the
     limits where the slice spf[p*p::p] starts at or just past the end."""
