@@ -338,6 +338,7 @@ def delta_moment_report(
         raise ParameterError(f"s={s} must be >= 1")
     if len(bs) == 0:
         raise ParameterError("the linear family must be nonempty")
+    check_finite("x", x)
     if any(abs(b) > x for b in bs):
         raise ParameterError(f"all |b_i| must be <= x={x}")
     if x >= 3 and not (math.log(x) ** 0.5 <= z <= x):

@@ -4,7 +4,8 @@ Romanoff-type density bounds, together with the supporting statistics:
 shifted-prime counts, multiplicative orders, order-weighted prime sums, and
 polynomial root counts modulo m.
 
-r(n) is counted exactly, by int8 shift-and-add of the prime indicator. The
+r(n) is counted exactly, by shift-and-add of the odd-prime indicator: each
+term adds it, shifted, into the n of the other parity, and p = 2 once. The
 orders h_a(p) of an order-weighted sum are found in numpy lanes, one per
 prime, peeling p - 1 through the spf table; multiplicative_order is the
 scalar path and their oracle. A call given no table, or one short of the
@@ -38,6 +39,11 @@ from .sequences import (
 
 # representation_counts work cap, in byte adds of the shift-and-add kernel
 DEFAULT_BUDGET = 10**11
+
+# a term adds at most 1 to a cell, so a uint8 block takes 255 terms, and a
+# uint16 mid takes 257 block flushes: 65,535 terms
+_BLOCK_TERMS = 255
+_MID_TERMS = 255 * 257
 
 # order_distribution factors a^n - 1; beyond this exponent the numbers are
 # out of honest trial-division reach
@@ -90,11 +96,15 @@ def representation_counts(
 ) -> RepresentationProfile:
     """Exact r(n) = #{(p, j) : p + a_j = n} for all n <= x.
 
-    Each term a_j <= x - 2 adds the int8 prime indicator, shifted by a_j,
-    into an int8 block, which is added into the int64 r every 127 terms.
-    ``budget`` caps that work in byte adds: a term a costs x + 1 - a, and
-    CapacityError is raised before any add when the sum over the terms
-    exceeds it.
+    The kernel runs over the odd-prime indicator odd[j] = [2j + 1 prime].
+    With c = ceil(a/2), an even term a sends 2j + 1 to the odd n = 2(j + c) + 1
+    and an odd term to the even n = 2(j + c), so each term a_j <= x - 2 is one
+    add of about (x - a)/2 bytes into a uint8 block. The block goes into a
+    uint16 mid every 255 terms, and the mid into r[1::2] (even terms) or
+    r[0::2] (odd terms) every 65,535 terms and at the end of the parity. p = 2
+    adds 1 at a + 2 for each term. ``budget`` caps the work in byte adds: a
+    term a costs x + 1 - a, about twice the bytes it touches, and
+    CapacityError is raised before any add when the sum exceeds it.
     """
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
@@ -105,16 +115,30 @@ def representation_counts(
         raise CapacityError(
             f"{len(terms)} terms cost {cost} byte adds, above budget {budget}"
         )
-    r = np.zeros(x + 1, dtype=np.int64)
-    indicator = np.zeros(x + 1, dtype=np.int8)
-    indicator[primes.upto(x)] = 1
-    block = np.zeros(x + 1, dtype=np.int8)
-    # a term adds at most 1 to a cell, so an int8 block takes 127 terms
-    for start in range(0, len(terms), 127):
-        for a in terms[start : start + 127]:
-            block[a:] += indicator[: x + 1 - a]
-        r += block
-        block[:] = 0
+    odd = np.zeros((x + 1) // 2, dtype=np.uint8)
+    odd[primes.upto(x)[1:] // 2] = 1
+    block = np.zeros(x // 2 + 1, dtype=np.uint8)
+    mid = np.zeros(x // 2 + 1, dtype=np.uint16)
+    # the first flush into each half of r assigns it, so r is never zeroed and
+    # read back; for a few terms that halves the kernel
+    r = np.empty(x + 1, dtype=np.int64)
+    for parity, out in ((0, r[1::2]), (1, r[0::2])):
+        shifts = [(a + 1) // 2 for a in terms if a % 2 == parity]
+        k = len(out)
+        blk, acc = block[:k], mid[:k]
+        for start in range(0, max(len(shifts), 1), _MID_TERMS):
+            stop = min(start + _MID_TERMS, len(shifts))
+            for s in range(start, stop, _BLOCK_TERMS):
+                for c in shifts[s : s + _BLOCK_TERMS]:
+                    blk[c:] += odd[: k - c]
+                acc += blk
+                blk[:] = 0
+            if start:
+                out += acc
+            else:
+                out[:] = acc
+            acc[:] = 0
+    np.add.at(r, np.array(terms, dtype=np.int64) + 2, 1)  # p = 2
     return RepresentationProfile(spec=spec, x=x, r=r)
 
 
@@ -195,9 +219,12 @@ def theorem6_report(
             ),
         ),
     ]
+    # at_least[t] = #{n <= x : r(n) >= t}; for integer r, r >= t iff r >= ceil(t)
+    at_least = np.cumsum(np.bincount(profile.r[1:])[::-1])[::-1]
     for c1 in DEFAULT_C1_GRID:
         threshold = c1 * n_total / log_x
-        count = density_count(profile, threshold)
+        t = math.ceil(threshold)
+        count = int(at_least[t]) if t < len(at_least) else 0
         out.append(
             ConstantEstimate(
                 name="c2_at_c1",

@@ -384,7 +384,7 @@ def mertens_products(x: float, primes: PrimeList) -> MertensProducts:
     """
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
-    ps = primes.upto(x)
+    ps = primes.upto(x).tolist()
     log_plus = math.fsum(math.log1p(1.0 / p) for p in ps)
     log_minus = -math.fsum(math.log1p(-1.0 / p) for p in ps)
     plus = math.exp(log_plus)
@@ -397,4 +397,4 @@ def chebyshev_theta(x: float, primes: PrimeList) -> float:
     """theta(x) = sum of log p over primes p <= x."""
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
-    return math.fsum(math.log(p) for p in primes.upto(x))
+    return math.fsum(math.log(p) for p in primes.upto(x).tolist())

@@ -11,7 +11,7 @@ from romanoff_lab.elliptic import EllipticCurve
 from romanoff_lab.errors import ParameterError
 from romanoff_lab.extremal import construct_extremal_set
 from romanoff_lab.lemmas import gamma_bound_grid, incomplete_gamma
-from romanoff_lab.moments import PolynomialSpec, delta_values, poly_values
+from romanoff_lab.moments import PolynomialSpec, delta_moment_report, delta_values, poly_values
 from romanoff_lab.romanoff import order_weighted_sum, schnirelmann_pi2
 from romanoff_lab.sequences import (
     EllipticOrders,
@@ -69,3 +69,10 @@ def within_a_second():
 def test_nonfinite_bound_is_a_parameter_error(call, value, within_a_second):
     with pytest.raises(ParameterError):
         CALLS[call](value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_delta_moment_report_refuses_nonfinite_x(value, within_a_second):
+    # x bounds the shifts and the advisory z window; nan passed both unseen
+    with pytest.raises(ParameterError, match="x="):
+        delta_moment_report(2, [1, 3], 10.0, 2, value, SIEVE)

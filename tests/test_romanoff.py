@@ -69,10 +69,10 @@ HYP_PRIMES = PrimeList.build(3000)
 
 @st.composite
 def term_multisets(draw):
-    """(x, terms): x small or up to 3000; a term count around the int8 block
-    size; terms drawn freely, pinned to x - 2, or one value repeated."""
+    """(x, terms): x small or up to 3000; a term count around the 255-term
+    uint8 block; terms drawn freely, pinned to x - 2, or one value repeated."""
     x = draw(st.sampled_from([1, 2, 3, 4, 5]) | st.integers(6, 3000))
-    n = draw(st.sampled_from([0, 1, 126, 127, 128, 254, 255, 300]) | st.integers(0, 400))
+    n = draw(st.sampled_from([0, 1, 126, 127, 128, 254, 255, 256, 300]) | st.integers(0, 600))
     top = max(x - 2, 1)
     kind = draw(st.sampled_from(["free", "edge", "repeat"]))
     if kind == "repeat":
@@ -96,11 +96,44 @@ class TestShiftAddKernel:
     @example((3000, (7,) * 300))
     @settings(max_examples=150, deadline=None)
     def test_kernel_matches_scatter_loop(self, case):
-        x, terms = case
-        spec = Explicit(terms)
+        self.assert_matches_oracle(*case)
+
+    @staticmethod
+    def assert_matches_oracle(x, terms):
+        spec = Explicit(tuple(terms))
         prof = representation_counts(spec, x, HYP_PRIMES)
         assert prof.r.dtype == np.int64
         assert np.array_equal(prof.r, scatter_oracle(spec, x, HYP_PRIMES))
+
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("a", [7, 8])
+    def test_block_fills_at_255_terms_of_one_parity(self, n, a):
+        # one repeated term fills a cell by n; mixed terms of a's parity too
+        self.assert_matches_oracle(3000, [a] * n)
+        self.assert_matches_oracle(3000, [a + 2 * (i % 50) for i in range(n)])
+
+    @pytest.mark.parametrize("n", [65535, 65536])
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_mid_flushes_at_65535_terms_of_one_parity(self, n, a):
+        # a uint16 mid that missed its flush would wrap r(a + 3) to 0
+        self.assert_matches_oracle(10, [a] * n)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_terms_of_one_parity_only(self, parity):
+        terms = [a for a in range(1, 2999) if a % 2 == parity]
+        self.assert_matches_oracle(3000, terms)
+        self.assert_matches_oracle(2999, terms)
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 5, 6])
+    def test_every_small_x(self, x):
+        self.assert_matches_oracle(x, list(range(1, x + 3)))
+        self.assert_matches_oracle(x, [1, 1, 2, 2, 3, 3, 4, 4])
+
+    @pytest.mark.parametrize("x", [3, 4, 999, 1000, 2999, 3000])
+    def test_term_equal_to_x_minus_2(self, x):
+        # only p = 2 reaches n <= x from a = x - 2; the odd block adds nothing there
+        self.assert_matches_oracle(x, [x - 2])
+        self.assert_matches_oracle(x, [1, 2, x - 2, x - 2])
 
 
 class TestRepresentationCounts:
@@ -235,6 +268,29 @@ class TestTheorem6Report:
     def test_empty_sequence_domain_error(self, primes100k):
         with pytest.raises(DomainError):
             theorem6_report(Explicit(()), 100, 1.0, primes100k)
+
+    def test_frontier_counts_equal_density_count(self, primes100k, monkeypatch):
+        # the frontier reads one histogram of r; density_count is its oracle.
+        # Add a c1 whose threshold is exactly an integer that r takes, where
+        # r >= t and r > t differ.
+        spec, x = Geometric(2, 0), 2**12
+        prof = representation_counts(spec, x, primes100k)
+        n_total, log_x = len(enumerate_terms(spec, x)), math.log(x)
+        exact = [
+            (t, c1)
+            for t in range(1, int(prof.r.max()) + 1)
+            for c1 in [t * log_x / n_total]
+            if c1 * n_total / log_x == t and np.any(prof.r == t)
+        ]
+        assert exact, "no c1 gives an integer threshold"
+        t, c1 = exact[0]
+        monkeypatch.setattr(rom_module, "DEFAULT_C1_GRID", (*rom_module.DEFAULT_C1_GRID, c1))
+        frontier = [e for e in theorem6_report(spec, x, 1.0, primes100k) if e.name == "c2_at_c1"]
+        assert len(frontier) == 12
+        assert frontier[-1].parameters["threshold"] == t
+        for e in frontier:
+            assert e.parameters["count"] == density_count(prof, e.parameters["threshold"])
+            assert e.value == e.parameters["count"] / x
 
     def test_geometric_density_at_small_c1(self, primes100k):
         # a desk-scale density run: more than 5% of n <= 2^16 clear the
