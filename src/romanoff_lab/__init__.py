@@ -7,183 +7,74 @@ The usual entry points:
     from romanoff_lab import build_sieve, PrimeList, totient
     from romanoff_lab import moment_sum, theorem1_report
     from romanoff_lab import representation_counts, theorem6_report
+
+Only ``errors`` and ``sieve``, which every module imports, load with the
+package. Every other public name, and every submodule, loads on first access
+(PEP 562), so a CLI call compiles only the modules its subcommand runs.
 """
 
-from .elliptic import (
-    EllipticCurve,
-    OrderSequence,
-    congruence_class_census,
-    count_points,
-    hasse_margin,
-    legendre_symbol,
-    order_sequence,
-    theorem5_report,
-)
-from .errors import (
-    CapacityError,
-    ConstructionError,
-    DomainError,
-    ParameterError,
-    RangeError,
-    TableIntegrityError,
-)
-from .extremal import AlphaSweepEntry, ExtremalSet, alpha_sweep, construct_extremal_set
-from .lemmas import (
-    GammaValue,
-    MinPkSum,
-    PrimeLogPowerSums,
-    abel_check,
-    incomplete_gamma,
-    min_pk_sum,
-    prime_log_power_sums,
-)
-from .moments import (
-    MomentReport,
-    PolynomialSpec,
-    delta_L,
-    delta_moment_report,
-    lemma1_product,
-    lemma2_check,
-    lemma2_product_table,
-    lemma3_report,
-    moment_sum,
-    omega_count,
-    poly_moment_report,
-    theorem1_report,
-)
-from .romanoff import (
-    ConstantEstimate,
-    OrderDistribution,
-    RepresentationProfile,
-    cauchy_schwarz_holds,
-    density_count,
-    konyagin_ratio,
-    multiplicative_order,
-    order_distribution,
-    order_weighted_sum,
-    representation_counts,
-    root_count,
-    schnirelmann_pi2,
-    second_moment,
-    theorem6_report,
-    theorem9_report,
-)
-from .sequences import (
-    EllipticOrders,
-    Explicit,
-    Geometric,
-    Polynomial,
-    PowerTower,
-    SequenceSpec,
-    congruence_pair_sum,
-    count_terms,
-    doubling_ratio,
-    enumerate_terms,
-    format_sequence_spec,
-    max_multiplicity,
-    parse_sequence_spec,
-    term_multiplicity,
-)
-from .sieve import (
-    FactorSieve,
-    MertensProducts,
-    PrimeList,
-    build_sieve,
-    chebyshev_theta,
-    is_prime,
-    is_squarefree,
-    mertens_products,
-    nu,
-    p_minus,
-    p_plus,
-    totient,
-    totient_ratio,
-    totient_table,
-)
-from .verify import verify_all
+import importlib
+
+from . import errors, sieve
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaSweepEntry",
-    "CapacityError",
-    "ConstantEstimate",
-    "ConstructionError",
-    "DomainError",
-    "EllipticCurve",
-    "EllipticOrders",
-    "Explicit",
-    "ExtremalSet",
-    "FactorSieve",
-    "GammaValue",
-    "Geometric",
-    "MertensProducts",
-    "MinPkSum",
-    "MomentReport",
-    "OrderDistribution",
-    "OrderSequence",
-    "ParameterError",
-    "Polynomial",
-    "PolynomialSpec",
-    "PowerTower",
-    "PrimeList",
-    "PrimeLogPowerSums",
-    "RangeError",
-    "RepresentationProfile",
-    "SequenceSpec",
-    "TableIntegrityError",
-    "abel_check",
-    "alpha_sweep",
-    "build_sieve",
-    "cauchy_schwarz_holds",
-    "chebyshev_theta",
-    "congruence_class_census",
-    "congruence_pair_sum",
-    "construct_extremal_set",
-    "count_points",
-    "count_terms",
-    "delta_L",
-    "delta_moment_report",
-    "density_count",
-    "doubling_ratio",
-    "enumerate_terms",
-    "format_sequence_spec",
-    "hasse_margin",
-    "incomplete_gamma",
-    "is_prime",
-    "is_squarefree",
-    "konyagin_ratio",
-    "legendre_symbol",
-    "lemma1_product",
-    "lemma2_check",
-    "lemma2_product_table",
-    "lemma3_report",
-    "max_multiplicity",
-    "mertens_products",
-    "min_pk_sum",
-    "moment_sum",
-    "multiplicative_order",
-    "nu",
-    "omega_count",
-    "order_distribution",
-    "order_sequence",
-    "order_weighted_sum",
-    "p_minus",
-    "p_plus",
-    "parse_sequence_spec",
-    "poly_moment_report",
-    "prime_log_power_sums",
-    "representation_counts",
-    "root_count",
-    "schnirelmann_pi2",
-    "second_moment",
-    "term_multiplicity",
-    "theorem1_report",
-    "theorem5_report",
-    "theorem6_report",
-    "theorem9_report",
-    "totient",
-    "totient_ratio",
-    "totient_table",
-    "verify_all",
-]
+# module -> the public names it owns; the one list behind __all__ and __getattr__
+_PUBLIC = {
+    "cli": "",
+    "elliptic": (
+        "EllipticCurve OrderSequence congruence_class_census count_points "
+        "hasse_margin legendre_symbol order_sequence theorem5_report"
+    ),
+    "errors": (
+        "CapacityError ConstructionError DomainError ParameterError RangeError "
+        "TableIntegrityError"
+    ),
+    "exact": "",
+    "extremal": "AlphaSweepEntry ExtremalSet alpha_sweep construct_extremal_set",
+    "lemmas": (
+        "GammaValue MinPkSum PrimeLogPowerSums abel_check incomplete_gamma "
+        "min_pk_sum prime_log_power_sums"
+    ),
+    "moments": (
+        "MomentReport PolynomialSpec delta_L delta_moment_report lemma1_product "
+        "lemma2_check lemma2_product_table lemma3_report moment_sum omega_count "
+        "poly_moment_report theorem1_report"
+    ),
+    "romanoff": (
+        "ConstantEstimate OrderDistribution RepresentationProfile "
+        "cauchy_schwarz_holds density_count konyagin_ratio multiplicative_order "
+        "order_distribution order_weighted_sum representation_counts root_count "
+        "schnirelmann_pi2 second_moment theorem6_report theorem9_report"
+    ),
+    "sequences": (
+        "EllipticOrders Explicit Geometric Polynomial PowerTower SequenceSpec "
+        "congruence_pair_sum count_terms doubling_ratio enumerate_terms "
+        "format_sequence_spec max_multiplicity parse_sequence_spec term_multiplicity"
+    ),
+    "sieve": (
+        "FactorSieve MertensProducts PrimeList build_sieve chebyshev_theta is_prime "
+        "is_squarefree mertens_products nu p_minus p_plus totient totient_ratio "
+        "totient_table"
+    ),
+    "verify": "verify_all",
+}
+_OWNER = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+__all__ = sorted(_OWNER)
+# every module builds on these two, so their names are bound at import
+_EAGER = {"errors": errors, "sieve": sieve}
+globals().update({n: getattr(_EAGER[m], n) for n, m in _OWNER.items() if m in _EAGER})
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNER, *_PUBLIC})

@@ -6,8 +6,10 @@ reports, the analytic-lemma suite, and a deterministic verify-all battery.
 JSON output is sorted and newline-terminated so identical invocations are
 byte-identical; large tabular outputs (profiles, order sequences) use CSV.
 
-Exit codes: 0 success, 2 parameter/usage errors, 3 capacity or budget errors,
-4 a table failed an integrity check.
+Exit codes: 0 success, 2 parameter/usage errors (a path that cannot be read
+or written too), 3 capacity or budget errors, 4 a table failed an integrity
+check. Each handler imports the library modules it runs, so ``--help`` loads
+no library module beyond ``errors`` and ``sieve``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,6 @@ import math
 import os
 import sys
 
-from . import elliptic as ell
-from . import extremal as ext
-from . import lemmas as lem
-from . import moments as mom
-from . import romanoff as rom
-from . import sequences as seq
-from . import verify
 from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 from .sieve import (
     PrimeList,
@@ -110,9 +105,17 @@ def _cmd_sieve(args: argparse.Namespace) -> None:
 
 
 def _cmd_moments(args: argparse.Namespace) -> None:
+    if args.report == "theorem1" and args.seq is None:
+        raise ParameterError("--report theorem1 needs --seq")
+    if args.report == "poly" and args.poly is None:
+        raise ParameterError("--report poly needs --poly")
+    if args.report == "linear" and (args.a is None or args.bs is None):
+        raise ParameterError("--report linear needs --a and --bs")
+    from . import moments as mom
+
     if args.report == "theorem1":
-        if args.seq is None:
-            raise ParameterError("--report theorem1 needs --seq")
+        from . import sequences as seq
+
         spec = seq.parse_sequence_spec(args.seq)
         x = args.x
         primes = (
@@ -130,15 +133,11 @@ def _cmd_moments(args: argparse.Namespace) -> None:
         payload["parameters"]["sequence"] = seq.format_sequence_spec(spec)
         _emit_json(args, {"report": "theorem1", "moment": payload})
     elif args.report == "poly":
-        if args.poly is None:
-            raise ParameterError("--report poly needs --poly")
         poly = mom.PolynomialSpec.from_descending(_parse_int_list(args.poly))
         sieve = make_sieve(args, max(mom.poly_values(poly, args.z), default=0))
         report = mom.poly_moment_report(poly, args.z, args.s, sieve)
         _emit_json(args, {"report": "poly", "moment": dataclasses.asdict(report)})
     elif args.report == "linear":
-        if args.a is None or args.bs is None:
-            raise ParameterError("--report linear needs --a and --bs")
         shifts = _parse_int_list(args.bs)
         values = mom.delta_values(args.a, shifts, args.z)
         sieve = make_sieve(args, max([args.a, *values]))
@@ -150,6 +149,8 @@ def _cmd_moments(args: argparse.Namespace) -> None:
 
 
 def _cmd_extremal(args: argparse.Namespace) -> None:
+    from . import extremal as ext
+
     sieve = make_sieve(args, args.M)
     if args.alphas:
         alphas = [float(v) for v in args.alphas.split(",")]
@@ -182,6 +183,9 @@ def _cmd_extremal(args: argparse.Namespace) -> None:
 
 
 def _cmd_elliptic(args: argparse.Namespace) -> None:
+    from . import elliptic as ell
+    from . import sequences as seq
+
     curve = seq.parse_curve(args.curve)
     x = args.x
     if x < 2:
@@ -212,7 +216,11 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
 
 
 def _cmd_romanoff(args: argparse.Namespace) -> None:
+    from . import romanoff as rom
+    from . import sequences as seq
+
     report = args.report
+    budget = rom.DEFAULT_BUDGET if args.budget is None else args.budget
     if report in ("frontier", "profile"):
         if args.seq is None:
             raise ParameterError(f"--report {report} needs --seq")
@@ -222,14 +230,10 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
             args, seq.elliptic_prime_bound(x) if isinstance(spec, seq.EllipticOrders) else x
         )
         if report == "profile":
-            profile = rom.representation_counts(
-                spec, x, primes, budget=args.budget
-            )
+            profile = rom.representation_counts(spec, x, primes, budget=budget)
             _emit(args, profile.write_csv)
             return
-        estimates = rom.theorem6_report(
-            spec, x, args.alpha, primes, budget=args.budget
-        )
+        estimates = rom.theorem6_report(spec, x, args.alpha, primes, budget=budget)
         _emit_json(
             args,
             {
@@ -242,9 +246,7 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
         )
     elif report == "theorem9":
         primes = make_primes(args, args.x)
-        estimates = rom.theorem9_report(
-            args.a, args.b, args.x, primes, budget=args.budget
-        )
+        estimates = rom.theorem9_report(args.a, args.b, args.x, primes, budget=budget)
         _emit_json(
             args,
             {
@@ -287,6 +289,8 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> None:
+    from . import lemmas as lem
+
     records = []
     if args.gamma:
         for s in range(1, args.s_max + 1):
@@ -361,8 +365,9 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> None:
-    report = verify.verify_all(seed=args.seed)
-    _emit_json(args, report)
+    from .verify import verify_all
+
+    _emit_json(args, verify_all(seed=args.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=_finite_float, default=10**4)
     p.add_argument("--z", type=int, default=20)
     p.add_argument("--trial-cap", type=int, default=10**5)
-    p.add_argument("--budget", type=int, default=rom.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None)  # None: romanoff.DEFAULT_BUDGET
     p.set_defaults(handler=_cmd_romanoff)
 
     p = sub.add_parser("lemmas", parents=[common], help="analytic lemma suite")
@@ -480,6 +485,9 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:  # parameter/range/domain/construction errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an explicit:@file or --out path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -52,7 +52,15 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ParameterError, RangeError
 from .moments import MomentReport, _ratio_power_fsum
-from .sieve import FactorSieve, PrimeList, factorize_trial, is_prime
+from .sieve import (
+    _LANE_PRIME_LIMIT,
+    FactorSieve,
+    PrimeList,
+    _powmod_lanes,
+    _residues,
+    factorize_trial,
+    is_prime,
+)
 
 # cap for the vectorized character table: a few p-length int64 arrays are
 # live at once, so this bounds peak memory near half a GB; int64 overflow
@@ -66,8 +74,6 @@ _MAX_CHARACTER_PRIME = 2**24
 _BSGS_MIN_PRIME = 2**12
 # points tried on E and on its twist before falling back to the character sum
 _BSGS_POINT_TRIES = 4
-# lanes multiply two residues mod p in int64; p < 2^31 keeps products below 2^62
-_LANE_PRIME_LIMIT = 2**31
 # every round of a lane batch holds this many lanes per baby step s of the
 # sequence's largest prime: 272 lanes at x = 2e4, 1280 at x = 1e7. Rounds of
 # small primes are as wide as the last one, so they pay the fixed cost of a
@@ -141,13 +147,12 @@ def legendre_symbol(a: int, p: int) -> int:
 
 
 def _count_points_bruteforce(curve: EllipticCurve, p: int) -> int:
-    count = 1  # the point at infinity
-    for x in range(p):
-        rhs = (x * x * x + curve.A * x + curve.B) % p
-        for y in range(p):
-            if (y * y - rhs) % p == 0:
-                count += 1
-    return count
+    """1 (the point at infinity) + #{(x, y) : y^2 = x^3 + Ax + B mod p}, with
+    every pair compared in one p-by-p table; for small p only."""
+    v = np.arange(p, dtype=np.int64)
+    square = v * v % p
+    rhs = (square * v + curve.A % p * v + curve.B % p) % p
+    return 1 + int(np.count_nonzero(rhs[:, None] == square))
 
 
 def _count_points_character(curve: EllipticCurve, p: int) -> int:
@@ -310,22 +315,6 @@ def _count_points_prime(curve: EllipticCurve, p: int) -> int:
 #
 # Points are Jacobian (X : Y : Z) with x = X/Z^2, y = Y/Z^3; Z = 0 is O. Every
 # product is of two residues mod p < 2^31, so it stays below 2^62 in int64.
-
-
-def _residues(n: int, ps: np.ndarray) -> np.ndarray:
-    """n mod p for each p of ps, exact for a Python int n of any size."""
-    if -(2**62) < n < 2**62:  # numpy's %, like Python's, takes the sign of p
-        return np.int64(n) % ps
-    return np.array([n % p for p in ps.tolist()], dtype=np.int64)
-
-
-def _powmod_lanes(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base^e mod p lane by lane, square-and-multiply over the bits of e."""
-    result = np.ones_like(base)
-    for bit in range(int(e.max(initial=0)).bit_length()):
-        result = np.where((e >> bit) & 1 == 1, result * base % p, result)
-        base = base * base % p
-    return result
 
 
 def _dbl_lanes(X, Y, Z, a, p):

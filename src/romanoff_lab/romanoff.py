@@ -21,10 +21,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import _LANE_PRIME_LIMIT, _powmod_lanes, _residues
 from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 from .moments import PolynomialSpec
-from .sieve import FactorSieve, PrimeList, build_sieve, factorize_trial, is_prime, totient_trial
+from .sieve import (
+    _LANE_PRIME_LIMIT,
+    FactorSieve,
+    PrimeList,
+    _powmod_lanes,
+    _residues,
+    build_sieve,
+    factorize_trial,
+    is_prime,
+    totient_trial,
+)
 from .sequences import (
     Explicit,
     PowerTower,

@@ -18,14 +18,16 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .elliptic import EllipticCurve, order_sequence
 from .errors import CapacityError, DomainError, ParameterError, RangeError
 from .moments import PolynomialSpec
 from .sieve import PrimeList, check_finite
+
+if TYPE_CHECKING:
+    from .elliptic import EllipticCurve
 
 # generation guard: no family may expand to more terms than this
 MAX_GENERATED_TERMS = 10**8
@@ -81,6 +83,8 @@ SequenceSpec = Union[Geometric, PowerTower, Polynomial, EllipticOrders, Explicit
 
 def parse_curve(text: str) -> EllipticCurve:
     """The curve of the text "A,B" (``--curve``, ``ecorders:A,B``)."""
+    from .elliptic import EllipticCurve  # elliptic loads only where curves are read
+
     try:
         A, B = (int(v) for v in text.split(","))
     except ValueError as exc:
@@ -180,6 +184,8 @@ def elliptic_prime_bound(x: float) -> int:
 def _elliptic_order_terms(
     curve: EllipticCurve, x: float, primes: PrimeList | None
 ) -> list[int]:
+    from .elliptic import order_sequence
+
     if primes is None:
         raise RangeError("EllipticOrders enumeration needs a prime table")
     q_bound = elliptic_prime_bound(x)

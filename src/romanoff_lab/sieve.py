@@ -244,6 +244,7 @@ def _store_cached_spf(path: str, limit: int, spf: np.ndarray) -> None:
     raw = spf.tobytes()
     tmp = path + ".tmp"
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "wb") as fh:
             fh.write(_SPF_CACHE_MAGIC)
             fh.write(limit.to_bytes(8, "little"))
@@ -277,7 +278,6 @@ def build_sieve(limit: int, *, cache_dir: str | None = None) -> FactorSieve:
             return FactorSieve(limit=limit, spf=cached)
     spf = _sieve_spf(limit)
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
         _store_cached_spf(_spf_cache_path(cache_dir, limit), limit, spf)
     return FactorSieve(limit=limit, spf=spf)
 
@@ -398,3 +398,25 @@ def chebyshev_theta(x: float, primes: PrimeList) -> float:
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
     return math.fsum(math.log(p) for p in primes.upto(x).tolist())
+
+
+# --- numpy lanes: one prime per lane -----------------------------------------
+#
+# Lanes multiply two residues mod p in int64; p < 2^31 keeps products below 2^62.
+_LANE_PRIME_LIMIT = 2**31
+
+
+def _residues(n: int, ps: np.ndarray) -> np.ndarray:
+    """n mod p for each p of ps, exact for a Python int n of any size."""
+    if -(2**62) < n < 2**62:  # numpy's %, like Python's, takes the sign of p
+        return np.int64(n) % ps
+    return np.array([n % p for p in ps.tolist()], dtype=np.int64)
+
+
+def _powmod_lanes(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e mod p lane by lane, square-and-multiply over the bits of e."""
+    result = np.ones_like(base)
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        result = np.where((e >> bit) & 1 == 1, result * base % p, result)
+        base = base * base % p
+    return result

@@ -45,9 +45,13 @@ def verify_all(seed: int = 0) -> dict:
 
     # 1. totient against the gcd-counting oracle and the multiplicative table
     ns = np.arange(1, 2001)
-    brute = np.array(
-        [int(np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1)) for n in ns]
-    )
+    # gcd(k, n) for every k <= n, in uint16 and in blocks of rows whose
+    # temporaries stay under 1 MB
+    ks, rows = ns.astype(np.uint16), 2**17 // ns.size
+    brute = np.zeros_like(ns)
+    for lo in range(0, ns.size, rows):
+        n, k = ks[lo : lo + rows, None], ks[: lo + rows]  # k = 1..the block's last n
+        brute[lo : lo + rows] = np.count_nonzero((np.gcd(k, n) == 1) & (k <= n), axis=1)
     by_sieve = np.array([totient(int(n), sieve) for n in ns])
     table = totient_table(10**5)
     table_ok = all(

@@ -749,3 +749,20 @@ class TestResidues:
         got = ell._residues(n, np.array(ps, dtype=np.int64))
         assert got.dtype == np.int64
         assert got.tolist() == [n % p for p in ps]
+
+
+class TestBruteforceTable:
+    """_count_points_bruteforce, the enumeration oracle of verify-all, compares
+    every (x, y) in one table; it must equal the pair loop."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+    @pytest.mark.parametrize(
+        "A,B",
+        [(A, B) for A in range(-3, 4) for B in range(-3, 4) if 4 * A**3 + 27 * B**2]
+        + [(2**70 + 1, -(2**65) + 3), (-(2**63), 2**63 - 1)],
+    )
+    def test_equals_pair_loop(self, A, B):
+        curve = EllipticCurve(A, B)
+        for p in self.PRIMES:
+            assert ell._count_points_bruteforce(curve, p) == brute_count(A, B, p), p
