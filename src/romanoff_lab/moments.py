@@ -27,9 +27,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
+from .errors import CapacityError, DomainError, ParameterError
 from .exact import exact_fraction_sum
-from .sieve import FactorSieve, PrimeList, check_finite, totient, totient_ratio
+from .sieve import (
+    FactorSieve,
+    PrimeList,
+    check_finite,
+    check_integer,
+    int64_values,
+    totient_ratio,
+)
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ def omega_count(values: Sequence[int], d: int) -> int:
     counted in blocks, so the temporaries stay small."""
     if len(values) == 0:
         raise DomainError("omega_count needs a nonempty list")
-    if d < 1:
+    if not d >= 1:
         raise DomainError(f"modulus d={d} must be >= 1")
     if isinstance(values, np.ndarray):
         return sum(
@@ -113,27 +120,22 @@ def moment_sum(values: Sequence[int], s: int, sieve: FactorSieve) -> Fraction:
         raise ParameterError(f"s={s} must be >= 1")
     cache: dict[int, Fraction] = {}
     return exact_fraction_sum(
-        _ratio_power(int(v), s, sieve, cache) for v in values
+        _ratio_power(check_integer(v), s, sieve, cache) for v in values
     )
 
 
 def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> float:
     """sum (n/phi(n))^s over the list, correctly rounded from the float terms.
 
-    Raises TableIntegrityError when a gathered phi(n) leaves [1, n], which
-    only a corrupted spf table can cause.
+    ``FactorSieve.totients`` raises TableIntegrityError for an spf entry below
+    2 or one that does not divide its n; valid entries put phi(n) in [1, n].
     """
     arr = np.asarray(values, dtype=np.int64)
 
     def terms():
         for start in range(0, len(arr), _FSUM_BLOCK):
             block = arr[start : start + _FSUM_BLOCK]
-            phi = sieve.totients(block)
-            if np.any((phi < 1) | (phi > block)):
-                raise TableIntegrityError(
-                    "a gathered phi(n) lies outside [1, n]; the spf table is corrupt"
-                )
-            yield from ((block / phi) ** s).tolist()
+            yield from ((block / sieve.totients(block)) ** s).tolist()
 
     return math.fsum(terms())
 
@@ -154,9 +156,10 @@ def theorem1_report(
         raise ParameterError(f"alpha={alpha} must lie in (0, 1)")
     if s < 1:
         raise ParameterError(f"s={s} must be >= 1")
+    check_finite("M", M)
     if len(values) == 0:
         raise DomainError("theorem1_report needs a nonempty list")
-    arr = np.asarray(values, dtype=np.int64)
+    arr = int64_values(values)
     if M < int(arr.max()):
         raise ParameterError(f"M={M} must be >= max of the list")
     n_terms = len(arr)
@@ -189,7 +192,7 @@ def lemma1_product(n: int, y: float, sieve: FactorSieve) -> tuple[float, float]:
     """prod_{p|n, p>y} (1 + 1/p) together with its bound exp(nu(n)/y)."""
     if n <= 1:
         raise ParameterError(f"n={n} must exceed 1")
-    if y <= 0:
+    if not y > 0:
         raise ParameterError(f"y={y} must be positive")
     primes = sieve.distinct_primes(n)
     product = _plus_product(p for p in primes if p > y)

@@ -7,10 +7,11 @@ polynomial root counts modulo m.
 r(n) is counted exactly, by shift-and-add of the odd-prime indicator: each
 term adds it, shifted, into the n of the other parity, and p = 2 once. The
 orders h_a(p) of an order-weighted sum are found in numpy lanes, one per
-prime, peeling p - 1 through the spf table; multiplicative_order is the
-scalar path and their oracle. A call given no table, or one short of the
-largest p - 1, builds one up to the largest p with build_sieve: about 4 bytes
-per n, so 400 MB at the 10^8 table cap.
+prime, peeling p - 1 through the spf walk of FactorSieve (an spf entry below
+2 or one not dividing its n raises TableIntegrityError); multiplicative_order
+is the scalar path and their oracle. A call given no table, or one short of
+the largest p - 1, builds one up to the largest p with build_sieve: about 4
+bytes per n, so 400 MB at the 10^8 table cap.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
+from .errors import CapacityError, DomainError, ParameterError
 from .moments import PolynomialSpec
 from .sieve import (
     _LANE_PRIME_LIMIT,
@@ -293,29 +294,19 @@ def multiplicative_order(a: int, p: int, sieve: FactorSieve | None = None) -> in
 def _lane_mult_orders(a: int, ps: np.ndarray, sieve: FactorSieve) -> np.ndarray:
     """h_a(p) for each prime p of ps (0 where p divides a): the descent of
     multiplicative_order in numpy lanes, over a sieve that covers every p - 1.
-    From h = rem = p - 1, each pass peels q = spf[rem]; a lane not closed on q
-    divides h by q if a^(h/q) = 1 (mod p), else closes."""
+    From h = p - 1, each pass of the spf walk peels q off p - 1; a lane not
+    closed on q divides h by q if a^(h/q) = 1 (mod p), else closes on q."""
     assert (ps < _LANE_PRIME_LIMIT).all()  # residue products fit in int64
-    top = int(ps.max(initial=2))
-    sieve.check_range(top - 1)
+    sieve.check_range(int(ps.max(initial=2)) - 1)
     base = _residues(a, ps)
     h = np.where(base == 0, 0, ps - 1)
-    idx = np.flatnonzero(h > 1)
-    rem, closed_on = h[idx], np.zeros_like(idx)
-    # each pass divides rem by q >= 2; the bound keeps a corrupted table from looping
-    for _ in range(top.bit_length()):
-        q = sieve.spf[rem].astype(np.int64)
-        if not q.all() or (rem % q).any():
-            break  # an spf entry that does not divide its n
-        ok = q != closed_on
+    closed = np.zeros(h.shape, dtype=bool)
+    for idx, q, repeat in sieve._peel(h):
+        ok = ~(repeat & closed[idx])
         j = idx[ok]
         ok[ok] = _powmod_lanes(base[j], h[j] // q[ok], ps[j]) == 1
         h[idx[ok]] //= q[ok]
-        rem //= q
-        keep = rem > 1
-        idx, rem, closed_on = idx[keep], rem[keep], np.where(ok, 0, q)[keep]
-    if idx.size:
-        raise TableIntegrityError("spf table does not factor every p - 1")
+        closed[idx] = ~ok
     return h
 
 

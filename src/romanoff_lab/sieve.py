@@ -4,7 +4,9 @@ The two core tables are :class:`FactorSieve` (smallest prime factor of every
 n up to a limit) and :class:`PrimeList` (ascending primes up to a limit).
 Both are immutable after construction and safe to share across threads.
 There is one sieve loop, the Eratosthenes mask in :meth:`PrimeList.build`;
-the spf table is filled from its primes up to sqrt(limit).
+the spf table is filled from its primes up to sqrt(limit). One numpy spf walk,
+``FactorSieve._peel``, serves totients and the order lanes; it and ``factorize``
+raise TableIntegrityError for an spf entry below 2 or one not dividing its n.
 """
 
 from __future__ import annotations
@@ -61,6 +63,24 @@ def check_finite(name: str, value: float) -> None:
     """ParameterError for nan or +-inf; unlike math.isfinite, takes ints of any size."""
     if not -math.inf < value < math.inf:
         raise ParameterError(f"{name}={value} is not a finite number")
+
+
+def check_integer(value) -> int:
+    """``value`` as a Python int; ParameterError for anything else. A float
+    is refused whole, integral or not, as table limits are."""
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"value {value!r} is not an integer")
+    return int(value)
+
+
+def int64_values(values) -> np.ndarray:
+    """``values`` as a flat int64 array; check_integer's rule for each entry,
+    and OverflowError for a Python int beyond int64."""
+    arr = np.asarray(values).ravel()
+    if arr.dtype.kind not in "iu":
+        for v in arr.tolist():
+            check_integer(v)
+    return arr.astype(np.int64, copy=False)
 
 
 # past this trial divisor, factorize_trial asks is_prime about the cofactor
@@ -170,37 +190,47 @@ class FactorSieve:
         values.setflags(write=False)
         return PrimeList(limit=x, values=values)
 
+    def _peel(self, n: np.ndarray):
+        """Spf walk over the values of ``n`` above 1: each pass yields (idx, p,
+        repeat), the positions still above 1, the prime p = spf[rem] each one
+        loses and whether it lost p on the previous pass, then rem //= p. An
+        entry below 2 or one not dividing its n raises TableIntegrityError; so
+        does running out of passes, as valid entries need fewer than limit's bits.
+        """
+        idx = np.flatnonzero(n > 1)
+        rem, last = n[idx], np.zeros(idx.size, dtype=np.int64)
+        for _ in range(self.limit.bit_length()):
+            if not idx.size:
+                return
+            p = self.spf.take(rem).astype(np.int64)
+            if p.min() < 2:
+                break
+            rem, r = np.divmod(rem, p)
+            if np.count_nonzero(r):
+                break
+            yield idx, p, p == last
+            keep = np.flatnonzero(rem > 1)
+            idx, rem, last = idx.take(keep), rem.take(keep), p.take(keep)
+        raise TableIntegrityError("an spf entry is below 2 or does not divide its n")
+
     def totients(self, values) -> np.ndarray:
         """phi(n) for every n in ``values``, as a flat int64 array.
 
-        Peels one prime factor per pass: p = spf[rem], phi *= p when p
-        repeats the previous pass's prime and p - 1 otherwise, rem //= p.
-        Only the listed values are touched, in at most Omega(n) passes over
-        a shrinking active set; no phi table is built.
+        Each pass of the spf walk multiplies phi by p where p repeats the
+        previous pass's prime and by p - 1 otherwise. Only the listed values
+        are touched, in at most Omega(n) passes over a shrinking active set;
+        no phi table is built.
         """
         try:
-            n = np.asarray(values, dtype=np.int64).ravel()
+            n = int64_values(values)
         except OverflowError:
             raise RangeError(f"a value exceeds sieve range [1, {self.limit}]") from None
         if n.size and (n.min() < 1 or n.max() > self.limit):
             bad = n[(n < 1) | (n > self.limit)][0]
             raise RangeError(f"n={bad} outside sieve range [1, {self.limit}]")
         phi = np.ones(n.shape, dtype=np.int64)
-        idx = np.flatnonzero(n > 1)
-        rem = n[idx]
-        last = np.zeros_like(rem)
-        # each pass divides rem by p >= 2, so a valid table needs fewer passes
-        # than limit has bits; the bound keeps a corrupted table from looping
-        for _ in range(self.limit.bit_length()):
-            if not idx.size:
-                break
-            p = self.spf[rem].astype(np.int64)
-            phi[idx] *= np.where(p == last, p, p - 1)
-            rem //= p
-            keep = rem > 1
-            idx, rem, last = idx[keep], rem[keep], p[keep]
-        if idx.size:
-            raise TableIntegrityError("spf table does not factor every value")
+        for idx, p, repeat in self._peel(n):
+            phi[idx] *= np.where(repeat, p, p - 1)
         return phi
 
 

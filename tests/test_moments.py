@@ -391,3 +391,40 @@ class TestTheorem1CutoffPrimes:
             omega_count(values, p) * math.log(p) / p for p in small
         )
         assert rep.rhs_core == expected
+
+
+class TestWalkRuleInReports:
+    """A report sums the phi the spf walk gathers, so a corrupt entry inside
+    [1, n] and a non-integer value are refused rather than summed."""
+
+    def test_corrupt_entry_within_range(self, sieve10k):
+        # 3 does not divide 14; trusting the entry would give lhs 3.5, not 7/3
+        spf = sieve10k.spf.copy()
+        spf[14] = 3
+        corrupt = FactorSieve(limit=sieve10k.limit, spf=spf)
+        with pytest.raises(TableIntegrityError):
+            theorem1_report([14], 1, 0.5, 14.0, corrupt)
+
+    @pytest.mark.parametrize("values", [[2.5, 3], np.array([2.0, 3.0])])
+    def test_theorem1_refuses_non_integer_values(self, sieve10k, values):
+        with pytest.raises(ParameterError):
+            theorem1_report(values, 1, 0.5, 14.0, sieve10k)
+
+    @pytest.mark.parametrize("values", [[2.5], [3, 4.0], np.array([6.0])])
+    def test_moment_sum_refuses_non_integer_values(self, sieve10k, values):
+        with pytest.raises(ParameterError):
+            moment_sum(values, 1, sieve10k)
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf])
+    def test_theorem1_refuses_nonfinite_M(self, sieve10k, M):
+        # nan slips past M >= max(values), and inf would reach math.floor
+        with pytest.raises(ParameterError):
+            theorem1_report([2, 3], 1, 0.5, M, sieve10k)
+
+    def test_lemma1_refuses_nan_y(self, sieve10k):
+        with pytest.raises(ParameterError):
+            lemma1_product(12, math.nan, sieve10k)
+
+    def test_omega_count_refuses_nan_d(self):
+        with pytest.raises(DomainError):
+            omega_count([2, 3], math.nan)

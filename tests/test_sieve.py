@@ -423,3 +423,34 @@ class TestPrimesFromSpf:
     def test_above_limit_is_range_error(self, sieve10k):
         with pytest.raises(RangeError):
             sieve10k.primes(10**4 + 1)
+
+
+class TestSpfWalk:
+    """FactorSieve._peel is the one vectorized spf walk; totients and the
+    order lanes read their primes from it."""
+
+    def test_passes_spell_out_factorize(self, sieve10k):
+        values = np.array([1, 2, 12, 97, 360, 1024, 9999, 10**4])
+        seen = {i: [] for i in range(len(values))}
+        for idx, p, repeat in sieve10k._peel(values):
+            for i, q, r in zip(idx.tolist(), p.tolist(), repeat.tolist()):
+                assert r == (bool(seen[i]) and seen[i][-1] == q)
+                seen[i].append(q)
+        for i, n in enumerate(values.tolist()):
+            want = [p for p, e in sieve10k.factorize(n) for _ in range(e)]
+            assert seen[i] == want, n
+
+    def test_entry_in_range_that_does_not_divide(self, sieve10k):
+        # 3 does not divide 14; trusting the entry would give phi(14) = 4, not 6
+        spf = sieve10k.spf.copy()
+        spf[14] = 3
+        corrupt = FactorSieve(limit=sieve10k.limit, spf=spf)
+        with pytest.raises(TableIntegrityError):
+            corrupt.totients([14])
+        with pytest.raises(TableIntegrityError):
+            totient(14, corrupt)
+
+    @pytest.mark.parametrize("values", [[2.5], [2, 3.5], np.array([4.0]), [math.nan]])
+    def test_non_integer_value_is_refused(self, sieve10k, values):
+        with pytest.raises(ParameterError):
+            sieve10k.totients(values)
