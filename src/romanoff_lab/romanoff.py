@@ -4,18 +4,23 @@ Romanoff-type density bounds, together with the supporting statistics:
 shifted-prime counts, multiplicative orders, order-weighted prime sums, and
 polynomial root counts modulo m.
 
-r(n) is counted exactly, by shift-and-add of the odd-prime indicator: each
-term adds it, shifted, into the n of the other parity, and p = 2 once. The
-orders h_a(p) of an order-weighted sum are found in numpy lanes, one per
-prime, peeling p - 1 through the spf walk of FactorSieve (an spf entry below
-2 or one not dividing its n raises TableIntegrityError); multiplicative_order
-is the scalar path and their oracle. A call given no table, or one short of
-the largest p - 1, builds one up to the largest p with build_sieve: about 4
-bytes per n, so 400 MB at the 10^8 table cap.
+r(n) is counted exactly, by shift-and-add of the odd-prime indicator over
+windows of 2^19 cells of each parity half: each term adds it, shifted, into
+the n of the other parity, and p = 2 once. representation_counts fills an
+int64 r from the windows; theorem6_report and theorem9_report fold them into
+a histogram of r and never build r, so beside the prime table (8 bytes per
+prime) they hold x/2 bytes of indicator: the CLI peaks at 49 MB at x = 10^7
+and 169 MB at 10^8. The orders h_a(p) of an order-weighted sum are found in
+numpy lanes, one per prime, peeling p - 1 through the spf walk of FactorSieve
+(an spf entry below 2 or one not dividing its n raises TableIntegrityError);
+multiplicative_order is the scalar path and their oracle. A call given no
+table, or one short of the largest p - 1, builds one up to the largest p with
+build_sieve: about 4 bytes per n, so 400 MB at the 10^8 table cap.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -54,6 +59,12 @@ DEFAULT_BUDGET = 10**11
 # uint16 mid takes 257 block flushes: 65,535 terms
 _BLOCK_TERMS = 255
 _MID_TERMS = 255 * 257
+
+# cells of one parity half per kernel window: a 512 KB block and a 1 MB mid
+_WINDOW = 2**19
+
+# window cells per np.bincount call of _histogram: a 512 KB intp copy
+_HIST_CELLS = 2**16
 
 # order_distribution factors a^n - 1; beyond this exponent the numbers are
 # out of honest trial-division reach
@@ -108,14 +119,29 @@ def representation_counts(
 
     The kernel runs over the odd-prime indicator odd[j] = [2j + 1 prime].
     With c = ceil(a/2), an even term a sends 2j + 1 to the odd n = 2(j + c) + 1
-    and an odd term to the even n = 2(j + c), so each term a_j <= x - 2 is one
-    add of about (x - a)/2 bytes into a uint8 block. The block goes into a
-    uint16 mid every 255 terms, and the mid into r[1::2] (even terms) or
-    r[0::2] (odd terms) every 65,535 terms and at the end of the parity. p = 2
-    adds 1 at a + 2 for each term. ``budget`` caps the work in byte adds: a
-    term a costs x + 1 - a, about twice the bytes it touches, and
-    CapacityError is raised before any add when the sum exceeds it.
+    and an odd term to the even n = 2(j + c). Each parity half of r is filled
+    one window of _WINDOW cells at a time: each term a_j <= x - 2 whose shift c
+    lies below the window's end adds odd, shifted, into a uint8 block, the
+    block goes into a uint16 mid every 255 terms and the mid into an int64
+    window every 65,535 terms, and p = 2 adds 1 at a + 2 for each term. Beside
+    r the kernel holds x/2 bytes of indicator and a 1.5 MB block and mid.
+    ``budget`` caps the work in byte adds: a term a costs x + 1 - a, about
+    twice the bytes it touches, and CapacityError is raised before any add
+    when the sum exceeds it.
     """
+    windows = _shift_add_windows(spec, x, primes, budget)
+    # the windows tile both halves of r, so r is never zeroed
+    r = np.empty(x + 1, dtype=np.int64)
+    for n0, counts in windows:
+        r[n0 : n0 + 2 * len(counts) : 2] = counts
+    return RepresentationProfile(spec=spec, x=x, r=r)
+
+
+def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: int):
+    """The terms a <= x - 2 of spec, checked against the budget, then an
+    iterator of (n0, counts) with counts[i] = r(n0 + 2i), over windows that
+    tile the odd n and then the even n from 0; each counts array is
+    overwritten by the next window."""
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
     primes.check_range(x)
@@ -125,31 +151,57 @@ def representation_counts(
         raise CapacityError(
             f"{len(terms)} terms cost {cost} byte adds, above budget {budget}"
         )
+    return _windows(terms, x, primes)
+
+
+def _windows(terms: list[int], x: int, primes: PrimeList):
     odd = np.zeros((x + 1) // 2, dtype=np.uint8)
     odd[primes.upto(x)[1:] // 2] = 1
-    block = np.zeros(x // 2 + 1, dtype=np.uint8)
-    mid = np.zeros(x // 2 + 1, dtype=np.uint16)
-    # the first flush into each half of r assigns it, so r is never zeroed and
-    # read back; for a few terms that halves the kernel
-    r = np.empty(x + 1, dtype=np.int64)
-    for parity, out in ((0, r[1::2]), (1, r[0::2])):
-        shifts = [(a + 1) // 2 for a in terms if a % 2 == parity]
-        k = len(out)
-        blk, acc = block[:k], mid[:k]
-        for start in range(0, max(len(shifts), 1), _MID_TERMS):
-            stop = min(start + _MID_TERMS, len(shifts))
-            for s in range(start, stop, _BLOCK_TERMS):
-                for c in shifts[s : s + _BLOCK_TERMS]:
-                    blk[c:] += odd[: k - c]
-                acc += blk
-                blk[:] = 0
-            if start:
-                out += acc
-            else:
-                out[:] = acc
-            acc[:] = 0
-    np.add.at(r, np.array(terms, dtype=np.int64) + 2, 1)  # p = 2
-    return RepresentationProfile(spec=spec, x=x, r=r)
+    block = np.empty(_WINDOW, dtype=np.uint8)
+    mid = np.empty(_WINDOW, dtype=np.uint16)
+    for start in (1, 0):
+        # the n of this half get odd primes from the terms of the other parity
+        # and p = 2 from those of their own, at the cell (a + 2) // 2
+        shifts = [(a + 1) // 2 for a in terms if a % 2 != start]
+        hits = np.array([(a + 2) // 2 for a in terms if a % 2 == start], dtype=np.int64)
+        k = (x - start) // 2 + 1
+        for lo in range(0, k, _WINDOW):
+            hi = min(lo + _WINDOW, k)
+            active = shifts[: bisect.bisect_left(shifts, hi)]
+            here = hits[np.searchsorted(hits, lo) : np.searchsorted(hits, hi)] - lo
+            top = len(active) + len(here)  # the most any cell can reach
+            blk, acc = block[: hi - lo], mid[: hi - lo]
+            blk[:] = 0
+            if top > _BLOCK_TERMS:
+                acc[:] = 0
+            wide = np.zeros(hi - lo, dtype=np.int64) if top > _MID_TERMS else None
+            for m in range(0, len(active), _MID_TERMS):
+                for b in range(m, min(m + _MID_TERMS, len(active)), _BLOCK_TERMS):
+                    for c in active[b : b + _BLOCK_TERMS]:
+                        j = max(c, lo)
+                        blk[j - lo :] += odd[j - c : hi - c]
+                    if top > _BLOCK_TERMS:
+                        acc += blk
+                        blk[:] = 0
+                if wide is not None:
+                    wide += acc
+                    acc[:] = 0
+            counts = blk if top <= _BLOCK_TERMS else acc if wide is None else wide
+            np.add.at(counts, here, 1)
+            yield 2 * lo + start, counts
+
+
+def _histogram(spec: SequenceSpec, x: int, primes: PrimeList, budget: int) -> np.ndarray:
+    """hist[t] = #{1 <= n <= x : r(n) = t}, folded window by window; bincount
+    reads _HIST_CELLS cells at a time, so its intp copy stays small."""
+    hist = np.zeros(1, dtype=np.int64)
+    for _, counts in _shift_add_windows(spec, x, primes, budget):
+        for s in range(0, len(counts), _HIST_CELLS):
+            fold = np.bincount(counts[s : s + _HIST_CELLS], minlength=len(hist))
+            fold[: len(hist)] += hist
+            hist = fold
+    hist[0] -= 1  # n = 0 opens the even half, and r(0) = 0
+    return hist
 
 
 def second_moment(profile: RepresentationProfile) -> int:
@@ -185,7 +237,8 @@ def theorem6_report(
 
     Emits gamma_1 (halving ratio), gamma_2 (normalized congruence pair sum),
     the normalized second moment of r, and the (c_1, c_2) frontier: for each
-    candidate c_1, the fraction of n <= x with r(n) >= c_1 N_A(x)/ln x.
+    candidate c_1, the fraction of n <= x with r(n) >= c_1 N_A(x)/ln x. Both
+    r statistics are read off one histogram of r; r itself is never built.
 
     A is enumerated once; every statistic reads the literal multiset of its
     terms up to x, which holds the terms up to any y <= x as a prefix.
@@ -200,9 +253,9 @@ def theorem6_report(
 
     gamma1 = doubling_ratio(table, x)
     raw_pairs, gamma2 = congruence_pair_sum(table, x, alpha, primes)
-    profile = representation_counts(table, x, primes, budget=budget)
+    hist = _histogram(table, x, primes, budget)
     rho = max_multiplicity(table, x)
-    sq = second_moment(profile)
+    sq = sum(t * t * h for t, h in enumerate(hist.tolist()))
     sq_norm = (
         sq * log_x**2 / (x * n_total * (rho * log_x + n_total))
     )
@@ -230,7 +283,7 @@ def theorem6_report(
         ),
     ]
     # at_least[t] = #{n <= x : r(n) >= t}; for integer r, r >= t iff r >= ceil(t)
-    at_least = np.cumsum(np.bincount(profile.r[1:])[::-1])[::-1]
+    at_least = np.cumsum(hist[::-1])[::-1]
     for c1 in DEFAULT_C1_GRID:
         threshold = c1 * n_total / log_x
         t = math.ceil(threshold)
@@ -453,14 +506,14 @@ def theorem9_report(
     budget: int = DEFAULT_BUDGET,
 ) -> list[ConstantEstimate]:
     """Density of n <= x representable as p + a^(j^b), against both sides of
-    the two-sided bound ~ x / (ln x)^(1-1/b) (T9)."""
+    the two-sided bound ~ x / (ln x)^(1-1/b) (T9); the representable n are
+    those outside hist[0] of the r histogram."""
     if a < 2 or b < 2:
         raise ParameterError("need a >= 2 and b >= 2")
     if x < 3:
         raise ParameterError(f"x={x} must be >= 3")
     terms = enumerate_terms(PowerTower(a, b), x)
-    profile = representation_counts(Explicit(tuple(terms)), x, primes, budget=budget)
-    representable = density_count(profile, 1)
+    representable = x - int(_histogram(Explicit(tuple(terms)), x, primes, budget)[0])
     n_total = len(terms)
     pi_x = primes.count_leq(x)
     scale = math.log(x) ** (1.0 - 1.0 / b) / x

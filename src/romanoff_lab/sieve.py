@@ -3,10 +3,11 @@
 The two core tables are :class:`FactorSieve` (smallest prime factor of every
 n up to a limit) and :class:`PrimeList` (ascending primes up to a limit).
 Both are immutable after construction and safe to share across threads.
-There is one sieve loop, the Eratosthenes mask in :meth:`PrimeList.build`;
-the spf table is filled from its primes up to sqrt(limit). One numpy spf walk,
-``FactorSieve._peel``, serves totients and the order lanes; it and ``factorize``
-raise TableIntegrityError for an spf entry below 2 or one not dividing its n.
+There is one sieve loop, the odd-only Eratosthenes mask in
+:meth:`PrimeList.build`; the spf table is filled from its primes up to
+sqrt(limit). One numpy spf walk, ``FactorSieve._peel``, serves totients and
+the order lanes; it and ``factorize`` raise TableIntegrityError for an spf
+entry below 2 or one not dividing its n.
 """
 
 from __future__ import annotations
@@ -75,11 +76,14 @@ def check_integer(value) -> int:
 
 def int64_values(values) -> np.ndarray:
     """``values`` as a flat int64 array; check_integer's rule for each entry,
-    and OverflowError for a Python int beyond int64."""
+    and RangeError for an integer beyond int64."""
     arr = np.asarray(values).ravel()
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind not in "iu" or arr.dtype == np.uint64:
+        # numpy holds [5, 2**63] as float64 and [2**63] as uint64: read the values
+        arr = np.asarray(values, dtype=object).ravel()
         for v in arr.tolist():
-            check_integer(v)
+            if not -(2**63) <= check_integer(v) < 2**63:
+                raise RangeError(f"n={v} is beyond int64")
     return arr.astype(np.int64, copy=False)
 
 
@@ -221,10 +225,7 @@ class FactorSieve:
         are touched, in at most Omega(n) passes over a shrinking active set;
         no phi table is built.
         """
-        try:
-            n = int64_values(values)
-        except OverflowError:
-            raise RangeError(f"a value exceeds sieve range [1, {self.limit}]") from None
+        n = int64_values(values)
         if n.size and (n.min() < 1 or n.max() > self.limit):
             bad = n[(n < 1) | (n > self.limit)][0]
             raise RangeError(f"n={bad} outside sieve range [1, {self.limit}]")
@@ -322,12 +323,15 @@ class PrimeList:
     @classmethod
     def build(cls, limit: int) -> "PrimeList":
         _check_limit("prime table", limit)
-        mask = np.ones(limit + 1, dtype=bool)
-        mask[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if mask[p]:
-                mask[p * p :: p] = False
-        values = np.nonzero(mask)[0].astype(np.int64)
+        # half[i] stands for 2i + 1; half[0] stands for 2 instead of 1
+        half = np.ones((limit + 1) // 2, dtype=bool)
+        for p in range(3, math.isqrt(limit) + 1, 2):
+            if half[p // 2]:
+                half[p * p // 2 :: p] = False
+        values = np.flatnonzero(half).astype(np.int64, copy=False)
+        values *= 2
+        values += 1
+        values[0] = 2
         values.setflags(write=False)
         return cls(limit=limit, values=values)
 

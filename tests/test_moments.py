@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from romanoff_lab import moments
-from romanoff_lab.errors import CapacityError, DomainError, ParameterError, TableIntegrityError
+from romanoff_lab.errors import (
+    CapacityError,
+    DomainError,
+    ParameterError,
+    RangeError,
+    TableIntegrityError,
+)
 from romanoff_lab.moments import (
     MomentReport,
     PolynomialSpec,
@@ -363,6 +369,13 @@ class TestFsumAgainstExactOracle:
         corrupt = FactorSieve(limit=sieve10k.limit, spf=spf)
         with pytest.raises(TableIntegrityError):
             theorem1_report([6, 7, 8], 1, 0.5, 10, corrupt)
+
+    @pytest.mark.parametrize("values", [[2**70], [2**63], [3, 2**70], [5, 2**63], [-(2**63) - 1]])
+    def test_value_beyond_int64_is_range_error(self, sieve10k, values):
+        # numpy holds these as object, uint64 or float64; none may wrap, overflow or
+        # pass for a float
+        with pytest.raises(RangeError, match="beyond int64"):
+            theorem1_report(values, 1, 0.5, 2.0**71, sieve10k)
 
 
 class TestTheorem1CutoffPrimes:

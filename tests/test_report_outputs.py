@@ -1,0 +1,56 @@
+"""The T6 frontier and T9 reports against output committed from the kernel
+that built an int64 r over every n <= x, and the memory the windowed kernel
+keeps them in."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from romanoff_lab.cli import run
+
+DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+REPORTS = {
+    "theorem9-a2-b2": ["romanoff", "--report", "theorem9", "--a", "2", "--b", "2"],
+    "frontier-geom2": ["romanoff", "--report", "frontier", "--seq", "geom:2:start=0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_output_at_a_million_is_byte_identical(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(REPORTS[name] + ["--x", "1000000", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}-x1000000.json").read_bytes()
+
+
+# Linux folds the memory a process replaces at exec into its ru_maxrss, so a
+# child of the pytest process would start at pytest's own peak; a small
+# Python in between spawns the CLI and prints the CLI's ru_maxrss in KB.
+RSS_PROBE = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "child.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(child.returncode, usage.ru_maxrss)\n"
+)
+
+
+def test_theorem9_at_ten_million_stays_under_80_mb(tmp_path):
+    # an int64 r over 10^7 cells alone is 80 MB; the whole run held 134 MB with it
+    out = tmp_path / "report.json"
+    argv = REPORTS["theorem9-a2-b2"] + ["--x", "10000000", "--out", str(out)]
+    probe = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "romanoff_lab", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, max_rss_kb = map(int, probe.stdout.split())
+    assert code == 0, probe.stderr[-2000:]
+    assert out.read_bytes() == (DATA / "theorem9-a2-b2-x10000000.json").read_bytes()
+    assert max_rss_kb / 1024 < 80, f"peak RSS {max_rss_kb / 1024:.1f} MB"

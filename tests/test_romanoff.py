@@ -136,6 +136,64 @@ class TestShiftAddKernel:
         self.assert_matches_oracle(x, [1, 2, x - 2, x - 2])
 
 
+WINDOWS = [1, 7, 64]
+
+
+def assert_windows_match_oracle(x, terms, window):
+    """r and its histogram, over windows of ``window`` cells, against the scatter loop."""
+    spec = Explicit(tuple(terms))
+    oracle = scatter_oracle(spec, x, HYP_PRIMES)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rom_module, "_WINDOW", window)
+        prof = representation_counts(spec, x, HYP_PRIMES)
+        hist = rom_module._histogram(spec, x, HYP_PRIMES, rom_module.DEFAULT_BUDGET)
+    assert np.array_equal(prof.r, oracle)
+    assert np.array_equal(hist, np.bincount(oracle[1:]))
+
+
+class TestWindowEdges:
+    """The kernel runs over windows of _WINDOW cells of each parity half; here
+    windows of 1, 7 and 64 cells put many terms and cells on their edges."""
+
+    @given(term_multisets(), st.sampled_from(WINDOWS))
+    @example((3000, (2998,) * 300), 7)
+    @example((3000, tuple(range(1, 129))), 64)
+    @example((129, (1,) * 256), 1)
+    @settings(max_examples=60, deadline=None)
+    def test_windows_match_scatter_loop(self, case, window):
+        assert_windows_match_oracle(*case, window)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 5, 6])
+    def test_every_small_x(self, x, window):
+        assert_windows_match_oracle(x, list(range(1, x + 3)) * 2, window)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("extra", [0, 1, 2, 3])
+    def test_terms_straddling_window_edges(self, window, extra):
+        # shifts c = ceil(a/2) one below, at and one above 1, 2 and 3 window
+        # lengths; x odd and even, each half ending on or just past an edge
+        x = 6 * window + extra + 4
+        cs = {m * window + d for m in (1, 2, 3) for d in (-1, 0, 1)}
+        terms = sorted(a for c in cs for a in (2 * c - 1, 2 * c) if 1 <= a <= x - 2)
+        assert_windows_match_oracle(x, terms, window)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("a", [7, 8])
+    def test_block_flush_at_255_terms_of_one_parity(self, window, n, a):
+        assert_windows_match_oracle(300, [a] * n, window)
+        assert_windows_match_oracle(300, [a + 2 * (i % 50) for i in range(n)], window)
+
+    # one-cell windows would take 10 s here and reach no path that 7 misses
+    @pytest.mark.parametrize("window", [7, 64])
+    @pytest.mark.parametrize("n", [65535, 65536])
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_mid_flush_at_65535_terms_of_one_parity(self, window, n, a):
+        # the other term adds p = 2 to a cell the n terms also reach
+        assert_windows_match_oracle(10, sorted([a] * n + [a + 1]), window)
+
+
 class TestRepresentationCounts:
     def test_geometric_example(self, primes100k):
         prof = representation_counts(Geometric(2, 0), 5, primes100k)

@@ -44,6 +44,16 @@ def brute_totient(n: int) -> int:
     return int(np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1))
 
 
+def full_mask_primes(limit: int) -> np.ndarray:
+    """Oracle: Eratosthenes over a mask of every n <= limit."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask)
+
+
 class TestBuildSieve:
     def test_small_values(self):
         sv = build_sieve(10)
@@ -220,6 +230,13 @@ class TestPrimeList:
     def test_numpy_integer_limit(self):
         assert PrimeList.build(np.int64(10)).values.tolist() == [2, 3, 5, 7]
 
+    @pytest.mark.parametrize("limit", [2, 3, 4, 5, 97, 2 * 10**6 + 1])
+    def test_odd_only_sieve_matches_full_mask(self, limit):
+        got = PrimeList.build(limit).values
+        assert got.dtype == np.int64
+        assert not got.flags.writeable
+        assert np.array_equal(got, full_mask_primes(limit))
+
     def test_sized_by_elliptic_prime_bound(self):
         # the bound is an integer limit, so it sizes an ecorders run's table
         table = PrimeList.build(sequences.elliptic_prime_bound(10**4))
@@ -361,7 +378,7 @@ class TestTotients:
         assert phi.dtype == np.int64
 
     def test_range_error(self, sieve10k):
-        for bad in ([0], [10**4 + 1], [5, 0, 7], [2**70]):
+        for bad in ([0], [10**4 + 1], [5, 0, 7], [2**70], [2**63], [3, 2**70], [5, 2**63]):
             with pytest.raises(RangeError):
                 sieve10k.totients(bad)
 
