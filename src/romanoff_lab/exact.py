@@ -1,16 +1,29 @@
-"""Exact rational accumulation helpers.
+"""Exact accumulation helpers.
 
 Moment sums are exact rationals whose reduced denominators grow like the lcm
 of the per-term denominators, so naive left-to-right Fraction addition is
 quadratic in practice.  ``exact_fraction_sum`` sums in two stages: raw
 (num, den) tree merges inside fixed-size chunks, one gcd per chunk, then a
 balanced Fraction tree over the chunk totals.
+
+``float_sum`` adds float64 arrays exactly and rounds once, the result
+``math.fsum`` gives (Shewchuk, Discrete Comput. Geom. 18, 1997) but taken a
+whole array at a time: the terms are bucketed by binary exponent, as in
+Neal's superaccumulator (arXiv:1505.05571), and ``np.bincount`` adds each
+bucket's mantissa halves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
+
+# terms per bincount: a bucket's total of mantissa halves (each below 2^27 in
+# magnitude) stays below 2^40, exact in float64, and each temporary (64 KB)
+# under glibc's mmap threshold
+_SUM_CHUNK = 1 << 13
 
 
 def pair_tree_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -54,3 +67,45 @@ def exact_fraction_sum(fractions: Iterable[Fraction], chunk: int = 512) -> Fract
             merged.append(chunk_totals[-1])
         chunk_totals = merged
     return chunk_totals[0]
+
+
+def float_sum(blocks: Iterable[np.ndarray]) -> float:
+    """The sum of every float64 entry of ``blocks``, correctly rounded: the
+    bits math.fsum gives wherever it has no intermediate overflow, +0.0 for a
+    zero or empty sum, and the same for any split of the terms into blocks.
+
+    np.frexp writes a term as m * 2^e with 0.5 <= |m| < 1, and m * 2^53 =
+    hi * 2^26 + lo with hi = floor(m * 2^27) and 0 <= lo < 2^26. Per chunk,
+    np.bincount adds hi and lo over the terms of each e, exactly (below 2^40);
+    one Python int holds the sum in units of 2^-1127 (e >= -1073), and the
+    int / int division rounds it once. A term that is infinite or nan, and a
+    sum beyond float64, raise OverflowError.
+    """
+    # map, not a loop variable: a caller's block of terms is freed before
+    # the caller makes the next one
+    return sum(map(_block_total, blocks)) / (1 << 1127)
+
+
+def _block_total(block) -> int:
+    flat = np.asarray(block, dtype=np.float64).ravel()
+    return sum(
+        _chunk_total(flat[i : i + _SUM_CHUNK]) for i in range(0, flat.size, _SUM_CHUNK)
+    )
+
+
+def _chunk_total(chunk: np.ndarray) -> int:
+    if not np.isfinite(chunk).all():
+        raise OverflowError("a term is infinite or nan")
+    mant, exp = np.frexp(chunk)
+    low = int(exp.min())
+    key = np.subtract(exp, low, dtype=np.intp)
+    mant *= 2.0**27
+    hi = np.floor(mant)
+    mant -= hi
+    mant *= 2.0**26
+    his, los = np.bincount(key, hi).tolist(), np.bincount(key, mant).tolist()
+    return sum(
+        ((int(h) << 26) + int(lo)) << k
+        for k, (h, lo) in enumerate(zip(his, los), low + 1074)
+        if h or lo
+    )

@@ -23,8 +23,9 @@ from .sieve import FactorSieve, PrimeList, check_finite
 class ExtremalSet:
     """Construction output; empty (and flagged) when Q > M.
 
-    mean_ratio is the correctly rounded fsum of the members' n/phi(n) divided
-    by their count (None for an empty set).
+    mean_ratio is the correctly rounded sum of the members' n/phi(n)
+    (``float_sum``, the bits math.fsum gives) divided by their count (None
+    for an empty set).
     """
 
     M: int

@@ -9,17 +9,20 @@ on the given input.
 The T1/T3/T4 reports here, and T5 and the extremal mean in their modules,
 sum totient-ratio powers one way (``_ratio_power_fsum``): phi is gathered for
 the listed values by ``FactorSieve.totients``, each term (n/phi(n))^s is
-formed in float64, and ``math.fsum`` adds the terms with a single correct
-rounding.  Against the exact sum, the result is within a
-relative (s + 3) * 2^-53, and it never falls below the term count, because
-n >= phi(n) makes every term round to >= 1.0.  ``moment_sum`` keeps the
-exact ``Fraction`` value and serves as the oracle for that bound.
+formed in float64, and ``exact.float_sum`` adds the term arrays exactly and
+rounds once, correctly: the bits ``math.fsum`` gives over the same terms.
+Against the exact sum, the result is within a relative (s + 3) * 2^-53, and
+it never falls below the term count, because n >= phi(n) makes every term
+round to >= 1.0.  ``moment_sum`` keeps the exact ``Fraction`` value and
+serves as the oracle for that bound.  A term, sum or bound that s takes
+beyond float64 raises CapacityError.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -28,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, ParameterError
-from .exact import exact_fraction_sum
+from .exact import exact_fraction_sum, float_sum
 from .sieve import (
     FactorSieve,
     PrimeList,
@@ -124,20 +127,33 @@ def moment_sum(values: Sequence[int], s: int, sieve: FactorSieve) -> Fraction:
     )
 
 
+@contextmanager
+def _float64_range(s: int):
+    """An OverflowError inside, from a float64 value that the power s takes
+    out of range, becomes a CapacityError naming s."""
+    try:
+        yield
+    except OverflowError:
+        raise CapacityError(f"s={s} takes the report beyond the float64 range") from None
+
+
 def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> float:
-    """sum (n/phi(n))^s over the list, correctly rounded from the float terms.
+    """sum (n/phi(n))^s over the list, correctly rounded from the float terms
+    by ``float_sum``; CapacityError when a term or the sum is beyond float64.
 
     ``FactorSieve.totients`` raises TableIntegrityError for an spf entry below
     2 or one that does not divide its n; valid entries put phi(n) in [1, n].
     """
     arr = np.asarray(values, dtype=np.int64)
 
-    def terms():
-        for start in range(0, len(arr), _FSUM_BLOCK):
-            block = arr[start : start + _FSUM_BLOCK]
-            yield from ((block / sieve.totients(block)) ** s).tolist()
+    def terms(start: int) -> np.ndarray:
+        block = arr[start : start + _FSUM_BLOCK]
+        ratio = block / sieve.totients(block)
+        ratio **= s
+        return ratio
 
-    return math.fsum(terms())
+    with _float64_range(s), np.errstate(over="ignore"):
+        return float_sum(map(terms, range(0, len(arr), _FSUM_BLOCK)))
 
 
 def theorem1_report(
@@ -166,7 +182,8 @@ def theorem1_report(
     lhs = _ratio_power_fsum(arr, s, sieve)
     cutoff = math.log(M) ** alpha if M > 1 else 0.0
     small = PrimeList.build(math.floor(cutoff)).values.tolist() if cutoff >= 2 else []
-    prime_part = math.fsum(omega_count(arr, p) * math.log(p) ** s / p for p in small)
+    with _float64_range(s):
+        prime_part = math.fsum(omega_count(arr, p) * math.log(p) ** s / p for p in small)
     rhs_core = n_terms + prime_part
     implied = (lhs / rhs_core) ** (1.0 / s)
     return MomentReport(
@@ -258,8 +275,12 @@ def _family_report(values, what, lead, k, z, s, sieve, parameters) -> MomentRepo
     lhs = _ratio_power_fsum(values, s, sieve)
     lead_ratio = float(totient_ratio(lead, sieve))
     log_k1 = math.log(k + 1)
-    rhs_core = (lead_ratio * log_k1) ** s * math.factorial(s) * z
-    implied = (lhs / (math.factorial(s) * z)) ** (1.0 / s) / (lead_ratio * log_k1)
+    with _float64_range(s):
+        rhs_core = (lead_ratio * log_k1) ** s * math.factorial(s) * z
+        scale = math.factorial(s) * z
+        if math.inf in (rhs_core, scale):  # float products overflow to inf
+            raise OverflowError
+    implied = (lhs / scale) ** (1.0 / s) / (lead_ratio * log_k1)
     return MomentReport(
         lhs=lhs,
         rhs_core=rhs_core,

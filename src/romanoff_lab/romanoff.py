@@ -9,8 +9,8 @@ windows of 2^19 cells of each parity half: each term adds it, shifted, into
 the n of the other parity, and p = 2 once. representation_counts fills an
 int64 r from the windows; theorem6_report and theorem9_report fold them into
 a histogram of r and never build r, so beside the prime table (8 bytes per
-prime) they hold x/2 bytes of indicator: the CLI peaks at 49 MB at x = 10^7
-and 169 MB at 10^8. The orders h_a(p) of an order-weighted sum are found in
+prime) they hold x/2 bytes of indicator: the CLI peaks at 45 MB at x = 10^7
+and 126 MB at 10^8. The orders h_a(p) of an order-weighted sum are found in
 numpy lanes, one per prime, peeling p - 1 through the spf walk of FactorSieve
 (an spf entry below 2 or one not dividing its n raises TableIntegrityError);
 multiplicative_order is the scalar path and their oracle. A call given no
@@ -65,6 +65,10 @@ _WINDOW = 2**19
 
 # window cells per np.bincount call of _histogram: a 512 KB intp copy
 _HIST_CELLS = 2**16
+
+# primes per index step of the odd-prime indicator in _windows: a 512 KB
+# int64 copy, not one as large as the prime table
+_INDICATOR_PRIMES = 2**16
 
 # order_distribution factors a^n - 1; beyond this exponent the numbers are
 # out of honest trial-division reach
@@ -156,7 +160,9 @@ def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: in
 
 def _windows(terms: list[int], x: int, primes: PrimeList):
     odd = np.zeros((x + 1) // 2, dtype=np.uint8)
-    odd[primes.upto(x)[1:] // 2] = 1
+    ps = primes.upto(x)[1:]
+    for i in range(0, ps.size, _INDICATOR_PRIMES):
+        odd[ps[i : i + _INDICATOR_PRIMES] // 2] = 1
     block = np.empty(_WINDOW, dtype=np.uint8)
     mid = np.empty(_WINDOW, dtype=np.uint16)
     for start in (1, 0):
@@ -349,8 +355,10 @@ def _lane_mult_orders(a: int, ps: np.ndarray, sieve: FactorSieve) -> np.ndarray:
     multiplicative_order in numpy lanes, over a sieve that covers every p - 1.
     From h = p - 1, each pass of the spf walk peels q off p - 1; a lane not
     closed on q divides h by q if a^(h/q) = 1 (mod p), else closes on q."""
-    assert (ps < _LANE_PRIME_LIMIT).all()  # residue products fit in int64
-    sieve.check_range(int(ps.max(initial=2)) - 1)
+    top = int(ps.max(initial=2))
+    if top >= _LANE_PRIME_LIMIT:  # residue products must fit in int64
+        raise CapacityError(f"p={top} is not below the lane bound {_LANE_PRIME_LIMIT}")
+    sieve.check_range(top - 1)
     base = _residues(a, ps)
     h = np.where(base == 0, 0, ps - 1)
     closed = np.zeros(h.shape, dtype=bool)

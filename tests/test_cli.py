@@ -57,6 +57,21 @@ class TestExitCodes:
             == 3
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "moments --report theorem1 --seq explicit:6,6 --x 6 --s 646",
+            "moments --report theorem1 --seq explicit:6 --x 6 --s 2000",
+            "moments --report poly --poly 1,0,1 --z 30 --s 170",
+            "moments --report linear --a 6 --bs 0 --z 1 --x 2 --s 646",
+            "elliptic --curve 1,1 --x 100 --s 2000",
+        ],
+    )
+    def test_beyond_float64_is_3(self, argv, capsys):
+        s = argv.split()[-1]
+        assert run(argv.split()) == 3
+        assert f"s={s}" in capsys.readouterr().err
+
     def test_sieve_cap_is_3(self, tmp_path):
         code = run(
             [

@@ -255,6 +255,11 @@ class TestTheorem5Report:
         with pytest.raises(RangeError):
             theorem5_report(EllipticCurve(1, 1), 100, 1, small, primes100k)
 
+    def test_sum_beyond_float64_is_capacity_error(self, sieve1m, primes100k):
+        # some order n has n/phi(n) >= 2, and 2^2000 is beyond float64
+        with pytest.raises(CapacityError, match="s=2000"):
+            theorem5_report(EllipticCurve(1, 1), 100, 2000, sieve1m, primes100k)
+
 
 class TestOrdersFromAnotherRun:
     """orders= must be the sequence of the same curve up to the same x."""

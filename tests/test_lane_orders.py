@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from romanoff_lab import romanoff
-from romanoff_lab.errors import RangeError, TableIntegrityError
+from romanoff_lab.errors import CapacityError, RangeError, TableIntegrityError
 from romanoff_lab.romanoff import _lane_mult_orders, multiplicative_order, order_weighted_sum
 from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
 
@@ -49,6 +50,12 @@ class TestLaneOrders:
     def test_table_short_of_p_minus_1_is_refused(self):
         with pytest.raises(RangeError):
             _lane_mult_orders(3, LANE_PRIMES.upto(2000), build_sieve(1000))
+
+    def test_prime_from_lane_bound_is_refused(self):
+        # an explicit check, not an assert, which python -O strips: the int64
+        # residue products need p < 2^31
+        with pytest.raises(CapacityError, match="lane bound"):
+            _lane_mult_orders(3, np.array([5, 2147483659]), LANE_SIEVE)
 
 
 def reference_sum(a, b, P, primes):

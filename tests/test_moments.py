@@ -292,6 +292,13 @@ def assert_within_fsum_bound(fast: float, exact: Fraction, s: int) -> None:
     assert abs(Fraction(fast) - exact) <= Fraction(s + 3, 2**53) * exact
 
 
+def fsum_of_terms(values, s: int, sieve: FactorSieve) -> float:
+    """math.fsum over the float terms as Python floats: the sum the reports
+    must equal bit for bit."""
+    arr = np.asarray(values, dtype=np.int64)
+    return math.fsum(((arr / sieve.totients(arr)) ** s).tolist())
+
+
 class TestZRejected:
     @pytest.mark.parametrize("z", [0, -1, -0.5])
     def test_nonpositive_z(self, sieve10k, z):
@@ -311,6 +318,7 @@ class TestFsumAgainstExactOracle:
         rep = theorem1_report(values, s, 0.5, 10**4, HYP_SIEVE)
         assert_within_fsum_bound(rep.lhs, moment_sum(values, s, HYP_SIEVE), s)
         assert rep.lhs >= len(values)
+        assert rep.lhs == fsum_of_terms(values, s, HYP_SIEVE)
 
     @given(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=3).filter(
@@ -328,6 +336,7 @@ class TestFsumAgainstExactOracle:
         rep = poly_moment_report(poly, z, s, HYP_SIEVE)
         if values:
             assert_within_fsum_bound(rep.lhs, moment_sum(values, s, HYP_SIEVE), s)
+            assert rep.lhs == fsum_of_terms(values, s, HYP_SIEVE)
         else:
             assert rep.lhs == 0.0
 
@@ -347,6 +356,7 @@ class TestFsumAgainstExactOracle:
             rep = delta_moment_report(a, bs, z, s, 10, HYP_SIEVE)
         if values:
             assert_within_fsum_bound(rep.lhs, moment_sum(values, s, HYP_SIEVE), s)
+            assert rep.lhs == fsum_of_terms(values, s, HYP_SIEVE)
         else:
             assert rep.lhs == 0.0
 
@@ -376,6 +386,48 @@ class TestFsumAgainstExactOracle:
         # pass for a float
         with pytest.raises(RangeError, match="beyond int64"):
             theorem1_report(values, 1, 0.5, 2.0**71, sieve10k)
+
+
+class TestBeyondFloat64:
+    """A term, a sum or a bound that the power s takes beyond float64 is a
+    CapacityError naming s, not an OverflowError, an inf or a warning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_theorem1_sum(self, sieve10k):
+        # 3^646 fits, twice it does not
+        with pytest.raises(CapacityError, match="s=646"):
+            theorem1_report([6, 6], 646, 0.5, 100.0, sieve10k)
+        rep = theorem1_report([6, 6], 645, 0.5, 100.0, sieve10k)
+        assert rep.lhs == 2 * 3.0**645 == fsum_of_terms([6, 6], 645, sieve10k)
+
+    def test_theorem1_infinite_term(self, sieve10k):
+        with pytest.raises(CapacityError, match="s=2000"):
+            theorem1_report([6], 2000, 0.5, 6.0, sieve10k)
+
+    def test_theorem1_bound(self, sieve10k):
+        # lhs = 1, but (ln 3)^8000 on the prime side is beyond float64
+        with pytest.raises(CapacityError, match="s=8000"):
+            theorem1_report([1], 8000, 0.5, 10.0**6, sieve10k)
+
+    def test_poly_sum(self, sieve10k):
+        # R(n) = 6n over -1 <= n <= 1: the terms 3^s of 6 and 6
+        with pytest.raises(CapacityError, match="s=646"):
+            poly_moment_report(PolynomialSpec((0, 6)), 1, 646, sieve10k)
+
+    def test_poly_bound(self, sieve10k):
+        # lhs fits; s! * z does not
+        with pytest.raises(CapacityError, match="s=170"):
+            poly_moment_report(PolynomialSpec.from_descending([1, 0, 1]), 30, 170, sieve10k)
+
+    def test_delta_sum(self, sieve10k):
+        # Delta_L = 6^2 * |0 - b| = 36 for b = -1, 1: two terms 3^s
+        with pytest.raises(CapacityError, match="s=646"):
+            delta_moment_report(6, [0], 1, 646, 2.0, sieve10k)
 
 
 class TestTheorem1CutoffPrimes:

@@ -1,6 +1,7 @@
 """The T6 frontier and T9 reports against output committed from the kernel
 that built an int64 r over every n <= x, and the memory the windowed kernel
-keeps them in."""
+keeps them in; the T1 report against output committed from the moment sum
+that added Python floats with math.fsum."""
 
 import os
 import subprocess
@@ -25,6 +26,13 @@ def test_output_at_a_million_is_byte_identical(name, tmp_path):
     out = tmp_path / "report.json"
     assert run(REPORTS[name] + ["--x", "1000000", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}-x1000000.json").read_bytes()
+
+
+def test_theorem1_at_a_million_is_byte_identical(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["moments", "--report", "theorem1", "--seq", "poly:1,0", "--x", "1000000", "--s", "3"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "theorem1-poly10-x1000000-s3.json").read_bytes()
 
 
 # Linux folds the memory a process replaces at exec into its ru_maxrss, so a
