@@ -14,20 +14,19 @@ may stay ambiguous. Cost is about p^(1/4) group operations per point.
 
 An order_sequence counts its primes of good reduction from p = 5 to
 _LANE_PRIME_LIMIT = 2^31 (int64 products) in numpy lanes
-(_count_points_lanes): one lane per prime, rounds of 16 (isqrt(r) + 1) lanes
-for the r of the sequence's largest prime with one baby-step count s each,
-Jacobian coordinates with mixed addition, baby and giant x-coordinates made
-affine by Montgomery's batch inversion (one Fermat inversion per lane), and
-matches found by sorting lane-keyed x and one searchsorted. Each round gives
-every open lane the next point of the scalar scan and intersects the orders
-it allows by the Chinese remainder theorem. The lanes left open, runs of
-fewer than _LANE_MIN_BATCH primes and primes from 2^31 up take
-_count_points_prime: a round costs 2-8 ms in numpy calls (p = 4096 to 10^7),
+(_count_points_lanes): one lane per prime, rounds of up to _ROUND_LANES =
+1024 lanes with one baby-step count s each, Jacobian coordinates with mixed
+addition, baby and giant tables made affine in place by Montgomery's batch
+inversion (one Fermat inversion per lane), and matches found by sorting
+lane-keyed x in place and one searchsorted. Each round gives every open lane
+the next point of the scalar scan and intersects the orders it allows by the
+Chinese remainder theorem. The lanes left open, runs of fewer than
+_LANE_MIN_BATCH primes and primes from 2^31 up take _count_points_prime: a round costs 2-8 ms in numpy calls (p = 4096 to 10^7),
 so lanes and scalar BSGS break even near 30-45 primes at p = 4096 and near
-16 at p = 10^7. Per prime, the lanes took 22 / 24 / 32 us against 105 / 194 /
-407 us for the scalar BSGS on the primes of [4096, 10^5], [8*10^5, 10^6] and
-[9.8*10^6, 10^7], and 15 against 40 us for the character sum on [5, 4096)
-(2-core x86 host, CPython 3.11, numpy 2.4).
+16 at p = 10^7. Per prime, the lanes took 12-18 / 21-24 / 34-40 us against
+105 / 194 / 407 us for the scalar BSGS on the primes of [4096, 10^5],
+[8*10^5, 10^6] and [9.8*10^6, 10^7], and 16-18 against 40 us for the
+character sum on [5, 4096) (2-core x86 host, CPython 3.11, numpy 2.4).
 
 _count_points_prime, which also serves single count_points calls, takes the
 scalar BSGS from _BSGS_MIN_PRIME up. Everything else goes to the O(p)
@@ -56,6 +55,7 @@ from .sieve import (
     _LANE_PRIME_LIMIT,
     FactorSieve,
     PrimeList,
+    _isqrt_lanes,
     _powmod_lanes,
     _residues,
     factorize_trial,
@@ -74,14 +74,10 @@ _MAX_CHARACTER_PRIME = 2**24
 _BSGS_MIN_PRIME = 2**12
 # points tried on E and on its twist before falling back to the character sum
 _BSGS_POINT_TRIES = 4
-# every round of a lane batch holds this many lanes per baby step s of the
-# sequence's largest prime: 272 lanes at x = 2e4, 1280 at x = 1e7. Rounds of
-# small primes are as wide as the last one, so they pay the fixed cost of a
-# round less often (9 rounds at x = 2e4; 13 when each round was sized from
-# its first prime), and their (s + 1, lanes) arrays stay small. Fixed batches
-# of 512 to 2048 lanes raised the peak RSS of T5 at x = 2e4 by 0.3 to 2.7 MB
-# more, and 4096 lanes were no faster at x = 1e7
-_LANES_PER_STEP = 16
+# lanes a round holds. A mixed add takes about 28 us a call plus 50 ns a
+# lane, so T5 at x = 2e4 takes 3 rounds where 16 lanes per baby step (272)
+# took 9, and its peak RSS stays within 0.2 MB of that (2048 lanes: 1 MB more)
+_ROUND_LANES = 1024
 # fewer open lanes than this go to the scalar BSGS (the measured break-even
 # is 30-45 at p = 4096 and falls to about 16 by p = 1e7)
 _LANE_MIN_BATCH = 40
@@ -368,20 +364,31 @@ def _mul_lanes(k, bx, by, a, p):
 
 
 def _affine(X, Y, Z, p):
-    """Affine (x, y) of (steps, lanes) Jacobian arrays, by Montgomery's batch
-    inversion along the step axis with one Fermat inversion per lane. A point
-    at infinity comes back as arbitrary residues."""
-    Z = np.where(Z == 0, 1, Z)
-    inv = np.empty_like(Z)  # prefix products first, then the inverses
-    inv[0] = Z[0]
+    """(steps, lanes) Jacobian arrays made affine in place by Montgomery's batch
+    inversion along the step axis, one Fermat inversion per lane: X, Y become
+    x, y and Z becomes 1/Z, where a point at infinity counts as Z = 1."""
+    Z[Z == 0] = 1
+    pre = Z.copy()  # prefix products, then (1/Z)^2 and (1/Z)^3
     for i in range(1, len(Z)):
-        inv[i] = inv[i - 1] * Z[i] % p
-    acc = _powmod_lanes(inv[-1], p - 2, p)
+        pre[i] = pre[i - 1] * Z[i] % p
+    acc = _powmod_lanes(pre[-1], p - 2, p)
     for i in range(len(Z) - 1, 0, -1):
-        inv[i], acc = acc * inv[i - 1] % p, acc * Z[i] % p
-    inv[0] = acc
-    zz = inv * inv % p
-    return X * zz % p, Y * (zz * inv % p) % p
+        Z[i], acc = acc * pre[i - 1] % p, acc * Z[i] % p
+    Z[0] = acc
+    pre[:] = Z
+    for out, factor in ((pre, Z), (X, pre), (pre, Z), (Y, pre)):
+        out *= factor
+        out %= p
+
+
+def _keys(x, y, row, lane):
+    """Sorted keys lane << 41 | x << 10 | row << 1 | (y & 1), built over the
+    (rows, lanes) x in place; for one x, the parity of y tells jP from -jP."""
+    x <<= 10
+    for part in (row << 1, y & 1, lane << 41):
+        x |= part
+    x.reshape(-1).sort()  # a view of x, so x is sorted in place
+    return x.reshape(-1)
 
 
 def _event(j, order):
@@ -400,8 +407,8 @@ def _lane_killers(px, py, a, p, lo, hi, s):
     (gap = 1 when count < 2).
 
     The steps of _annihilators, one lane per prime and one s for all: baby
-    steps jP (1 <= j <= s) keyed lane << 40 | x << 9 | j and sorted, giant
-    steps cP (c = lo + s, lo + 3s + 1, ...) looked up by searchsorted. The
+    steps jP (1 <= j <= s) keyed by _keys and sorted, giant steps cP
+    (c = lo + s, lo + 3s + 1, ...) looked up by searchsorted. The
     killers are the multiples of ord(P) in [lo, hi], so gap = ord(P) when
     there are two or more. A small order (jP = O, y = 0, an x collision, or
     (2s + 1)P = O) is read off the baby steps exactly, as _annihilators does.
@@ -424,32 +431,37 @@ def _lane_killers(px, py, a, p, lo, hi, s):
         np.where(~infinite & (Y[:s] == 0), _event(j, 2 * j), _NO_EVENT).min(axis=0),
     )
     event = np.where(Z[s] == 0, np.minimum(event, _event(s + 1, 2 * s + 1)), event)
-    bx, by = _affine(X, Y, Z, p)
-    baby = np.sort((lane << 40 | bx[:s] << 9 | j).ravel())
-    same = np.flatnonzero((baby[1:] ^ baby[:-1]) < 512)
-    if same.size:
-        i, k = baby[same] & 511, baby[same + 1]
-        np.minimum.at(event, k >> 40, _event(k & 511, i + (k & 511)))
-    small = event != _NO_EVENT
-
+    _affine(X, Y, Z, p)
     step = 2 * s + 1
     c0 = lo + s
+    R = _mul_lanes(c0, X[:s], Y[:s], a, p)
+    baby = _keys(X[:s], Y[:s], j, lane)  # row s keeps the giant step
+    same = np.flatnonzero((baby[1:] ^ baby[:-1]) < 1024)
+    if same.size:
+        i, k = (baby[same] >> 1) & 511, baby[same + 1]
+        np.minimum.at(event, k >> 41, _event((k >> 1) & 511, i + ((k >> 1) & 511)))
+    small = event != _NO_EVENT
+
+    # giant steps over the freed rows of Z and Y and one new array: 5 tables live
     steps = int((hi - lo).max()) // step + 1
-    R = _mul_lanes(c0, bx[:s], by[:s], a, p)
+    GX, GY, GZ = Z[:steps], Y[:steps], np.empty((steps, n), dtype=np.int64)
     for k in range(steps):
         if k:
-            R = _madd_lanes(*R, bx[s], by[s], a, p)
-        X[k], Y[k], Z[k] = R  # steps <= s rows
-    cx, cy = _affine(X[:steps], Y[:steps], Z[:steps], p)
-    # giant keys lane << 40 | x << 9 | k; sorted needles halve searchsorted's time
-    giant = np.sort((lane << 40 | cx << 9 | np.arange(steps)[:, None]).ravel())
-    pos = np.minimum(np.searchsorted(baby, giant & ~511), len(baby) - 1)
-    hit = (baby[pos] ^ giant) < 512
-    gl, gk, j = giant[hit] >> 40, giant[hit] & 511, baby[pos[hit]] & 511
+            R = _madd_lanes(*R, X[s], Y[s], a, p)
+        GX[k], GY[k], GZ[k] = R  # steps <= s rows
+    at_infinity = GZ == 0
+    _affine(GX, GY, GZ, p)
+    del GZ
+    giant = _keys(GX, GY, np.arange(steps)[:, None], lane)
+    # sorted needles halve searchsorted's time; d ^ giant is the baby key found
+    d = baby.take(np.searchsorted(baby, giant & ~1023), mode="clip") ^ giant
+    hit = np.flatnonzero(d < 1024)
+    g, d = giant[hit], d[hit]
+    gl, gk, j = g >> 41, (g >> 1) & 511, ((d ^ g) >> 1) & 511
     c = c0[gl] + step * gk
-    m = np.where(cy[gk, gl] == by[j - 1, gl], c - j, c + j)
-    finite = Z[gk, gl] != 0
-    ik, il = np.nonzero(Z[:steps] == 0)  # cP = O: c itself kills P
+    m = np.where((d & 1) == 0, c - j, c + j)  # same y: cP = jP
+    finite = ~at_infinity[gk, gl]
+    ik, il = np.nonzero(at_infinity)  # cP = O: c itself kills P
     ls = np.concatenate([gl[finite], il])
     ms = np.concatenate([m[finite], c0[il] + step * ik])
     found = np.sort((ls << 32 | ms)[(lo[ls] <= ms) & (ms <= hi[ls])])
@@ -476,13 +488,13 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
     v = x^3 + ax + b on E or on its twist as Euler's criterion of v says. The
     orders a point allows form a progression N = f (mod g) in the Hasse
     interval; a lane keeps the intersection of its progressions by the Chinese
-    remainder theorem and is resolved when one N is left. A batch holds the open lanes of the last round, then the next
-    primes not yet started: _LANES_PER_STEP * s lanes for the s of the last
-    prime. A lane stops after 2 * _BSGS_POINT_TRIES points, and rounds stop
-    once every prime has started and fewer than _LANE_MIN_BATCH lanes are open.
+    remainder theorem and is resolved when one N is left. A round holds the
+    open lanes, then fresh primes, to _ROUND_LANES lanes. A lane stops after
+    2 * _BSGS_POINT_TRIES points, and rounds once every prime has started and
+    fewer than _LANE_MIN_BATCH lanes are open.
     """
     a, b = _residues(curve.A, ps), _residues(curve.B, ps)
-    r = np.array([math.isqrt(4 * p) for p in ps.tolist()], dtype=np.int64)
+    r = _isqrt_lanes(4 * ps)
     lo, hi = ps + 1 - r, ps + 1 + r
     orders = np.zeros(len(ps), dtype=np.int64)
     x = np.zeros(len(ps), dtype=np.int64)
@@ -490,9 +502,8 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
     allowed: dict[int, tuple[int, int]] = {}  # lane -> (N mod g, g) so far
     retry = np.zeros(0, dtype=np.int64)
     started = 0
-    size = _LANES_PER_STEP * (math.isqrt(int(r[-1])) + 1) if len(ps) else 0
     while started < len(ps) or len(retry) >= _LANE_MIN_BATCH:
-        fresh = np.arange(started, min(len(ps), started + max(0, size - len(retry))))
+        fresh = np.arange(started, min(len(ps), started + _ROUND_LANES - len(retry)))
         started += len(fresh)
         lanes = np.concatenate([retry, fresh])
         # isqrt((hi - lo + 1) // 2) + 1 at the largest p of the batch

@@ -33,6 +33,7 @@ from .sieve import (
     _LANE_PRIME_LIMIT,
     FactorSieve,
     PrimeList,
+    _isqrt_lanes,
     _powmod_lanes,
     _residues,
     build_sieve,
@@ -41,12 +42,14 @@ from .sieve import (
     totient_trial,
 )
 from .sequences import (
+    EllipticOrders,
     Explicit,
     PowerTower,
     SequenceSpec,
     congruence_pair_sum,
     count_terms,
     doubling_ratio,
+    elliptic_prime_bound,
     enumerate_terms,
     format_sequence_spec,
     max_multiplicity,
@@ -149,6 +152,7 @@ def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: in
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
     primes.check_range(x)
+    _refuse_curve_orders(spec, x, x - 2, primes, budget)
     terms = enumerate_terms(spec, x - 2, primes) if x >= 3 else []
     cost = len(terms) * (x + 1) - sum(terms)
     if cost > budget:
@@ -156,6 +160,30 @@ def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: in
             f"{len(terms)} terms cost {cost} byte adds, above budget {budget}"
         )
     return _windows(terms, x, primes)
+
+
+def _refuse_curve_orders(
+    spec: SequenceSpec, x: int, y: float, primes: PrimeList, budget: int
+) -> None:
+    """Raise CapacityError before curve orders up to y are counted when the
+    shift-add to x must exceed the budget: by Hasse, each prime q with
+    q + 1 + isqrt(4q) <= x - 2 gives a term a <= x - 2 that costs
+    x + 1 - a >= x - q - isqrt(4q). That sum is a lower bound, so no run
+    within the budget is refused. A y that is not a finite number >= 1, or a
+    table too short for y, is left to raise where the orders are counted."""
+    if (
+        not isinstance(spec, EllipticOrders)
+        or not 1 <= y < math.inf
+        or primes.limit < elliptic_prime_bound(y)
+    ):
+        return
+    q = primes.values[: int(np.searchsorted(primes.values, x, side="right"))]
+    r = _isqrt_lanes(4 * q)
+    least = int((x - q - r)[q + 1 + r <= x - 2].sum())
+    if least > budget:
+        raise CapacityError(
+            f"curve orders to x={x} cost at least {least} byte adds, above budget {budget}"
+        )
 
 
 def _windows(terms: list[int], x: int, primes: PrimeList):
@@ -249,6 +277,8 @@ def theorem6_report(
     A is enumerated once; every statistic reads the literal multiset of its
     terms up to x, which holds the terms up to any y <= x as a prefix.
     """
+    if alpha > 0:  # else congruence_pair_sum rejects alpha, after the terms
+        _refuse_curve_orders(spec, x, x, primes, budget)
     terms = enumerate_terms(spec, x, primes)
     n_total = len(terms)
     if n_total == 0:

@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 
 # generation guard: no family may expand to more terms than this
 MAX_GENERATED_TERMS = 10**8
+# polynomial values evaluated by one int64 Horner pass
+_TERM_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,22 @@ def format_sequence_spec(spec: SequenceSpec) -> str:
     raise ParameterError(f"not a sequence spec: {spec!r}")
 
 
+def _least(holds, j: int) -> int:
+    """The least i >= j for which holds(i), where holds is monotone from j."""
+    hi = j
+    while not holds(hi):
+        j, hi = hi + 1, 2 * hi
+    while j < hi:
+        mid = (j + hi) // 2
+        j, hi = (j, mid) if holds(mid) else (mid + 1, hi)
+    return j
+
+
 def _polynomial_terms(poly: PolynomialSpec, x: float) -> list[int]:
+    """The values 0 < R(j) <= x in the order of j = 1, ..., J, the first j at
+    which |R(j)| >= j^(k-1) (lead*j - k*max|c_i|) exceeds x. Horner runs in
+    int64 blocks while sum |c_i| j^i < 2^63, which bounds every partial sum,
+    and in Python ints beyond; more than MAX_GENERATED_TERMS values raise."""
     k = poly.degree
     if k == 0:
         value = poly.coeffs[0]
@@ -157,20 +174,26 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> list[int]:
             )
         return []
     lead = abs(poly.coeffs[-1])
-    tail_max = max((abs(c) for c in poly.coeffs[:-1]), default=0)
-    out = []
-    j = 0
-    while True:
-        j += 1
+    tail = k * max((abs(c) for c in poly.coeffs[:-1]), default=0)
+    # the bound is positive and increasing from j = tail // lead + 1 on
+    last = _least(lambda j: j ** (k - 1) * (lead * j - tail) > x, tail // lead + 1)
+    wide = _least(lambda j: sum(abs(c) * j**i for i, c in enumerate(poly.coeffs)) >= 2**63, 1)
+    out: list[int] = []
+    for start in range(1, min(last + 1, wide), _TERM_BLOCK):
+        j = np.arange(start, min(start + _TERM_BLOCK, last + 1, wide), dtype=np.int64)
+        value = np.full_like(j, poly.coeffs[-1])
+        for c in reversed(poly.coeffs[:-1]):
+            value *= j
+            value += c
+        out += [v for v in value.tolist() if 0 < v <= x]
         if len(out) > MAX_GENERATED_TERMS:
             raise CapacityError("polynomial term generation exceeded the guard")
+    for j in range(wide, last + 1):
         value = poly.evaluate(j)
         if 0 < value <= x:
             out.append(value)
-        # |R(j)| >= j^(k-1) (lead*j - tail_max*k) eventually dominates x
-        dominated = j ** (k - 1) * (lead * j - tail_max * k)
-        if dominated > x:
-            break
+            if len(out) > MAX_GENERATED_TERMS:
+                raise CapacityError("polynomial term generation exceeded the guard")
     return out
 
 

@@ -454,3 +454,12 @@ def _powmod_lanes(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
         result = np.where((e >> bit) & 1 == 1, result * base % p, result)
         base = base * base % p
     return result
+
+
+def _isqrt_lanes(n: np.ndarray) -> np.ndarray:
+    """isqrt(n) lane by lane for 0 <= n < 2^52: float64 holds such n exactly,
+    and the floor of its rounded square root is off by at most one."""
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -612,6 +613,71 @@ class TestLanesAgainstCharacterSum:
             assert list(seq.entries) == [(p, n) for p, n in scalar.items() if p <= x], x
             on_lanes.append(bool(lane_primes))
         assert not on_lanes[0] and on_lanes[-1]
+
+
+class TestRoundEdges:
+    """Rounds hold _ROUND_LANES lanes; here rounds of 1, 7 and 64 lanes put
+    retried lanes, fresh primes and the lanes left to the scalar path on
+    round edges."""
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    @pytest.mark.parametrize("A,B", [(0, 1), (1, 0), (-41, -35)])
+    def test_lanes_match_character_sum(self, A, B, width, monkeypatch, scalar_calls):
+        rounds = Counter()
+        killers = ell._lane_killers
+
+        def counted(px, py, a, p, *args):
+            rounds.update(p.tolist())
+            return killers(px, py, a, p, *args)
+
+        monkeypatch.setattr(ell, "_lane_killers", counted)
+        monkeypatch.setattr(ell, "_ROUND_LANES", width)
+        curve = EllipticCurve(A, B)
+        ps = good_primes(curve, LANE_PRIMES[:120])
+        orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+        assert any(n > 1 for n in rounds.values())  # retried lanes
+        assert scalar_calls  # lanes left open
+
+    @given(
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.integers(min_value=0, max_value=len(LANE_PRIMES) - 1),
+        st.integers(min_value=1, max_value=150),
+        st.sampled_from([1, 7, 64]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_curves_and_widths(self, A, B, start, length, width):
+        if 4 * A**3 + 27 * B**2 == 0:
+            return
+        curve = EllipticCurve(A, B)
+        ps = good_primes(curve, LANE_PRIMES[start : start + length])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ell, "_ROUND_LANES", width)
+            orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+
+
+class TestAffineInPlace:
+    """_affine overwrites X, Y with x, y and Z with 1/Z; a cell with Z = 0
+    is taken as Z = 1."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 9])
+    def test_against_scalar_inverse(self, rows):
+        rng = np.random.default_rng(rows)
+        p = np.array([5, 7, 4099, 65537, 2147483647, 1000003], dtype=np.int64)
+        X, Y, Z = (rng.integers(0, p, size=(rows, len(p))) for _ in range(3))
+        Z[rng.random(Z.shape) < 0.2] = 0
+        Z[rows // 2] = 0  # a whole row at infinity
+        Z[:, 1] = 0  # and a whole lane
+        X0, Y0, Z0 = X.copy(), Y.copy(), Z.copy()
+        assert ell._affine(X, Y, Z, p) is None
+        for (i, k), z in np.ndenumerate(Z0):
+            q = int(p[k])
+            inv = pow(int(z), -1, q) if z else 1
+            assert int(Z[i, k]) == inv
+            assert int(X[i, k]) == int(X0[i, k]) * inv**2 % q
+            assert int(Y[i, k]) == int(Y0[i, k]) * inv**3 % q
 
 
 class TestLaneKillers:

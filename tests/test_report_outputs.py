@@ -1,8 +1,10 @@
 """The T6 frontier and T9 reports against output committed from the kernel
 that built an int64 r over every n <= x, and the memory the windowed kernel
 keeps them in; the T1 report against output committed from the moment sum
-that added Python floats with math.fsum."""
+that added Python floats with math.fsum; the T5 report and orders against
+output committed from the lane rounds sized by the baby-step count."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -26,6 +28,21 @@ def test_output_at_a_million_is_byte_identical(name, tmp_path):
     out = tmp_path / "report.json"
     assert run(REPORTS[name] + ["--x", "1000000", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}-x1000000.json").read_bytes()
+
+
+def test_theorem5_at_a_million_is_byte_identical(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["elliptic", "--curve", "1,1", "--x", "1000000", "--census-mod", "4"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "theorem5-curve1_1-x1000000.json").read_bytes()
+
+
+def test_orders_at_a_million_keep_their_digest(tmp_path):
+    out = tmp_path / "orders.csv"
+    argv = ["elliptic", "--curve", "1,1", "--x", "1000000", "--report", "orders"]
+    assert run(argv + ["--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "efbd46b3d599dfdaa3fb606c71f4999a6fc317a9dd5731b1168ed0f3a15b4393"
 
 
 def test_theorem1_at_a_million_is_byte_identical(tmp_path):

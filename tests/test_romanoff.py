@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from romanoff_lab import elliptic
 from romanoff_lab import romanoff as rom_module
 from romanoff_lab import sieve as sieve_module
+from romanoff_lab.cli import run
 from romanoff_lab.elliptic import EllipticCurve, count_points, order_sequence
-from romanoff_lab.errors import CapacityError, DomainError, RangeError
+from romanoff_lab.errors import CapacityError, DomainError, ParameterError, RangeError
 from romanoff_lab.moments import PolynomialSpec
 from romanoff_lab.romanoff import (
     RepresentationProfile,
@@ -34,6 +35,7 @@ from romanoff_lab.sequences import (
     Geometric,
     Polynomial,
     PowerTower,
+    elliptic_prime_bound,
     enumerate_terms,
 )
 from romanoff_lab.sieve import PrimeList, factorize_trial, is_prime
@@ -654,3 +656,83 @@ class TestBudgetInByteAdds:
         # only terms a <= x - 2 reach the kernel; 999 and 1000 add no work
         prof = representation_counts(Explicit((1, 999, 1000)), 1000, primes100k, budget=1000)
         assert prof.total() == primes100k.count_leq(999)
+
+
+def hasse_cost_bound(x: int, primes: PrimeList) -> int:
+    """Sum of x - q - isqrt(4q) over the primes with q + 1 + isqrt(4q) <= x - 2."""
+    return sum(
+        x - q - math.isqrt(4 * q)
+        for q in map(int, primes.upto(x))
+        if q + 1 + math.isqrt(4 * q) <= x - 2
+    )
+
+
+class TestCurveOrdersRefusedUpFront:
+    """By Hasse, the primes alone bound the shift-add cost of curve orders
+    from below, so a run over the budget exits 3 before any point is
+    counted, and no run within the budget is refused."""
+
+    def test_ten_million_exits_three_before_counting(self, monkeypatch):
+        def counted(*args):
+            raise AssertionError("points were counted")
+
+        monkeypatch.setattr(rom_module, "enumerate_terms", counted)
+        argv = ["romanoff", "--report", "frontier", "--seq", "ecorders:1,1"]
+        assert run(argv + ["--x", "10000000", "--prime-limit", "10006326"]) == 3
+
+    def test_a_million_is_within_the_default_budget(self, primes1m):
+        assert 3 * 10**10 < hasse_cost_bound(10**6, primes1m) < rom_module.DEFAULT_BUDGET
+        spec = EllipticOrders(EllipticCurve(1, 1))
+        rom_module._refuse_curve_orders(spec, 10**6, 10**6, primes1m, rom_module.DEFAULT_BUDGET)
+
+    @pytest.mark.parametrize("x", [-5, 0, math.nan, math.inf])
+    def test_invalid_x_raises_parameter_error(self, x, primes100k):
+        spec = EllipticOrders(EllipticCurve(1, 1))
+        with pytest.raises(ParameterError):
+            theorem6_report(spec, x, 1.0, primes100k, budget=0)
+
+    def test_invalid_alpha_is_reported_as_alpha(self, primes100k):
+        spec = EllipticOrders(EllipticCurve(1, 1))
+        with pytest.raises(ParameterError, match="alpha"):
+            theorem6_report(spec, 3000, 0.0, primes100k, budget=0)
+
+    def test_table_for_x_minus_2_is_enough(self, monkeypatch):
+        # representation_counts enumerates to x - 2, so a table that covers
+        # those terms but not the terms to x still gets the up-front refusal
+        x = 3000
+        primes = PrimeList.build(elliptic_prime_bound(x - 2))
+        assert primes.limit < elliptic_prime_bound(x)
+
+        def counted(*args):
+            raise AssertionError("points were counted")
+
+        monkeypatch.setattr(rom_module, "enumerate_terms", counted)
+        with pytest.raises(CapacityError):
+            representation_counts(EllipticOrders(EllipticCurve(1, 1)), x, primes, budget=0)
+
+    def test_short_table_still_raises_range_error(self):
+        spec = EllipticOrders(EllipticCurve(1, 1))
+        with pytest.raises(RangeError):
+            theorem6_report(spec, 3000, 1.0, PrimeList.build(3000), budget=0)
+
+    @pytest.mark.parametrize("A,B", [(1, 1), (0, 7), (-41, -35)])
+    @pytest.mark.parametrize("x", [3, 4, 40, 3000])
+    def test_bound_is_below_the_cost(self, A, B, x, primes100k, monkeypatch):
+        spec = EllipticOrders(EllipticCurve(A, B))
+        terms = enumerate_terms(spec, x - 2, primes100k)
+        cost = len(terms) * (x + 1) - sum(terms)
+        least = hasse_cost_bound(x, primes100k)
+        assert least <= cost
+        representation_counts(spec, x, primes100k, budget=cost)
+        if x >= 40:
+            theorem6_report(spec, x, 1.0, primes100k, budget=cost)
+        if least:
+
+            def counted(*args):
+                raise AssertionError("points were counted")
+
+            monkeypatch.setattr(rom_module, "enumerate_terms", counted)
+            with pytest.raises(CapacityError):
+                representation_counts(spec, x, primes100k, budget=least - 1)
+            with pytest.raises(CapacityError):
+                theorem6_report(spec, x, 1.0, primes100k, budget=least - 1)

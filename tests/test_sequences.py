@@ -12,6 +12,7 @@ from romanoff_lab.errors import (
     ParameterError,
     RangeError,
 )
+from romanoff_lab import sequences as seq_module
 from romanoff_lab.moments import PolynomialSpec
 from romanoff_lab.sequences import (
     EllipticOrders,
@@ -92,6 +93,83 @@ class TestEnumerateTerms:
             PowerTower(2, 1)
         with pytest.raises(ParameterError):
             Explicit((0,))
+
+
+def polynomial_terms_oracle(poly: PolynomialSpec, x: float) -> list[int]:
+    """The one-j-at-a-time loop that int64 Horner blocks replaced."""
+    k = poly.degree
+    lead = abs(poly.coeffs[-1])
+    tail_max = max((abs(c) for c in poly.coeffs[:-1]), default=0)
+    out = []
+    j = 0
+    while True:
+        j += 1
+        if len(out) > seq_module.MAX_GENERATED_TERMS:
+            raise CapacityError("polynomial term generation exceeded the guard")
+        value = poly.evaluate(j)
+        if 0 < value <= x:
+            out.append(value)
+        if j ** (k - 1) * (lead * j - tail_max * k) > x:
+            break
+    return sorted(out)
+
+
+def assert_terms_match_oracle(coeffs, x, block=None):
+    poly = PolynomialSpec(tuple(coeffs))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(seq_module, "_TERM_BLOCK", block)
+        try:
+            expected = polynomial_terms_oracle(poly, x)
+        except CapacityError:
+            with pytest.raises(CapacityError):
+                enumerate_terms(Polynomial(poly), x)
+            return
+        assert enumerate_terms(Polynomial(poly), x) == expected
+
+
+class TestPolynomialTermsAgainstLoop:
+    """The int64 Horner blocks give the list, and the CapacityError, of the
+    loop that evaluated R(j) one j at a time."""
+
+    @given(
+        st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=4),
+        st.integers(min_value=-3, max_value=3).filter(bool),
+        st.floats(min_value=1, max_value=2e4),
+        st.sampled_from([None, 7, 64]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_polynomials(self, tail, lead, x, block):
+        assert_terms_match_oracle(tail + [lead], x, block)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize(
+        "coeffs,x",
+        [
+            # sum |c_i| j^i crosses 2^63 below the last j: the rest are Python ints
+            ((5, 0, 2**40), 1.5 * 2.0**63),
+            ((-(2**62), 2**60), 2.0**64),
+            ((2**63, 2**62), 2.0**66),  # wider than int64 from j = 1
+            ((-(2**62), 0, 2**61), 3.0 * 2.0**62),
+            ((1, 2**52), 2.0**53),  # R(2) = 2^53 + 1 rounds to x as a float
+        ],
+    )
+    def test_beyond_int64(self, coeffs, x, block):
+        assert_terms_match_oracle(coeffs, x, block)
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 64])
+    @pytest.mark.parametrize("guard", [98, 99, 100, 101])
+    def test_guard_fires_where_the_loop_fired(self, guard, block, monkeypatch):
+        # 100 terms: 99 and 98 raise, 100 and 101 do not; so for 1 + j^2 - 20j
+        monkeypatch.setattr(seq_module, "MAX_GENERATED_TERMS", guard)
+        assert_terms_match_oracle((0, 1), 100.0, block)
+        assert_terms_match_oracle((0, 1), 100.5, block)
+        assert_terms_match_oracle((1, -20, 1), 10000.0, block)
+        if guard >= 100:
+            assert len(enumerate_terms(Polynomial(PolynomialSpec((0, 1))), 100)) == 100
+        else:
+            with pytest.raises(CapacityError):
+                enumerate_terms(Polynomial(PolynomialSpec((0, 1))), 100)
 
 
 class TestCountingFunctions:

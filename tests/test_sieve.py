@@ -13,6 +13,7 @@ from romanoff_lab.romanoff import theorem6_report
 from romanoff_lab.sieve import (
     FactorSieve,
     PrimeList,
+    _isqrt_lanes,
     build_sieve,
     chebyshev_theta,
     factorize_trial,
@@ -471,3 +472,12 @@ class TestSpfWalk:
     def test_non_integer_value_is_refused(self, sieve10k, values):
         with pytest.raises(ParameterError):
             sieve10k.totients(values)
+
+
+def test_isqrt_lanes_matches_math_isqrt():
+    # squares, their neighbours and random values up to 2^52 - 1
+    roots = [0, 1, 2, 3, 4096, 46340, 46341, 2**26 - 1]
+    values = [v for k in roots for v in (k * k - 1, k * k, k * k + 1) if v >= 0]
+    values += [2**52 - 1, 4 * (2**31 - 1)] + random.Random(5).sample(range(2**52), 200)
+    n = np.array(values, dtype=np.int64)
+    assert _isqrt_lanes(n).tolist() == [math.isqrt(v) for v in values]
