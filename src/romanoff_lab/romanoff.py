@@ -5,17 +5,18 @@ shifted-prime counts, multiplicative orders, order-weighted prime sums, and
 polynomial root counts modulo m.
 
 r(n) is counted exactly, by shift-and-add of the odd-prime indicator over
-windows of 2^19 cells of each parity half: each term adds it, shifted, into
-the n of the other parity, and p = 2 once. representation_counts fills an
-int64 r from the windows; theorem6_report and theorem9_report fold them into
-a histogram of r and never build r, so beside the prime table (8 bytes per
-prime) they hold x/2 bytes of indicator: the CLI peaks at 45 MB at x = 10^7
-and 126 MB at 10^8. The orders h_a(p) of an order-weighted sum are found in
-numpy lanes, one per prime, peeling p - 1 through the spf walk of FactorSieve
-(an spf entry below 2 or one not dividing its n raises TableIntegrityError);
-multiplicative_order is the scalar path and their oracle. A call given no
-table, or one short of the largest p - 1, builds one up to the largest p with
-build_sieve: about 4 bytes per n, so 400 MB at the 10^8 table cap.
+windows of 2^19 cells of each parity half: each term adds it, shifted, into the
+n of the other parity, and p = 2 once. representation_counts fills an int64 r
+from the windows; theorem6_report folds them into a histogram of r and
+theorem9_report counts their nonzero cells. Neither builds r: beside the prime
+table (8 bytes per prime) they hold x/2 bytes of indicator, as schnirelmann_pi2
+does, and the CLI peaks at 126 MB at x = 10^8. The orders h_a(p) of an
+order-weighted sum are found in numpy lanes, one per prime, peeling p - 1
+through the spf walk of FactorSieve (an spf entry below 2 or one not dividing
+its n raises TableIntegrityError); multiplicative_order is the scalar path and
+their oracle. A call given no table, or one short of the largest p - 1, builds
+one up to the largest p with build_sieve: about 4 bytes per n, so 400 MB at the
+10^8 table cap.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .sieve import (
     _powmod_lanes,
     _residues,
     build_sieve,
+    check_integer,
     factorize_trial,
     is_prime,
     totient_trial,
@@ -69,8 +71,8 @@ _WINDOW = 2**19
 # window cells per np.bincount call of _histogram: a 512 KB intp copy
 _HIST_CELLS = 2**16
 
-# primes per index step of the odd-prime indicator in _windows: a 512 KB
-# int64 copy, not one as large as the prime table
+# primes per index step of the odd-prime indicator and per lookup of
+# schnirelmann_pi2: a 512 KB int64 copy, not one as large as the prime table
 _INDICATOR_PRIMES = 2**16
 
 # order_distribution factors a^n - 1; beyond this exponent the numbers are
@@ -136,6 +138,7 @@ def representation_counts(
     twice the bytes it touches, and CapacityError is raised before any add
     when the sum exceeds it.
     """
+    x = check_integer(x)
     windows = _shift_add_windows(spec, x, primes, budget)
     # the windows tile both halves of r, so r is never zeroed
     r = np.empty(x + 1, dtype=np.int64)
@@ -186,11 +189,17 @@ def _refuse_curve_orders(
         )
 
 
-def _windows(terms: list[int], x: int, primes: PrimeList):
-    odd = np.zeros((x + 1) // 2, dtype=np.uint8)
-    ps = primes.upto(x)[1:]
+def _odd_indicator(n: int, primes: PrimeList) -> np.ndarray:
+    """odd[j] = [2j + 1 prime] for 2j + 1 <= n, in (n + 1)/2 bytes."""
+    odd = np.zeros((n + 1) // 2, dtype=np.uint8)
+    ps = primes.upto(n)[1:]
     for i in range(0, ps.size, _INDICATOR_PRIMES):
         odd[ps[i : i + _INDICATOR_PRIMES] // 2] = 1
+    return odd
+
+
+def _windows(terms: list[int], x: int, primes: PrimeList):
+    odd = _odd_indicator(x, primes)
     block = np.empty(_WINDOW, dtype=np.uint8)
     mid = np.empty(_WINDOW, dtype=np.uint16)
     for start in (1, 0):
@@ -277,6 +286,7 @@ def theorem6_report(
     A is enumerated once; every statistic reads the literal multiset of its
     terms up to x, which holds the terms up to any y <= x as a prefix.
     """
+    x = check_integer(x)
     if alpha > 0:  # else congruence_pair_sum rejects alpha, after the terms
         _refuse_curve_orders(spec, x, x, primes, budget)
     terms = enumerate_terms(spec, x, primes)
@@ -344,17 +354,23 @@ class ShiftedPrimeCount(NamedTuple):
 
 def schnirelmann_pi2(x: float, a: int, primes: PrimeList) -> ShiftedPrimeCount:
     """pi_2(x, a) = #{p <= x : p + a prime}, with the classical normalization
-    count * (ln x)^2 * phi(a) / (x * a)."""
+    count * (ln x)^2 * phi(a) / (x * a). For odd a only p = 2 can count; for
+    even a, an odd p looks up cell p // 2 + a // 2 of the odd-prime indicator."""
+    a = check_integer(a)
     if a < 1:
         raise ParameterError(f"shift a={a} must be >= 1")
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
     primes.check_range(x + a)
-    ps = primes.upto(x)
-    shifted = ps + a
-    idx = np.searchsorted(primes.values, shifted)
-    idx[idx >= len(primes.values)] = len(primes.values) - 1
-    count = int(np.count_nonzero(primes.values[idx] == shifted))
+    if a % 2:
+        count = int(primes.contains(2 + a))
+    else:
+        odd = _odd_indicator(math.floor(x) + a, primes)[a // 2 :]
+        ps = primes.upto(x)[1:]
+        count = sum(
+            int(np.count_nonzero(odd[ps[i : i + _INDICATOR_PRIMES] // 2]))
+            for i in range(0, ps.size, _INDICATOR_PRIMES)
+        )
     normalized = count * math.log(x) ** 2 * totient_trial(a) / (x * a)
     return ShiftedPrimeCount(count, normalized)
 
@@ -412,6 +428,7 @@ def order_weighted_sum(
     nondecreasing in P and convergent, the key sum behind the tower bounds.
     Orders come from _lane_mult_orders; multiplicative_order is their scalar
     oracle. Without a sieve that covers max p - 1, one is built up to max p."""
+    a, b = check_integer(a), check_integer(b)
     if a < 2 or b < 2:
         raise ParameterError("need a >= 2 and b >= 2")
     ps = primes.upto(P)
@@ -462,11 +479,14 @@ def _order_is_exactly(a: int, p: int, n: int) -> bool:
 def order_distribution(a: int, z: int, trial_cap: int) -> OrderDistribution:
     """d_n = sum of ln(p)/p over primes p with h_a(p) = n, for n <= z.
 
-    Primes are found by trial-dividing a^n - 1 up to trial_cap and filtering
-    by exact order.  If a cofactor survives the trial division and cannot be
+    Primes are found by trial-dividing a^n - 1 by the primes up to
+    min(trial_cap, isqrt(a^z - 1)), picked by one int64 remainder array below
+    2^63 (a table past the PrimeList cap raises CapacityError), and filtering
+    by exact order. If a cofactor survives the trial division and cannot be
     certified prime, that n is flagged and its d_n is a certified lower
     bound; nothing is silently approximated.
     """
+    a, z, trial_cap = check_integer(a), check_integer(z), check_integer(trial_cap)
     if a < 2:
         raise ParameterError(f"a={a} must be >= 2")
     if z < 1:
@@ -475,12 +495,15 @@ def order_distribution(a: int, z: int, trial_cap: int) -> OrderDistribution:
         raise CapacityError(f"z={z} exceeds the exponent cap {DEFAULT_EXPONENT_CAP}")
     if trial_cap < 2:
         raise ParameterError(f"trial_cap={trial_cap} must be >= 2")
+    # past isqrt(a^z - 1), d * d > m for every n <= z: the loop breaks there
+    ps = PrimeList.build(max(2, min(trial_cap, math.isqrt(a**z - 1)))).values
     entries = []
     for n in range(1, z + 1):
         m = a**n - 1
         found: list[int] = []
         exact = True
-        for d in range(2, trial_cap + 1):
+        divisors = ps[np.int64(m) % ps == 0].tolist() if m < 2**63 else map(int, ps)
+        for d in divisors:
             if d * d > m:
                 break
             if m % d == 0:
@@ -545,13 +568,15 @@ def theorem9_report(
 ) -> list[ConstantEstimate]:
     """Density of n <= x representable as p + a^(j^b), against both sides of
     the two-sided bound ~ x / (ln x)^(1-1/b) (T9); the representable n are
-    those outside hist[0] of the r histogram."""
+    the nonzero cells of the shift-add windows, counted window by window."""
+    a, b, x = check_integer(a), check_integer(b), check_integer(x)
     if a < 2 or b < 2:
         raise ParameterError("need a >= 2 and b >= 2")
     if x < 3:
         raise ParameterError(f"x={x} must be >= 3")
     terms = enumerate_terms(PowerTower(a, b), x)
-    representable = x - int(_histogram(Explicit(tuple(terms)), x, primes, budget)[0])
+    windows = _shift_add_windows(Explicit(tuple(terms)), x, primes, budget)
+    representable = sum(int(np.count_nonzero(counts)) for _, counts in windows)
     n_total = len(terms)
     pi_x = primes.count_leq(x)
     scale = math.log(x) ** (1.0 - 1.0 / b) / x

@@ -2,7 +2,9 @@
 that built an int64 r over every n <= x, and the memory the windowed kernel
 keeps them in; the T1 report against output committed from the moment sum
 that added Python floats with math.fsum; the T5 report and orders against
-output committed from the lane rounds sized by the baby-step count."""
+output committed from the lane rounds sized by the baby-step count; pi_2 and
+the order distribution against output committed from the binary search per
+shifted prime and the trial division by every integer up to the cap."""
 
 import hashlib
 import os
@@ -28,6 +30,21 @@ def test_output_at_a_million_is_byte_identical(name, tmp_path):
     out = tmp_path / "report.json"
     assert run(REPORTS[name] + ["--x", "1000000", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}-x1000000.json").read_bytes()
+
+
+SHIFT_AND_ORDER_REPORTS = {
+    "schnirelmann-a2-x1000000": ["--report", "schnirelmann", "--a", "2", "--x", "1000000"],
+    "order-dist-a2-z40-cap20000": ["--report", "order-dist", "--a", "2", "--z", "40", "--trial-cap", "20000"],
+    # cap 100 leaves cofactors it cannot certify: entries flagged inexact
+    "order-dist-a10-z30-cap100": ["--report", "order-dist", "--a", "10", "--z", "30", "--trial-cap", "100"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_AND_ORDER_REPORTS))
+def test_shift_and_order_reports_are_byte_identical(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["romanoff", *SHIFT_AND_ORDER_REPORTS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 
 def test_theorem5_at_a_million_is_byte_identical(tmp_path):

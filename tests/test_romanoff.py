@@ -736,3 +736,250 @@ class TestCurveOrdersRefusedUpFront:
                 representation_counts(spec, x, primes100k, budget=least - 1)
             with pytest.raises(CapacityError):
                 theorem6_report(spec, x, 1.0, primes100k, budget=least - 1)
+
+
+# --- the kernels these reports replaced, kept as oracles ----------------------
+
+
+def pi2_searchsorted(x, a, primes):
+    """pi_2(x, a) by one binary search of the prime table per shifted prime."""
+    ps = primes.upto(x)
+    shifted = ps + a
+    idx = np.searchsorted(primes.values, shifted)
+    idx[idx >= len(primes.values)] = len(primes.values) - 1
+    return int(np.count_nonzero(primes.values[idx] == shifted))
+
+
+def order_distribution_integer_trial(a, z, trial_cap):
+    """(n, d_n, exact) for n <= z, trial-dividing a^n - 1 by every integer
+    2, 3, ..., trial_cap until d * d exceeds the cofactor."""
+    out = []
+    for n in range(1, z + 1):
+        m = a**n - 1
+        found = []
+        exact = True
+        for d in range(2, trial_cap + 1):
+            if d * d > m:
+                break
+            if m % d == 0:
+                found.append(d)
+                while m % d == 0:
+                    m //= d
+        if m > 1:
+            try:
+                certified = m <= trial_cap * trial_cap or is_prime(m)
+            except CapacityError:
+                certified = False
+            if certified:
+                found.append(m)
+            else:
+                exact = False
+        d_n = math.fsum(
+            math.log(p) / p for p in found if rom_module._order_is_exactly(a, p, n)
+        )
+        out.append((n, d_n, exact))
+    return out
+
+
+def representable_by_histogram(a, b, x, primes):
+    """#{n <= x : r(n) > 0} as x minus the zero cell of the r histogram."""
+    terms = Explicit(tuple(enumerate_terms(PowerTower(a, b), x)))
+    return x - int(rom_module._histogram(terms, x, primes, rom_module.DEFAULT_BUDGET)[0])
+
+
+class TestSchnirelmannAgainstBinarySearch:
+    """pi_2 looks each p + a up in the odd-prime indicator; the binary search
+    of the prime table per shifted prime is the oracle."""
+
+    @given(st.integers(2, 2900), st.integers(1, 100))
+    @example(2, 1)
+    @example(2, 2)
+    @example(3, 2)
+    @example(2900, 100)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_binary_search(self, x, a):
+        assert schnirelmann_pi2(x, a, HYP_PRIMES).count == pi2_searchsorted(x, a, HYP_PRIMES)
+
+    @pytest.mark.parametrize("a", [1, 3, 5, 9, 11, 2, 4, 6, 30, 210])
+    def test_odd_and_even_shifts(self, a, primes100k):
+        x = 5 * 10**4
+        got = schnirelmann_pi2(x, a, primes100k)
+        expected = pi2_searchsorted(x, a, primes100k)
+        assert got.count == expected
+        assert got.normalized == expected * math.log(x) ** 2 * sieve_module.totient_trial(a) / (x * a)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 10, 11, 58])
+    def test_x_at_the_table_limit(self, a, primes100k):
+        for primes in (HYP_PRIMES, primes100k):
+            x = primes.limit - a
+            assert schnirelmann_pi2(x, a, primes).count == pi2_searchsorted(x, a, primes)
+            with pytest.raises(RangeError):
+                schnirelmann_pi2(x + 1, a, primes)
+
+    def test_shift_one_counts_only_p_equal_two(self):
+        for x in (2, 3, 4, 2999):
+            assert schnirelmann_pi2(x, 1, HYP_PRIMES).count == 1
+
+    @pytest.mark.parametrize("x", [2, 10.5, 999.9, 2000.0])
+    def test_float_x(self, x):
+        assert schnirelmann_pi2(x, 2, HYP_PRIMES).count == pi2_searchsorted(x, 2, HYP_PRIMES)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_lookup_chunks(self, chunk, monkeypatch):
+        # the indicator fill and the lookups both step _INDICATOR_PRIMES primes
+        expected = [pi2_searchsorted(2900, a, HYP_PRIMES) for a in (2, 6, 100)]
+        monkeypatch.setattr(rom_module, "_INDICATOR_PRIMES", chunk)
+        assert [schnirelmann_pi2(2900, a, HYP_PRIMES).count for a in (2, 6, 100)] == expected
+
+
+class TestTheorem9NonzeroCells:
+    """T9 counts the nonzero cells of the windows; x minus the zero cell of
+    the r histogram, and the scatter loop, are the oracles."""
+
+    @given(st.integers(2, 12), st.integers(2, 4), st.integers(3, 3000), st.sampled_from(WINDOWS))
+    @example(2, 2, 3, 1)
+    @example(2, 2, 3000, 7)
+    @example(3, 2, 2187, 64)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_histogram_over_windows(self, a, b, x, window):
+        expected = representable_by_histogram(a, b, x, HYP_PRIMES)
+        spec = Explicit(tuple(enumerate_terms(PowerTower(a, b), x)))
+        assert np.count_nonzero(scatter_oracle(spec, x, HYP_PRIMES)[1:]) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rom_module, "_WINDOW", window)
+            got = theorem9_report(a, b, x, HYP_PRIMES)
+        assert got[0].parameters["representable"] == expected
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("x", [3, 4, 5, 6, 7, 8, 9, 10])
+    def test_every_small_x(self, x, window, monkeypatch):
+        expected = representable_by_histogram(2, 2, x, HYP_PRIMES)
+        monkeypatch.setattr(rom_module, "_WINDOW", window)
+        assert theorem9_report(2, 2, x, HYP_PRIMES)[0].parameters["representable"] == expected
+
+    @given(term_multisets(), st.sampled_from(WINDOWS))
+    @example((10, (1,) * 300), 7)
+    @example((3000, tuple(range(1, 129))), 64)
+    @settings(max_examples=40, deadline=None)
+    def test_nonzero_cells_of_any_term_set(self, case, window):
+        # uint8, uint16 and int64 windows alike: the n = 0 cell is always zero
+        x, terms = case
+        spec = Explicit(terms)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rom_module, "_WINDOW", window)
+            cells = rom_module._shift_add_windows(spec, x, HYP_PRIMES, rom_module.DEFAULT_BUDGET)
+            nonzero = sum(int(np.count_nonzero(counts)) for _, counts in cells)
+        hist = rom_module._histogram(spec, x, HYP_PRIMES, rom_module.DEFAULT_BUDGET)
+        assert nonzero == x - int(hist[0])
+
+    def test_budget_still_refuses(self, primes100k):
+        with pytest.raises(CapacityError):
+            theorem9_report(2, 2, 10**5, primes100k, budget=10)
+
+
+def assert_order_distribution_matches(a, z, trial_cap):
+    dist = order_distribution(a, z, trial_cap)
+    got = [(e.n, e.d_n, e.exact) for e in dist.entries]
+    assert got == order_distribution_integer_trial(a, z, trial_cap)
+    return dist
+
+
+class TestOrderDistributionOverPrimes:
+    """order_distribution trial-divides by primes only; the loop over every
+    integer up to trial_cap is the oracle, flags and d_n bit for bit."""
+
+    @pytest.mark.parametrize("trial_cap", [2, 3, 100, 2 * 10**4])
+    @pytest.mark.parametrize("a", [2, 3, 10, 12])
+    def test_bases_to_z_forty(self, a, trial_cap):
+        assert_order_distribution_matches(a, 40, trial_cap)
+
+    @pytest.mark.parametrize("a,z", [(2, 26), (3, 16), (10, 8), (12, 7)])
+    def test_trial_cap_above_the_square_root(self, a, z):
+        root = math.isqrt(a**z - 1)
+        for trial_cap in (root, root + 1, 2 * root):
+            dist = assert_order_distribution_matches(a, z, trial_cap)
+            assert dist.all_exact
+        # the table stops at root however far the cap reaches
+        assert order_distribution(a, z, 10**9).entries == dist.entries
+
+    @given(st.integers(2, 60), st.integers(1, 14), st.integers(2, 3000))
+    @example(2, 1, 2)
+    @example(3, 1, 2)
+    @example(2**21, 3, 3000)  # 2^63 - 1: the largest value of the int64 path
+    @example(2**21 + 1, 3, 3000)  # past 2^63: the Python path
+    @settings(max_examples=80, deadline=None)
+    def test_matches_integer_trial(self, a, z, trial_cap):
+        assert_order_distribution_matches(a, z, trial_cap)
+
+    def test_int64_and_python_paths_meet_at_two_to_the_63(self):
+        # 3^39 < 2^63 < 3^40: the last exponent goes through the Python loop
+        assert 3**39 < 2**63 < 3**40
+        assert_order_distribution_matches(3, 40, 2 * 10**4)
+
+    def test_uncertified_cofactor_is_flagged(self):
+        # cap 100 leaves composite cofactors (10^7 - 1 keeps 239 * 4649) and
+        # cofactors beyond the deterministic Miller-Rabin range; both are flagged
+        dist = assert_order_distribution_matches(10, 30, 100)
+        kinds = set()
+        for e in dist.entries:
+            m = 10**e.n - 1
+            for d in range(2, 101):
+                while m % d == 0:
+                    m //= d
+            try:
+                kinds.add((e.exact, m <= 100 * 100 or is_prime(m)))
+            except CapacityError:
+                kinds.add((e.exact, "beyond"))
+        assert kinds == {(True, True), (False, False), (False, "beyond")}
+
+    def test_trial_cap_past_the_table_cap_exits_three(self):
+        # min(trial_cap, isqrt(10^30 - 1)) = 10^8 + 1 is past PrimeList's cap
+        with pytest.raises(CapacityError, match="prime table limit"):
+            order_distribution(10, 30, 10**8 + 1)
+        argv = ["romanoff", "--report", "order-dist", "--a", "10", "--z", "30"]
+        assert run(argv + ["--trial-cap", str(10**8 + 1)]) == 3
+
+    def test_large_trial_cap_with_a_small_root_runs(self):
+        # isqrt(2^40 - 1) = 2^20 - 1 bounds the table, whatever the cap
+        assert order_distribution(2, 40, 10**12).entries == order_distribution(2, 40, 2**20).entries
+
+
+class TestIntegerParameters:
+    """Integer parameters go through sieve.check_integer: a float, integral
+    or not, raises ParameterError rather than being truncated or failing
+    inside numpy."""
+
+    def test_order_weighted_sum(self, primes100k):
+        with pytest.raises(ParameterError):
+            order_weighted_sum(2.5, 2, 100, primes100k)
+        with pytest.raises(ParameterError):
+            order_weighted_sum(2, 2.0, 100, primes100k)
+        assert order_weighted_sum(np.int64(2), 2, 100, primes100k) == order_weighted_sum(
+            2, 2, 100, primes100k
+        )
+
+    def test_schnirelmann_shift(self, primes100k):
+        with pytest.raises(ParameterError):
+            schnirelmann_pi2(100, 2.0, primes100k)
+        assert schnirelmann_pi2(100, np.int64(2), primes100k).count == 8
+
+    @pytest.mark.parametrize("args", [(2.0, 10, 100), (2, 10.0, 100), (2, 10, 100.0), (2, 10, 1e9)])
+    def test_order_distribution(self, args):
+        with pytest.raises(ParameterError):
+            order_distribution(*args)
+
+    def test_report_x(self, primes100k):
+        squares = Polynomial(PolynomialSpec((0, 0, 1)))
+        with pytest.raises(ParameterError):
+            theorem9_report(2, 2, 1000.5, primes100k)
+        with pytest.raises(ParameterError):
+            theorem9_report(2.0, 2, 1000, primes100k)
+        with pytest.raises(ParameterError):
+            theorem6_report(squares, 1000.5, 1.0, primes100k)
+        with pytest.raises(ParameterError):
+            representation_counts(squares, 1000.5, primes100k)
+        x = np.int64(1000)
+        assert np.array_equal(
+            representation_counts(squares, x, primes100k).r,
+            representation_counts(squares, 1000, primes100k).r,
+        )
