@@ -627,7 +627,8 @@ def theorem5_report(
 
     The sum is exactly >= pi(x) (each term >= 1); the implied constant is the
     plain ratio lhs/pi(x), the measured constant of the matching upper bound.
-    An spf entry below 2 or one not dividing its n raises TableIntegrityError.
+    An spf entry that is not the least prime of its n raises
+    TableIntegrityError.
     The absence of complex multiplication is a hypothesis of that upper
     bound; it is not checked here, and the report records that.
     """

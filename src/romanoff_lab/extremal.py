@@ -102,6 +102,7 @@ def alpha_sweep(
     mean_ratio >= c / alpha.
     """
     log_m = math.log(M) if M >= 1 else 0.0
+    built: dict[int, ExtremalSet] = {}  # z is fixed: the set follows floor(y)
     out = []
     for alpha in alphas:
         if not 0 < alpha <= 0.5:
@@ -112,7 +113,10 @@ def alpha_sweep(
             raise ParameterError(
                 f"alpha={alpha} gives y={y:.4f}, z={z:.4f}; need 2 <= y < z"
             )
-        ext = construct_extremal_set(M, y, z, sieve)
+        key = math.floor(y)
+        if key not in built:
+            built[key] = construct_extremal_set(M, y, z, sieve)
+        ext = built[key]
         if ext.is_empty:
             out.append(
                 AlphaSweepEntry(alpha, y, z, ext.Q, 0, math.nan, math.nan)

@@ -89,9 +89,11 @@ class PolynomialSpec:
         return acc
 
 
-# values per gather block: bounds the temporary arrays whatever the list size;
-# 64 KB of int64 stays under glibc's mmap threshold, so blocks reuse heap pages
-_FSUM_BLOCK = 1 << 13
+# values per gather block: bounds the temporary arrays whatever the list size.
+# At 2^14 the 128 KB int64 and float64 blocks cost about 350 minor faults a T1
+# op on 10^5 values (glibc trims the heap top they leave), none at 2^13, yet
+# the walk's passes halve and a T1 op measured 8-10 % faster (4 of 4 runs)
+_FSUM_BLOCK = 1 << 14
 
 
 def omega_count(values: Sequence[int], d: int) -> int:
@@ -141,10 +143,10 @@ def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> floa
     """sum (n/phi(n))^s over the list, correctly rounded from the float terms
     by ``float_sum``; CapacityError when a term or the sum is beyond float64.
 
-    ``FactorSieve.totients`` raises TableIntegrityError for an spf entry below
-    2 or one that does not divide its n; valid entries put phi(n) in [1, n].
+    ``FactorSieve.totients`` raises TableIntegrityError for an spf entry that
+    is not the least prime of its n; valid entries put phi(n) in [1, n].
     """
-    arr = np.asarray(values, dtype=np.int64)
+    arr = int64_values(values)
 
     def terms(start: int) -> np.ndarray:
         block = arr[start : start + _FSUM_BLOCK]

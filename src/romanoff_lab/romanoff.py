@@ -12,8 +12,8 @@ theorem9_report counts their nonzero cells. Neither builds r: beside the prime
 table (8 bytes per prime) they hold x/2 bytes of indicator, as schnirelmann_pi2
 does, and the CLI peaks at 126 MB at x = 10^8. The orders h_a(p) of an
 order-weighted sum are found in numpy lanes, one per prime, peeling p - 1
-through the spf walk of FactorSieve (an spf entry below 2 or one not dividing
-its n raises TableIntegrityError); multiplicative_order is the scalar path and
+through the spf walk of FactorSieve (an spf entry that is not the least prime
+of its n raises TableIntegrityError); multiplicative_order is the scalar path and
 their oracle. A call given no table, or one short of the largest p - 1, builds
 one up to the largest p with build_sieve: about 4 bytes per n, so 400 MB at the
 10^8 table cap.

@@ -5,9 +5,11 @@ n up to a limit) and :class:`PrimeList` (ascending primes up to a limit).
 Both are immutable after construction and safe to share across threads.
 There is one sieve loop, the odd-only Eratosthenes mask in
 :meth:`PrimeList.build`; the spf table is filled from its primes up to
-sqrt(limit). One numpy spf walk, ``FactorSieve._peel``, serves totients and
-the order lanes; it and ``factorize`` raise TableIntegrityError for an spf
-entry below 2 or one not dividing its n.
+sqrt(limit). One numpy spf walk, ``FactorSieve._peel``, runs in the table's
+uint32 and serves totients and the order lanes; it and ``factorize`` raise
+TableIntegrityError unless each entry they read divides its n and names a
+prime (spf[p] == p) no smaller than the one before. A composite entry that
+names its own index still reads as a prime.
 """
 
 from __future__ import annotations
@@ -76,7 +78,19 @@ def check_integer(value) -> int:
 
 def int64_values(values) -> np.ndarray:
     """``values`` as a flat int64 array; check_integer's rule for each entry,
-    and RangeError for an integer beyond int64."""
+    and RangeError for an integer beyond int64. A list is read in one pass
+    by array('q'). It refuses a float, a str and an int beyond int64, and
+    the checks below then name the entry; it takes an object with
+    ``__index__`` (a sympy Integer), which they would refuse."""
+    if isinstance(values, list):
+        # imported on first use: loaded at start-up, it moved the memory
+        # layout of list-free runs, and the bench's profiles ops ran 5 % slower
+        from array import array
+
+        try:
+            return np.frombuffer(array("q", values), dtype=np.int64)
+        except (TypeError, OverflowError):
+            pass  # the checks below name the entry
     arr = np.asarray(values).ravel()
     if arr.dtype.kind not in "iu" or arr.dtype == np.uint64:
         # numpy holds [5, 2**63] as float64 and [2**63] as uint64: read the values
@@ -160,14 +174,15 @@ class FactorSieve:
             raise RangeError(f"n={n} outside sieve range [1, {self.limit}]")
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
-        """(prime, exponent) pairs of n in ascending prime order."""
+        """(prime, exponent) pairs of n in ascending prime order; each entry
+        read must pass the integrity rule of ``_peel``."""
         self.check_range(n)
         out = []
         spf = self.spf
         while n > 1:
             p = int(spf[n])
-            if p < 2 or n % p:
-                raise TableIntegrityError(f"spf entry {p} at n={n} does not factor it")
+            if p < 2 or n % p or int(spf[p]) != p or (out and p <= out[-1][0]):
+                raise TableIntegrityError(f"spf entry {p} at n={n} is not its least prime")
             e = 0
             while n % p == 0:
                 n //= p
@@ -195,27 +210,44 @@ class FactorSieve:
         return PrimeList(limit=x, values=values)
 
     def _peel(self, n: np.ndarray):
-        """Spf walk over the values of ``n`` above 1: each pass yields (idx, p,
-        repeat), the positions still above 1, the prime p = spf[rem] each one
-        loses and whether it lost p on the previous pass, then rem //= p. An
-        entry below 2 or one not dividing its n raises TableIntegrityError; so
-        does running out of passes, as valid entries need fewer than limit's bits.
+        """Spf walk over the values of ``n`` above 1, in the table's uint32:
+        each pass yields (idx, p, repeat), the positions still above 1, the
+        prime p = spf[rem] each one loses and whether it lost p on the
+        previous pass, then rem //= p. The caller keeps every value in
+        [0, limit], and limit <= 10^8 < 2^32.
+
+        TableIntegrityError for an entry below 2, one not dividing its n, a
+        peeled p with spf[p] != p, a p below the previous pass's prime, or
+        running out of passes (valid entries need fewer than limit's bits).
+        With one entry spf[m] = e wrong and the rest right, a walk that
+        reaches m raises: a composite proper divisor e fails spf[e] == e,
+        read where rem // e > 1, since a lane that ends has e = rem; a prime
+        e above the least prime q of m leaves q in m // e, so the next pass
+        peels a prime at most q < e. A composite m with spf[m] = m is not
+        seen: it reads as a prime, and phi(m) as m - 1.
         """
+        spf = self.spf
         idx = np.flatnonzero(n > 1)
-        rem, last = n[idx], np.zeros(idx.size, dtype=np.int64)
+        rem = n.take(idx).astype(np.uint32)
+        last = np.zeros(idx.size, dtype=np.uint32)
         for _ in range(self.limit.bit_length()):
             if not idx.size:
                 return
-            p = self.spf.take(rem).astype(np.int64)
+            p = spf.take(rem)
             if p.min() < 2:
                 break
             rem, r = np.divmod(rem, p)
-            if np.count_nonzero(r):
+            keep = np.flatnonzero(rem > 1)
+            stay = p.take(keep)
+            if (
+                np.count_nonzero(r)
+                or np.count_nonzero(p < last)
+                or np.count_nonzero(spf.take(stay) != stay)
+            ):
                 break
             yield idx, p, p == last
-            keep = np.flatnonzero(rem > 1)
-            idx, rem, last = idx.take(keep), rem.take(keep), p.take(keep)
-        raise TableIntegrityError("an spf entry is below 2 or does not divide its n")
+            idx, rem, last = idx.take(keep), rem.take(keep), stay
+        raise TableIntegrityError("an spf entry is not the least prime of its n")
 
     def totients(self, values) -> np.ndarray:
         """phi(n) for every n in ``values``, as a flat int64 array.
@@ -231,7 +263,7 @@ class FactorSieve:
             raise RangeError(f"n={bad} outside sieve range [1, {self.limit}]")
         phi = np.ones(n.shape, dtype=np.int64)
         for idx, p, repeat in self._peel(n):
-            phi[idx] *= np.where(repeat, p, p - 1)
+            phi[idx] *= p - ~repeat  # p on a repeat, else p - 1
         return phi
 
 

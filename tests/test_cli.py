@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from romanoff_lab import cli
+from romanoff_lab import sieve as sieve_module
 from romanoff_lab.cli import build_parser, run
 from romanoff_lab.elliptic import EllipticCurve, theorem5_report
 from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
@@ -373,6 +374,17 @@ class TestIntegrityExit:
 
         monkeypatch.setattr(cli, "build_sieve", corrupt_sieve)
         argv = ["moments", "--report", "theorem1", "--seq", "explicit:6,7,8", "--x", "10"]
+        assert run(argv) == 4
+
+    def test_cached_table_with_a_composite_entry_is_4(self, tmp_path, monkeypatch):
+        # a cache file whose checksum is valid, written over spf[12] = 4
+        spf = build_sieve(12).spf.copy()
+        spf[12] = 4
+        path = sieve_module._spf_cache_path(str(tmp_path), 12)
+        sieve_module._store_cached_spf(path, 12, spf)
+        assert sieve_module._load_cached_spf(path, 12).tolist() == spf.tolist()
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path))
+        argv = ["moments", "--report", "theorem1", "--seq", "explicit:12", "--x", "12"]
         assert run(argv) == 4
 
 

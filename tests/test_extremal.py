@@ -83,6 +83,28 @@ class TestAlphaSweep:
         with pytest.raises(ParameterError):
             alpha_sweep(20, [0.5], sieve1m)  # ln 20 ~ 3, y ~ 1.73 < 2
 
+    def test_one_construction_per_floor_of_y(self, monkeypatch):
+        # at M = 5e5, z = 6.56 and y = 3.62, 3.18, 2.80: alphas 0.5 and 0.45
+        # both keep the primes <= 3 out and the window (3, 6.56] in
+        from romanoff_lab import extremal
+
+        sieve = build_sieve(5 * 10**5)
+        alphas = [0.5, 0.45, 0.4, 0.5]
+        calls = []
+
+        def counted(M, y, z, sv):
+            calls.append(y)
+            return construct_extremal_set(M, y, z, sv)
+
+        monkeypatch.setattr(extremal, "construct_extremal_set", counted)
+        entries = alpha_sweep(5 * 10**5, alphas, sieve)
+        assert sorted(math.floor(y) for y in calls) == [2, 3]
+        for alpha, e in zip(alphas, entries):
+            ext = construct_extremal_set(5 * 10**5, e.y, e.z, sieve)
+            assert e.alpha == alpha
+            assert (e.Q, e.count, e.mean_ratio) == (ext.Q, ext.count, ext.mean_ratio)
+            assert e.empirical_c == ext.mean_ratio * alpha
+
     def test_mean_ratio_monotone_in_alpha(self, sieve1m):
         entries = alpha_sweep(10**6, [0.50, 0.45, 0.40], sieve1m)
         ratios = [e.mean_ratio for e in entries]

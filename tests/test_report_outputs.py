@@ -4,7 +4,9 @@ keeps them in; the T1 report against output committed from the moment sum
 that added Python floats with math.fsum; the T5 report and orders against
 output committed from the lane rounds sized by the baby-step count; pi_2 and
 the order distribution against output committed from the binary search per
-shifted prime and the trial division by every integer up to the cap."""
+shifted prime and the trial division by every integer up to the cap; the
+alpha sweep and the order sum against output committed from the int64 spf
+walk that built one extremal set per alpha."""
 
 import hashlib
 import os
@@ -39,11 +41,24 @@ SHIFT_AND_ORDER_REPORTS = {
     "order-dist-a10-z30-cap100": ["--report", "order-dist", "--a", "10", "--z", "30", "--trial-cap", "100"],
 }
 
+WALK_REPORTS = {
+    # alphas 0.5 and 0.45 share floor(y) = 3, so one extremal set serves both
+    "extremal-M500000-alphas": ["extremal", "--M", "500000", "--alphas", "0.5,0.45,0.4"],
+    "order-sum-a2-b2-P1000000": ["romanoff", "--report", "order-sum", "--a", "2", "--b", "2", "--P", "1000000"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(SHIFT_AND_ORDER_REPORTS))
 def test_shift_and_order_reports_are_byte_identical(name, tmp_path):
     out = tmp_path / "report.json"
     assert run(["romanoff", *SHIFT_AND_ORDER_REPORTS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(WALK_REPORTS))
+def test_spf_walk_reports_are_byte_identical(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert run([*WALK_REPORTS[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from romanoff_lab import sequences
 from romanoff_lab.elliptic import EllipticCurve
 from romanoff_lab.errors import CapacityError, ParameterError, RangeError, TableIntegrityError
-from romanoff_lab.romanoff import theorem6_report
+from romanoff_lab.moments import theorem1_report
+from romanoff_lab.romanoff import order_weighted_sum, theorem6_report
 from romanoff_lab.sieve import (
     FactorSieve,
     PrimeList,
@@ -17,6 +20,7 @@ from romanoff_lab.sieve import (
     build_sieve,
     chebyshev_theta,
     factorize_trial,
+    int64_values,
     is_prime,
     is_squarefree,
     mertens_products,
@@ -364,6 +368,16 @@ class TestTotients:
         values = np.arange(1, 10**5 + 1)
         assert np.array_equal(sieve.totients(values), totient_table(10**5)[1:])
 
+    # the walk runs in the table's uint32: every value up to the limit, and
+    # the limit itself, at a power of 2, a prime (65521) and 3^10
+    @pytest.mark.parametrize("limit", [2, 2**16, 65521, 3**10])
+    def test_matches_table_up_to_the_limit(self, limit):
+        sieve = build_sieve(limit)
+        table = totient_table(limit)
+        assert np.array_equal(sieve.totients(np.arange(1, limit + 1)), table[1:])
+        at_limit = [limit, limit - 1, limit, limit]
+        assert sieve.totients(at_limit).tolist() == table[at_limit].tolist()
+
     def test_matches_per_n(self, sieve1m):
         rng = random.Random(3)
         values = [rng.randint(1, 10**6) for _ in range(2000)]
@@ -403,6 +417,119 @@ class TestFactorizeCorruptTable:
             broken.factorize(n)
         with pytest.raises(TableIntegrityError):
             totient(n, broken)
+
+
+class TestInt64Values:
+    """A list is read by array('q'); what that refuses takes the array
+    route, so a list gives what the same values give as a tuple."""
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([True, False], [1, 0]),
+            ([True, 7], [1, 7]),
+            ([np.int64(5), 7], [5, 7]),
+            ([1.0], ParameterError),
+            ([2, np.float64(3.0)], ParameterError),
+            (["3"], ParameterError),
+            ([[1, 2], [3, 4]], [1, 2, 3, 4]),
+            ([2**63], RangeError),
+            ([5, -(2**63) - 1], RangeError),
+            ([-(2**63), 2**63 - 1], [-(2**63), 2**63 - 1]),
+            ([], []),
+        ],
+    )
+    def test_list_gives_the_array_route(self, values, expected):
+        for given_values in (values, tuple(values)):
+            if isinstance(expected, list):
+                got = int64_values(given_values)
+                assert got.dtype == np.int64
+                assert got.tolist() == expected
+            else:
+                with pytest.raises(expected):
+                    int64_values(given_values)
+
+
+class TestIntegrityRule:
+    """A peeled p must satisfy spf[p] == p and be at least the previous
+    pass's prime: an entry naming a composite proper divisor (spf[12] = 4,
+    phi(12) read as 6) or a prime that is not the least (spf[18] = 3, phi(18)
+    read as 4) raises in every consumer of the walk and of factorize."""
+
+    CONSUMERS = {
+        "totients": lambda n, sv: sv.totients([n]),
+        "totient": lambda n, sv: totient(n, sv),
+        "factorize": lambda n, sv: sv.factorize(n),
+        "theorem1_report": lambda n, sv: theorem1_report([n], 1, 0.5, float(n), sv),
+        # p = n + 1 is prime, and its order lanes peel p - 1 = n
+        "order_weighted_sum": lambda n, sv: order_weighted_sum(
+            2, 2, n + 1, PrimeList.build(n + 1), sv
+        ),
+    }
+
+    @pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+    @pytest.mark.parametrize("n, entry", [(12, 4), (18, 3)])
+    def test_wrong_divisor_raises(self, consumer, n, entry):
+        spf = build_sieve(200).spf.copy()
+        spf[n] = entry
+        broken = FactorSieve(limit=200, spf=spf)
+        with pytest.raises(TableIntegrityError):
+            self.CONSUMERS[consumer](n, broken)
+
+    def test_composite_naming_itself_is_not_seen(self):
+        # the gap the rule leaves open: 15 with spf[15] = 15 reads as a prime
+        spf = build_sieve(200).spf.copy()
+        spf[15] = 15
+        gap = FactorSieve(limit=200, spf=spf)
+        assert gap.factorize(15) == [(15, 1)]
+        assert gap.totients([15, 45]).tolist() == [14, 28]  # true: 8, 24
+        assert totient(15, gap) == 14
+
+
+# hypothesis tests cannot take pytest fixtures
+CLEAN_10K = build_sieve(10**4)
+PRIMES_10K = PrimeList.build(10**4)
+ALL_10K = np.arange(1, 10**4 + 1)
+
+
+def _raises_or_same(consume, broken, clean) -> None:
+    try:
+        got = consume(broken)
+    except TableIntegrityError:
+        return
+    want = consume(clean)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_wrong_entry_raises_or_changes_nothing(data):
+    """One entry of a 10^4 table set to any other uint32 value, a divisor of
+    its index or a small number; only the entry naming its own index (the
+    gap TestIntegrityRule pins) is left out."""
+    m = data.draw(st.integers(0, 10**4), label="index")
+    divisors = [d for d in range(1, m + 1) if m % d == 0] or [0]
+    value = data.draw(
+        st.one_of(st.sampled_from(divisors), st.integers(0, 40), st.integers(0, 2**32 - 1)),
+        label="value",
+    )
+    assume(value != m)
+    spf = CLEAN_10K.spf.copy()
+    spf[m] = value
+    broken = FactorSieve(limit=10**4, spf=spf)
+    multiples = list(range(max(m, 1), 10**4 + 1, max(m, 1)))[:100]
+    consumers = [
+        lambda sv: sv.totients(ALL_10K),
+        lambda sv: theorem1_report(ALL_10K, 2, 0.5, 1e4, sv),
+        lambda sv: order_weighted_sum(2, 2, 10**4, PRIMES_10K, sv),
+        lambda sv: [sv.factorize(n) for n in multiples],
+        lambda sv: [totient(n, sv) for n in multiples],
+    ]
+    for consume in consumers:
+        _raises_or_same(consume, broken, CLEAN_10K)
 
 
 def _fill_edge_limits() -> list[int]:
