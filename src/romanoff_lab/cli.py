@@ -20,6 +20,8 @@ import json
 import math
 import os
 import sys
+from itertools import islice
+from typing import Iterator
 
 from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 from .sieve import (
@@ -46,6 +48,16 @@ def _table_size(needed: float, cap: int, table: str, flag: str) -> int:
 def make_sieve(args: argparse.Namespace, needed: float):
     size = _table_size(needed, args.sieve_limit, "a sieve of size", "--sieve-limit")
     return build_sieve(size, cache_dir=os.environ.get(CACHE_ENV_VAR))
+
+
+def _sieve_for_values(args: argparse.Namespace, values: Iterator[int], least: int = 0):
+    """make_sieve for the largest of the values and least, read 2^16 at a time:
+    the first block above the cap is refused, before the rest is enumerated."""
+    largest = least
+    while block := list(islice(values, 2**16)):
+        largest = max(largest, max(block))
+        _table_size(largest, args.sieve_limit, "a sieve of size", "--sieve-limit")
+    return make_sieve(args, largest)
 
 
 def make_primes(args: argparse.Namespace, needed: float, sieve=None) -> PrimeList:
@@ -134,13 +146,12 @@ def _cmd_moments(args: argparse.Namespace) -> None:
         _emit_json(args, {"report": "theorem1", "moment": payload})
     elif args.report == "poly":
         poly = mom.PolynomialSpec.from_descending(_parse_int_list(args.poly))
-        sieve = make_sieve(args, max(mom.poly_values(poly, args.z), default=0))
+        sieve = _sieve_for_values(args, mom.iter_poly_values(poly, args.z))
         report = mom.poly_moment_report(poly, args.z, args.s, sieve)
         _emit_json(args, {"report": "poly", "moment": dataclasses.asdict(report)})
     elif args.report == "linear":
         shifts = _parse_int_list(args.bs)
-        values = mom.delta_values(args.a, shifts, args.z)
-        sieve = make_sieve(args, max([args.a, *values]))
+        sieve = _sieve_for_values(args, mom.iter_delta_values(args.a, shifts, args.z), args.a)
         x = args.x if args.x is not None else float(max(args.z, 3))
         report = mom.delta_moment_report(
             args.a, shifts, args.z, args.s, x, sieve

@@ -18,15 +18,19 @@ _LANE_PRIME_LIMIT = 2^31 (int64 products) in numpy lanes
 1024 lanes with one baby-step count s each, Jacobian coordinates with mixed
 addition, baby and giant tables made affine in place by Montgomery's batch
 inversion (one Fermat inversion per lane), and matches found by sorting
-lane-keyed x in place and one searchsorted. Each round gives every open lane
-the next point of the scalar scan and intersects the orders it allows by the
-Chinese remainder theorem. The lanes left open, runs of fewer than
-_LANE_MIN_BATCH primes and primes from 2^31 up take _count_points_prime: a round costs 2-8 ms in numpy calls (p = 4096 to 10^7),
-so lanes and scalar BSGS break even near 30-45 primes at p = 4096 and near
-16 at p = 10^7. Per prime, the lanes took 12-18 / 21-24 / 34-40 us against
-105 / 194 / 407 us for the scalar BSGS on the primes of [4096, 10^5],
-[8*10^5, 10^6] and [9.8*10^6, 10^7], and 16-18 against 40 us for the
-character sum on [5, 4096) (2-core x86 host, CPython 3.11, numpy 2.4).
+lane-keyed x in place and one searchsorted. A lane first takes #E mod 2 from
+the roots of x^3 + Ax + B (_parity_lanes) and searches only that class of H,
+with baby steps over 2P: its tables are sqrt(2) shorter. Each round gives
+every open lane the next point of the scalar scan and intersects the orders
+it allows by the Chinese remainder theorem. The lanes left open, runs of
+fewer than _LANE_MIN_BATCH primes and primes from 2^31 up take
+_count_points_prime: a round costs 2-8 ms in numpy calls (p = 4096 to
+10^7), so lanes and scalar BSGS break even near 30-45 primes at p = 4096 and
+near 16 at p = 10^7. Per prime, the lanes took 9-12 / 14-18 / 25-28 us,
+of which the parity class took 5-11 %, against 105 / 194 / 407 us for the
+scalar BSGS on the primes of [4096, 10^5], [8*10^5, 10^6] and
+[9.8*10^6, 10^7], and 10-16 against 40 us for the character sum on
+[5, 4096) (2-core x86 host, CPython 3.11, numpy 2.4).
 
 _count_points_prime, which also serves single count_points calls, takes the
 scalar BSGS from _BSGS_MIN_PRIME up. Everything else goes to the O(p)
@@ -325,10 +329,10 @@ def _dbl_lanes(X, Y, Z, a, p):
     return X3, Y3, 2 * (Y * Z % p) % p
 
 
-def _madd_lanes(X1, Y1, Z1, x2, y2, a, p):
-    """(X1 : Y1 : Z1) + (x2, y2) with the second point affine, exact in every
-    case: the formula gives Z = 0 for Q + (-Q) by itself, and the lanes where
-    the first point is O or equals the second are mended afterwards."""
+def _madd_lanes(X1, Y1, Z1, x2, y2, a, p, mend=True):
+    """(X1 : Y1 : Z1) + (x2, y2) with the second point affine, exact wherever
+    mend holds: the formula gives Z = 0 for Q + (-Q) by itself, and the lanes
+    where the first point is O or equals the second are mended, or left at O."""
     ZZ = Z1 * Z1 % p
     H = (x2 * ZZ - X1) % p
     R = (y2 * ZZ % p * Z1 - Y1) % p
@@ -338,23 +342,25 @@ def _madd_lanes(X1, Y1, Z1, x2, y2, a, p):
     X3 = (R * R - HHH - 2 * V) % p
     Y3 = (R * (V - X3) - Y1 * HHH) % p
     Z3 = Z1 * H % p
-    if not Z3.all():  # Z3 = Z1 H is 0 in every lane that needs mending
-        i = np.flatnonzero((Z1 == 0) | ((H == 0) & (R == 0)))
+    i = np.flatnonzero(((Z1 == 0) | ((H == 0) & (R == 0))) & mend) if not Z3.all() else ()
+    if len(i):  # Z3 = Z1 H is 0 in every lane that needs mending
         at_infinity = Z1[i] == 0
-        for out, doubled, affine in zip(
-            (X3, Y3, Z3), _dbl_lanes(X1[i], Y1[i], Z1[i], a[i], p[i]), (x2[i], y2[i], 1)
-        ):
-            out[i] = np.where(at_infinity, affine, doubled)
+        doubled = (0, 0, 0) if at_infinity.all() else _dbl_lanes(X1[i], Y1[i], Z1[i], a[i], p[i])
+        for out, twice, affine in zip((X3, Y3, Z3), doubled, (x2[i], y2[i], 1)):
+            out[i] = np.where(at_infinity, affine, twice)
     return X3, Y3, Z3
 
 
 def _mul_lanes(k, bx, by, a, p):
     """kP lane by lane for k >= 0, w bits at a time, from the affine
-    multiples jP = (bx[j - 1], by[j - 1]) for 1 <= j < 2^w <= len(bx) + 1."""
-    w = min(3, (len(bx) + 1).bit_length() - 1)
+    multiples jP = (bx[j - 1], by[j - 1]) for 1 <= j < 2^w <= len(bx) + 1,
+    starting at the entry of the top digit (O where that digit is 0)."""
+    w = min(5, (len(bx) + 1).bit_length() - 1)
     lane = np.arange(len(p))
-    R = np.ones_like(p), np.ones_like(p), np.zeros_like(p)
-    for shift in range(-(-int(k.max()).bit_length() // w) * w - w, -1, -w):
+    top = -(-(int(k.max()).bit_length() or 1) // w) * w - w
+    d = k >> top
+    R = bx[d - 1, lane], by[d - 1, lane], (d > 0).astype(np.int64)
+    for shift in range(top - w, -1, -w):
         for _ in range(w):
             R = _dbl_lanes(*R, a, p)
         d = (k >> shift) & (2**w - 1)
@@ -402,39 +408,47 @@ _NO_EVENT = np.iinfo(np.int64).max
 
 
 def _lane_killers(px, py, a, p, lo, hi, s):
-    """Every m in [lo, hi] with mP = O, lane by lane, for P = (px, py) on
-    y^2 = x^3 + ax + b, as the progression first + i * gap, 0 <= i < count
-    (gap = 1 when count < 2).
+    """Every m = lo (mod 2) in [lo, hi] with mP = O, lane by lane, for
+    P = (px, py), py != 0, on y^2 = x^3 + ax + b, as the progression
+    first + i * gap, 0 <= i < count (gap = 1 when count < 2). ord(P) must be
+    odd where lo is odd, as it is when lo = #E (mod 2).
 
-    The steps of _annihilators, one lane per prime and one s for all: baby
-    steps jP (1 <= j <= s) keyed by _keys and sorted, giant steps cP
-    (c = lo + s, lo + 3s + 1, ...) looked up by searchsorted. The
-    killers are the multiples of ord(P) in [lo, hi], so gap = ord(P) when
-    there are two or more. A small order (jP = O, y = 0, an x collision, or
-    (2s + 1)P = O) is read off the baby steps exactly, as _annihilators does.
+    The steps of _annihilators over Q = 2P, one lane per prime and one s for
+    all: baby steps jQ (1 <= j <= s) keyed by _keys and sorted, giant steps
+    cP (c = lo + 2s, lo + 6s + 2, ...) looked up by searchsorted. The killers
+    are the multiples of ord(P) in the class, so gap = lcm(ord(P), 2) when
+    there are two or more. A small ord(Q) (jQ = O, y = 0, an x collision, or
+    (2s + 1)Q = O) is read off the baby steps exactly; ord(P) is then ord(Q)
+    or 2 ord(Q), and either way the killers are the m = lo ord(Q) mod 2 ord(Q).
     """
     n = len(p)
     lane = np.arange(n, dtype=np.int64)
-    # rows 0..s-1: baby steps jP; row s: the giant step (2s + 1)P
+    # Q = 2P = (X : Y : Z) is (X, Y) on y^2 = x^3 + aZ^4 x + bZ^6, where P is (px Z^2, py Z^3)
+    qx, qy, qz = _dbl_lanes(px, py, np.ones_like(px), a, p)
+    zz = qz * qz % p
+    a = a * (zz * zz % p) % p
+    px, py = px * zz % p, py * (zz * qz % p) % p
+    # rows 0..s-1: baby steps jQ; row s: the giant step (2s + 1)Q
     X, Y, Z = (np.empty((s + 1, n), dtype=np.int64) for _ in range(3))
-    R = (px, py, np.ones_like(px))
+    R = (qx, qy, np.ones_like(qx))
     for j in range(s):
-        if j:
-            R = _madd_lanes(*R, px, py, a, p)
+        if j:  # the rows after a lane's first jQ = O decide nothing: no mending
+            R = _dbl_lanes(*R, a, p) if j == 1 else _madd_lanes(*R, qx, qy, a, p, mend=False)
         X[j], Y[j], Z[j] = R
-    X[s], Y[s], Z[s] = _madd_lanes(*_dbl_lanes(*R, a, p), px, py, a, p)
+    X[s], Y[s], Z[s] = _madd_lanes(*_dbl_lanes(*R, a, p), qx, qy, a, p, mend=False)
 
-    j = np.arange(1, s + 1, dtype=np.int64)[:, None]
-    infinite = Z[:s] == 0
-    event = np.minimum(
-        np.where(infinite, _event(j, j), _NO_EVENT).min(axis=0),
-        np.where(~infinite & (Y[:s] == 0), _event(j, 2 * j), _NO_EVENT).min(axis=0),
-    )
-    event = np.where(Z[s] == 0, np.minimum(event, _event(s + 1, 2 * s + 1)), event)
+    event = np.full(n, _NO_EVENT)
+    row, col = np.nonzero((Z[:s] == 0) | (Y[:s] == 0))  # jQ = O, or y = 0
+    j = row + 1
+    np.minimum.at(event, col, _event(j, np.where(Z[row, col] == 0, j, 2 * j)))
+    np.minimum.at(event, np.flatnonzero(Z[s] == 0), _event(s + 1, 2 * s + 1))
     _affine(X, Y, Z, p)
-    step = 2 * s + 1
-    c0 = lo + s
-    R = _mul_lanes(c0, X[:s], Y[:s], a, p)
+    j = np.arange(1, s + 1, dtype=np.int64)[:, None]
+    step = 2 * (2 * s + 1)
+    c0 = lo + 2 * s
+    R = _mul_lanes(c0 >> 1, X[:s], Y[:s], a, p)
+    # c0 P = (c0 >> 1)Q + P where c0 is odd
+    R = tuple(np.where(c0 & 1, t, r) for t, r in zip(_madd_lanes(*R, px, py, a, p), R))
     baby = _keys(X[:s], Y[:s], j, lane)  # row s keeps the giant step
     same = np.flatnonzero((baby[1:] ^ baby[:-1]) < 1024)
     if same.size:
@@ -447,7 +461,7 @@ def _lane_killers(px, py, a, p, lo, hi, s):
     GX, GY, GZ = Z[:steps], Y[:steps], np.empty((steps, n), dtype=np.int64)
     for k in range(steps):
         if k:
-            R = _madd_lanes(*R, X[s], Y[s], a, p)
+            R = _madd_lanes(*R, X[s], Y[s], a, p, mend=~small)
         GX[k], GY[k], GZ[k] = R  # steps <= s rows
     at_infinity = GZ == 0
     _affine(GX, GY, GZ, p)
@@ -459,7 +473,7 @@ def _lane_killers(px, py, a, p, lo, hi, s):
     g, d = giant[hit], d[hit]
     gl, gk, j = g >> 41, (g >> 1) & 511, ((d ^ g) >> 1) & 511
     c = c0[gl] + step * gk
-    m = np.where((d & 1) == 0, c - j, c + j)  # same y: cP = jP
+    m = np.where((d & 1) == 0, c - 2 * j, c + 2 * j)  # same y: cP = jQ
     finite = ~at_infinity[gk, gl]
     ik, il = np.nonzero(at_infinity)  # cP = O: c itself kills P
     ls = np.concatenate([gl[finite], il])
@@ -471,12 +485,39 @@ def _lane_killers(px, py, a, p, lo, hi, s):
     first = killers[start]
     gap = np.where(count > 1, killers[start + 1] - first, 1)
 
-    order = event & 1023
-    low = -(-lo // order)
-    first = np.where(small, low * order, first)
-    gap = np.where(small, order, gap)
-    count = np.where(small, hi // order - low + 1, count)
+    order = event & 1023  # ord(Q) in the small lanes
+    low = lo + ((lo & 1) * order - lo) % (2 * order)
+    first = np.where(small, low, first)
+    gap = np.where(small, 2 * order, gap)
+    count = np.where(small, (hi - low) // (2 * order) + 1, count)
     return first, gap, count
+
+
+def _parity_lanes(a, b, p):
+    """#E(F_p) mod 2 lane by lane for a, b reduced mod primes p of good
+    reduction (Schoof's l = 2 step): #E and 2p + 2 - #E are even exactly when
+    x^3 + ax + b has a root. By Stickelberger it has one root if its
+    discriminant -(4a^3 + 27b^2) is not a square mod p, else three or none:
+    three exactly when x^p = x mod the cubic, by square-and-multiply."""
+    disc = -(a * a % p * a % p * 4 + b * b % p * 27) % p
+    parity = np.zeros_like(p)
+    i = np.flatnonzero(_powmod_lanes(disc, (p - 1) // 2, p) == 1)
+    a, b, p = a[i], b[i], p[i]
+    c0, c1, c2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+    for bit in range(int(p.max(initial=0)).bit_length() - 1, -1, -1):
+        # square, with x^3 = -ax - b and x^4 = -ax^2 - bx. Products of two
+        # residues are below 2^62, and the signs of each sum keep it in int64
+        t, u = 2 * c1 * c2 % p, c2 * c2 % p
+        c0, c1, c2 = (
+            (c0 * c0 - b * t) % p,
+            (2 * c0 * c1 - a * t - b * u) % p,
+            (c1 * c1 - a * u + 2 * c0 * c2 % p) % p,
+        )
+        odd = (p >> bit) & 1 == 1  # then multiply by x
+        times_x = -b * c2 % p, (c0 - a * c2) % p, c1
+        c0, c1, c2 = (np.where(odd, m, c) for m, c in zip(times_x, (c0, c1, c2)))
+    parity[i] = (c0 != 0) | (c1 != 1) | (c2 != 0)
+    return parity
 
 
 def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
@@ -487,11 +528,12 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
     scan, skipping those for which _decides_nothing holds, and (vx, v^2) with
     v = x^3 + ax + b on E or on its twist as Euler's criterion of v says. The
     orders a point allows form a progression N = f (mod g) in the Hasse
-    interval; a lane keeps the intersection of its progressions by the Chinese
-    remainder theorem and is resolved when one N is left. A round holds the
-    open lanes, then fresh primes, to _ROUND_LANES lanes. A lane stops after
-    2 * _BSGS_POINT_TRIES points, and rounds once every prime has started and
-    fewer than _LANE_MIN_BATCH lanes are open.
+    interval, within the class N = #E (mod 2) that _parity_lanes gives a lane
+    before its first round; a lane keeps the intersection of its progressions
+    by the Chinese remainder theorem and is resolved when one N is left. A
+    round holds the open lanes, then fresh primes, to _ROUND_LANES lanes. A
+    lane stops after 2 * _BSGS_POINT_TRIES points, and rounds once every
+    prime has started and fewer than _LANE_MIN_BATCH lanes are open.
     """
     a, b = _residues(curve.A, ps), _residues(curve.B, ps)
     r = _isqrt_lanes(4 * ps)
@@ -505,9 +547,11 @@ def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
     while started < len(ps) or len(retry) >= _LANE_MIN_BATCH:
         fresh = np.arange(started, min(len(ps), started + _ROUND_LANES - len(retry)))
         started += len(fresh)
+        # a fresh lane searches the class of #E (mod 2) only: lo moves into it
+        lo[fresh] += (lo[fresh] ^ _parity_lanes(a[fresh], b[fresh], ps[fresh])) & 1
         lanes = np.concatenate([retry, fresh])
-        # isqrt((hi - lo + 1) // 2) + 1 at the largest p of the batch
-        s = math.isqrt(int(r[lanes].max())) + 1
+        # isqrt(r / 2) + 1 at the largest p of the batch, for r + 1 candidates
+        s = math.isqrt(int(r[lanes].max()) // 2) + 1
         q, al, bl, xl = ps[lanes], a[lanes], b[lanes], x[lanes]
         while True:
             v = ((xl * xl % q * xl % q) + al * xl % q + bl) % q
@@ -608,6 +652,9 @@ def congruence_class_census(
     """#{p <= x : #E(F_p) = a (mod t)} for every residue a in [0, t)."""
     if t < 1:
         raise ParameterError(f"modulus t={t} must be >= 1")
+    pi_x = primes.count_leq(x)
+    if t > pi_x:  # more residues than primes to count
+        raise CapacityError(f"census modulus t={t} exceeds pi(x) = {pi_x}")
     census = {a: 0 for a in range(t)}
     for _, order in _orders_for(curve, x, primes, orders).entries:
         census[order % t] += 1

@@ -5,10 +5,11 @@ summation identity."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError
 from .sieve import PrimeList, check_finite
 
 
@@ -45,21 +46,27 @@ def incomplete_gamma(s: int, x: float) -> GammaValue:
     for i in range(1, s):
         term *= x / i
         terms.append(term)
-    value = math.factorial(s - 1) * math.exp(-x) * math.fsum(terms)
-    bound = None
-    if x >= 1:
-        bound = math.factorial(s) * x ** (s - 1) * math.exp(-x)
+    try:
+        value = math.factorial(s - 1) * math.exp(-x) * math.fsum(terms)
+        bound = math.factorial(s) * x ** (s - 1) * math.exp(-x) if x >= 1 else None
+        if bound == math.inf:  # s! x^(s-1) overflowed on the way
+            bound = math.exp(math.lgamma(s + 1) + (s - 1) * math.log(x) - x)
+    except OverflowError:
+        raise CapacityError(f"Gamma(s, x) or its bound overflows a float at s={s}, x={x}") from None
     return GammaValue(s=s, x=x, value=value, bound=bound)
 
 
 GAMMA_GRID_X_MIN = 1.0
 GAMMA_GRID_STEP = 0.25
+_GAMMA_GRID_X_LIMIT = -math.log(sys.float_info.min)
 
 
 def gamma_bound_grid(s: int, x_max: float) -> tuple[float, bool]:
     """Largest Gamma(s, x)/bound over the grid x = GAMMA_GRID_X_MIN + i *
     GAMMA_GRID_STEP <= x_max, and whether the bound holds at every point."""
     check_finite("x_max", x_max)
+    if x_max > _GAMMA_GRID_X_LIMIT:
+        raise CapacityError(f"x_max={x_max} exceeds {_GAMMA_GRID_X_LIMIT:.2f}: e^-x is subnormal")
     worst = 0.0
     ok = True
     for i in range(int((x_max - GAMMA_GRID_X_MIN) / GAMMA_GRID_STEP) + 1):

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -293,9 +293,14 @@ def _family_report(values, what, lead, k, z, s, sieve, parameters) -> MomentRepo
 
 def poly_values(poly: PolynomialSpec, z: float) -> list[int]:
     """|R(n)| over -z <= n <= z, skipping the roots of R."""
+    return list(iter_poly_values(poly, z))
+
+
+def iter_poly_values(poly: PolynomialSpec, z: float) -> Iterator[int]:
+    """poly_values one at a time, from n = -z up."""
     check_finite("z", z)
     half = math.floor(z)
-    return [abs(r) for r in map(poly.evaluate, range(-half, half + 1)) if r != 0]
+    return (abs(r) for r in map(poly.evaluate, range(-half, half + 1)) if r != 0)
 
 
 def poly_moment_report(
@@ -336,10 +341,15 @@ def delta_L(a: int, b: int, bs: Sequence[int]) -> int:
 
 def delta_values(a: int, bs: Sequence[int], z: float) -> list[int]:
     """Delta_L for every L(n) = an + b with b in [-z, z] outside the family."""
+    return list(iter_delta_values(a, bs, z))
+
+
+def iter_delta_values(a: int, bs: Sequence[int], z: float) -> Iterator[int]:
+    """delta_values one at a time, from b = -z up."""
     check_finite("z", z)
     half = math.floor(z)
     excluded = set(int(b) for b in bs)
-    return [delta_L(a, b, bs) for b in range(-half, half + 1) if b not in excluded]
+    return (delta_L(a, b, bs) for b in range(-half, half + 1) if b not in excluded)
 
 
 def delta_moment_report(

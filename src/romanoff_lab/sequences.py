@@ -306,7 +306,10 @@ def congruence_pair_sum(
         raise ParameterError(f"alpha={alpha} must be positive")
     if x <= 1:
         raise ParameterError(f"x={x} must exceed 1")
-    cutoff = math.log(x) ** alpha
+    try:
+        cutoff = math.log(x) ** alpha
+    except OverflowError:
+        raise RangeError(f"(ln x)^alpha overflows a float at x={x}, alpha={alpha}") from None
     primes.check_range(cutoff)
     terms = enumerate_terms(spec, x, primes)
     if not terms:

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,8 @@ from romanoff_lab.cli import build_parser, run
 from romanoff_lab.elliptic import EllipticCurve, theorem5_report
 from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
 from romanoff_lab.sequences import format_sequence_spec, parse_sequence_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_to_file(tmp_path, name, argv):
@@ -88,6 +94,64 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+
+class TestRefusedBeforeTheyRun:
+    """Inputs whose enumeration would exhaust memory, or whose float
+    arithmetic would overflow, exit 2 or 3 with one error line."""
+
+    # each in its own process under a 2 GB address-space limit, so a
+    # regression fails here instead of exhausting the host
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "elliptic --curve 1,1 --x 100 --census-mod 100000000000000000000",
+            "moments --report poly --poly 1,0,1 --z 1e9",
+            "moments --report linear --a 6 --bs 1 --z 1e9",
+        ],
+    )
+    def test_oversized_enumeration_is_3(self, argv):
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "romanoff_lab", *argv.split()],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=limit_memory,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "romanoff --report frontier --seq poly:1,0,0 --x 100 --alpha 1e308",
+            "lemmas --gamma --s-max 171",
+            "lemmas --gamma --x-max 800",
+        ],
+    )
+    def test_float_overflow_is_2_or_3(self, argv, capsys):
+        assert run(argv.split()) in (2, 3)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_census_modulus_up_to_pi_x_is_counted(self, tmp_path):
+        code, out = run_to_file(
+            tmp_path, "t5.json", ["elliptic", "--curve", "1,1", "--x", "100", "--census-mod", "25"]
+        )
+        assert code == 0
+        assert sum(json.loads(out.read_text())["census"].values()) == 25
+        assert run(["elliptic", "--curve", "1,1", "--x", "100", "--census-mod", "26"]) == 3
+
+    def test_the_last_block_of_values_sizes_the_sieve(self, tmp_path):
+        # n + 100000 over [-70000, 70000]: three blocks, the largest value last
+        argv = ["moments", "--report", "poly", "--poly", "1,100000", "--z", "70000", "--sieve-limit"]
+        code, out = run_to_file(tmp_path, "t3.json", argv + ["170000"])
+        assert code == 0 and json.loads(out.read_text())["moment"]["parameters"]["terms"] == 140001
+        assert run(argv + ["169999"]) == 3
 
 
 class TestReports:

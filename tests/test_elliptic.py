@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from romanoff_lab import elliptic as ell
@@ -681,25 +681,142 @@ class TestAffineInPlace:
 
 
 class TestLaneKillers:
-    """_lane_killers returns what _annihilators returns, as a progression."""
+    """_lane_killers returns what _annihilators returns in the class of lo
+    (mod 2), as a progression."""
 
     def test_every_point_against_annihilators(self):
-        # all points of the curves that TestAnnihilators walks, one lane each:
-        # baby-step O, x collisions, y = 0 and large orders all occur
+        # all points of the curves that TestAnnihilators walks, one lane each,
+        # in the even class and, for the points of odd order, in the odd one:
+        # Q = 2P meets O among the baby steps, x collisions, y = 0, O at the
+        # giant step (2s + 1)Q and large orders
+        seen = set()
         for p in (229, 233, 239, 241, 251, 257, 263, 269, 271, 277):
             for A, B in ((1, 1), (0, 7), (-1, 0), (2, 3), (5, -2)):
                 a, b = A % p, B % p
                 if (4 * a**3 + 27 * b**2) % p == 0:
                     continue
-                points = curve_points(a, b, p)
+                n = ell._count_points_character(EllipticCurve(A, B), p)
                 lo, hi = hasse_interval(p)
-                s = math.isqrt((hi - lo + 1) // 2) + 1
-                xs, ys = np.array(points, dtype=np.int64).T
-                a_, p_, lo_, hi_ = (np.full(len(points), v, dtype=np.int64) for v in (a, p, lo, hi))
-                first, gap, count = ell._lane_killers(xs, ys, a_, p_, lo_, hi_, s)
-                for P, f, g, n in zip(points, first, gap, count):
-                    expected = ell._annihilators(P, a, p, lo, hi)
-                    assert list(range(f, f + n * g, g)) == expected, (A, B, p, P)
+                s = math.isqrt((hi - lo) // 4) + 1  # isqrt(r / 2) + 1
+                points = curve_points(a, b, p)
+                orders = [point_order(P, a, p, n) for P in points]
+                for parity in (0, 1):
+                    lanes = [(P, o) for P, o in zip(points, orders) if o % 2 or not parity]
+                    if not lanes:
+                        continue
+                    xs, ys = np.array([P for P, _ in lanes], dtype=np.int64).T
+                    start = lo + ((lo ^ parity) & 1)
+                    a_, p_, lo_, hi_ = (
+                        np.full(len(lanes), v, dtype=np.int64) for v in (a, p, start, hi)
+                    )
+                    first, gap, count = ell._lane_killers(xs, ys, a_, p_, lo_, hi_, s)
+                    for (P, order), f, g, k in zip(lanes, first, gap, count):
+                        expected = [
+                            m for m in ell._annihilators(P, a, p, lo, hi) if m % 2 == parity
+                        ]
+                        assert list(range(f, f + k * g, g)) == expected, (A, B, p, P, parity)
+                        half = order if order % 2 else order // 2  # ord(2P)
+                        seen.add(
+                            "baby_infinity" if half <= s
+                            else "x_collision" if half < 2 * s
+                            else "y_zero" if half == 2 * s
+                            else "giant_infinity" if half == 2 * s + 1
+                            else "large"
+                        )
+        assert seen == {"baby_infinity", "x_collision", "y_zero", "giant_infinity", "large"}
+
+
+def next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# curves with complex multiplication, and a = 0 and b = 0 among others
+PARITY_CURVES = [(1, 0), (0, 1), (-1, 0), (0, 7), (1, 1), (2, 3), (-41, -35)]
+
+
+class TestParityClass:
+    """_parity_lanes gives #E(F_p) mod 2 from the roots of x^3 + ax + b: the
+    lanes search only that class of the Hasse interval."""
+
+    @given(
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.integers(min_value=-(10**9), max_value=10**9),
+        st.one_of(
+            st.integers(min_value=5, max_value=10**4),
+            st.integers(min_value=5, max_value=2**20),
+            st.integers(min_value=2**24, max_value=2**31 - 1),
+        ),
+    )
+    @example(1, 0, 5)
+    @example(0, 1, 7)
+    @example(0, 3, 5)  # a = 0
+    @example(2, 0, 7)  # b = 0
+    @example(-1, 0, 9973)  # x^3 - x splits for every p
+    @example(1, 1, 2**24 - 3)
+    @example(3, 5, 2**31 - 1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_orders_and_roots(self, A, B, n):
+        p = next_prime(n)
+        if (4 * A**3 + 27 * B**2) % p == 0:
+            return
+        a, b = A % p, B % p
+        parity = ell._parity_lanes(*(np.array([v], dtype=np.int64) for v in (a, b, p)))
+        order = (
+            ell._count_points_character(EllipticCurve(A, B), p)
+            if p <= 2**24
+            else count_points(EllipticCurve(A, B), p)
+        )
+        assert parity.tolist() == [order % 2]
+        if p < 10**4:
+            roots = sum((x * x * x + a * x + b) % p == 0 for x in range(p))
+            assert parity.tolist() == [int(roots == 0)]
+            assert roots < 3 or order % 4 == 0  # E[2] lies in E(F_p)
+
+    @pytest.mark.parametrize("A,B", PARITY_CURVES)
+    def test_one_call_over_primes_of_every_length(self, A, B):
+        # lanes whose p differ in bit length share one ladder
+        curve = EllipticCurve(A, B)
+        ps = np.array(good_primes(curve, LANE_PRIMES[:700]), dtype=np.int64)
+        parity = ell._parity_lanes(ell._residues(A, ps), ell._residues(B, ps), ps)
+        assert parity.tolist() == [ell._count_points_character(curve, int(p)) % 2 for p in ps]
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    @pytest.mark.parametrize("A,B", [(-1, 0), (1, 1), (2, 3)])
+    def test_round_widths_give_character_orders(self, A, B, width, monkeypatch):
+        monkeypatch.setattr(ell, "_ROUND_LANES", width)
+        curve = EllipticCurve(A, B)
+        ps = good_primes(curve, LANE_PRIMES[:150])
+        orders = ell._count_points_lanes(curve, ps)
+        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+
+
+class TestMulLanes:
+    """_mul_lanes gives kP as _ec_mul does, from tables of 1, 3 and 17 affine
+    multiples (windows of 1, 2 and 4 bits)."""
+
+    @pytest.mark.parametrize("entries", [1, 3, 17])
+    def test_against_ec_mul(self, entries):
+        rng = np.random.default_rng(entries)
+        lanes = []  # (P, a, p, k); P = (vx, v^2) lies on y^2 = x^3 + av^2 x + bv^3
+        for p in [227, 4099, 65539, 1000003, 2147483647] * 8:
+            a, b = (int(v) for v in rng.integers(0, p, size=2))
+            for x in range(p):
+                v = (x**3 + a * x + b) % p
+                P, av = (v * x % p, v * v % p), a * v * v % p
+                if v and all(ell._ec_mul(j, P, av, p) for j in range(1, entries + 1)):
+                    break
+            lanes.append((P, av, p, int(rng.integers(0, 2 ** int(rng.integers(0, 63))))))
+        lanes[:3] = [(P, a, p, k) for (P, a, p, _), k in zip(lanes[:3], (0, 1, 2))]
+        table = [[ell._ec_mul(j, P, a, p) for P, a, p, _ in lanes] for j in range(1, entries + 1)]
+        bx, by = (np.array([[Q[c] for Q in row] for row in table]) for c in (0, 1))
+        _, a, p, k = (np.array(col, dtype=np.int64) for col in zip(*lanes))
+        X, Y, Z = ell._mul_lanes(k, bx, by, a, p)
+        for (P, a, p, k), x, y, z in zip(lanes, X.tolist(), Y.tolist(), Z.tolist()):
+            inv = pow(z, -1, p) if z % p else None
+            got = None if inv is None else (x * inv**2 % p, y * inv**3 % p)
+            assert got == ell._ec_mul(k, P, a, p), (p, k)
 
 
 class TestLaneFallback:

@@ -6,9 +6,12 @@ output committed from the lane rounds sized by the baby-step count; pi_2 and
 the order distribution against output committed from the binary search per
 shifted prime and the trial division by every integer up to the cap; the
 alpha sweep and the order sum against output committed from the int64 spf
-walk that built one extremal set per alpha."""
+walk that built one extremal set per alpha; the orders of six curves at 10^5
+against digests committed from the lanes that searched the whole Hasse
+interval."""
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from romanoff_lab.cli import run
+from romanoff_lab.elliptic import EllipticCurve, order_sequence
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -75,6 +79,26 @@ def test_orders_at_a_million_keep_their_digest(tmp_path):
     assert run(argv + ["--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "efbd46b3d599dfdaa3fb606c71f4999a6fc317a9dd5731b1168ed0f3a15b4393"
+
+
+# sha256 of order_sequence(...).write_csv at x = 10^5, from the lane rounds
+# that searched the whole Hasse interval
+ORDER_DIGESTS_AT_1E5 = {
+    (1, 1): "d9503ab7a34e1e4bb1272bb69998136e14de45261f91561da486e80ed5fec3eb",
+    (1, 0): "cbfe1fd4cc1ab0b66e1967d173af98e9702309ec379e4724bf9d1dd1ec8d912f",
+    (0, 1): "278253988f24b30ffa4c856cd462261b4e20f2dbadcf3fa49b1cf864152f60e7",
+    (-3, 5): "e4350da00f29cf17413d3370fdc7aaf33a6ba681043196bd4f424843d5725ccc",
+    (7, -2): "6c68b20efbbcbcedca81c71da1d9ff170294a1ce869c714f6a94a498eeddd117",
+    (2, 3): "2ec4107fa813f701c5d365274d29b06b08c708bcec6f1f5ff9f0e70fb5db9dc7",
+}
+
+
+@pytest.mark.parametrize("curve", sorted(ORDER_DIGESTS_AT_1E5))
+def test_orders_at_a_hundred_thousand_keep_their_digest(curve, primes100k):
+    out = io.StringIO()
+    order_sequence(EllipticCurve(*curve), 10**5, primes100k).write_csv(out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == ORDER_DIGESTS_AT_1E5[curve]
 
 
 def test_theorem1_at_a_million_is_byte_identical(tmp_path):
