@@ -38,11 +38,11 @@ CACHE_ENV_VAR = "ROMANOFF_LAB_CACHE"
 
 
 def _table_size(needed: float, cap: int, table: str, flag: str) -> int:
-    """needed rounded up to a table limit of at least 2, within the flag's cap."""
-    size = max(math.ceil(needed), 2)
-    if size > cap:
-        raise CapacityError(f"this run needs {table} {size}, above the {flag} cap {cap}")
-    return size
+    """needed rounded up to a table limit of at least 2, within the flag's cap;
+    needed is compared before it is rounded, so an infinite one is refused."""
+    if needed > cap:
+        raise CapacityError(f"this run needs {table} {needed}, above the {flag} cap {cap}")
+    return max(math.ceil(needed), 2)
 
 
 def make_sieve(args: argparse.Namespace, needed: float):
@@ -60,9 +60,8 @@ def _sieve_for_values(args: argparse.Namespace, values: Iterator[int], least: in
     return make_sieve(args, largest)
 
 
-def make_primes(args: argparse.Namespace, needed: float, sieve=None) -> PrimeList:
-    size = _table_size(needed, args.prime_limit, "primes up to", "--prime-limit")
-    return PrimeList.build(size) if sieve is None else sieve.primes(size)
+def make_primes(args: argparse.Namespace, needed: float) -> PrimeList:
+    return PrimeList.build(_table_size(needed, args.prime_limit, "primes up to", "--prime-limit"))
 
 
 def _emit(args: argparse.Namespace, writer) -> None:
@@ -201,8 +200,11 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
     x = args.x
     if x < 2:
         raise ParameterError(f"--x must be >= 2, got {x}")
+    for flag, value in (("--s", args.s), ("--census-mod", args.census_mod)):
+        if value is not None and value < 1:  # for both reports, before any point
+            raise ParameterError(f"{flag} must be >= 1, got {value}")
     sieve = make_sieve(args, 1 + 2 * x) if args.report == "theorem5" else None
-    primes = make_primes(args, x, sieve)
+    primes = make_primes(args, x)
     orders = ell.order_sequence(curve, x, primes)
     if args.report == "orders":
         _emit(args, orders.write_csv)
@@ -273,7 +275,7 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
         )
     elif report == "order-sum":
         sieve = make_sieve(args, args.P)
-        primes = make_primes(args, args.P, sieve)
+        primes = make_primes(args, args.P)
         value = rom.order_weighted_sum(args.a, args.b, args.P, primes, sieve)
         _emit_json(
             args,

@@ -65,6 +65,8 @@ def gamma_bound_grid(s: int, x_max: float) -> tuple[float, bool]:
     """Largest Gamma(s, x)/bound over the grid x = GAMMA_GRID_X_MIN + i *
     GAMMA_GRID_STEP <= x_max, and whether the bound holds at every point."""
     check_finite("x_max", x_max)
+    if x_max < GAMMA_GRID_X_MIN:  # an empty grid would pass
+        raise ParameterError(f"x_max={x_max} is below the grid's start {GAMMA_GRID_X_MIN}")
     if x_max > _GAMMA_GRID_X_LIMIT:
         raise CapacityError(f"x_max={x_max} exceeds {_GAMMA_GRID_X_LIMIT:.2f}: e^-x is subnormal")
     worst = 0.0

@@ -6,11 +6,13 @@ polynomial root counts modulo m.
 
 r(n) is counted exactly, by shift-and-add of the odd-prime indicator over
 windows of 2^19 cells of each parity half: each term adds it, shifted, into the
-n of the other parity, and p = 2 once. representation_counts fills an int64 r
-from the windows; theorem6_report folds them into a histogram of r and
-theorem9_report counts their nonzero cells. Neither builds r: beside the prime
-table (8 bytes per prime) they hold x/2 bytes of indicator, as schnirelmann_pi2
-does, and the CLI peaks at 126 MB at x = 10^8. The orders h_a(p) of an
+n of the other parity, and p = 2 once. The adds go into a uint8 block, which a
+window with more than 255 terms flushes into an int32 window every 255 terms.
+representation_counts fills an int64 r from the windows; theorem6_report folds
+them into a histogram of r and theorem9_report counts their nonzero cells.
+Neither builds r: beside the prime table (8 bytes per prime) they hold x/2
+bytes of indicator, as schnirelmann_pi2 does, and the CLI peaks at 126 MB at
+x = 10^8. The orders h_a(p) of an
 order-weighted sum are found in numpy lanes, one per prime, peeling p - 1
 through the spf walk of FactorSieve (an spf entry that is not the least prime
 of its n raises TableIntegrityError); multiplicative_order is the scalar path and
@@ -60,12 +62,11 @@ from .sequences import (
 # representation_counts work cap, in byte adds of the shift-and-add kernel
 DEFAULT_BUDGET = 10**11
 
-# a term adds at most 1 to a cell, so a uint8 block takes 255 terms, and a
-# uint16 mid takes 257 block flushes: 65,535 terms
+# a term adds at most 1 to a cell, so a uint8 block takes 255 terms; the
+# int32 window it flushes into holds r(n) <= N_A <= MAX_GENERATED_TERMS < 2^31
 _BLOCK_TERMS = 255
-_MID_TERMS = 255 * 257
 
-# cells of one parity half per kernel window: a 512 KB block and a 1 MB mid
+# cells of one parity half per kernel window: a 512 KB block and a 2 MB window
 _WINDOW = 2**19
 
 # window cells per np.bincount call of _histogram: a 512 KB intp copy
@@ -131,9 +132,9 @@ def representation_counts(
     and an odd term to the even n = 2(j + c). Each parity half of r is filled
     one window of _WINDOW cells at a time: each term a_j <= x - 2 whose shift c
     lies below the window's end adds odd, shifted, into a uint8 block, the
-    block goes into a uint16 mid every 255 terms and the mid into an int64
-    window every 65,535 terms, and p = 2 adds 1 at a + 2 for each term. Beside
-    r the kernel holds x/2 bytes of indicator and a 1.5 MB block and mid.
+    block goes into an int32 window every 255 terms when the window has more
+    than 255 terms, and p = 2 adds 1 at a + 2 for each term. Beside r the
+    kernel holds x/2 bytes of indicator and a 2.5 MB block and window.
     ``budget`` caps the work in byte adds: a term a costs x + 1 - a, about
     twice the bytes it touches, and CapacityError is raised before any add
     when the sum exceeds it.
@@ -201,7 +202,7 @@ def _odd_indicator(n: int, primes: PrimeList) -> np.ndarray:
 def _windows(terms: list[int], x: int, primes: PrimeList):
     odd = _odd_indicator(x, primes)
     block = np.empty(_WINDOW, dtype=np.uint8)
-    mid = np.empty(_WINDOW, dtype=np.uint16)
+    window = np.empty(_WINDOW, dtype=np.int32)
     for start in (1, 0):
         # the n of this half get odd primes from the terms of the other parity
         # and p = 2 from those of their own, at the cell (a + 2) // 2
@@ -212,24 +213,20 @@ def _windows(terms: list[int], x: int, primes: PrimeList):
             hi = min(lo + _WINDOW, k)
             active = shifts[: bisect.bisect_left(shifts, hi)]
             here = hits[np.searchsorted(hits, lo) : np.searchsorted(hits, hi)] - lo
-            top = len(active) + len(here)  # the most any cell can reach
-            blk, acc = block[: hi - lo], mid[: hi - lo]
+            # len(active) + len(here) is the most any cell can reach
+            flush = len(active) + len(here) > _BLOCK_TERMS
+            blk = counts = block[: hi - lo]
             blk[:] = 0
-            if top > _BLOCK_TERMS:
-                acc[:] = 0
-            wide = np.zeros(hi - lo, dtype=np.int64) if top > _MID_TERMS else None
-            for m in range(0, len(active), _MID_TERMS):
-                for b in range(m, min(m + _MID_TERMS, len(active)), _BLOCK_TERMS):
-                    for c in active[b : b + _BLOCK_TERMS]:
-                        j = max(c, lo)
-                        blk[j - lo :] += odd[j - c : hi - c]
-                    if top > _BLOCK_TERMS:
-                        acc += blk
-                        blk[:] = 0
-                if wide is not None:
-                    wide += acc
-                    acc[:] = 0
-            counts = blk if top <= _BLOCK_TERMS else acc if wide is None else wide
+            if flush:
+                counts = window[: hi - lo]
+                counts[:] = 0
+            for b in range(0, len(active), _BLOCK_TERMS):
+                for c in active[b : b + _BLOCK_TERMS]:
+                    j = max(c, lo)
+                    blk[j - lo :] += odd[j - c : hi - c]
+                if flush:
+                    counts += blk
+                    blk[:] = 0
             np.add.at(counts, here, 1)
             yield 2 * lo + start, counts
 

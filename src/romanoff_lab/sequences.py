@@ -162,7 +162,8 @@ def _least(holds, j: int) -> int:
 
 def _polynomial_terms(poly: PolynomialSpec, x: float) -> list[int]:
     """The values 0 < R(j) <= x in the order of j = 1, ..., J, the first j at
-    which |R(j)| >= j^(k-1) (lead*j - k*max|c_i|) exceeds x. Horner runs in
+    which |R(j)| >= j^(k-1) (lead*j - k*max|c_i|) exceeds x, or the Cauchy
+    root bound when the leading coefficient is negative. Horner runs in
     int64 blocks while sum |c_i| j^i < 2^63, which bounds every partial sum,
     and in Python ints beyond; more than MAX_GENERATED_TERMS values raise."""
     k = poly.degree
@@ -174,9 +175,12 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> list[int]:
             )
         return []
     lead = abs(poly.coeffs[-1])
-    tail = k * max((abs(c) for c in poly.coeffs[:-1]), default=0)
+    top = max((abs(c) for c in poly.coeffs[:-1]), default=0)
+    tail = k * top
     # the bound is positive and increasing from j = tail // lead + 1 on
     last = _least(lambda j: j ** (k - 1) * (lead * j - tail) > x, tail // lead + 1)
+    if poly.coeffs[-1] < 0:  # R(j) < 0 past the Cauchy root bound 1 + top/lead
+        last = min(last, 1 + top // lead)
     wide = _least(lambda j: sum(abs(c) * j**i for i, c in enumerate(poly.coeffs)) >= 2**63, 1)
     out: list[int] = []
     for start in range(1, min(last + 1, wide), _TERM_BLOCK):
@@ -235,6 +239,9 @@ def enumerate_terms(
         exponent_bound = math.log(x) / math.log(spec.base) + 2  # float guard
         j = 0
         while True:
+            # j^b >= 2^b > b >= the bound, decided before a huge j^b is built
+            if j >= 2 and spec.power >= exponent_bound:
+                break
             exponent = j**spec.power
             if exponent > exponent_bound:
                 break

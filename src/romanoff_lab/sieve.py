@@ -4,9 +4,10 @@ The two core tables are :class:`FactorSieve` (smallest prime factor of every
 n up to a limit) and :class:`PrimeList` (ascending primes up to a limit).
 Both are immutable after construction and safe to share across threads.
 There is one sieve loop, the odd-only Eratosthenes mask in
-:meth:`PrimeList.build`; the spf table is filled from its primes up to
-sqrt(limit). One numpy spf walk, ``FactorSieve._peel``, runs in the table's
-uint32 and serves totients and the order lanes; it and ``factorize`` raise
+:meth:`PrimeList.build`, and every list of primes comes from it; the spf
+table is filled from its primes up to sqrt(limit). Only the numpy spf walk
+``FactorSieve._peel``, which runs in the table's uint32 and serves totients
+and the order lanes, and ``factorize`` read the table. Both raise
 TableIntegrityError unless each entry they read divides its n and names a
 prime (spf[p] == p) no smaller than the one before. A composite entry that
 names its own index still reads as a prime.
@@ -192,22 +193,6 @@ class FactorSieve:
 
     def distinct_primes(self, n: int) -> list[int]:
         return [p for p, _ in self.factorize(n)]
-
-    def is_prime(self, n: int) -> bool:
-        self.check_range(n)
-        return n >= 2 and int(self.spf[n]) == n
-
-    def primes(self, x: int) -> "PrimeList":
-        """The primes up to x, read off the table: n <= sqrt(x) is prime when
-        spf[n] == n, and n above sqrt(x) when spf[n] > sqrt(x), since a
-        composite's entry never exceeds sqrt(n). No second sieve runs."""
-        self.check_range(x)
-        r = math.isqrt(x)
-        head = np.flatnonzero(self.spf[2 : r + 1] == np.arange(2, r + 1)) + 2
-        tail = np.flatnonzero(self.spf[r + 1 : x + 1] > r) + (r + 1)
-        values = np.concatenate([head, tail], dtype=np.int64)
-        values.setflags(write=False)
-        return PrimeList(limit=x, values=values)
 
     def _peel(self, n: np.ndarray):
         """Spf walk over the values of ``n`` above 1, in the table's uint32:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from romanoff_lab import cli
+from romanoff_lab import elliptic as elliptic_module
 from romanoff_lab import sieve as sieve_module
 from romanoff_lab.cli import build_parser, run
 from romanoff_lab.elliptic import EllipticCurve, theorem5_report
@@ -24,6 +25,23 @@ def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = run(argv + ["--out", str(out)])
     return code, out
+
+
+def run_limited(argv, timeout=60):
+    """The CLI in its own process under a 2 GB address-space limit, so a
+    regression fails here instead of exhausting the host."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    return subprocess.run(
+        [sys.executable, "-m", "romanoff_lab", *argv.split()],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 class TestExitCodes:
@@ -97,11 +115,10 @@ class TestExitCodes:
 
 
 class TestRefusedBeforeTheyRun:
-    """Inputs whose enumeration would exhaust memory, or whose float
-    arithmetic would overflow, exit 2 or 3 with one error line."""
+    """Inputs whose enumeration would exhaust memory or run for hours, or
+    whose float arithmetic would overflow, exit 0, 2 or 3 with at most one
+    error line."""
 
-    # each in its own process under a 2 GB address-space limit, so a
-    # regression fails here instead of exhausting the host
     @pytest.mark.parametrize(
         "argv",
         [
@@ -111,19 +128,39 @@ class TestRefusedBeforeTheyRun:
         ],
     )
     def test_oversized_enumeration_is_3(self, argv):
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "romanoff_lab", *argv.split()],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            preexec_fn=limit_memory,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_limited(argv)
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    # each once overflowed, hung on a huge power or scan, or exited 0 on a
+    # flag it ignored; in its own process, so a hang fails on the timeout
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            ("elliptic --curve 1,1 --x 1e308", 3),
+            ("romanoff --report theorem9 --x 100 --b 9223372036854775808", 0),
+            ("romanoff --report frontier --seq tower:2:100000000000000000000 --x 100", 0),
+            ("moments --report theorem1 --seq poly:-1,0 --x 1000000000000000000", 2),
+            ("elliptic --curve 1,1 --x 100 --report orders --census-mod 0", 2),
+            ("elliptic --curve 1,1 --x 100 --report orders --s 0", 2),
+            ("lemmas --gamma --x-max 0", 2),
+        ],
+    )
+    def test_exit_code_contract(self, argv, code):
+        proc = run_limited(argv, timeout=20)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == (code != 0)
+        assert proc.stderr.startswith("error: ") == (code != 0)
+        if code == 0:
+            assert json.loads(proc.stdout)["estimates"]
+
+    def test_bad_census_modulus_is_2_before_any_point(self, monkeypatch):
+        def no_points(*args, **kwargs):
+            raise AssertionError("points counted")
+
+        monkeypatch.setattr(elliptic_module, "order_sequence", no_points)
+        assert run(["elliptic", "--curve", "1,1", "--x", "100", "--census-mod", "0"]) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -456,6 +493,7 @@ class TestIntegrityExit:
 def tables(monkeypatch):
     """Record the limit of every spf table the CLI builds and of every
     PrimeList.build call, the sieve's own small one included."""
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)  # a cache hit builds no list
     built = {"spf": [], "primes": []}
     build_spf, build_list = cli.build_sieve, PrimeList.build.__func__
 
@@ -473,19 +511,22 @@ def tables(monkeypatch):
 
 
 class TestOneTablePerRun:
-    def test_theorem5_reads_primes_off_spf(self, tmp_path, tables):
+    """A run builds each table once; primes come from PrimeList.build alone,
+    and the spf fill builds its own list up to isqrt(limit)."""
+
+    def test_theorem5_builds_spf_and_one_prime_list(self, tmp_path, tables):
         argv = ["elliptic", "--curve", "1,1", "--x", "3000", "--census-mod", "4"]
         code, _ = run_to_file(tmp_path, "t5.json", argv)
         assert code == 0
         assert tables["spf"] == [6001]
-        assert all(limit < 3000 for limit in tables["primes"])
+        assert sorted(tables["primes"]) == [math.isqrt(6001), 3000]
 
-    def test_order_sum_reads_primes_off_spf(self, tmp_path, tables):
+    def test_order_sum_builds_spf_and_one_prime_list(self, tmp_path, tables):
         argv = ["romanoff", "--report", "order-sum", "--P", "20000"]
         code, _ = run_to_file(tmp_path, "os.json", argv)
         assert code == 0
         assert tables["spf"] == [20000]
-        assert all(limit < 20000 for limit in tables["primes"])
+        assert sorted(tables["primes"]) == [math.isqrt(20000), 20000]
 
     def test_lemmas_build_their_primes_once(self, tmp_path, tables):
         argv = ["lemmas", "--prime-sums", "--min-pk", "--tail-limit", "10000"]

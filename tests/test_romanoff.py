@@ -117,7 +117,8 @@ class TestShiftAddKernel:
     @pytest.mark.parametrize("n", [65535, 65536])
     @pytest.mark.parametrize("a", [1, 2])
     def test_mid_flushes_at_65535_terms_of_one_parity(self, n, a):
-        # a uint16 mid that missed its flush would wrap r(a + 3) to 0
+        # r(a + 3) = n reaches 65,536 only in the int32 window, where a
+        # 16-bit counter would wrap it to 0
         self.assert_matches_oracle(10, [a] * n)
 
     @pytest.mark.parametrize("parity", [0, 1])
@@ -194,6 +195,13 @@ class TestWindowEdges:
     def test_mid_flush_at_65535_terms_of_one_parity(self, window, n, a):
         # the other term adds p = 2 to a cell the n terms also reach
         assert_windows_match_oracle(10, sorted([a] * n + [a + 1]), window)
+
+    @pytest.mark.parametrize("window", [7, 64])
+    def test_past_65535_terms_of_both_parities(self, window):
+        # in each half, odd-prime adds of one parity and p = 2 hits of the
+        # other land in the int32 window together, 70,150 terms in all
+        terms = [1] * 40000 + [2] * 30000 + [3] * 100 + [4] * 50
+        assert_windows_match_oracle(12, terms, window)
 
 
 class TestRepresentationCounts:
@@ -862,7 +870,7 @@ class TestTheorem9NonzeroCells:
     @example((3000, tuple(range(1, 129))), 64)
     @settings(max_examples=40, deadline=None)
     def test_nonzero_cells_of_any_term_set(self, case, window):
-        # uint8, uint16 and int64 windows alike: the n = 0 cell is always zero
+        # uint8 blocks and int32 windows alike: the n = 0 cell is always zero
         x, terms = case
         spec = Explicit(terms)
         with pytest.MonkeyPatch.context() as mp:

@@ -549,27 +549,6 @@ class TestSpfFillEdges:
         assert [int(v) for v in spf[2:]] == [trial_spf(n) for n in range(2, limit + 1)]
 
 
-class TestPrimesFromSpf:
-    """FactorSieve.primes reads the PrimeList off the spf table."""
-
-    def test_every_x_to_3000(self):
-        sieve = build_sieve(3000)
-        for x in range(2, 3001):
-            got, expected = sieve.primes(x), PrimeList.build(x)
-            assert got.limit == expected.limit == x
-            assert got.values.dtype == np.int64
-            assert np.array_equal(got.values, expected.values), x
-
-    def test_at_a_million_on_the_t5_table(self):
-        got = build_sieve(2 * 10**6 + 1).primes(10**6)
-        assert np.array_equal(got.values, PrimeList.build(10**6).values)
-        assert not got.values.flags.writeable
-
-    def test_above_limit_is_range_error(self, sieve10k):
-        with pytest.raises(RangeError):
-            sieve10k.primes(10**4 + 1)
-
-
 class TestSpfWalk:
     """FactorSieve._peel is the one vectorized spf walk; totients and the
     order lanes read their primes from it."""
