@@ -50,14 +50,19 @@ def make_sieve(args: argparse.Namespace, needed: float):
     return build_sieve(size, cache_dir=os.environ.get(CACHE_ENV_VAR))
 
 
-def _sieve_for_values(args: argparse.Namespace, values: Iterator[int], least: int = 0):
-    """make_sieve for the largest of the values and least, read 2^16 at a time:
-    the first block above the cap is refused, before the rest is enumerated."""
+def _largest_value(
+    args: argparse.Namespace, values: Iterator[int], least: int = 0, kept: list[int] | None = None
+) -> int:
+    """The largest of the values and least, read 2^16 at a time: the first
+    block above the sieve cap is refused, before the rest is enumerated.
+    kept, when given, collects the values read."""
     largest = least
     while block := list(islice(values, 2**16)):
         largest = max(largest, max(block))
         _table_size(largest, args.sieve_limit, "a sieve of size", "--sieve-limit")
-    return make_sieve(args, largest)
+        if kept is not None:
+            kept += block
+    return largest
 
 
 def make_primes(args: argparse.Namespace, needed: float) -> PrimeList:
@@ -134,10 +139,12 @@ def _cmd_moments(args: argparse.Namespace) -> None:
             if isinstance(spec, seq.EllipticOrders)
             else None
         )
-        values = seq.enumerate_terms(spec, x, primes)
+        values: list[int] = []
+        largest = _largest_value(args, seq.iter_terms(spec, x, primes), kept=values)
         if not values:
             raise DomainError(f"sequence has no terms <= {x}")
-        sieve = make_sieve(args, max(values))
+        sieve = make_sieve(args, largest)
+        values.sort()
         M = args.M if args.M is not None else float(x)
         report = mom.theorem1_report(values, args.s, args.alpha, M, sieve)
         payload = dataclasses.asdict(report)
@@ -145,12 +152,13 @@ def _cmd_moments(args: argparse.Namespace) -> None:
         _emit_json(args, {"report": "theorem1", "moment": payload})
     elif args.report == "poly":
         poly = mom.PolynomialSpec.from_descending(_parse_int_list(args.poly))
-        sieve = _sieve_for_values(args, mom.iter_poly_values(poly, args.z))
+        sieve = make_sieve(args, _largest_value(args, mom.iter_poly_values(poly, args.z)))
         report = mom.poly_moment_report(poly, args.z, args.s, sieve)
         _emit_json(args, {"report": "poly", "moment": dataclasses.asdict(report)})
     elif args.report == "linear":
         shifts = _parse_int_list(args.bs)
-        sieve = _sieve_for_values(args, mom.iter_delta_values(args.a, shifts, args.z), args.a)
+        deltas = mom.iter_delta_values(args.a, shifts, args.z)
+        sieve = make_sieve(args, _largest_value(args, deltas, args.a))
         x = args.x if args.x is not None else float(max(args.z, 3))
         report = mom.delta_moment_report(
             args.a, shifts, args.z, args.s, x, sieve
@@ -274,6 +282,8 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
             args, {"report": "schnirelmann", "x": args.x, "a": args.a, **out._asdict()}
         )
     elif report == "order-sum":
+        if args.P < 2:
+            raise ParameterError(f"--P must be >= 2, got {args.P}")
         sieve = make_sieve(args, args.P)
         primes = make_primes(args, args.P)
         value = rom.order_weighted_sum(args.a, args.b, args.P, primes, sieve)

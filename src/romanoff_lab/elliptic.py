@@ -15,9 +15,10 @@ may stay ambiguous. Cost is about p^(1/4) group operations per point.
 An order_sequence counts its primes of good reduction from p = 5 to
 _LANE_PRIME_LIMIT = 2^31 (int64 products) in numpy lanes
 (_count_points_lanes): one lane per prime, rounds of up to _ROUND_LANES =
-1024 lanes with one baby-step count s each, Jacobian coordinates with mixed
+4096 lanes with one baby-step count s each, Jacobian coordinates with mixed
 addition, baby and giant tables made affine in place by Montgomery's batch
-inversion (one Fermat inversion per lane), and matches found by sorting
+inversion (one Fermat inversion per lane, in 3-bit windows like each lane
+Legendre symbol: sieve._powmod_lanes), and matches found by sorting
 lane-keyed x in place and one searchsorted. A lane first takes #E mod 2 from
 the roots of x^3 + Ax + B (_parity_lanes) and searches only that class of H,
 with baby steps over 2P: its tables are sqrt(2) shorter. Each round gives
@@ -26,11 +27,12 @@ it allows by the Chinese remainder theorem. The lanes left open, runs of
 fewer than _LANE_MIN_BATCH primes and primes from 2^31 up take
 _count_points_prime: a round costs 2-8 ms in numpy calls (p = 4096 to
 10^7), so lanes and scalar BSGS break even near 30-45 primes at p = 4096 and
-near 16 at p = 10^7. Per prime, the lanes took 9-12 / 14-18 / 25-28 us,
-of which the parity class took 5-11 %, against 105 / 194 / 407 us for the
-scalar BSGS on the primes of [4096, 10^5], [8*10^5, 10^6] and
-[9.8*10^6, 10^7], and 10-16 against 40 us for the character sum on
-[5, 4096) (2-core x86 host, CPython 3.11, numpy 2.4).
+near 16 at p = 10^7. Per prime, the lanes took 10-13 / 15-17 / 23-27 us
+(13 / 20-21 / 31-34 us in rounds of 1024 lanes with square-and-multiply, in
+the same hour), against 105 / 194 / 407 us for the scalar BSGS on the primes
+of [4096, 10^5], [8*10^5, 10^6] and [9.8*10^6, 10^7], and 10-18 against
+40 us for the character sum on [5, 4096) (2-core x86 host, CPython 3.11,
+numpy 2.4).
 
 _count_points_prime, which also serves single count_points calls, takes the
 scalar BSGS from _BSGS_MIN_PRIME up. Everything else goes to the O(p)
@@ -78,10 +80,14 @@ _MAX_CHARACTER_PRIME = 2**24
 _BSGS_MIN_PRIME = 2**12
 # points tried on E and on its twist before falling back to the character sum
 _BSGS_POINT_TRIES = 4
-# lanes a round holds. A mixed add takes about 28 us a call plus 50 ns a
-# lane, so T5 at x = 2e4 takes 3 rounds where 16 lanes per baby step (272)
-# took 9, and its peak RSS stays within 0.2 MB of that (2048 lanes: 1 MB more)
-_ROUND_LANES = 1024
+# lanes a round holds. Each numpy call of a round costs a fixed few us, so the
+# 2262 primes to 2e4 take one round where 1024 lanes took 3. Over 16384 primes
+# (full rounds), 2048 / 4096 / 8192 lanes took 16.0-17.5 / 15.4-16.2 /
+# 15.3-15.8 us a prime near 1e6 and 39-43 / 38-41 / 39-42 us near 1e8 - 1e6:
+# 8192 gains nothing beyond the noise and doubles the five (s + 1) x lanes
+# tables, which at 4096 lanes add about 18 MB of peak RSS near 1e8 and 37 MB
+# at the lane bound (s <= 217)
+_ROUND_LANES = 4096
 # fewer open lanes than this go to the scalar BSGS (the measured break-even
 # is 30-45 at p = 4096 and falls to about 16 by p = 1e7)
 _LANE_MIN_BATCH = 40

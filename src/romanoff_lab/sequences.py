@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
 
@@ -160,7 +160,7 @@ def _least(holds, j: int) -> int:
     return j
 
 
-def _polynomial_terms(poly: PolynomialSpec, x: float) -> list[int]:
+def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[int]:
     """The values 0 < R(j) <= x in the order of j = 1, ..., J, the first j at
     which |R(j)| >= j^(k-1) (lead*j - k*max|c_i|) exceeds x, or the Cauchy
     root bound when the leading coefficient is negative. Horner runs in
@@ -173,7 +173,7 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> list[int]:
             raise CapacityError(
                 "constant polynomial has unbounded multiplicity below x"
             )
-        return []
+        return
     lead = abs(poly.coeffs[-1])
     top = max((abs(c) for c in poly.coeffs[:-1]), default=0)
     tail = k * top
@@ -182,23 +182,25 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> list[int]:
     if poly.coeffs[-1] < 0:  # R(j) < 0 past the Cauchy root bound 1 + top/lead
         last = min(last, 1 + top // lead)
     wide = _least(lambda j: sum(abs(c) * j**i for i, c in enumerate(poly.coeffs)) >= 2**63, 1)
-    out: list[int] = []
+    count = 0
     for start in range(1, min(last + 1, wide), _TERM_BLOCK):
         j = np.arange(start, min(start + _TERM_BLOCK, last + 1, wide), dtype=np.int64)
         value = np.full_like(j, poly.coeffs[-1])
         for c in reversed(poly.coeffs[:-1]):
             value *= j
             value += c
-        out += [v for v in value.tolist() if 0 < v <= x]
-        if len(out) > MAX_GENERATED_TERMS:
+        block = [v for v in value.tolist() if 0 < v <= x]
+        count += len(block)
+        if count > MAX_GENERATED_TERMS:
             raise CapacityError("polynomial term generation exceeded the guard")
+        yield from block
     for j in range(wide, last + 1):
         value = poly.evaluate(j)
         if 0 < value <= x:
-            out.append(value)
-            if len(out) > MAX_GENERATED_TERMS:
+            count += 1
+            if count > MAX_GENERATED_TERMS:
                 raise CapacityError("polynomial term generation exceeded the guard")
-    return out
+            yield value
 
 
 def elliptic_prime_bound(x: float) -> int:
@@ -224,6 +226,14 @@ def enumerate_terms(
     spec: SequenceSpec, x: float, primes: PrimeList | None = None
 ) -> list[int]:
     """All terms a_j <= x, with multiplicity, in ascending order."""
+    return sorted(iter_terms(spec, x, primes))
+
+
+def iter_terms(
+    spec: SequenceSpec, x: float, primes: PrimeList | None = None
+) -> Iterator[int]:
+    """The terms of enumerate_terms in the order they are generated (in j for
+    a polynomial), so that a caller can stop before the last is built."""
     check_finite("x", x)
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
@@ -233,7 +243,7 @@ def enumerate_terms(
         while value <= x:
             out.append(value)
             value *= spec.base
-        return out
+        return iter(out)
     if isinstance(spec, PowerTower):
         out = []
         exponent_bound = math.log(x) / math.log(spec.base) + 2  # float guard
@@ -250,15 +260,15 @@ def enumerate_terms(
                 break
             out.append(value)
             j += 1
-        return out
+        return iter(out)
     if isinstance(spec, Polynomial):
-        return sorted(_polynomial_terms(spec.poly, x))
+        return _polynomial_terms(spec.poly, x)
     if isinstance(spec, EllipticOrders):
-        return sorted(_elliptic_order_terms(spec.curve, x, primes))
+        return iter(_elliptic_order_terms(spec.curve, x, primes))
     if isinstance(spec, Explicit):
         if len(spec.values) > MAX_GENERATED_TERMS:
             raise CapacityError("explicit sequence exceeds the term guard")
-        return sorted(v for v in spec.values if v <= x)
+        return (v for v in spec.values if v <= x)
     raise ParameterError(f"not a sequence spec: {spec!r}")
 
 

@@ -465,11 +465,24 @@ def _residues(n: int, ps: np.ndarray) -> np.ndarray:
 
 
 def _powmod_lanes(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base^e mod p lane by lane, square-and-multiply over the bits of e."""
-    result = np.ones_like(base)
-    for bit in range(int(e.max(initial=0)).bit_length()):
-        result = np.where((e >> bit) & 1 == 1, result * base % p, result)
-        base = base * base % p
+    """base^e mod p lane by lane for e >= 0 (1 where e = 0), in fixed 3-bit
+    windows of e: a table of base^0, ..., base^7, then from the top window
+    down three squarings and one product with the table entry of the window."""
+    n = len(base)
+    table = np.empty((8, n), dtype=np.int64)
+    table[0], table[1] = 1, base % p
+    for d in range(2, 8):
+        np.multiply(table[d - 1], table[1], out=table[d])
+        table[d] %= p
+    table, lane = table.reshape(-1), np.arange(n)
+    top = max(int(e.max(initial=0)).bit_length() - 1, 0) // 3 * 3
+    result = table.take((e >> top) * n + lane)
+    for shift in range(top - 3, -1, -3):
+        for _ in range(3):
+            result *= result
+            result %= p
+        result *= table.take((e >> shift & 7) * n + lane)
+        result %= p
     return result
 
 

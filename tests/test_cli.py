@@ -12,6 +12,7 @@ import pytest
 
 from romanoff_lab import cli
 from romanoff_lab import elliptic as elliptic_module
+from romanoff_lab import sequences as sequences_module
 from romanoff_lab import sieve as sieve_module
 from romanoff_lab.cli import build_parser, run
 from romanoff_lab.elliptic import EllipticCurve, theorem5_report
@@ -144,6 +145,9 @@ class TestRefusedBeforeTheyRun:
             ("elliptic --curve 1,1 --x 100 --report orders --census-mod 0", 2),
             ("elliptic --curve 1,1 --x 100 --report orders --s 0", 2),
             ("lemmas --gamma --x-max 0", 2),
+            ("moments --report theorem1 --seq poly:1,0 --x 9223372036854775808 --sieve-limit 1000", 3),
+            ("romanoff --report order-sum --P -5", 2),
+            ("romanoff --report order-sum --P 1.5", 2),
         ],
     )
     def test_exit_code_contract(self, argv, code):
@@ -189,6 +193,20 @@ class TestRefusedBeforeTheyRun:
         code, out = run_to_file(tmp_path, "t3.json", argv + ["170000"])
         assert code == 0 and json.loads(out.read_text())["moment"]["parameters"]["terms"] == 140001
         assert run(argv + ["169999"]) == 3
+
+    def test_t1_terms_are_read_in_blocks(self, tmp_path, monkeypatch):
+        # poly:1,0 to 140000: three blocks; above the cap, only the first is built
+        argv = ["moments", "--report", "theorem1", "--seq", "poly:1,0", "--x", "140000", "--sieve-limit"]
+        code, out = run_to_file(tmp_path, "t1.json", argv + ["140000"])
+        assert code == 0 and json.loads(out.read_text())["moment"]["parameters"]["N"] == 140000
+        assert run(argv + ["139999"]) == 3
+        read = []
+        terms = sequences_module._polynomial_terms
+        monkeypatch.setattr(
+            sequences_module, "_polynomial_terms", lambda *a: (read.append(v) or v for v in terms(*a))
+        )
+        assert run(argv + ["65535"]) == 3
+        assert len(read) == 2**16
 
 
 class TestReports:

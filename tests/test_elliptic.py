@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 from collections import Counter
@@ -656,6 +657,36 @@ class TestRoundEdges:
             mp.setattr(ell, "_ROUND_LANES", width)
             orders = ell._count_points_lanes(curve, ps)
         assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+
+
+@functools.lru_cache(maxsize=None)
+def character_orders(A: int, B: int, count: int) -> tuple[int, ...]:
+    curve = EllipticCurve(A, B)
+    return tuple(ell._count_points_character(curve, p) for p in good_primes(curve, LANE_PRIMES[:count]))
+
+
+class TestWideRounds:
+    """The primes to about 2*10^4 (order_sequence's run there) take three
+    rounds of 1024 lanes and one of the default width; both widths give the
+    character-sum orders."""
+
+    @pytest.mark.parametrize("width", [1024, ell._ROUND_LANES])
+    @pytest.mark.parametrize("A,B", [(1, 1), (0, 7), (-41, -35)])
+    def test_lanes_match_character_sum(self, A, B, width, monkeypatch):
+        widths = []
+        killers = ell._lane_killers
+
+        def counted(px, py, a, p, *args):
+            widths.append(len(p))
+            return killers(px, py, a, p, *args)
+
+        monkeypatch.setattr(ell, "_lane_killers", counted)
+        monkeypatch.setattr(ell, "_ROUND_LANES", width)
+        curve = EllipticCurve(A, B)
+        ps = good_primes(curve, LANE_PRIMES[:2300])
+        assert ell._count_points_lanes(curve, ps).tolist() == list(character_orders(A, B, 2300))
+        assert max(widths) == min(width, len(ps))
+        assert widths.count(width) == len(ps) // width  # the fresh primes fill them
 
 
 class TestAffineInPlace:

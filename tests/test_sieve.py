@@ -17,6 +17,7 @@ from romanoff_lab.sieve import (
     FactorSieve,
     PrimeList,
     _isqrt_lanes,
+    _powmod_lanes,
     build_sieve,
     chebyshev_theta,
     factorize_trial,
@@ -587,3 +588,50 @@ def test_isqrt_lanes_matches_math_isqrt():
     values += [2**52 - 1, 4 * (2**31 - 1)] + random.Random(5).sample(range(2**52), 200)
     n = np.array(values, dtype=np.int64)
     assert _isqrt_lanes(n).tolist() == [math.isqrt(v) for v in values]
+
+
+def _prime_at_most(n: int) -> int:
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+lane_primes = st.one_of(
+    st.sampled_from([2, 3, 5, 7, 2**31 - 1]), st.integers(2, 2**31 - 1).map(_prime_at_most)
+)
+# a base is drawn as a fraction of p, so that 0, 1 and p - 1 come up in every size
+lane_bases = st.one_of(st.sampled_from([0, 1, -1]), st.floats(0, 1, exclude_max=True))
+lane_exponents = st.one_of(
+    st.integers(0, 8), st.integers(0, 2**16), st.integers(0, 2**32 - 1), st.sampled_from([2**32 - 1])
+)
+
+
+class TestPowmodLanes:
+    """_powmod_lanes against pow lane by lane: primes up to 2^31 - 1, bases
+    0, 1 and p - 1, exponents in [0, 2^32) of mixed bit lengths in one call."""
+
+    @staticmethod
+    def check(lanes):
+        base = [b % p if isinstance(b, int) else int(b * p) for p, b, _ in lanes]
+        p = np.array([q for q, _, _ in lanes], dtype=np.int64)
+        e = np.array([k for _, _, k in lanes], dtype=np.int64)
+        got = _powmod_lanes(np.array(base, dtype=np.int64), e, p)
+        assert got.dtype == np.int64 and got.shape == p.shape
+        assert got.tolist() == [pow(b, k, q) for b, (q, _, k) in zip(base, lanes)]
+
+    @given(st.lists(st.tuples(lane_primes, lane_bases, lane_exponents), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pow(self, lanes):
+        self.check(lanes)
+
+    @pytest.mark.parametrize(
+        "lanes",
+        [
+            [],
+            [(7, 0, 0)],  # 0^0 = 1
+            [(2**31 - 1, -1, 2**32 - 1)],
+            [(2**31 - 1, 0, 5), (3, 1, 0), (2**31 - 1, -1, 2**31 - 2), (65537, 3, 1), (5, 2, 7)],
+        ],
+    )
+    def test_edges(self, lanes):
+        self.check(lanes)
