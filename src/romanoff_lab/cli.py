@@ -218,17 +218,16 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
         _emit(args, orders.write_csv)
         return
     report = ell.theorem5_report(curve, x, args.s, sieve, primes, orders=orders)
-    margin = min(ell.hasse_margin(curve, p, order) for p, order in orders.entries)
     payload = {
         "report": "theorem5",
         "curve": seq.format_curve(curve),
         "moment": dataclasses.asdict(report),
-        "hasse_min_margin": margin,
+        "hasse_min_margin": orders.hasse_min_margin(),
     }
     if args.census_mod is not None:
         t = args.census_mod
         census = ell.congruence_class_census(curve, x, t, primes, orders=orders)
-        pi_x = len(orders.entries)
+        pi_x = len(orders.counts)
         payload["census"] = {str(a): count for a, count in census.items()}
         payload["census_modulus"] = t
         # equidistribution baseline the residue counts are tabulated against
@@ -439,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("elliptic", parents=[common], help="curve order statistics")
     p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
-    p.add_argument("--curve", required=True, help="A,B")
+    p.add_argument("--curve", required=True, help="A,B; write a negative A as --curve=-3,2")
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--census-mod", type=int, default=None)

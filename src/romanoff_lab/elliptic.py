@@ -12,27 +12,30 @@ always survives, so a single survivor is the order; for p > 229 Mestre's
 theorem says points that leave one survivor exist, and below that a prime
 may stay ambiguous. Cost is about p^(1/4) group operations per point.
 
-An order_sequence counts its primes of good reduction from p = 5 to
-_LANE_PRIME_LIMIT = 2^31 (int64 products) in numpy lanes
-(_count_points_lanes): one lane per prime, rounds of up to _ROUND_LANES =
-4096 lanes with one baby-step count s each, Jacobian coordinates with mixed
-addition, baby and giant tables made affine in place by Montgomery's batch
-inversion (one Fermat inversion per lane, in 3-bit windows like each lane
-Legendre symbol: sieve._powmod_lanes), and matches found by sorting
-lane-keyed x in place and one searchsorted. A lane first takes #E mod 2 from
-the roots of x^3 + Ax + B (_parity_lanes) and searches only that class of H,
-with baby steps over 2P: its tables are sqrt(2) shorter. Each round gives
-every open lane the next point of the scalar scan and intersects the orders
-it allows by the Chinese remainder theorem. The lanes left open, runs of
-fewer than _LANE_MIN_BATCH primes and primes from 2^31 up take
-_count_points_prime: a round costs 2-8 ms in numpy calls (p = 4096 to
-10^7), so lanes and scalar BSGS break even near 30-45 primes at p = 4096 and
-near 16 at p = 10^7. Per prime, the lanes took 10-13 / 15-17 / 23-27 us
-(13 / 20-21 / 31-34 us in rounds of 1024 lanes with square-and-multiply, in
-the same hour), against 105 / 194 / 407 us for the scalar BSGS on the primes
-of [4096, 10^5], [8*10^5, 10^6] and [9.8*10^6, 10^7], and 10-18 against
-40 us for the character sum on [5, 4096) (2-core x86 host, CPython 3.11,
-numpy 2.4).
+An OrderSequence holds two read-only int64 arrays, the primes p <= x (a view
+of the PrimeList) and their counts #E(F_p), and builds (p, #E) pairs only
+when they are read. order_sequence counts _ORDER_BLOCK = 2^16 primes at a
+time, so each per-prime array of the count is one block long (the orders CSV
+at x = 10^8 peaks at 147 MB, against 981 MB with a tuple a prime). A block's
+primes of good reduction from p = 5 to _LANE_PRIME_LIMIT = 2^31 (int64
+products) are counted in numpy lanes (_count_points_lanes): one lane per
+prime, rounds of up to _ROUND_LANES = 4096 lanes with one baby-step count s
+each, Jacobian coordinates with mixed addition, baby and giant tables made
+affine in place by Montgomery's batch inversion (one Fermat inversion per
+lane, in 3-bit windows like each lane Legendre symbol: sieve._powmod_lanes),
+and matches found by sorting lane-keyed x in place and one searchsorted. A
+lane first takes #E mod 2 from the roots of x^3 + Ax + B (_parity_lanes) and
+searches only that class of H, with baby steps over 2P: its tables are
+sqrt(2) shorter. Each round gives every open lane the next point of the
+scalar scan and intersects the orders it allows by the Chinese remainder
+theorem. The lanes left open, runs of fewer than _LANE_MIN_BATCH primes and
+primes from 2^31 up take _count_points_prime: a round costs 2-8 ms in numpy
+calls (p = 4096 to 10^7), so lanes and scalar BSGS break even near 30-45
+primes at p = 4096 and near 16 at p = 10^7. Per prime, the lanes took 10-13 /
+15-17 / 23-27 us, against 105 / 194 / 407 us for the scalar BSGS on the
+primes of [4096, 10^5], [8*10^5, 10^6] and [9.8*10^6, 10^7], and 10-18
+against 40 us for the character sum on [5, 4096) (2-core x86 host, CPython
+3.11, numpy 2.4).
 
 _count_points_prime, which also serves single count_points calls, takes the
 scalar BSGS from _BSGS_MIN_PRIME up. Everything else goes to the O(p)
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -64,6 +66,7 @@ from .sieve import (
     _isqrt_lanes,
     _powmod_lanes,
     _residues,
+    _write_csv,
     factorize_trial,
     is_prime,
 )
@@ -91,9 +94,8 @@ _ROUND_LANES = 4096
 # fewer open lanes than this go to the scalar BSGS (the measured break-even
 # is 30-45 at p = 4096 and falls to about 16 by p = 1e7)
 _LANE_MIN_BATCH = 40
-
-# CSV lines formatted by one % operation
-_CSV_ROWS = 2**16
+# primes an order_sequence counts at a time: 16 full lane rounds
+_ORDER_BLOCK = 16 * _ROUND_LANES
 
 
 @dataclass(frozen=True)
@@ -126,20 +128,26 @@ class EllipticCurve:
 
 @dataclass(frozen=True)
 class OrderSequence:
-    """(p, #E(F_p)) for every prime p <= x, ascending in p."""
+    """#E(F_p) for every prime p <= x, ascending in p, as two read-only int64
+    arrays: the primes (a view of the PrimeList) and their point counts."""
 
     curve: EllipticCurve
     x: float
-    entries: tuple[tuple[int, int], ...]
+    primes: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.primes.tolist(), self.counts.tolist()))
 
     def orders(self) -> list[int]:
-        return [order for _, order in self.entries]
+        return self.counts.tolist()
+
+    def hasse_min_margin(self) -> float:
+        return float(hasse_margin(self.curve, self.primes, self.counts).min())
 
     def write_csv(self, stream: IO[str]) -> None:
-        stream.write("p,order\n")
-        for i in range(0, len(self.entries), _CSV_ROWS):
-            chunk = self.entries[i : i + _CSV_ROWS]
-            stream.write("%d,%d\n" * len(chunk) % tuple(chain.from_iterable(chunk)))
+        _write_csv(stream, "p,order\n", self.primes, self.counts)
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -609,31 +617,34 @@ def _count_points_lanes(curve: EllipticCurve, ps) -> np.ndarray:
 def hasse_margin(curve: EllipticCurve, p: int, order: int | None = None) -> float:
     """2*sqrt(p) - |#E(F_p) - (p+1)|; positive for every prime.
 
-    A known order #E(F_p) is used as given; otherwise it is counted.
+    A known order #E(F_p) is used as given; otherwise it is counted. Int64
+    arrays of p and orders give each scalar margin bit for bit (np.sqrt
+    rounds as math.sqrt does).
     """
     if order is None:
         order = count_points(curve, p)
-    return 2.0 * math.sqrt(p) - abs(order - (p + 1))
+    sqrt = np.sqrt if isinstance(p, np.ndarray) else math.sqrt
+    return 2.0 * sqrt(p) - abs(order - (p + 1))
 
 
 def order_sequence(curve: EllipticCurve, x: float, primes: PrimeList) -> OrderSequence:
-    """Curve orders at every prime p <= x, assembled in ascending p.
-
-    The primes of good reduction in [5, _LANE_PRIME_LIMIT) are counted in
-    lanes when there are at least _LANE_MIN_BATCH of them; every other prime
-    goes to _count_points_prime.
+    """Curve orders at every prime p <= x, in ascending p, _ORDER_BLOCK
+    primes at a time. A block's primes of good reduction in
+    [5, _LANE_PRIME_LIMIT) are counted in lanes when there are at least
+    _LANE_MIN_BATCH of them; every other prime goes to _count_points_prime.
     """
     ps = primes.upto(x)
-    orders = np.zeros(len(ps), dtype=np.int64)
-    lanes = (ps > 3) & (ps < _LANE_PRIME_LIMIT)
-    lanes[lanes] = _residues(curve.discriminant, ps[lanes]) != 0
-    if np.count_nonzero(lanes) >= _LANE_MIN_BATCH:
-        orders[lanes] = _count_points_lanes(curve, ps[lanes])
-    else:
-        lanes[:] = False
-    for i in np.flatnonzero(~lanes).tolist():
-        orders[i] = _count_points_prime(curve, int(ps[i]))
-    return OrderSequence(curve=curve, x=x, entries=tuple(zip(ps.tolist(), orders.tolist())))
+    counts = np.zeros(len(ps), dtype=np.int64)
+    for start in range(0, len(ps), _ORDER_BLOCK):
+        block, out = ps[start : start + _ORDER_BLOCK], counts[start : start + _ORDER_BLOCK]
+        lanes = (block > 3) & (block < _LANE_PRIME_LIMIT)
+        lanes[lanes] = _residues(curve.discriminant, block[lanes]) != 0
+        lanes &= np.count_nonzero(lanes) >= _LANE_MIN_BATCH  # else all go scalar
+        out[lanes] = _count_points_lanes(curve, block[lanes])
+        for i in np.flatnonzero(~lanes).tolist():
+            out[i] = _count_points_prime(curve, int(block[i]))
+    counts.setflags(write=False)
+    return OrderSequence(curve=curve, x=x, primes=ps, counts=counts)
 
 
 def _orders_for(
@@ -661,10 +672,8 @@ def congruence_class_census(
     pi_x = primes.count_leq(x)
     if t > pi_x:  # more residues than primes to count
         raise CapacityError(f"census modulus t={t} exceeds pi(x) = {pi_x}")
-    census = {a: 0 for a in range(t)}
-    for _, order in _orders_for(curve, x, primes, orders).entries:
-        census[order % t] += 1
-    return census
+    counts = _orders_for(curve, x, primes, orders).counts
+    return dict(enumerate(np.bincount(counts % t, minlength=t).tolist()))
 
 
 def theorem5_report(
@@ -694,9 +703,9 @@ def theorem5_report(
             f"orders up to 1+2x = {1 + 2 * x:g} exceed sieve limit {sieve.limit}"
         )
     orders = _orders_for(curve, x, primes, orders)
-    lhs = _ratio_power_fsum(orders.orders(), s, sieve)
-    pi_x = len(orders.entries)
-    disc = curve.discriminant
+    lhs = _ratio_power_fsum(orders.counts, s, sieve)
+    pi_x = len(orders.counts)
+    singular = orders.primes[_residues(curve.discriminant, orders.primes) == 0]
     return MomentReport(
         lhs=lhs,
         rhs_core=float(pi_x),
@@ -708,6 +717,6 @@ def theorem5_report(
             "s": s,
             "pi_x": pi_x,
             "cm_checked": False,
-            "singular_primes": [p for p, _ in orders.entries if disc % p == 0],
+            "singular_primes": singular.tolist(),
         },
     )

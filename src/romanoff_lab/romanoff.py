@@ -39,6 +39,7 @@ from .sieve import (
     _isqrt_lanes,
     _powmod_lanes,
     _residues,
+    _write_csv,
     build_sieve,
     check_integer,
     factorize_trial,
@@ -82,9 +83,6 @@ DEFAULT_EXPONENT_CAP = 40
 
 ROOT_COUNT_MODULUS_CAP = 10**7
 
-# CSV lines formatted by one % operation
-_CSV_ROWS = 2**16
-
 # primes per _lane_mult_orders call of order_weighted_sum; bounds the lane arrays
 _ORDER_LANES = 2**16
 
@@ -101,11 +99,7 @@ class RepresentationProfile:
         return int(self.r[1:].sum())
 
     def write_csv(self, stream) -> None:
-        stream.write("n,r\n")
-        for n in range(1, self.x + 1, _CSV_ROWS):
-            m = min(n + _CSV_ROWS, self.x + 1)
-            rows = np.column_stack((np.arange(n, m), self.r[n:m])).ravel().tolist()
-            stream.write("%d,%d\n" * (m - n) % tuple(rows))
+        _write_csv(stream, "n,r\n", range(1, self.x + 1), self.r[1 : self.x + 1])
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,8 @@ def _elliptic_order_terms(
         raise RangeError("EllipticOrders enumeration needs a prime table")
     q_bound = elliptic_prime_bound(x)
     primes.check_range(q_bound)
-    return [n for n in order_sequence(curve, q_bound, primes).orders() if n <= x]
+    counts = order_sequence(curve, q_bound, primes).counts
+    return counts[counts <= x].tolist()
 
 
 def enumerate_terms(

@@ -451,6 +451,18 @@ def chebyshev_theta(x: float, primes: PrimeList) -> float:
     return math.fsum(math.log(p) for p in primes.upto(x).tolist())
 
 
+# CSV lines formatted by one % operation
+_CSV_ROWS = 2**16
+
+
+def _write_csv(stream, header: str, first, second) -> None:
+    """The header, then a "first,second" line per row of two int columns."""
+    stream.write(header)
+    for i in range(0, len(first), _CSV_ROWS):
+        rows = np.column_stack((first[i : i + _CSV_ROWS], second[i : i + _CSV_ROWS]))
+        stream.write("%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()))
+
+
 # --- numpy lanes: one prime per lane -----------------------------------------
 #
 # Lanes multiply two residues mod p in int64; p < 2^31 keeps products below 2^62.

@@ -172,10 +172,12 @@ def test_criterion_06_elliptic_oracle(primes1m):
 def test_criterion_07_curve_moment_stability(sieve1m, primes1m):
     curve = ell.EllipticCurve(1, 1)
     orders5 = ell.order_sequence(curve, 10**5, primes1m)
+    upto4 = orders5.primes <= 10**4
     orders4 = ell.OrderSequence(
         curve=curve,
         x=10**4,
-        entries=tuple((p, o) for p, o in orders5.entries if p <= 10**4),
+        primes=orders5.primes[upto4],
+        counts=orders5.counts[upto4],
     )
     ratios = {}
     for s in (1, 2):

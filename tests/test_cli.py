@@ -63,6 +63,15 @@ class TestExitCodes:
     def test_singular_curve_is_2(self):
         assert run(["elliptic", "--curve", "0,0", "--x", "100"]) == 2
 
+    def test_negative_a_needs_the_equals_form(self, capsys):
+        # argparse reads a bare -3,5 as an option; the --curve help says so
+        assert run(["elliptic", "--help"]) == 0
+        assert "--curve=-3,2" in capsys.readouterr().out
+        assert run(["elliptic", "--curve", "-3,5", "--x", "20", "--report", "orders"]) == 2
+        capsys.readouterr()
+        assert run(["elliptic", "--curve=-3,5", "--x", "20", "--report", "orders"]) == 0
+        assert capsys.readouterr().out.startswith("p,order\n2,")
+
     def test_unknown_flag_is_2(self):
         assert run(["sieve", "--frobnicate"]) == 2
 

@@ -192,13 +192,75 @@ class TestOrderSequence:
     def test_csv_matches_line_loop(self, rows):
         # 10^5 rows span two formatting chunks; orders beyond 2^31 included
         rng = np.random.default_rng(rows)
-        ps = rng.integers(2, 2**40, size=rows).tolist()
-        orders = rng.integers(1, 2**41, size=rows).tolist()
-        seq = ell.OrderSequence(EllipticCurve(1, 1), float(rows), tuple(zip(ps, orders)))
+        ps = rng.integers(2, 2**40, size=rows)
+        orders = rng.integers(1, 2**41, size=rows)
+        seq = ell.OrderSequence(EllipticCurve(1, 1), float(rows), ps, orders)
         buf = io.StringIO()
         seq.write_csv(buf)
         expected = "p,order\n" + "".join(f"{p},{n}\n" for p, n in seq.entries)
         assert buf.getvalue() == expected
+
+
+# the six curves whose orders at 10^5 have a digest in test_report_outputs
+DIGEST_CURVES = [(1, 1), (1, 0), (0, 1), (-3, 5), (7, -2), (2, 3)]
+
+
+class TestOrderArrays:
+    def test_arrays_are_read_only_and_agree_with_the_pairs(self, primes100k):
+        seq = order_sequence(EllipticCurve(-3, 5), 3 * 10**4, primes100k)
+        assert seq.primes.dtype == seq.counts.dtype == np.int64
+        assert np.shares_memory(seq.primes, primes100k.values)  # a view, no copy
+        for column in (seq.primes, seq.counts):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert seq.entries == tuple(zip(seq.primes.tolist(), seq.counts.tolist()))
+        assert seq.orders() == [n for _, n in seq.entries]
+        buf = io.StringIO()
+        seq.write_csv(buf)
+        assert buf.getvalue() == "p,order\n" + "".join(f"{p},{n}\n" for p, n in seq.entries)
+
+    @pytest.mark.parametrize("block", [7, 41])
+    def test_blocks_leave_the_orders_unchanged(self, block, primes100k, monkeypatch):
+        # 9592 = 41 * 233 + 39 primes: the last block of 41 (and every block
+        # of 7) has fewer good primes than _LANE_MIN_BATCH and goes scalar
+        assert primes100k.count_leq(10**5) % 41 < ell._LANE_MIN_BATCH
+        want = {c: order_sequence(EllipticCurve(*c), 10**5, primes100k) for c in DIGEST_CURVES}
+        lane_runs = []
+        count_lanes = ell._count_points_lanes
+        monkeypatch.setattr(ell, "_ORDER_BLOCK", block)
+        monkeypatch.setattr(
+            ell, "_count_points_lanes", lambda c, ps: lane_runs.append(len(ps)) or count_lanes(c, ps)
+        )
+        for c in DIGEST_CURVES:
+            got = order_sequence(EllipticCurve(*c), 10**5, primes100k)
+            assert np.array_equal(got.primes, want[c].primes), c
+            assert np.array_equal(got.counts, want[c].counts), c
+        # blocks of 41 good primes run in lanes, blocks of 7 never do
+        assert max(lane_runs) == (block if block >= ell._LANE_MIN_BATCH else 0)
+
+    def test_census_equals_a_loop_over_the_pairs(self, primes100k):
+        curve = EllipticCurve(1, 1)
+        seq = order_sequence(curve, 10**4, primes100k)
+        for t in (1, 2, 4, 12, len(seq.counts)):
+            loop = {a: 0 for a in range(t)}
+            for _, n in seq.entries:
+                loop[n % t] += 1
+            census = congruence_class_census(curve, 10**4, t, primes100k, orders=seq)
+            assert census == loop, t
+            assert all(type(k) is int and type(v) is int for k, v in census.items())
+
+    @pytest.mark.parametrize("curve", DIGEST_CURVES)
+    def test_min_margin_is_the_scalar_minimum_bit_for_bit(self, curve, primes100k):
+        seq = order_sequence(EllipticCurve(*curve), 10**4, primes100k)
+        scalar = min(hasse_margin(seq.curve, p, n) for p, n in seq.entries)
+        got = seq.hasse_min_margin()
+        assert type(got) is float
+        assert got.hex() == scalar.hex()
+        margins = hasse_margin(seq.curve, seq.primes, seq.counts)
+        assert [m.hex() for m in margins.tolist()] == [
+            hasse_margin(seq.curve, p, n).hex() for p, n in seq.entries
+        ]
 
 
 class TestCensus:
