@@ -159,10 +159,7 @@ def _cmd_moments(args: argparse.Namespace) -> None:
         shifts = _parse_int_list(args.bs)
         deltas = mom.iter_delta_values(args.a, shifts, args.z)
         sieve = make_sieve(args, _largest_value(args, deltas, args.a))
-        x = args.x if args.x is not None else float(max(args.z, 3))
-        report = mom.delta_moment_report(
-            args.a, shifts, args.z, args.s, x, sieve
-        )
+        report = mom.delta_moment_report(args.a, shifts, args.z, args.s, args.x, sieve)
         _emit_json(args, {"report": "linear", "moment": dataclasses.asdict(report)})
 
 

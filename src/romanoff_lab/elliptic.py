@@ -14,13 +14,12 @@ may stay ambiguous. Cost is about p^(1/4) group operations per point.
 
 An OrderSequence holds two read-only int64 arrays, the primes p <= x (a view
 of the PrimeList) and their counts #E(F_p), and builds (p, #E) pairs only
-when they are read. order_sequence counts _ORDER_BLOCK = 2^16 primes at a
-time, so each per-prime array of the count is one block long (the orders CSV
-at x = 10^8 peaks at 147 MB, against 981 MB with a tuple a prime). A block's
-primes of good reduction from p = 5 to _LANE_PRIME_LIMIT = 2^31 (int64
-products) are counted in numpy lanes (_count_points_lanes): one lane per
-prime, rounds of up to _ROUND_LANES = 4096 lanes with one baby-step count s
-each, Jacobian coordinates with mixed addition, baby and giant tables made
+when they are read. order_sequence counts the primes as one stream of numpy
+lanes (_count_points_lanes), one lane per prime of good reduction from p = 5
+to _LANE_PRIME_LIMIT = 2^31 (int64 products), and keeps state only for the
+lanes in flight, so its memory beyond the two arrays does not grow with x.
+Rounds of up to _ROUND_LANES = 4096 lanes take one baby-step count s each,
+Jacobian coordinates with mixed addition, baby and giant tables made
 affine in place by Montgomery's batch inversion (one Fermat inversion per
 lane, in 3-bit windows like each lane Legendre symbol: sieve._powmod_lanes),
 and matches found by sorting lane-keyed x in place and one searchsorted. A
@@ -28,8 +27,10 @@ lane first takes #E mod 2 from the roots of x^3 + Ax + B (_parity_lanes) and
 searches only that class of H, with baby steps over 2P: its tables are
 sqrt(2) shorter. Each round gives every open lane the next point of the
 scalar scan and intersects the orders it allows by the Chinese remainder
-theorem. The lanes left open, runs of fewer than _LANE_MIN_BATCH primes and
-primes from 2^31 up take _count_points_prime: a round costs 2-8 ms in numpy
+theorem. Rounds run while at least _LANE_MIN_BATCH primes are open or not
+yet started; the lanes still ambiguous after 2 * _BSGS_POINT_TRIES points,
+the lanes open when the rounds stop (so every prime of a shorter run) and
+primes from 2^31 up take _count_points_prime. A round costs 2-8 ms in numpy
 calls (p = 4096 to 10^7), so lanes and scalar BSGS break even near 30-45
 primes at p = 4096 and near 16 at p = 10^7. Per prime, the lanes took 10-13 /
 15-17 / 23-27 us, against 105 / 194 / 407 us for the scalar BSGS on the
@@ -91,11 +92,10 @@ _BSGS_POINT_TRIES = 4
 # tables, which at 4096 lanes add about 18 MB of peak RSS near 1e8 and 37 MB
 # at the lane bound (s <= 217)
 _ROUND_LANES = 4096
-# fewer open lanes than this go to the scalar BSGS (the measured break-even
-# is 30-45 at p = 4096 and falls to about 16 by p = 1e7)
+# lane rounds run while at least this many primes are open or not yet
+# started; the rest go to the scalar BSGS (the measured break-even is 30-45
+# at p = 4096 and falls to about 16 by p = 1e7)
 _LANE_MIN_BATCH = 40
-# primes an order_sequence counts at a time: 16 full lane rounds
-_ORDER_BLOCK = 16 * _ROUND_LANES
 
 
 @dataclass(frozen=True)
@@ -535,79 +535,82 @@ def _parity_lanes(a, b, p):
 
 
 def _lane_orders(curve: EllipticCurve, ps: np.ndarray) -> np.ndarray:
-    """#E(F_p) for ascending good-reduction primes, or 0 in the lanes that
-    the points tried leave ambiguous.
+    """#E(F_p) for ascending primes, or 0 for the primes that no lane
+    resolves: p <= 3, p >= _LANE_PRIME_LIMIT, p | disc, the lanes that the
+    points tried leave ambiguous and the primes left when the rounds stop.
 
-    Each round gives every lane of a batch the next x of _count_points_bsgs's
-    scan, skipping those for which _decides_nothing holds, and (vx, v^2) with
-    v = x^3 + ax + b on E or on its twist as Euler's criterion of v says. The
-    orders a point allows form a progression N = f (mod g) in the Hasse
-    interval, within the class N = #E (mod 2) that _parity_lanes gives a lane
-    before its first round; a lane keeps the intersection of its progressions
-    by the Chinese remainder theorem and is resolved when one N is left. A
-    round holds the open lanes, then fresh primes, to _ROUND_LANES lanes. A
-    lane stops after 2 * _BSGS_POINT_TRIES points, and rounds once every
-    prime has started and fewer than _LANE_MIN_BATCH lanes are open.
+    Each round holds the open lanes, then the next primes of ps, to
+    _ROUND_LANES lanes, and runs while at least _LANE_MIN_BATCH primes are
+    open or not yet started. A fresh lane takes the class N = #E (mod 2)
+    that _parity_lanes gives. Each round gives every lane the next x of
+    _count_points_bsgs's scan, skipping those for which _decides_nothing
+    holds, and (vx, v^2) with v = x^3 + ax + b on E or on its twist as
+    Euler's criterion of v says. The orders a point allows form a
+    progression N = f (mod g) in the Hasse interval; a lane keeps the
+    intersection of its progressions by the Chinese remainder theorem and
+    is resolved when one N is left, or stops after 2 * _BSGS_POINT_TRIES
+    points.
     """
-    a, b = _residues(curve.A, ps), _residues(curve.B, ps)
-    r = _isqrt_lanes(4 * ps)
-    lo, hi = ps + 1 - r, ps + 1 + r
     orders = np.zeros(len(ps), dtype=np.int64)
-    x = np.zeros(len(ps), dtype=np.int64)
-    tried = np.zeros(len(ps), dtype=np.int64)
-    allowed: dict[int, tuple[int, int]] = {}  # lane -> (N mod g, g) so far
-    retry = np.zeros(0, dtype=np.int64)
+    # a column per open lane, a row per field: index in ps, a, b, lo, hi,
+    # next x, points tried
+    lanes = np.zeros((7, 0), dtype=np.int64)
+    allowed: dict[int, tuple[int, int]] = {}  # index -> (N mod g, g) of an open lane that tried a point
     started = 0
-    while started < len(ps) or len(retry) >= _LANE_MIN_BATCH:
-        fresh = np.arange(started, min(len(ps), started + _ROUND_LANES - len(retry)))
+    while lanes.shape[1] + len(ps) - started >= _LANE_MIN_BATCH:
+        fresh = ps[started : started + _ROUND_LANES - lanes.shape[1]]
+        new = np.flatnonzero((fresh > 3) & (fresh < _LANE_PRIME_LIMIT))
+        new = new[_residues(curve.discriminant, fresh[new]) != 0]
+        q = fresh[new]
+        a, b, r = _residues(curve.A, q), _residues(curve.B, q), _isqrt_lanes(4 * q)
+        lo = q + 1 - r
+        lo += (lo ^ _parity_lanes(a, b, q)) & 1  # into the class of #E (mod 2)
+        zero = np.zeros_like(q)
+        lanes = np.concatenate([lanes, [started + new, a, b, lo, q + 1 + r, zero, zero]], axis=1)
         started += len(fresh)
-        # a fresh lane searches the class of #E (mod 2) only: lo moves into it
-        lo[fresh] += (lo[fresh] ^ _parity_lanes(a[fresh], b[fresh], ps[fresh])) & 1
-        lanes = np.concatenate([retry, fresh])
-        # isqrt(r / 2) + 1 at the largest p of the batch, for r + 1 candidates
-        s = math.isqrt(int(r[lanes].max()) // 2) + 1
-        q, al, bl, xl = ps[lanes], a[lanes], b[lanes], x[lanes]
+        if not lanes.shape[1]:
+            continue
+        idx, a, b, lo, hi, x, tried = lanes
+        q = ps[idx]
+        # isqrt(r / 2) + 1 at the largest p of the round, for r + 1 candidates
+        s = math.isqrt(math.isqrt(4 * int(q.max())) // 2) + 1
         while True:
-            v = ((xl * xl % q * xl % q) + al * xl % q + bl) % q
-            skip = _decides_nothing(xl, v, al, bl, q)
+            v = ((x * x % q * x % q) + a * x % q + b) % q
+            skip = _decides_nothing(x, v, a, b, q)
             if not skip.any():
                 break
-            xl = xl + skip
-        x[lanes] = xl + 1
-        tried[lanes] += 1
+            x = x + skip
         vv = v * v % q
-        first, gap, count = _lane_killers(
-            v * xl % q, vv, al * vv % q, q, lo[lanes], hi[lanes], s
-        )
+        first, gap, count = _lane_killers(v * x % q, vv, a * vv % q, q, lo, hi, s)
         # m kills a point of the twist when 2p + 2 - m is the order of E; of
         # a progression of two or more, only N mod gap is used
         twist = _powmod_lanes(v, (q - 1) // 2, q) != 1
         first = np.where(twist, 2 * q + 2 - first, first)
         one = count == 1
-        orders[lanes[one]] = first[one]
-        for i, f, g in zip(lanes[~one].tolist(), first[~one].tolist(), gap[~one].tolist()):
-            res, mod = allowed.get(i, (0, 1))
+        orders[idx[one]] = first[one]
+        for i in idx[one & (tried > 0)].tolist():
+            del allowed[i]
+        last = tried + 1 == 2 * _BSGS_POINT_TRIES
+        ambiguous = (column[~one].tolist() for column in (idx, first, gap, lo, hi, last))
+        for i, f, g, start, end, spent in zip(*ambiguous):
+            res, mod = allowed.pop(i, (0, 1))
             d = math.gcd(mod, g)
             res += mod * ((f - res) // d * pow(mod // d, -1, g // d) % (g // d))
             mod = mod // d * g
-            low = int(lo[i]) + (res - int(lo[i])) % mod
-            if low <= hi[i] < low + mod:
+            low = start + (res - start) % mod
+            if low <= end < low + mod:
                 orders[i] = low
-            else:
+            elif not spent:
                 allowed[i] = (res, mod)
-        retry = lanes[(orders[lanes] == 0) & (tried[lanes] < 2 * _BSGS_POINT_TRIES)]
+        lanes[5], lanes[6] = x + 1, tried + 1
+        lanes = lanes[:, (orders[idx] == 0) & ~last]
     return orders
 
 
 def _count_points_lanes(curve: EllipticCurve, ps) -> np.ndarray:
-    """#E(F_p) for ascending primes of good reduction with
-    5 <= p < _LANE_PRIME_LIMIT, in numpy lanes; the lanes left open go to
-    the scalar _count_points_prime."""
+    """#E(F_p) for ascending primes: _lane_orders, then the scalar
+    _count_points_prime for every prime it leaves at 0."""
     ps = np.asarray(ps, dtype=np.int64)
-    if ps.size and int(ps.max()) >= _LANE_PRIME_LIMIT:
-        raise CapacityError(
-            f"p={int(ps.max())} is not below the lane bound {_LANE_PRIME_LIMIT}"
-        )
     orders = _lane_orders(curve, ps)
     for i in np.flatnonzero(orders == 0).tolist():
         orders[i] = _count_points_prime(curve, int(ps[i]))
@@ -628,21 +631,10 @@ def hasse_margin(curve: EllipticCurve, p: int, order: int | None = None) -> floa
 
 
 def order_sequence(curve: EllipticCurve, x: float, primes: PrimeList) -> OrderSequence:
-    """Curve orders at every prime p <= x, in ascending p, _ORDER_BLOCK
-    primes at a time. A block's primes of good reduction in
-    [5, _LANE_PRIME_LIMIT) are counted in lanes when there are at least
-    _LANE_MIN_BATCH of them; every other prime goes to _count_points_prime.
-    """
+    """Curve orders at every prime p <= x, in ascending p, counted as one
+    stream of lanes (_count_points_lanes)."""
     ps = primes.upto(x)
-    counts = np.zeros(len(ps), dtype=np.int64)
-    for start in range(0, len(ps), _ORDER_BLOCK):
-        block, out = ps[start : start + _ORDER_BLOCK], counts[start : start + _ORDER_BLOCK]
-        lanes = (block > 3) & (block < _LANE_PRIME_LIMIT)
-        lanes[lanes] = _residues(curve.discriminant, block[lanes]) != 0
-        lanes &= np.count_nonzero(lanes) >= _LANE_MIN_BATCH  # else all go scalar
-        out[lanes] = _count_points_lanes(curve, block[lanes])
-        for i in np.flatnonzero(~lanes).tolist():
-            out[i] = _count_points_prime(curve, int(block[i]))
+    counts = _count_points_lanes(curve, ps)
     counts.setflags(write=False)
     return OrderSequence(curve=curve, x=x, primes=ps, counts=counts)
 

@@ -492,6 +492,14 @@ class TestLinearZ:
         argv = ["moments", "--report", "linear", "--a", "5", "--bs=0", "--z", z]
         assert run(argv) == 2
 
+    def test_x_defaults_to_1000(self, tmp_path):
+        # the subparser's default, whatever z is
+        argv = ["moments", "--report", "linear", "--a", "6", "--bs", "1", "--z", "5000"]
+        with pytest.warns(UserWarning, match="outside the window"):
+            code, out = run_to_file(tmp_path, "lin.json", argv)
+        assert code == 0
+        assert json.loads(out.read_text())["moment"]["parameters"]["x"] == 1000
+
 
 class TestIntegrityExit:
     def test_corrupt_sieve_is_4(self, monkeypatch):

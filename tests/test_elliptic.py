@@ -220,24 +220,20 @@ class TestOrderArrays:
         seq.write_csv(buf)
         assert buf.getvalue() == "p,order\n" + "".join(f"{p},{n}\n" for p, n in seq.entries)
 
-    @pytest.mark.parametrize("block", [7, 41])
-    def test_blocks_leave_the_orders_unchanged(self, block, primes100k, monkeypatch):
-        # 9592 = 41 * 233 + 39 primes: the last block of 41 (and every block
-        # of 7) has fewer good primes than _LANE_MIN_BATCH and goes scalar
-        assert primes100k.count_leq(10**5) % 41 < ell._LANE_MIN_BATCH
+    @pytest.mark.parametrize("width", [7, 41])
+    def test_round_widths_leave_the_orders_unchanged(self, width, primes100k, monkeypatch, lane_rounds):
+        # rounds of 7 or 41 lanes over the 9592 primes carry open lanes
+        # across many rounds
         want = {c: order_sequence(EllipticCurve(*c), 10**5, primes100k) for c in DIGEST_CURVES}
-        lane_runs = []
-        count_lanes = ell._count_points_lanes
-        monkeypatch.setattr(ell, "_ORDER_BLOCK", block)
-        monkeypatch.setattr(
-            ell, "_count_points_lanes", lambda c, ps: lane_runs.append(len(ps)) or count_lanes(c, ps)
-        )
+        lane_rounds.clear()
+        monkeypatch.setattr(ell, "_ROUND_LANES", width)
         for c in DIGEST_CURVES:
             got = order_sequence(EllipticCurve(*c), 10**5, primes100k)
             assert np.array_equal(got.primes, want[c].primes), c
             assert np.array_equal(got.counts, want[c].counts), c
-        # blocks of 41 good primes run in lanes, blocks of 7 never do
-        assert max(lane_runs) == (block if block >= ell._LANE_MIN_BATCH else 0)
+        # rounds fill to the width, and open lanes carry into the next round
+        assert max(map(len, lane_rounds)) == width
+        assert any(set(r) & set(s) for r, s in zip(lane_rounds, lane_rounds[1:]))
 
     def test_census_equals_a_loop_over_the_pairs(self, primes100k):
         curve = EllipticCurve(1, 1)
@@ -596,15 +592,30 @@ def scalar_calls(monkeypatch):
 
 @pytest.fixture
 def lane_primes(monkeypatch):
+    # _parity_lanes sees each prime that enters a lane once, in order
     primes = []
-    kernel = ell._count_points_lanes
+    kernel = ell._parity_lanes
 
-    def recorded(curve, ps):
-        primes.extend(int(p) for p in ps)
-        return kernel(curve, ps)
+    def recorded(a, b, p):
+        primes.extend(p.tolist())
+        return kernel(a, b, p)
 
-    monkeypatch.setattr(ell, "_count_points_lanes", recorded)
+    monkeypatch.setattr(ell, "_parity_lanes", recorded)
     return primes
+
+
+@pytest.fixture
+def lane_rounds(monkeypatch):
+    # the primes of each lane round, one list a _lane_killers call
+    rounds = []
+    kernel = ell._lane_killers
+
+    def recorded(px, py, a, p, *args):
+        rounds.append(p.tolist())
+        return kernel(px, py, a, p, *args)
+
+    monkeypatch.setattr(ell, "_lane_killers", recorded)
+    return rounds
 
 
 class TestLanesAgainstCharacterSum:
@@ -665,7 +676,7 @@ class TestLanesAgainstCharacterSum:
 
     @pytest.mark.parametrize("A,B", [(1, 1), (0, 7)])
     def test_order_sequence_every_x_to_400(self, A, B, primes100k, lane_primes):
-        # runs of fewer than _LANE_MIN_BATCH good primes stay scalar, longer ones
+        # runs of fewer than _LANE_MIN_BATCH primes stay scalar, longer ones
         # take the lanes: x = 400 has 78 primes
         curve = EllipticCurve(A, B)
         scalar = {int(p): ell._count_points_prime(curve, int(p)) for p in primes100k.upto(400)}
@@ -676,6 +687,20 @@ class TestLanesAgainstCharacterSum:
             assert list(seq.entries) == [(p, n) for p, n in scalar.items() if p <= x], x
             on_lanes.append(bool(lane_primes))
         assert not on_lanes[0] and on_lanes[-1]
+
+
+class TestOneLaneStream:
+    def test_only_spent_lanes_and_the_last_open_ones_go_scalar(self, scalar_calls, lane_rounds):
+        # 78,498 primes to 10^6: no prime in the middle of the run is handed
+        # to the scalar path before its lane has tried every point
+        curve = EllipticCurve(0, 1)
+        seq = order_sequence(curve, 10**6, PrimeList.build(10**6))
+        assert len(seq.counts) == 78498
+        rounds = Counter(p for primes in lane_rounds for p in primes)
+        good = [p for p in scalar_calls if p >= 5 and curve.discriminant % p]
+        open_lanes = [p for p in good if rounds[p] < 2 * ell._BSGS_POINT_TRIES]
+        assert len(open_lanes) < ell._LANE_MIN_BATCH
+        assert set(open_lanes) <= set(lane_rounds[-1])
 
 
 class TestRoundEdges:
@@ -927,10 +952,12 @@ class TestLaneFallback:
 
     BIG = [2147483659, 2147483693]  # the least primes from 2^31
 
-    def test_lane_kernel_refuses_primes_from_limit(self):
+    def test_lane_kernel_leaves_primes_from_limit_to_scalar(self, lane_rounds):
         assert all(p >= ell._LANE_PRIME_LIMIT and ell.is_prime(p) for p in self.BIG)
-        with pytest.raises(CapacityError):
-            ell._count_points_lanes(EllipticCurve(1, 1), [BSGS_PRIMES[0], self.BIG[0]])
+        curve = EllipticCurve(1, 1)
+        orders = ell._count_points_lanes(curve, BSGS_PRIMES[:100] + self.BIG)
+        assert lane_rounds and max(map(max, lane_rounds)) < ell._LANE_PRIME_LIMIT
+        assert orders[-2:].tolist() == [count_points(curve, p) for p in self.BIG]
 
     def test_order_sequence_keeps_them_scalar(self, lane_primes):
         curve, big, small = EllipticCurve(1, 1), self.BIG, BSGS_PRIMES[:100]
