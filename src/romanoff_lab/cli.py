@@ -8,8 +8,9 @@ byte-identical; large tabular outputs (profiles, order sequences) use CSV.
 
 Exit codes: 0 success, 2 parameter/usage errors (a path that cannot be read
 or written too), 3 capacity or budget errors, 4 a table failed an integrity
-check. Each handler imports the library modules it runs, so ``--help`` loads
-no library module beyond ``errors`` and ``sieve``.
+check. ``run`` reads 3 and 4 from the ``exit_code`` of the error's class.
+Each handler imports the library modules it runs, so ``--help`` loads no
+library module beyond ``errors`` and ``sieve``.
 """
 
 from __future__ import annotations
@@ -307,6 +308,11 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
         )
 
 
+def _lemma_record(lemma: str, parameters: dict, witness: float, bound, ok: bool) -> dict:
+    return {"lemma": lemma, "parameters": parameters, "witness_value": witness,
+            "bound": bound, "pass": ok}
+
+
 def _cmd_lemmas(args: argparse.Namespace) -> None:
     from . import lemmas as lem
 
@@ -314,45 +320,26 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
     if args.gamma:
         for s in range(1, args.s_max + 1):
             worst, ok = lem.gamma_bound_grid(s, args.x_max)
-            records.append(
-                {
-                    "lemma": "gamma_bound",
-                    "parameters": {"s": s, "x_min": lem.GAMMA_GRID_X_MIN,
-                                   "x_max": args.x_max, "step": lem.GAMMA_GRID_STEP},
-                    "witness_value": worst,
-                    "bound": 1.0,
-                    "pass": ok,
-                }
-            )
+            params = {"s": s, "x_min": lem.GAMMA_GRID_X_MIN,
+                      "x_max": args.x_max, "step": lem.GAMMA_GRID_STEP}
+            records.append(_lemma_record("gamma_bound", params, worst, 1.0, ok))
     if args.prime_sums or args.min_pk:
         primes = make_primes(args, args.tail_limit)
     if args.prime_sums:
         for k in (2, 10, 100, 1000):
             for s in (1, 2, 3):
                 out = lem.prime_log_power_sums(k, s, primes, args.tail_limit)
-                records.append(
-                    {
-                        "lemma": "prime_log_power_sums",
-                        "parameters": {"k": k, "s": s, "tail_limit": args.tail_limit},
-                        "witness_value": out.head_ratio,
-                        "bound": None,
-                        "pass": math.isfinite(out.head_ratio)
-                        and math.isfinite(out.tail_ratio),
-                    }
-                )
+                ok = math.isfinite(out.head_ratio) and math.isfinite(out.tail_ratio)
+                params = {"k": k, "s": s, "tail_limit": args.tail_limit}
+                record = _lemma_record("prime_log_power_sums", params, out.head_ratio, None, ok)
+                records.append(record)
     if args.min_pk:
         for k in (1, 2, 10, 100):
             for s in (1, 2, 3):
                 out = lem.min_pk_sum(k, s, primes, args.tail_limit)
-                records.append(
-                    {
-                        "lemma": "min_pk_sum",
-                        "parameters": {"k": k, "s": s, "tail_limit": args.tail_limit},
-                        "witness_value": out.normalized,
-                        "bound": None,
-                        "pass": math.isfinite(out.normalized) and out.normalized > 0,
-                    }
-                )
+                ok = math.isfinite(out.normalized) and out.normalized > 0
+                params = {"k": k, "s": s, "tail_limit": args.tail_limit}
+                records.append(_lemma_record("min_pk_sum", params, out.normalized, None, ok))
     if args.abel:
         import random
 
@@ -367,15 +354,8 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
                 deviation = abs(direct - abel) - 1e-9 * abs(direct)
                 worst = max(worst, deviation)
                 ok = ok and deviation <= 1e-12
-        records.append(
-            {
-                "lemma": "abel_identity",
-                "parameters": {"vectors": 20, "seed": args.seed},
-                "witness_value": worst,
-                "bound": 1e-12,
-                "pass": ok,
-            }
-        )
+        params = {"vectors": 20, "seed": args.seed}
+        records.append(_lemma_record("abel_identity", params, worst, 1e-12, ok))
     if not records:
         raise ParameterError(
             "lemmas needs at least one of --gamma/--prime-sums/--min-pk/--abel"
@@ -395,6 +375,11 @@ def _cmd_verify_all(args: argparse.Namespace) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None)
+    sieve_limit = argparse.ArgumentParser(add_help=False)
+    sieve_limit.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    prime_limit = argparse.ArgumentParser(add_help=False)
+    prime_limit.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
+    both_caps = [common, sieve_limit, prime_limit]
 
     parser = argparse.ArgumentParser(
         prog="romanoff-lab",
@@ -403,15 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", parents=[common], help="prime table statistics")
-    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
+    p = sub.add_parser("sieve", parents=[common, prime_limit], help="prime table statistics")
     p.add_argument("--limit", type=int, default=10**6)
     p.add_argument("--x", type=_finite_float, default=None)
     p.set_defaults(handler=_cmd_sieve)
 
-    p = sub.add_parser("moments", parents=[common], help="moment-sum reports")
-    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
+    p = sub.add_parser("moments", parents=both_caps, help="moment-sum reports")
     p.add_argument("--report", choices=("theorem1", "poly", "linear"), default="theorem1")
     p.add_argument("--seq", default=None)
     p.add_argument("--x", type=int, default=1000)
@@ -424,17 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bs", default=None, help="comma-separated shifts b_i")
     p.set_defaults(handler=_cmd_moments)
 
-    p = sub.add_parser("extremal", parents=[common], help="extremal-set construction")
-    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    p = sub.add_parser("extremal", parents=[common, sieve_limit], help="extremal-set construction")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--y", type=_finite_float, default=None)
     p.add_argument("--z", type=_finite_float, default=None)
     p.add_argument("--alphas", default=None, help="comma-separated alpha sweep")
     p.set_defaults(handler=_cmd_extremal)
 
-    p = sub.add_parser("elliptic", parents=[common], help="curve order statistics")
-    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
+    p = sub.add_parser("elliptic", parents=both_caps, help="curve order statistics")
     p.add_argument("--curve", required=True, help="A,B; write a negative A as --curve=-3,2")
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--s", type=int, default=1)
@@ -442,9 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=("theorem5", "orders"), default="theorem5")
     p.set_defaults(handler=_cmd_elliptic)
 
-    p = sub.add_parser("romanoff", parents=[common], help="representation-count reports")
-    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
+    p = sub.add_parser("romanoff", parents=both_caps, help="representation-count reports")
     p.add_argument(
         "--report",
         choices=(
@@ -468,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)  # None: romanoff.DEFAULT_BUDGET
     p.set_defaults(handler=_cmd_romanoff)
 
-    p = sub.add_parser("lemmas", parents=[common], help="analytic lemma suite")
-    p.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
+    p = sub.add_parser("lemmas", parents=[common, prime_limit], help="analytic lemma suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", action="store_true")
     p.add_argument("--s-max", type=int, default=12)
@@ -497,18 +473,11 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         args.handler(args)
-    except CapacityError as exc:
+    # ValueError: a parameter, range, domain or construction error; OSError: an
+    # explicit:@file or --out path that cannot be used; both exit 2
+    except (CapacityError, TableIntegrityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TableIntegrityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:  # parameter/range/domain/construction errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # an explicit:@file or --out path that cannot be used
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
     return 0
 
 

@@ -3,8 +3,9 @@
 Usage errors (bad values, out-of-table lookups, malformed specs) derive from
 ValueError; resource errors (tables or budgets that would be exceeded) and
 integrity errors (a table that breaks its own invariants) derive from
-RuntimeError.  The CLI maps usage errors to exit code 2, CapacityError to
-exit code 3 and TableIntegrityError to exit code 4.
+RuntimeError.  A RuntimeError class carries its CLI exit code as
+``exit_code``: 3 for CapacityError, 4 for TableIntegrityError; a usage error
+(or an OSError on a path) exits 2.
 """
 
 
@@ -27,7 +28,11 @@ class ConstructionError(ValueError):
 class CapacityError(RuntimeError):
     """A memory cap, operation budget, or overflow guard would be exceeded."""
 
+    exit_code = 3
+
 
 class TableIntegrityError(RuntimeError):
     """A table contradicts an invariant it must satisfy (e.g. a corrupted spf
     entry makes some gathered phi(n) fall outside [1, n])."""
+
+    exit_code = 4

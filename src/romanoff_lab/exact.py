@@ -24,6 +24,7 @@ import numpy as np
 # magnitude) stays below 2^40, exact in float64, and each temporary (64 KB)
 # under glibc's mmap threshold
 _SUM_CHUNK = 1 << 13
+_FRACTION_CHUNK = 512  # Fractions per raw (num, den) tree merge of exact_fraction_sum
 
 
 def pair_tree_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -43,13 +44,13 @@ def pair_tree_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
     return items[0]
 
 
-def exact_fraction_sum(fractions: Iterable[Fraction], chunk: int = 512) -> Fraction:
+def exact_fraction_sum(fractions: Iterable[Fraction]) -> Fraction:
     """Exact sum of many Fractions, balanced to keep intermediate gcds cheap."""
     chunk_totals: list[Fraction] = []
     buf: list[tuple[int, int]] = []
     for f in fractions:
         buf.append((f.numerator, f.denominator))
-        if len(buf) == chunk:
+        if len(buf) == _FRACTION_CHUNK:
             n, d = pair_tree_sum(buf)
             chunk_totals.append(Fraction(n, d))
             buf.clear()

@@ -471,9 +471,9 @@ def order_distribution(a: int, z: int, trial_cap: int) -> OrderDistribution:
     """d_n = sum of ln(p)/p over primes p with h_a(p) = n, for n <= z.
 
     Primes are found by trial-dividing a^n - 1 by the primes up to
-    min(trial_cap, isqrt(a^z - 1)), picked by one int64 remainder array below
-    2^63 (a table past the PrimeList cap raises CapacityError), and filtering
-    by exact order. If a cofactor survives the trial division and cannot be
+    min(trial_cap, isqrt(a^z - 1)) that _residues shows divide it (a table
+    past the PrimeList cap raises CapacityError), and filtering by exact
+    order. If a cofactor survives the trial division and cannot be
     certified prime, that n is flagged and its d_n is a certified lower
     bound; nothing is silently approximated.
     """
@@ -486,21 +486,17 @@ def order_distribution(a: int, z: int, trial_cap: int) -> OrderDistribution:
         raise CapacityError(f"z={z} exceeds the exponent cap {DEFAULT_EXPONENT_CAP}")
     if trial_cap < 2:
         raise ParameterError(f"trial_cap={trial_cap} must be >= 2")
-    # past isqrt(a^z - 1), d * d > m for every n <= z: the loop breaks there
+    # a^n - 1 has at most one prime past isqrt(a^z - 1): the cofactor left
+    # once the smaller ones are divided out
     ps = PrimeList.build(max(2, min(trial_cap, math.isqrt(a**z - 1)))).values
     entries = []
     for n in range(1, z + 1):
         m = a**n - 1
-        found: list[int] = []
+        found = ps[_residues(m, ps) == 0].tolist()
         exact = True
-        divisors = ps[np.int64(m) % ps == 0].tolist() if m < 2**63 else map(int, ps)
-        for d in divisors:
-            if d * d > m:
-                break
-            if m % d == 0:
-                found.append(d)
-                while m % d == 0:
-                    m //= d
+        for d in found:
+            while m % d == 0:
+                m //= d
         if m > 1:
             # composite cofactors below cap^2 are impossible, and larger ones
             # are certified by the deterministic primality test where it holds

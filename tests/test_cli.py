@@ -20,6 +20,14 @@ from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
 from romanoff_lab.sequences import format_sequence_spec, parse_sequence_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def readme_cli_lines() -> list[str]:
+    """The romanoff-lab lines of the README's CLI example block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("romanoff-lab ")]
 
 
 def run_to_file(tmp_path, name, argv):
@@ -440,6 +448,12 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
         assert json.loads(first.read_text())["all_pass"] is True
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_verify_all_matches_committed_output(self, tmp_path, seed):
+        code, out = run_to_file(tmp_path, "v.json", ["verify-all", "--seed", str(seed)])
+        assert code == 0
+        assert out.read_bytes() == (DATA / f"verify-all-seed{seed}.json").read_bytes()
+
     def test_report_byte_identical(self, tmp_path):
         argv = ["romanoff", "--seq", "tower:2:2", "--x", "4096", "--report", "frontier"]
         _, first = run_to_file(tmp_path, "r1.json", argv)
@@ -613,10 +627,16 @@ class TestFlagsPerSubcommand:
         assert run(argv + [flag, "10"]) == 2
 
     def test_readme_cli_lines_parse(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-        lines = [line for line in block.splitlines() if line.startswith("romanoff-lab ")]
+        lines = readme_cli_lines()
         parser = build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
         assert {shlex.split(line)[1] for line in lines} == set(self.BASE)
+
+    def test_readme_cli_lines_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+        (tmp_path / "values.txt").write_text("".join(f"{n}\n" for n in range(1, 10**4 + 1)))
+        for line in readme_cli_lines():
+            assert run(shlex.split(line)[1:]) == 0, line
+            capsys.readouterr()

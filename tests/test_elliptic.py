@@ -618,6 +618,27 @@ def lane_rounds(monkeypatch):
     return rounds
 
 
+def lanes_match_character_sum(curve: EllipticCurve, window, length: int) -> None:
+    """The first length good primes of window (a discriminant below 10^28
+    has at most 19 primes from 5 up, so 32 spare primes cover them) run at
+    least one lane round, and every order equals the character sum's."""
+    ps = good_primes(curve, window)[:length]
+    rounds = []
+    kernel = ell._lane_killers
+
+    def recorded(*args):
+        rounds.append(args)
+        return kernel(*args)
+
+    # patched here, not by the lane_rounds fixture, which hypothesis would
+    # share across all the examples of one test
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ell, "_lane_killers", recorded)
+        orders = ell._count_points_lanes(curve, ps)
+    assert len(ps) == length and rounds
+    assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+
+
 class TestLanesAgainstCharacterSum:
     @pytest.mark.parametrize("A,B", LANE_CURVES)
     def test_every_prime_from_switch(self, A, B, scalar_calls):
@@ -640,32 +661,28 @@ class TestLanesAgainstCharacterSum:
     @given(
         st.integers(min_value=-(10**9), max_value=10**9),
         st.integers(min_value=-(10**9), max_value=10**9),
-        st.integers(min_value=0, max_value=len(WINDOW_PRIMES) - 1),
-        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=0, max_value=len(WINDOW_PRIMES) - 96),
+        st.integers(min_value=ell._LANE_MIN_BATCH, max_value=64),
     )
     @settings(max_examples=40, deadline=None)
     def test_random_curves_and_windows(self, A, B, start, length):
         if 4 * A**3 + 27 * B**2 == 0:
             return
         curve = EllipticCurve(A, B)
-        ps = good_primes(curve, WINDOW_PRIMES[start : start + length])
-        orders = ell._count_points_lanes(curve, ps)
-        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+        lanes_match_character_sum(curve, WINDOW_PRIMES[start : start + length + 32], length)
 
     @given(
         st.integers(min_value=-(10**9), max_value=10**9),
         st.integers(min_value=-(10**9), max_value=10**9),
-        st.integers(min_value=0, max_value=len(LANE_PRIMES) - 1),
-        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=0, max_value=len(LANE_PRIMES) - 96),
+        st.integers(min_value=ell._LANE_MIN_BATCH, max_value=64),
     )
     @settings(max_examples=40, deadline=None)
     def test_random_curves_and_windows_from_five(self, A, B, start, length):
         if 4 * A**3 + 27 * B**2 == 0:
             return
         curve = EllipticCurve(A, B)
-        ps = good_primes(curve, LANE_PRIMES[start : start + length])
-        orders = ell._count_points_lanes(curve, ps)
-        assert orders.tolist() == [ell._count_points_character(curve, p) for p in ps]
+        lanes_match_character_sum(curve, LANE_PRIMES[start : start + length + 32], length)
 
     def test_order_sequence_uses_lanes_from_switch(self, primes100k, lane_primes):
         curve = EllipticCurve(-3, 2 + 4099)  # 4099 divides the discriminant

@@ -45,9 +45,10 @@ class TestExactFractionSum:
         total = exact_fraction_sum(Fraction(1, k) for k in range(1, 50))
         assert total == sum(Fraction(1, k) for k in range(1, 50))
 
-    def test_small_chunk_parameter(self):
+    def test_small_chunk_parameter(self, monkeypatch):
+        monkeypatch.setattr(exact, "_FRACTION_CHUNK", 3)
         fracs = [Fraction(1, k) for k in range(1, 30)]
-        assert exact_fraction_sum(fracs, chunk=3) == sum(fracs, Fraction(0))
+        assert exact_fraction_sum(fracs) == sum(fracs, Fraction(0))
 
     def test_result_is_reduced(self):
         total = exact_fraction_sum([Fraction(1, 4), Fraction(1, 4)])
