@@ -8,14 +8,12 @@ The usual entry points:
     from romanoff_lab import moment_sum, theorem1_report
     from romanoff_lab import representation_counts, theorem6_report
 
-Only ``errors`` and ``sieve``, which every module imports, load with the
-package. Every other public name, and every submodule, loads on first access
-(PEP 562), so a CLI call compiles only the modules its subcommand runs.
+No submodule loads with the package. Every public name, and every
+submodule, loads on first access (PEP 562), so a CLI call compiles only the
+modules its subcommand runs, and one that computes nothing never loads numpy.
 """
 
 import importlib
-
-from . import errors, sieve
 
 __version__ = "0.1.0"
 
@@ -61,9 +59,6 @@ _PUBLIC = {
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names.split()}
 __all__ = sorted(_OWNER)
-# every module builds on these two, so their names are bound at import
-_EAGER = {"errors": errors, "sieve": sieve}
-globals().update({n: getattr(_EAGER[m], n) for n, m in _OWNER.items() if m in _EAGER})
 
 
 def __getattr__(name: str):

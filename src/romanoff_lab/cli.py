@@ -9,8 +9,8 @@ byte-identical; large tabular outputs (profiles, order sequences) use CSV.
 Exit codes: 0 success, 2 parameter/usage errors (a path that cannot be read
 or written too), 3 capacity or budget errors, 4 a table failed an integrity
 check. ``run`` reads 3 and 4 from the ``exit_code`` of the error's class.
-Each handler imports the library modules it runs, so ``--help`` loads no
-library module beyond ``errors`` and ``sieve``.
+Each handler imports the library modules it runs, and ``sieve`` (with numpy)
+only where it builds or reads a table, so ``--help`` loads ``errors`` alone.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
-from .sieve import (
-    PrimeList,
-    build_sieve,
-    chebyshev_theta,
-    mertens_products,
-    totient_trial,
-)
 
 DEFAULT_SIEVE_LIMIT = 10**7
 DEFAULT_PRIME_LIMIT = 10**7
@@ -47,6 +40,7 @@ def _table_size(needed: float, cap: int, table: str, flag: str) -> int:
 
 
 def make_sieve(args: argparse.Namespace, needed: float):
+    from .sieve import build_sieve
     size = _table_size(needed, args.sieve_limit, "a sieve of size", "--sieve-limit")
     return build_sieve(size, cache_dir=os.environ.get(CACHE_ENV_VAR))
 
@@ -66,7 +60,8 @@ def _largest_value(
     return largest
 
 
-def make_primes(args: argparse.Namespace, needed: float) -> PrimeList:
+def make_primes(args: argparse.Namespace, needed: float):
+    from .sieve import PrimeList
     return PrimeList.build(_table_size(needed, args.prime_limit, "primes up to", "--prime-limit"))
 
 
@@ -103,6 +98,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_sieve(args: argparse.Namespace) -> None:
+    from .sieve import chebyshev_theta, mertens_products
     limit = args.limit
     primes = make_primes(args, limit)
     x = args.x if args.x is not None else float(limit)
@@ -223,6 +219,7 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
         "hasse_min_margin": orders.hasse_min_margin(),
     }
     if args.census_mod is not None:
+        from .sieve import totient_trial
         t = args.census_mod
         census = ell.congruence_class_census(curve, x, t, primes, orders=orders)
         pi_x = len(orders.counts)

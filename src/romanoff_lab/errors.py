@@ -36,3 +36,9 @@ class TableIntegrityError(RuntimeError):
     entry makes some gathered phi(n) fall outside [1, n])."""
 
     exit_code = 4
+
+
+def check_finite(name: str, value: float) -> None:
+    """ParameterError for nan or +-inf; unlike math.isfinite, takes ints of any size."""
+    if not -float("inf") < value < float("inf"):
+        raise ParameterError(f"{name}={value} is not a finite number")

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConstructionError, ParameterError
+from .errors import CapacityError, ConstructionError, ParameterError, check_finite
 from .moments import _ratio_power_fsum
-from .sieve import FactorSieve, PrimeList, check_finite
+from .sieve import FactorSieve, PrimeList
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import CapacityError, DomainError, ParameterError
-from .sieve import PrimeList, check_finite
+from .errors import CapacityError, DomainError, ParameterError, check_finite
+
+if TYPE_CHECKING:
+    from .sieve import PrimeList
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError, check_finite
 from .exact import exact_fraction_sum, float_sum
 from .sieve import (
     FactorSieve,
     PrimeList,
-    check_finite,
     check_integer,
     int64_values,
     totient_ratio,

@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, RangeError
+from .errors import CapacityError, DomainError, ParameterError, RangeError, check_finite
 from .moments import PolynomialSpec
-from .sieve import PrimeList, check_finite
+from .sieve import PrimeList
 
 if TYPE_CHECKING:
     from .elliptic import EllipticCurve

@@ -522,7 +522,7 @@ class TestIntegrityExit:
             spf[7] = 13  # gathers phi(7) = 12 > 7
             return FactorSieve(limit=limit, spf=spf)
 
-        monkeypatch.setattr(cli, "build_sieve", corrupt_sieve)
+        monkeypatch.setattr(sieve_module, "build_sieve", corrupt_sieve)
         argv = ["moments", "--report", "theorem1", "--seq", "explicit:6,7,8", "--x", "10"]
         assert run(argv) == 4
 
@@ -544,7 +544,7 @@ def tables(monkeypatch):
     PrimeList.build call, the sieve's own small one included."""
     monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)  # a cache hit builds no list
     built = {"spf": [], "primes": []}
-    build_spf, build_list = cli.build_sieve, PrimeList.build.__func__
+    build_spf, build_list = sieve_module.build_sieve, PrimeList.build.__func__
 
     def spf(limit, **kwargs):
         built["spf"].append(limit)
@@ -554,7 +554,7 @@ def tables(monkeypatch):
         built["primes"].append(limit)
         return build_list(cls, limit, **kwargs)
 
-    monkeypatch.setattr(cli, "build_sieve", spf)
+    monkeypatch.setattr(sieve_module, "build_sieve", spf)
     monkeypatch.setattr(PrimeList, "build", classmethod(primes))
     return built
 

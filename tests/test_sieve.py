@@ -14,6 +14,7 @@ from romanoff_lab.errors import CapacityError, ParameterError, RangeError, Table
 from romanoff_lab.moments import theorem1_report
 from romanoff_lab.romanoff import order_weighted_sum, theorem6_report
 from romanoff_lab.sieve import (
+    _SEGMENT,
     FactorSieve,
     PrimeList,
     _isqrt_lanes,
@@ -242,6 +243,26 @@ class TestPrimeList:
         assert got.dtype == np.int64
         assert not got.flags.writeable
         assert np.array_equal(got, full_mask_primes(limit))
+
+    @staticmethod
+    def assert_matches_spf_table(limit):
+        spf = build_sieve(limit).spf
+        got = PrimeList.build(limit).values
+        assert got.base is None  # its own buffer, not a view of a larger one
+        assert np.array_equal(got, np.flatnonzero(spf[2:] == np.arange(2, limit + 1)) + 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3 * 10**5))
+    def test_segmented_sieve_matches_spf_table(self, limit):
+        self.assert_matches_spf_table(limit)
+
+    # the odd-only mask holds (limit + 1) // 2 entries: these limits end it one
+    # entry short of, at, or one past the end of the first and second segments
+    @pytest.mark.parametrize(
+        "limit", [2, 3, 4, *(2 * k * _SEGMENT + d for k in (1, 2) for d in range(-3, 3))]
+    )
+    def test_small_and_segment_edge_limits_match_spf_table(self, limit):
+        self.assert_matches_spf_table(limit)
 
     def test_sized_by_elliptic_prime_bound(self):
         # the bound is an integer limit, so it sizes an ecorders run's table

@@ -1,6 +1,6 @@
-"""Start-up: ``import romanoff_lab`` loads only ``errors`` and ``sieve``, each
-CLI call loads only the modules its subcommand runs, and every public name
-resolves on first access."""
+"""Start-up: ``import romanoff_lab`` loads no submodule, each CLI call loads
+only the modules its subcommand runs (numpy only with ``sieve``, where a table
+is built or read), and every public name resolves on first access."""
 
 import os
 import subprocess
@@ -12,7 +12,8 @@ import pytest
 import romanoff_lab
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ALWAYS = {"cli", "errors", "sieve"}
+ALWAYS = {"cli", "errors"}
+SUBCOMMANDS = ("sieve", "moments", "extremal", "elliptic", "romanoff", "lemmas", "verify-all")
 
 
 def run_python(args, tmp_path):
@@ -23,31 +24,35 @@ def run_python(args, tmp_path):
     )
 
 
-def loaded_modules(argv, tmp_path) -> set[str]:
-    """The romanoff_lab submodules loaded by the end of ``python -m romanoff_lab
-    ARGV``, listed on stderr at exit."""
+def loaded_modules(argv, tmp_path, code=0) -> set[str]:
+    """The romanoff_lab submodules, and ``numpy`` if it is loaded, by the end of
+    ``python -m romanoff_lab ARGV``, listed on stderr at exit; the call must
+    exit with ``code``."""
     probe = (
         "import atexit, runpy, sys\n"
         "atexit.register(lambda: print(*sorted(m for m in sys.modules\n"
-        "    if m.startswith('romanoff_lab.')), file=sys.stderr))\n"
+        "    if m.startswith('romanoff_lab.') or m == 'numpy'), file=sys.stderr))\n"
         "sys.argv[0] = 'romanoff_lab'\n"
         "runpy.run_module('romanoff_lab', run_name='__main__', alter_sys=True)\n"
     )
     proc = run_python(["-c", probe, *argv], tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return {n.split(".", 1)[1] for n in proc.stderr.splitlines()[-1].split()}
+    assert proc.returncode == code, proc.stderr[-2000:]
+    return {n.split(".", 1)[-1] for n in proc.stderr.splitlines()[-1].split()}
 
 
 @pytest.mark.parametrize(
     "argv,extra",
     [
         (["--help"], set()),
-        (["sieve", "--limit", "1000"], set()),
+        (["sieve", "--limit", "1000"], {"sieve", "numpy"}),
         (["lemmas", "--gamma"], {"lemmas"}),
-        (["moments", "--report", "poly", "--poly", "1,0,0", "--z", "30"], {"moments", "exact"}),
+        (
+            ["moments", "--report", "poly", "--poly", "1,0,0", "--z", "30"],
+            {"moments", "exact", "sieve", "numpy"},
+        ),
         (
             ["romanoff", "--report", "theorem9", "--x", "4096"],
-            {"romanoff", "sequences", "moments", "exact"},
+            {"romanoff", "sequences", "moments", "exact", "sieve", "numpy"},
         ),
     ],
 )
@@ -57,12 +62,28 @@ def test_call_loads_only_its_modules(argv, extra, tmp_path):
     assert not modules & {"verify", "elliptic"}
 
 
-def test_import_loads_errors_and_sieve_only(tmp_path):
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--help"], 0),
+        *(([command, "--help"], 0) for command in SUBCOMMANDS),
+        (["moments", "--report", "theorem1"], 2),  # refused before any table
+        (["lemmas", "--gamma", "--s-max", "6", "--abel", "--seed", "1"], 0),
+    ],
+)
+def test_call_that_computes_no_table_loads_no_numpy(argv, code, tmp_path):
+    assert "numpy" not in loaded_modules(argv, tmp_path, code)
+
+
+def test_import_loads_no_submodule(tmp_path):
     probe = (
         "import sys, romanoff_lab as rl\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('romanoff_lab.'))\n"
-        "assert loaded() == ['romanoff_lab.errors', 'romanoff_lab.sieve'], loaded()\n"
-        "assert 'build_sieve' in vars(rl) and 'CapacityError' in vars(rl)\n"
+        "loaded = lambda: sorted(m for m in sys.modules\n"
+        "    if m.startswith('romanoff_lab.') or m == 'numpy')\n"
+        "assert loaded() == [], loaded()\n"
+        "assert 'build_sieve' not in vars(rl) and 'CapacityError' not in vars(rl)\n"
+        "assert rl.CapacityError is sys.modules['romanoff_lab.errors'].CapacityError\n"
+        "assert 'numpy' not in sys.modules and 'CapacityError' in vars(rl)\n"
         "assert rl.elliptic is sys.modules['romanoff_lab.elliptic']\n"
         "assert rl.theorem6_report is sys.modules['romanoff_lab.romanoff'].theorem6_report\n"
         "assert 'theorem6_report' in vars(rl)\n"
