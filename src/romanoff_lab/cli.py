@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 
@@ -46,17 +46,17 @@ def make_sieve(args: argparse.Namespace, needed: float):
 
 
 def _largest_value(
-    args: argparse.Namespace, values: Iterator[int], least: int = 0, kept: list[int] | None = None
+    args: argparse.Namespace, values: Iterator[int], least: int = 0, keep: Callable | None = None
 ) -> int:
     """The largest of the values and least, read 2^16 at a time: the first
     block above the sieve cap is refused, before the rest is enumerated.
-    kept, when given, collects the values read."""
+    keep, when given, is called with each block read."""
     largest = least
     while block := list(islice(values, 2**16)):
         largest = max(largest, max(block))
         _table_size(largest, args.sieve_limit, "a sieve of size", "--sieve-limit")
-        if kept is not None:
-            kept += block
+        if keep is not None:
+            keep(block)
     return largest
 
 
@@ -127,6 +127,8 @@ def _cmd_moments(args: argparse.Namespace) -> None:
     from . import moments as mom
 
     if args.report == "theorem1":
+        import numpy as np
+
         from . import sequences as seq
 
         spec = seq.parse_sequence_spec(args.seq)
@@ -136,12 +138,15 @@ def _cmd_moments(args: argparse.Namespace) -> None:
             if isinstance(spec, seq.EllipticOrders)
             else None
         )
-        values: list[int] = []
-        largest = _largest_value(args, seq.iter_terms(spec, x, primes), kept=values)
-        if not values:
+        blocks: list = []  # the terms, all in [1, --sieve-limit], as int64 arrays
+        terms = seq.iter_terms(spec, x, primes)
+        largest = _largest_value(args, terms, keep=lambda b: blocks.append(np.array(b, np.int64)))
+        if not blocks:
             raise DomainError(f"sequence has no terms <= {x}")
+        values = np.concatenate(blocks)
+        blocks.clear()
+        values.sort(kind="stable")
         sieve = make_sieve(args, largest)
-        values.sort()
         M = args.M if args.M is not None else float(x)
         report = mom.theorem1_report(values, args.s, args.alpha, M, sieve)
         payload = dataclasses.asdict(report)

@@ -8,9 +8,9 @@ on the given input.
 
 The T1/T3/T4 reports here, and T5 and the extremal mean in their modules,
 sum totient-ratio powers one way (``_ratio_power_fsum``): phi is gathered for
-the listed values by ``FactorSieve.totients``, each term (n/phi(n))^s is
-formed in float64, and ``exact.float_sum`` adds the term arrays exactly and
-rounds once, correctly: the bits ``math.fsum`` gives over the same terms.
+the listed values by ``FactorSieve.totient_route`` (a table or the spf walk),
+each term (n/phi(n))^s is formed in float64, and ``exact.float_sum`` adds the
+term arrays exactly and rounds once, correctly: the bits ``math.fsum`` gives.
 Against the exact sum, the result is within a relative (s + 3) * 2^-53, and
 it never falls below the term count, because n >= phi(n) makes every term
 round to >= 1.0.  ``moment_sum`` keeps the exact ``Fraction`` value and
@@ -142,14 +142,15 @@ def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> floa
     """sum (n/phi(n))^s over the list, correctly rounded from the float terms
     by ``float_sum``; CapacityError when a term or the sum is beyond float64.
 
-    ``FactorSieve.totients`` raises TableIntegrityError for an spf entry that
-    is not the least prime of its n; valid entries put phi(n) in [1, n].
+    ``FactorSieve.totient_route`` raises TableIntegrityError for an spf entry
+    that is not the least prime of its n; valid entries put phi(n) in [1, n].
     """
     arr = int64_values(values)
+    phi = sieve.totient_route(arr)  # one route for the whole list
 
     def terms(start: int) -> np.ndarray:
         block = arr[start : start + _FSUM_BLOCK]
-        ratio = block / sieve.totients(block)
+        ratio = block / phi(block)
         ratio **= s
         return ratio
 

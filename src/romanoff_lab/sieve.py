@@ -5,10 +5,11 @@ n up to a limit) and :class:`PrimeList` (ascending primes up to a limit).
 Both are immutable after construction and safe to share across threads.
 There is one sieve loop, the odd-only Eratosthenes mask in
 :meth:`PrimeList.build`, and every list of primes comes from it; the spf
-table is filled from its primes up to sqrt(limit). Only the numpy spf walk
-``FactorSieve._peel``, which runs in the table's uint32 and serves totients
-and the order lanes, and ``factorize`` read the table. Both raise
-TableIntegrityError unless each entry they read divides its n and names a
+table is filled from its primes up to sqrt(limit). Three readers take its
+entries: the numpy spf walk ``FactorSieve._peel`` (in the table's uint32; it
+serves sparse totients and the order lanes), ``FactorSieve._totient_table``
+(every entry up to a dense list's max) and ``factorize``. Each raises
+TableIntegrityError unless each entry it reads divides its n and names a
 prime (spf[p] == p) no smaller than the one before. A composite entry that
 names its own index still reads as a prime.
 """
@@ -20,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,8 @@ _SPF_CACHE_MAGIC = b"RLSPF001"
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+
+_DENSE_SPAN = 4  # FactorSieve.totient_route's density rule
 
 
 def is_prime(n: int) -> bool:
@@ -228,22 +231,53 @@ class FactorSieve:
             idx, rem, last = idx.take(keep), rem.take(keep), stay
         raise TableIntegrityError("an spf entry is not the least prime of its n")
 
-    def totients(self, values) -> np.ndarray:
-        """phi(n) for every n in ``values``, as a flat int64 array.
+    def _walk_totients(self, n: np.ndarray) -> np.ndarray:
+        phi = np.ones(n.shape, dtype=np.int64)
+        for idx, p, repeat in self._peel(n):
+            phi[idx] *= p - ~repeat  # p on a repeat of the last pass's prime, else p - 1
+        return phi
 
-        Each pass of the spf walk multiplies phi by p where p repeats the
-        previous pass's prime and by p - 1 otherwise. Only the listed values
-        are touched, in at most Omega(n) passes over a shrinking active set;
-        no phi table is built.
-        """
+    def _totient_table(self, top: int) -> np.ndarray:
+        """phi(n) for 0 <= n <= top in uint32 (phi(0) unused) by the least
+        prime recursion phi(n) = phi(m) * (p if spf[m] == p else p - 1),
+        p = spf[n], m = n // p, in chunks [lo, hi) with hi <= 2 lo, so each m
+        is filled before its n. TableIntegrityError unless, for every n in
+        [2, top], p >= 2, p | n, spf[p] == p and spf[m] >= p exactly where m > 1."""
+        spf = self.spf
+        phi = np.ones(top + 1, dtype=np.uint32)
+        lo = 2
+        while lo <= top:
+            hi = min(2 * lo, lo + 2**16, top + 1)  # 2^16 bounds the temporaries
+            p = spf[lo:hi]
+            m, r = np.divmod(np.arange(lo, hi, dtype=np.uint32), np.maximum(p, 1))
+            q = spf.take(m)  # spf[1] < 2 where n is prime
+            bad = p.min() < 2 or np.count_nonzero(r) or np.count_nonzero(spf.take(p) != p)
+            if bad or np.count_nonzero((q < p) != (m == 1)):
+                raise TableIntegrityError("an spf entry is not the least prime of its n")
+            phi[lo:hi] = phi.take(m) * (p - (q != p))
+            lo = hi
+        return phi
+
+    def totient_route(self, values) -> Callable[[np.ndarray], np.ndarray]:
+        """phi in int64 of any part of ``values``, by a route picked once for
+        the list; RangeError at once for a value outside [1, limit]. A list
+        whose max is at most _DENSE_SPAN times its length is gathered from
+        ``_totient_table``, which reads every spf entry in [2, max] (on random
+        sorted lists up to 2*10^6 it beat the walk at every span up to 4 and
+        lost at 8, BENCH_31); any other walks the spf path of each part."""
         n = int64_values(values)
         if n.size and (n.min() < 1 or n.max() > self.limit):
             bad = n[(n < 1) | (n > self.limit)][0]
             raise RangeError(f"n={bad} outside sieve range [1, {self.limit}]")
-        phi = np.ones(n.shape, dtype=np.int64)
-        for idx, p, repeat in self._peel(n):
-            phi[idx] *= p - ~repeat  # p on a repeat, else p - 1
-        return phi
+        if n.size and n.max() <= _DENSE_SPAN * n.size:
+            table = self._totient_table(int(n.max()))
+            return lambda part: table.take(part).astype(np.int64)
+        return self._walk_totients
+
+    def totients(self, values) -> np.ndarray:
+        """phi(n) for every n in ``values``, flat in int64, by ``totient_route``."""
+        n = int64_values(values)
+        return self.totient_route(n)(n)
 
 
 def _sieve_spf(limit: int) -> np.ndarray:

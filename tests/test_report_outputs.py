@@ -135,3 +135,21 @@ def test_theorem9_at_ten_million_stays_under_80_mb(tmp_path):
     assert code == 0, probe.stderr[-2000:]
     assert out.read_bytes() == (DATA / "theorem9-a2-b2-x10000000.json").read_bytes()
     assert max_rss_kb / 1024 < 80, f"peak RSS {max_rss_kb / 1024:.1f} MB"
+
+
+def test_theorem1_at_ten_million_stays_under_300_mb(tmp_path):
+    # the terms as 10^7 Python ints in one list held 532 MB at peak; as int64
+    # arrays, with phi from one uint32 table, the run holds about 215 MB
+    out = tmp_path / "report.json"
+    argv = ["moments", "--report", "theorem1", "--seq", "poly:1,0", "--x", "10000000", "--s", "2"]
+    probe = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "romanoff_lab", *argv, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, max_rss_kb = map(int, probe.stdout.split())
+    assert code == 0, probe.stderr[-2000:]
+    assert out.read_bytes() == (DATA / "theorem1-poly10-x10000000-s2.json").read_bytes()
+    assert max_rss_kb / 1024 < 300, f"peak RSS {max_rss_kb / 1024:.1f} MB"

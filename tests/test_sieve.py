@@ -14,6 +14,7 @@ from romanoff_lab.errors import CapacityError, ParameterError, RangeError, Table
 from romanoff_lab.moments import theorem1_report
 from romanoff_lab.romanoff import order_weighted_sum, theorem6_report
 from romanoff_lab.sieve import (
+    _DENSE_SPAN,
     _SEGMENT,
     FactorSieve,
     PrimeList,
@@ -415,7 +416,9 @@ class TestTotients:
         assert phi.dtype == np.int64
 
     def test_range_error(self, sieve10k):
-        for bad in ([0], [10**4 + 1], [5, 0, 7], [2**70], [2**63], [3, 2**70], [5, 2**63]):
+        dense = list(range(1, 101))  # the table's route, had the values been in range
+        for bad in ([0], [10**4 + 1], [5, 0, 7], [2**70], [2**63], [3, 2**70], [5, 2**63],
+                    [*dense, 10**4 + 1], [0, *dense], [10**4 + 1] * 3):
             with pytest.raises(RangeError):
                 sieve10k.totients(bad)
 
@@ -423,8 +426,9 @@ class TestTotients:
         spf = sieve10k.spf.copy()
         spf[9] = 1  # 9 would never shrink
         corrupt = FactorSieve(limit=sieve10k.limit, spf=spf)
-        with pytest.raises(TableIntegrityError):
-            corrupt.totients([4, 9])
+        for values in ([4, 9], range(1, 10)):
+            with pytest.raises(TableIntegrityError):
+                corrupt.totients(values)
 
 
 class TestFactorizeCorruptTable:
@@ -439,6 +443,8 @@ class TestFactorizeCorruptTable:
             broken.factorize(n)
         with pytest.raises(TableIntegrityError):
             totient(n, broken)
+        with pytest.raises(TableIntegrityError):
+            broken.totients(range(1, n + 1))  # the table's route
 
 
 class TestInt64Values:
@@ -480,6 +486,7 @@ class TestIntegrityRule:
 
     CONSUMERS = {
         "totients": lambda n, sv: sv.totients([n]),
+        "totients_dense": lambda n, sv: sv.totients(range(n, 0, -1)),  # the table's route
         "totient": lambda n, sv: totient(n, sv),
         "factorize": lambda n, sv: sv.factorize(n),
         "theorem1_report": lambda n, sv: theorem1_report([n], 1, 0.5, float(n), sv),
@@ -505,6 +512,7 @@ class TestIntegrityRule:
         gap = FactorSieve(limit=200, spf=spf)
         assert gap.factorize(15) == [(15, 1)]
         assert gap.totients([15, 45]).tolist() == [14, 28]  # true: 8, 24
+        assert gap.totients(range(1, 46))[[14, 44]].tolist() == [14, 28]  # the table's route
         assert totient(15, gap) == 14
 
 
@@ -554,6 +562,59 @@ def test_one_wrong_entry_raises_or_changes_nothing(data):
         _raises_or_same(consume, broken, CLEAN_10K)
 
 
+TABLE_10K = totient_table(10**4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dense_route_matches_table_and_walk(data):
+    """Random lists near the density rule, on both sides of it: unsorted,
+    with duplicates, from 1 or from a later start. Each list's route is the
+    one the rule names, and its phi is the table's and the walk's."""
+    top = data.draw(st.integers(1, 10**4), label="max")
+    start = data.draw(st.sampled_from([1, min(2, top), max(1, top // 2), top]), label="start")
+    length = max(1, top // data.draw(st.integers(1, 2 * _DENSE_SPAN), label="span"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+    arr = rng.integers(start, top + 1, length)
+    arr[rng.integers(length)] = top
+    values = arr.tolist()
+    route = CLEAN_10K.totient_route(arr)
+    assert (route != CLEAN_10K._walk_totients) == (top <= _DENSE_SPAN * length)
+    phi = CLEAN_10K.totients(values)
+    assert phi.dtype == np.int64
+    assert np.array_equal(phi, TABLE_10K[arr])
+    assert np.array_equal(phi, CLEAN_10K._walk_totients(arr))
+    assert np.array_equal(route(arr[::-1]), phi[::-1])
+
+
+class TestDenseRoute:
+    """The table of a dense list (``FactorSieve._totient_table``) reads every
+    spf entry up to the list's max, where the walk reads only its paths."""
+
+    def test_entry_off_every_walk_path_now_raises(self):
+        # 97 is prime and 194 > 100, so no listed value walks through 97;
+        # the walk reads true phi, the table reads spf[97] and refuses it
+        spf = build_sieve(200).spf.copy()
+        spf[97] = 7
+        broken = FactorSieve(limit=200, spf=spf)
+        values = [v for v in range(1, 101) if v != 97]
+        assert broken._walk_totients(np.array(values)).tolist() == TABLE_10K[values].tolist()
+        with pytest.raises(TableIntegrityError) as raised:
+            broken.totients(values)
+        assert raised.value.exit_code == 4
+        sparse = values[::_DENSE_SPAN + 1]  # a sparse list is walked and never reads spf[97]
+        assert broken.totients(sparse).tolist() == TABLE_10K[sparse].tolist()
+
+    def test_corrupt_entry_one_raises(self):
+        # spf[1] is read where n is prime (m = 1) and must stay below 2
+        spf = build_sieve(200).spf.copy()
+        spf[1] = 2
+        broken = FactorSieve(limit=200, spf=spf)
+        with pytest.raises(TableIntegrityError):
+            broken.totients(range(1, 11))
+        assert broken.totients([2, 3, 200]).tolist() == [1, 2, 80]
+
+
 def _fill_edge_limits() -> list[int]:
     """2..200, then p^2 - 1, p^2 and p^2 + 1 for every prime p <= 31: the
     limits where the slice spf[p*p::p] starts at or just past the end."""
@@ -591,8 +652,9 @@ class TestSpfWalk:
         spf = sieve10k.spf.copy()
         spf[14] = 3
         corrupt = FactorSieve(limit=sieve10k.limit, spf=spf)
-        with pytest.raises(TableIntegrityError):
-            corrupt.totients([14])
+        for values in ([14], range(1, 15)):
+            with pytest.raises(TableIntegrityError):
+                corrupt.totients(values)
         with pytest.raises(TableIntegrityError):
             totient(14, corrupt)
 
