@@ -133,6 +133,8 @@ def _cmd_moments(args: argparse.Namespace) -> None:
 
         spec = seq.parse_sequence_spec(args.seq)
         x = args.x
+        M = args.M if args.M is not None else float(x)
+        mom.check_theorem1_parameters(args.s, args.alpha, M)
         primes = (
             make_primes(args, seq.elliptic_prime_bound(x))
             if isinstance(spec, seq.EllipticOrders)
@@ -147,7 +149,6 @@ def _cmd_moments(args: argparse.Namespace) -> None:
         blocks.clear()
         values.sort(kind="stable")
         sieve = make_sieve(args, largest)
-        M = args.M if args.M is not None else float(x)
         report = mom.theorem1_report(values, args.s, args.alpha, M, sieve)
         payload = dataclasses.asdict(report)
         payload["parameters"]["sequence"] = seq.format_sequence_spec(spec)

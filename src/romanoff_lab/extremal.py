@@ -62,8 +62,8 @@ def construct_extremal_set(
         raise ParameterError(f"y={y} must be >= 2")
     if z <= y:
         raise ParameterError(f"need z > y, got y={y}, z={z}")
-    ps = PrimeList.build(math.floor(z)).values
-    window = ps[ps > y].tolist()
+    primes = PrimeList.build(math.floor(z))
+    window = list(primes.ints(primes.limit, above=y))
     if not window:
         raise ConstructionError(f"no prime in the window ({y}, {z}]")
     Q = math.prod(window)
@@ -72,7 +72,7 @@ def construct_extremal_set(
     if M > sieve.limit:
         raise CapacityError(f"M={M} exceeds sieve limit {sieve.limit}")
     keep = np.ones(M // Q, dtype=bool)  # keep[k - 1]: is Qk a member
-    for p in ps[ps <= y].tolist():
+    for p in primes.ints(y):  # y < the least prime of the window <= limit
         keep[p - 1 :: p] = False  # Q has no prime <= y, so p | Qk iff p | k
     members = Q * (np.flatnonzero(keep) + 1)
     mean_ratio = _ratio_power_fsum(members, 1, sieve) / len(members)

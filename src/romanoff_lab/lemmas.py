@@ -103,10 +103,8 @@ def prime_log_power_sums(
     primes.check_range(tail_limit)
     if k > tail_limit:
         raise ParameterError(f"k={k} exceeds tail_limit={tail_limit}")
-    ps = primes.upto(tail_limit).tolist()
-    logs = [math.log(p) for p in ps]
-    head = math.fsum(lp**s / p for p, lp in zip(ps, logs) if p <= k)
-    tail_partial = math.fsum(lp**s / (p * p) for p, lp in zip(ps, logs) if p > k)
+    head = math.fsum(math.log(p) ** s / p for p in primes.ints(k))
+    tail_partial = math.fsum(math.log(p) ** s / (p * p) for p in primes.ints(tail_limit, k))
     head_ratio = head / math.log(k) ** s if k >= 2 else 0.0
     tail_ratio = tail_partial * k / (math.factorial(s) * math.log(k + 2) ** (s - 1))
     return PrimeLogPowerSums(head, tail_partial, head_ratio, tail_ratio)
@@ -132,8 +130,8 @@ def min_pk_sum(k: int, s: int, primes: PrimeList, tail_limit: float) -> MinPkSum
     if tail_limit < max(100.0, math.exp(s / 2)):
         # (ln t)^s / t^2 must be decreasing beyond the cutoff for the bound
         raise ParameterError(f"tail_limit={tail_limit} too small for s={s}")
-    ps = primes.upto(tail_limit).tolist()
-    value = 1.0 + math.fsum(min(p, k) * math.log(p) ** s / (p * p) for p in ps)
+    terms = (min(p, k) * math.log(p) ** s / (p * p) for p in primes.ints(tail_limit))
+    value = 1.0 + math.fsum(terms)
     tail_bound = k * incomplete_gamma(s + 1, math.log(tail_limit)).value
     normalized = (value + tail_bound) / (math.factorial(s) * math.log(k + 1) ** s)
     return MinPkSum(value, tail_bound, normalized)

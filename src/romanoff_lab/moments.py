@@ -158,6 +158,15 @@ def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> floa
         return float_sum(map(terms, range(0, len(arr), _FSUM_BLOCK)))
 
 
+def check_theorem1_parameters(s: int, alpha: float, M: float) -> None:
+    """theorem1_report's checks that need no term, for a caller to run before it enumerates."""
+    if not 0 < alpha < 1:
+        raise ParameterError(f"alpha={alpha} must lie in (0, 1)")
+    if s < 1:
+        raise ParameterError(f"s={s} must be >= 1")
+    check_finite("M", M)
+
+
 def theorem1_report(
     values: Sequence[int],
     s: int,
@@ -170,11 +179,7 @@ def theorem1_report(
     rhs_core = N + sum_{p <= (ln M)^alpha} omega(p) (ln p)^s / p; the implied
     constant is (lhs / rhs_core)^(1/s).
     """
-    if not 0 < alpha < 1:
-        raise ParameterError(f"alpha={alpha} must lie in (0, 1)")
-    if s < 1:
-        raise ParameterError(f"s={s} must be >= 1")
-    check_finite("M", M)
+    check_theorem1_parameters(s, alpha, M)
     if len(values) == 0:
         raise DomainError("theorem1_report needs a nonempty list")
     arr = int64_values(values)
@@ -183,7 +188,7 @@ def theorem1_report(
     n_terms = len(arr)
     lhs = _ratio_power_fsum(arr, s, sieve)
     cutoff = math.log(M) ** alpha if M > 1 else 0.0
-    small = PrimeList.build(math.floor(cutoff)).values.tolist() if cutoff >= 2 else []
+    small = PrimeList.build(math.floor(cutoff)).ints(math.floor(cutoff)) if cutoff >= 2 else ()
     with _float64_range(s):
         prime_part = math.fsum(omega_count(arr, p) * math.log(p) ** s / p for p in small)
     rhs_core = n_terms + prime_part
@@ -237,15 +242,9 @@ def lemma2_product_table(limit: int, primes: PrimeList) -> np.ndarray:
     primes.check_range(limit)
     table = np.ones(limit + 1, dtype=np.float64)
     log_limit = math.log(limit) if limit > 1 else 0.0
-    for p in primes.upto(limit):
-        p = int(p)
-        w = 1.0 + 1.0 / p
-        if p > log_limit:
-            table[p::p] *= w
-        else:
-            hi = min(limit, math.ceil(math.exp(p)) - 1)
-            if hi >= p:
-                table[p : hi + 1 : p] *= w
+    for p in primes.ints(limit):  # e^p - 1 >= p; past log_limit, e^p may overflow
+        hi = limit if p > log_limit else min(limit, math.ceil(math.exp(p)) - 1)
+        table[p : hi + 1 : p] *= 1.0 + 1.0 / p
     return table
 
 

@@ -58,6 +58,7 @@ from .sequences import (
     enumerate_terms,
     format_sequence_spec,
     max_multiplicity,
+    pair_cutoff,
 )
 
 # representation_counts work cap, in byte adds of the shift-and-add kernel
@@ -73,18 +74,11 @@ _WINDOW = 2**19
 # window cells per np.bincount call of _histogram: a 512 KB intp copy
 _HIST_CELLS = 2**16
 
-# primes per index step of the odd-prime indicator and per lookup of
-# schnirelmann_pi2: a 512 KB int64 copy, not one as large as the prime table
-_INDICATOR_PRIMES = 2**16
-
 # order_distribution factors a^n - 1; beyond this exponent the numbers are
 # out of honest trial-division reach
 DEFAULT_EXPONENT_CAP = 40
 
 ROOT_COUNT_MODULUS_CAP = 10**7
-
-# primes per _lane_mult_orders call of order_weighted_sum; bounds the lane arrays
-_ORDER_LANES = 2**16
 
 
 @dataclass(frozen=True)
@@ -175,9 +169,10 @@ def _refuse_curve_orders(
         or primes.limit < elliptic_prime_bound(y)
     ):
         return
-    q = primes.values[: int(np.searchsorted(primes.values, x, side="right"))]
-    r = _isqrt_lanes(4 * q)
-    least = int((x - q - r)[q + 1 + r <= x - 2].sum())
+    least = 0
+    for q in primes.steps(x):  # limit >= elliptic_prime_bound(x - 2) >= x
+        r = _isqrt_lanes(4 * q)
+        least += int((x - q - r)[q + 1 + r <= x - 2].sum())
     if least > budget:
         raise CapacityError(
             f"curve orders to x={x} cost at least {least} byte adds, above budget {budget}"
@@ -187,9 +182,8 @@ def _refuse_curve_orders(
 def _odd_indicator(n: int, primes: PrimeList) -> np.ndarray:
     """odd[j] = [2j + 1 prime] for 2j + 1 <= n, in (n + 1)/2 bytes."""
     odd = np.zeros((n + 1) // 2, dtype=np.uint8)
-    ps = primes.upto(n)[1:]
-    for i in range(0, ps.size, _INDICATOR_PRIMES):
-        odd[ps[i : i + _INDICATOR_PRIMES] // 2] = 1
+    for step in primes.steps(n, above=2):
+        odd[step // 2] = 1
     return odd
 
 
@@ -278,8 +272,8 @@ def theorem6_report(
     terms up to x, which holds the terms up to any y <= x as a prefix.
     """
     x = check_integer(x)
-    if alpha > 0:  # else congruence_pair_sum rejects alpha, after the terms
-        _refuse_curve_orders(spec, x, x, primes, budget)
+    pair_cutoff(x, alpha, primes)  # every check that needs no term comes first
+    _refuse_curve_orders(spec, x, x, primes, budget)
     terms = enumerate_terms(spec, x, primes)
     n_total = len(terms)
     if n_total == 0:
@@ -293,9 +287,7 @@ def theorem6_report(
     hist = _histogram(table, x, primes, budget)
     rho = max_multiplicity(table, x)
     sq = sum(t * t * h for t, h in enumerate(hist.tolist()))
-    sq_norm = (
-        sq * log_x**2 / (x * n_total * (rho * log_x + n_total))
-    )
+    sq_norm = sq * log_x**2 / (x * n_total * (rho * log_x + n_total))
 
     out = [
         ConstantEstimate(
@@ -314,9 +306,7 @@ def theorem6_report(
             name="second_moment_constant",
             value=sq_norm,
             parameters=dict(base_params, second_moment=sq, rho_A=rho),
-            direction=(
-                "sum r^2 <= C * x/(ln x)^2 * N_A * (rho_A ln x + N_A)"
-            ),
+            direction="sum r^2 <= C * x/(ln x)^2 * N_A * (rho_A ln x + N_A)",
         ),
     ]
     # at_least[t] = #{n <= x : r(n) >= t}; for integer r, r >= t iff r >= ceil(t)
@@ -329,9 +319,7 @@ def theorem6_report(
             ConstantEstimate(
                 name="c2_at_c1",
                 value=count / x,
-                parameters=dict(
-                    base_params, c1=c1, threshold=threshold, count=count
-                ),
+                parameters=dict(base_params, c1=c1, threshold=threshold, count=count),
                 direction="#{n <= x : r(n) >= c1 N_A/ln x} >= c2 * x",
             )
         )
@@ -357,11 +345,7 @@ def schnirelmann_pi2(x: float, a: int, primes: PrimeList) -> ShiftedPrimeCount:
         count = int(primes.contains(2 + a))
     else:
         odd = _odd_indicator(math.floor(x) + a, primes)[a // 2 :]
-        ps = primes.upto(x)[1:]
-        count = sum(
-            int(np.count_nonzero(odd[ps[i : i + _INDICATOR_PRIMES] // 2]))
-            for i in range(0, ps.size, _INDICATOR_PRIMES)
-        )
+        count = sum(int(np.count_nonzero(odd[step // 2])) for step in primes.steps(x, above=2))
     normalized = count * math.log(x) ** 2 * totient_trial(a) / (x * a)
     return ShiftedPrimeCount(count, normalized)
 
@@ -425,11 +409,10 @@ def order_weighted_sum(
     ps = primes.upto(P)
     if ps.size and (sieve is None or sieve.limit < ps[-1] - 1):
         sieve = build_sieve(int(ps[-1]))
-    chunks = (ps[i : i + _ORDER_LANES] for i in range(0, len(ps), _ORDER_LANES))
     return math.fsum(
         math.log(p) / (p * h ** (1.0 / b))
-        for c in chunks
-        for p, h in zip(c.tolist(), _lane_mult_orders(a, c, sieve).tolist())
+        for step in primes.steps(P)
+        for p, h in zip(step.tolist(), _lane_mult_orders(a, step, sieve).tolist())
         if h
     )
 

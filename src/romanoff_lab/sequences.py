@@ -307,6 +307,20 @@ def doubling_ratio(
     return bisect_right(terms, x / 2) / len(terms)
 
 
+def pair_cutoff(x: float, alpha: float, primes: PrimeList) -> float:
+    """The prime cutoff (ln x)^alpha of congruence_pair_sum, checked before any term."""
+    if not alpha > 0:  # nan too
+        raise ParameterError(f"alpha={alpha} must be positive")
+    if x <= 1:
+        raise ParameterError(f"x={x} must exceed 1")
+    try:
+        cutoff = math.log(x) ** alpha
+    except OverflowError:
+        raise RangeError(f"(ln x)^alpha overflows a float at x={x}, alpha={alpha}") from None
+    primes.check_range(cutoff, "cutoff (ln x)^alpha")  # nan and inf x too
+    return cutoff
+
+
 def congruence_pair_sum(
     spec: SequenceSpec,
     x: float,
@@ -320,21 +334,13 @@ def congruence_pair_sum(
     residue classes r, less sum_v C(c_v, 2) over the values v, c_v = ord_A(v).
     normalized = raw / N_A(x)^2, the empirical gamma_2.
     """
-    if not alpha > 0:  # nan too
-        raise ParameterError(f"alpha={alpha} must be positive")
-    if x <= 1:
-        raise ParameterError(f"x={x} must exceed 1")
-    try:
-        cutoff = math.log(x) ** alpha
-    except OverflowError:
-        raise RangeError(f"(ln x)^alpha overflows a float at x={x}, alpha={alpha}") from None
-    primes.check_range(cutoff)
+    cutoff = pair_cutoff(x, alpha, primes)
     terms = enumerate_terms(spec, x, primes)
     if not terms:
         raise DomainError(f"sequence has no terms <= {x}")
     equal_pairs = sum(c * (c - 1) // 2 for c in Counter(terms).values())
     raw_parts = []
-    for p in map(int, primes.upto(cutoff)):
+    for p in primes.ints(cutoff):
         # residues taken on Python ints, exact for terms beyond int64
         m = np.bincount([v % p for v in terms])
         pair_count = int((m * (m - 1) // 2).sum()) - equal_pairs

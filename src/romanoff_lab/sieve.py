@@ -21,7 +21,8 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -393,9 +394,13 @@ def _sieve_primes(limit: int) -> np.ndarray:
     return values
 
 
+# primes per step of a walk over a PrimeList: a 512 KB int64 view
+_PRIME_STEP = 2**16
+
+
 @dataclass(frozen=True)
 class PrimeList:
-    """Ascending array of all primes up to ``limit``."""
+    """Ascending array of all primes up to ``limit``, read through ``steps`` or ``ints``."""
 
     limit: int
     values: np.ndarray
@@ -405,10 +410,10 @@ class PrimeList:
         _check_limit("prime table", limit)
         return cls(limit=limit, values=_sieve_primes(limit))
 
-    def check_range(self, x: float) -> None:
-        check_finite("x", x)
+    def check_range(self, x: float, name: str = "x") -> None:
+        check_finite(name, x)
         if x > self.limit:
-            raise RangeError(f"x={x} exceeds prime table limit {self.limit}")
+            raise RangeError(f"{name}={x} exceeds prime table limit {self.limit}")
 
     def count_leq(self, x: float) -> int:
         """pi(x) restricted to this table."""
@@ -418,6 +423,16 @@ class PrimeList:
     def upto(self, x: float) -> np.ndarray:
         """All primes <= x, as an int64 array view."""
         return self.values[: self.count_leq(x)]
+
+    def steps(self, x: float, above: float = 0) -> Iterator[np.ndarray]:
+        """The primes p with above < p <= x, ascending, as int64 views of
+        _PRIME_STEP primes each; RangeError at once for x beyond the table."""
+        ps = self.upto(x)[np.searchsorted(self.values, above, side="right") :]
+        return (ps[i : i + _PRIME_STEP] for i in range(0, len(ps), _PRIME_STEP))
+
+    def ints(self, x: float, above: float = 0) -> Iterator[int]:
+        """The primes of ``steps`` as Python ints, one step in memory at a time."""
+        return chain.from_iterable(step.tolist() for step in self.steps(x, above))
 
     def contains(self, n: int) -> bool:
         i = int(np.searchsorted(self.values, n))
@@ -488,11 +503,8 @@ def mertens_products(x: float, primes: PrimeList) -> MertensProducts:
     """
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
-    ps = primes.upto(x).tolist()
-    log_plus = math.fsum(math.log1p(1.0 / p) for p in ps)
-    log_minus = -math.fsum(math.log1p(-1.0 / p) for p in ps)
-    plus = math.exp(log_plus)
-    minus = math.exp(log_minus)
+    plus = math.exp(math.fsum(math.log1p(1.0 / p) for p in primes.ints(x)))
+    minus = math.exp(-math.fsum(math.log1p(-1.0 / p) for p in primes.ints(x)))
     lx = math.log(x)
     return MertensProducts(plus, minus, plus / lx, minus / lx)
 
@@ -501,7 +513,7 @@ def chebyshev_theta(x: float, primes: PrimeList) -> float:
     """theta(x) = sum of log p over primes p <= x."""
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
-    return math.fsum(math.log(p) for p in primes.upto(x).tolist())
+    return math.fsum(map(math.log, primes.ints(x)))
 
 
 # CSV lines formatted by one % operation

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from romanoff_lab import romanoff
+from romanoff_lab import sieve as sieve_module
 from romanoff_lab.errors import CapacityError, RangeError, TableIntegrityError
 from romanoff_lab.romanoff import _lane_mult_orders, multiplicative_order, order_weighted_sum
 from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
@@ -87,5 +87,5 @@ class TestOrderWeightedSumMatchesScalar:
 
     def test_chunk_boundaries_leave_the_sum_unchanged(self, primes100k, sieve1m, monkeypatch):
         want = order_weighted_sum(2, 2, 2 * 10**4, primes100k, sieve1m)
-        monkeypatch.setattr(romanoff, "_ORDER_LANES", 7)
+        monkeypatch.setattr(sieve_module, "_PRIME_STEP", 7)
         assert order_weighted_sum(2, 2, 2 * 10**4, primes100k, sieve1m) == want

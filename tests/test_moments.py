@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romanoff_lab import moments
+from romanoff_lab import cli, moments, sequences
+from romanoff_lab.cli import run
 from romanoff_lab.errors import (
     CapacityError,
     DomainError,
@@ -128,6 +129,22 @@ class TestTheorem1Report:
             theorem1_report([1], 1, 1.0, 10, sieve10k)
         with pytest.raises(ParameterError):
             theorem1_report([100], 1, 0.5, 50, sieve10k)
+
+
+class TestTheorem1ChecksComeFirst:
+    """The CLI runs theorem1_report's checks that need no term before it
+    enumerates a term or builds a table, so a bad s or alpha exits 2 at once."""
+
+    @pytest.mark.parametrize("seq", ["poly:1,0", "ecorders:1,1"])
+    @pytest.mark.parametrize("bad", ["--alpha=2", "--alpha=0", "--s=0"])
+    def test_bad_argument_exits_two_before_any_term(self, seq, bad, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("a term was enumerated or a table built")
+
+        for module, name in ((sequences, "iter_terms"), (cli, "make_sieve"), (cli, "make_primes")):
+            monkeypatch.setattr(module, name, enumerated)
+        argv = ["moments", "--report", "theorem1", "--seq", seq, "--x", "3000000"]
+        assert run(argv + [bad]) == 2
 
 
 class TestLemma1Product:

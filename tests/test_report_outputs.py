@@ -8,7 +8,8 @@ shifted prime and the trial division by every integer up to the cap; the
 alpha sweep and the order sum against output committed from the int64 spf
 walk that built one extremal set per alpha; the orders of six curves at 10^5
 against digests committed from the lanes that searched the whole Hasse
-interval."""
+interval; theta, the Mertens products and the lemma prime sums against output
+committed from the sums that read the whole prime table as one Python list."""
 
 import hashlib
 import io
@@ -63,6 +64,21 @@ def test_shift_and_order_reports_are_byte_identical(name, tmp_path):
 def test_spf_walk_reports_are_byte_identical(name, tmp_path):
     out = tmp_path / "report.json"
     assert run([*WALK_REPORTS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
+
+
+PRIME_TABLE_REPORTS = {
+    "sieve-x10000000": ["sieve", "--limit", "10000000", "--prime-limit", "10000000"],
+    "lemmas-sums-minpk-x1000000": [
+        "lemmas", "--prime-sums", "--min-pk", "--tail-limit", "1000000", "--prime-limit", "1000000"
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIME_TABLE_REPORTS))
+def test_prime_table_sums_are_byte_identical(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert run([*PRIME_TABLE_REPORTS[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 
@@ -153,3 +169,21 @@ def test_theorem1_at_ten_million_stays_under_300_mb(tmp_path):
     assert code == 0, probe.stderr[-2000:]
     assert out.read_bytes() == (DATA / "theorem1-poly10-x10000000-s2.json").read_bytes()
     assert max_rss_kb / 1024 < 300, f"peak RSS {max_rss_kb / 1024:.1f} MB"
+
+
+def test_sieve_at_a_hundred_million_stays_under_120_mb(tmp_path):
+    # theta and the Mertens sums over one Python list of all 5,761,455 primes
+    # held 297 MB at peak; a walk of 2^16-prime steps holds about 79 MB
+    out = tmp_path / "report.json"
+    argv = ["sieve", "--limit", "100000000", "--prime-limit", "100000000", "--out", str(out)]
+    probe = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "romanoff_lab", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, max_rss_kb = map(int, probe.stdout.split())
+    assert code == 0, probe.stderr[-2000:]
+    assert out.read_bytes() == (DATA / "sieve-x100000000.json").read_bytes()
+    assert max_rss_kb / 1024 < 120, f"peak RSS {max_rss_kb / 1024:.1f} MB"

@@ -704,6 +704,27 @@ class TestCurveOrdersRefusedUpFront:
         with pytest.raises(ParameterError, match="alpha"):
             theorem6_report(spec, 3000, 0.0, primes100k, budget=0)
 
+    @pytest.mark.parametrize("alpha", ["0", "-1", "100"])
+    def test_bad_alpha_exits_two_before_counting(self, alpha, monkeypatch, capsys):
+        # (ln 300000)^100 = 1.19e+110 is beyond any table; the error names the cutoff
+        def counted(*args):
+            raise AssertionError("points were counted")
+
+        monkeypatch.setattr(rom_module, "enumerate_terms", counted)
+        argv = ["romanoff", "--report", "frontier", "--seq", "ecorders:1,1", "--x", "300000"]
+        assert run(argv + ["--alpha", alpha]) == 2
+        err = capsys.readouterr().err
+        assert "alpha" in err
+        assert ("cutoff (ln x)^alpha=1.19" in err) == (alpha == "100")
+
+    def test_bad_alpha_is_refused_before_the_terms(self, primes100k, monkeypatch):
+        def counted(*args):
+            raise AssertionError("points were counted")
+
+        monkeypatch.setattr(rom_module, "enumerate_terms", counted)
+        with pytest.raises(ParameterError, match="alpha"):
+            theorem6_report(EllipticOrders(EllipticCurve(1, 1)), 3000, 0.0, primes100k)
+
     def test_table_for_x_minus_2_is_enough(self, monkeypatch):
         # representation_counts enumerates to x - 2, so a table that covers
         # those terms but not the terms to x still gets the up-front refusal
@@ -717,6 +738,16 @@ class TestCurveOrdersRefusedUpFront:
         monkeypatch.setattr(rom_module, "enumerate_terms", counted)
         with pytest.raises(CapacityError):
             representation_counts(EllipticOrders(EllipticCurve(1, 1)), x, primes, budget=0)
+
+    @pytest.mark.parametrize("step", [1, 7, 64, sieve_module._PRIME_STEP])
+    def test_bound_is_the_same_at_every_step(self, step, primes100k, monkeypatch):
+        # the 448 = 7 * 64 primes up to 3167 end a step of 1, 7 and 64
+        spec = EllipticOrders(EllipticCurve(1, 1))
+        least = hasse_cost_bound(3167, primes100k)
+        monkeypatch.setattr(sieve_module, "_PRIME_STEP", step)
+        rom_module._refuse_curve_orders(spec, 3167, 3165, primes100k, least)
+        with pytest.raises(CapacityError, match=f"at least {least} byte adds"):
+            rom_module._refuse_curve_orders(spec, 3167, 3165, primes100k, least - 1)
 
     def test_short_table_still_raises_range_error(self):
         spec = EllipticOrders(EllipticCurve(1, 1))
@@ -834,9 +865,9 @@ class TestSchnirelmannAgainstBinarySearch:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_lookup_chunks(self, chunk, monkeypatch):
-        # the indicator fill and the lookups both step _INDICATOR_PRIMES primes
+        # the indicator fill and the lookups both step _PRIME_STEP primes
         expected = [pi2_searchsorted(2900, a, HYP_PRIMES) for a in (2, 6, 100)]
-        monkeypatch.setattr(rom_module, "_INDICATOR_PRIMES", chunk)
+        monkeypatch.setattr(sieve_module, "_PRIME_STEP", chunk)
         assert [schnirelmann_pi2(2900, a, HYP_PRIMES).count for a in (2, 6, 100)] == expected
 
 
