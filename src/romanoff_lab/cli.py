@@ -6,11 +6,14 @@ reports, the analytic-lemma suite, and a deterministic verify-all battery.
 JSON output is sorted and newline-terminated so identical invocations are
 byte-identical; large tabular outputs (profiles, order sequences) use CSV.
 
-Exit codes: 0 success, 2 parameter/usage errors (a path that cannot be read
-or written too), 3 capacity or budget errors, 4 a table failed an integrity
-check. ``run`` reads 3 and 4 from the ``exit_code`` of the error's class.
-Each handler imports the library modules it runs, and ``sieve`` (with numpy)
-only where it builds or reads a table, so ``--help`` loads ``errors`` alone.
+Each report accepts only the flags it reads: REPORT_FLAGS lists them, and
+``run`` refuses a flag given that the report does not read, or a needed one
+left out, before any handler runs. Exit codes: 0 success, 2 parameter/usage
+errors (a path that cannot be read or written too), 3 capacity or budget
+errors, 4 a table failed an integrity check. ``run`` reads 3 and 4 from the
+``exit_code`` of the error's class. Each handler imports the library modules
+it runs, and ``sieve`` (with numpy) only where it builds or reads a table, so
+``--help`` and a refused flag load ``errors`` alone.
 """
 
 from __future__ import annotations
@@ -29,6 +32,55 @@ from .errors import CapacityError, DomainError, ParameterError, TableIntegrityEr
 DEFAULT_SIEVE_LIMIT = 10**7
 DEFAULT_PRIME_LIMIT = 10**7
 CACHE_ENV_VAR = "ROMANOFF_LAB_CACHE"
+
+
+# The flags each (subcommand, report) reads beside --out and --report, a needed
+# one marked !; extremal is keyed by mode, lemmas by toggle (each given adds).
+REPORT_FLAGS = {
+    ("sieve", None): "--limit --x --prime-limit",
+    ("moments", "theorem1"): "--seq! --x --s --alpha --M --sieve-limit --prime-limit",
+    ("moments", "poly"): "--poly! --z --s --sieve-limit",
+    ("moments", "linear"): "--a! --bs! --z --s --x --sieve-limit",
+    ("extremal", "--alphas"): "--M --alphas --sieve-limit",
+    ("extremal", None): "--M --y! --z! --sieve-limit",
+    ("elliptic", "theorem5"): "--curve --x --s --census-mod --sieve-limit --prime-limit",
+    ("elliptic", "orders"): "--curve --x --prime-limit",
+    ("romanoff", "frontier"): "--seq! --x --alpha --budget --prime-limit",
+    ("romanoff", "profile"): "--seq! --x --budget --prime-limit",
+    ("romanoff", "theorem9"): "--a --b --x --budget --prime-limit",
+    ("romanoff", "schnirelmann"): "--a --x --prime-limit",
+    ("romanoff", "order-sum"): "--a --b --P --sieve-limit --prime-limit",
+    ("romanoff", "order-dist"): "--a --z --trial-cap",
+    ("lemmas", "--gamma"): "--gamma --s-max --x-max",
+    ("lemmas", "--prime-sums"): "--prime-sums --tail-limit --prime-limit",
+    ("lemmas", "--min-pk"): "--min-pk --tail-limit --prime-limit",
+    ("lemmas", "--abel"): "--abel --seed",
+    ("verify-all", None): "--seed",
+}
+
+
+def _reports(command: str) -> tuple:
+    return tuple(k[1] for k in REPORT_FLAGS if k[0] == command)
+
+
+def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]) -> None:
+    """Refuse a flag given that its report does not read and a needed flag left
+    out. The subcommand's argv is parsed again over a namespace of Nones, so
+    only the flags given change: no flag value parses to None."""
+    command = args.command
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    unset = sub.parse_args(argv[argv.index(command) + 1 :], argparse.Namespace(**dict.fromkeys(vars(args))))
+    given = ["--" + a.dest.replace("_", "-") for a in sub._actions if getattr(unset, a.dest, None) is not None]
+    # the mode or toggle flags given, else the report (None without one)
+    keys = [(command, r) for r in _reports(command) if r in given] or [(command, getattr(args, "report", None))]
+    label = " ".join([command] + [r if r in given else f"--report {r}" for _, r in keys if r])
+    flags = " ".join(REPORT_FLAGS.get(k, "") for k in keys).split()
+    if unread := [f for f in given if f not in ("--out", "--report", *flags) and f + "!" not in flags]:
+        raise ParameterError(f"{label} does not read {', '.join(unread)}")
+    if keys[0] not in REPORT_FLAGS:  # lemmas without a toggle
+        raise ParameterError(f"{command} needs at least one of {'/'.join(_reports(command))}")
+    if missing := [f[:-1] for f in flags if f.endswith("!") and f[:-1] not in given]:
+        raise ParameterError(f"{label} needs {', '.join(missing)}")
 
 
 def _table_size(needed: float, cap: int, table: str, flag: str) -> int:
@@ -118,12 +170,6 @@ def _cmd_sieve(args: argparse.Namespace) -> None:
 
 
 def _cmd_moments(args: argparse.Namespace) -> None:
-    if args.report == "theorem1" and args.seq is None:
-        raise ParameterError("--report theorem1 needs --seq")
-    if args.report == "poly" and args.poly is None:
-        raise ParameterError("--report poly needs --poly")
-    if args.report == "linear" and (args.a is None or args.bs is None):
-        raise ParameterError("--report linear needs --a and --bs")
     from . import moments as mom
 
     if args.report == "theorem1":
@@ -170,20 +216,11 @@ def _cmd_extremal(args: argparse.Namespace) -> None:
     from . import extremal as ext
 
     sieve = make_sieve(args, args.M)
-    if args.alphas:
+    if args.alphas is not None:
         alphas = [float(v) for v in args.alphas.split(",")]
-        entries = ext.alpha_sweep(args.M, alphas, sieve)
-        _emit_json(
-            args,
-            {
-                "report": "alpha_sweep",
-                "M": args.M,
-                "entries": [dataclasses.asdict(e) for e in entries],
-            },
-        )
+        entries = [dataclasses.asdict(e) for e in ext.alpha_sweep(args.M, alphas, sieve)]
+        _emit_json(args, {"report": "alpha_sweep", "M": args.M, "entries": entries})
         return
-    if args.y is None or args.z is None:
-        raise ParameterError("extremal needs either --alphas or both --y/--z")
     result = ext.construct_extremal_set(args.M, args.y, args.z, sieve)
     payload = {
         "report": "extremal",
@@ -208,15 +245,15 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
     x = args.x
     if x < 2:
         raise ParameterError(f"--x must be >= 2, got {x}")
+    if args.report == "orders":
+        _emit(args, ell.order_sequence(curve, x, make_primes(args, x)).write_csv)
+        return
     for flag, value in (("--s", args.s), ("--census-mod", args.census_mod)):
-        if value is not None and value < 1:  # for both reports, before any point
+        if value is not None and value < 1:  # before any point
             raise ParameterError(f"{flag} must be >= 1, got {value}")
-    sieve = make_sieve(args, 1 + 2 * x) if args.report == "theorem5" else None
+    sieve = make_sieve(args, 1 + 2 * x)
     primes = make_primes(args, x)
     orders = ell.order_sequence(curve, x, primes)
-    if args.report == "orders":
-        _emit(args, orders.write_csv)
-        return
     report = ell.theorem5_report(curve, x, args.s, sieve, primes, orders=orders)
     payload = {
         "report": "theorem5",
@@ -241,10 +278,9 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
     from . import sequences as seq
 
     report = args.report
-    budget = rom.DEFAULT_BUDGET if args.budget is None else args.budget
+    if report in ("frontier", "profile", "theorem9"):
+        budget = args.budget if args.budget is not None else rom.DEFAULT_BUDGET
     if report in ("frontier", "profile"):
-        if args.seq is None:
-            raise ParameterError(f"--report {report} needs --seq")
         spec = seq.parse_sequence_spec(args.seq)
         x = args.x
         primes = make_primes(
@@ -268,13 +304,7 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
     elif report == "theorem9":
         primes = make_primes(args, args.x)
         estimates = rom.theorem9_report(args.a, args.b, args.x, primes, budget=budget)
-        _emit_json(
-            args,
-            {
-                "report": "theorem9",
-                "estimates": [dataclasses.asdict(e) for e in estimates],
-            },
-        )
+        _emit_json(args, {"report": "theorem9", "estimates": [dataclasses.asdict(e) for e in estimates]})
     elif report == "schnirelmann":
         primes = make_primes(args, args.x + args.a)
         out = rom.schnirelmann_pi2(args.x, args.a, primes)
@@ -321,6 +351,8 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
 
     records = []
     if args.gamma:
+        if args.s_max < 1:
+            raise ParameterError(f"--s-max must be >= 1, got {args.s_max}")
         for s in range(1, args.s_max + 1):
             worst, ok = lem.gamma_bound_grid(s, args.x_max)
             params = {"s": s, "x_min": lem.GAMMA_GRID_X_MIN,
@@ -359,10 +391,6 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
                 ok = ok and deviation <= 1e-12
         params = {"vectors": 20, "seed": args.seed}
         records.append(_lemma_record("abel_identity", params, worst, 1e-12, ok))
-    if not records:
-        raise ParameterError(
-            "lemmas needs at least one of --gamma/--prime-sums/--min-pk/--abel"
-        )
     _emit_json(args, {"report": "lemmas", "records": records})
 
 
@@ -376,14 +404,6 @@ def _cmd_verify_all(args: argparse.Namespace) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None)
-    sieve_limit = argparse.ArgumentParser(add_help=False)
-    sieve_limit.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    prime_limit = argparse.ArgumentParser(add_help=False)
-    prime_limit.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
-    both_caps = [common, sieve_limit, prime_limit]
-
     parser = argparse.ArgumentParser(
         prog="romanoff-lab",
         description="Desk-scale computations for totient-ratio moment sums "
@@ -391,13 +411,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", parents=[common, prime_limit], help="prime table statistics")
+    def add(name: str, handler: Callable, text: str) -> argparse.ArgumentParser:
+        """A subparser with --out and each table cap that a report of it reads."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", default=None)
+        for flag, cap in (("--sieve-limit", DEFAULT_SIEVE_LIMIT), ("--prime-limit", DEFAULT_PRIME_LIMIT)):
+            if any(flag in REPORT_FLAGS[(name, r)].split() for r in _reports(name)):
+                p.add_argument(flag, type=int, default=cap)
+        return p
+
+    p = add("sieve", _cmd_sieve, "prime table statistics")
     p.add_argument("--limit", type=int, default=10**6)
     p.add_argument("--x", type=_finite_float, default=None)
-    p.set_defaults(handler=_cmd_sieve)
 
-    p = sub.add_parser("moments", parents=both_caps, help="moment-sum reports")
-    p.add_argument("--report", choices=("theorem1", "poly", "linear"), default="theorem1")
+    p = add("moments", _cmd_moments, "moment-sum reports")
+    p.add_argument("--report", choices=_reports("moments"), default="theorem1")
     p.add_argument("--seq", default=None)
     p.add_argument("--x", type=int, default=1000)
     p.add_argument("--s", type=int, default=1)
@@ -407,36 +436,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_finite_float, default=100.0)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--bs", default=None, help="comma-separated shifts b_i")
-    p.set_defaults(handler=_cmd_moments)
 
-    p = sub.add_parser("extremal", parents=[common, sieve_limit], help="extremal-set construction")
+    p = add("extremal", _cmd_extremal, "extremal-set construction")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--y", type=_finite_float, default=None)
     p.add_argument("--z", type=_finite_float, default=None)
     p.add_argument("--alphas", default=None, help="comma-separated alpha sweep")
-    p.set_defaults(handler=_cmd_extremal)
 
-    p = sub.add_parser("elliptic", parents=both_caps, help="curve order statistics")
+    p = add("elliptic", _cmd_elliptic, "curve order statistics")
     p.add_argument("--curve", required=True, help="A,B; write a negative A as --curve=-3,2")
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--census-mod", type=int, default=None)
-    p.add_argument("--report", choices=("theorem5", "orders"), default="theorem5")
-    p.set_defaults(handler=_cmd_elliptic)
+    p.add_argument("--report", choices=_reports("elliptic"), default="theorem5")
 
-    p = sub.add_parser("romanoff", parents=both_caps, help="representation-count reports")
-    p.add_argument(
-        "--report",
-        choices=(
-            "frontier",
-            "profile",
-            "theorem9",
-            "schnirelmann",
-            "order-sum",
-            "order-dist",
-        ),
-        default="frontier",
-    )
+    p = add("romanoff", _cmd_romanoff, "representation-count reports")
+    p.add_argument("--report", choices=_reports("romanoff"), default="frontier")
     p.add_argument("--seq", default=None)
     p.add_argument("--x", type=int, default=2**16)
     p.add_argument("--alpha", type=_finite_float, default=1.0)
@@ -446,9 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=int, default=20)
     p.add_argument("--trial-cap", type=int, default=10**5)
     p.add_argument("--budget", type=int, default=None)  # None: romanoff.DEFAULT_BUDGET
-    p.set_defaults(handler=_cmd_romanoff)
 
-    p = sub.add_parser("lemmas", parents=[common, prime_limit], help="analytic lemma suite")
+    p = add("lemmas", _cmd_lemmas, "analytic lemma suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", action="store_true")
     p.add_argument("--s-max", type=int, default=12)
@@ -457,13 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-pk", action="store_true")
     p.add_argument("--abel", action="store_true")
     p.add_argument("--tail-limit", type=_finite_float, default=10**5)
-    p.set_defaults(handler=_cmd_lemmas)
 
-    p = sub.add_parser(
-        "verify-all", parents=[common], help="deterministic desk-scale battery"
-    )
+    p = add("verify-all", _cmd_verify_all, "deterministic desk-scale battery")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_verify_all)
 
     return parser
 
@@ -475,6 +485,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        _check_flags(parser, args, argv)
         args.handler(args)
     # ValueError: a parameter, range, domain or construction error; OSError: an
     # explicit:@file or --out path that cannot be used; both exit 2

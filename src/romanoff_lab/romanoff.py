@@ -154,6 +154,13 @@ def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: in
     return _windows(terms, x, primes)
 
 
+def _check_budget(budget: int) -> None:
+    """Each shift-add report calls this before any term or table: a negative
+    budget is a usage error, while 0 is a cap that any term exceeds."""
+    if budget < 0:
+        raise ParameterError(f"budget={budget} must be >= 0")
+
+
 def _refuse_curve_orders(
     spec: SequenceSpec, x: int, y: float, primes: PrimeList, budget: int
 ) -> None:
@@ -163,6 +170,7 @@ def _refuse_curve_orders(
     x + 1 - a >= x - q - isqrt(4q). That sum is a lower bound, so no run
     within the budget is refused. A y that is not a finite number >= 1, or a
     table too short for y, is left to raise where the orders are counted."""
+    _check_budget(budget)
     if (
         not isinstance(spec, EllipticOrders)
         or not 1 <= y < math.inf
@@ -544,6 +552,7 @@ def theorem9_report(
         raise ParameterError("need a >= 2 and b >= 2")
     if x < 3:
         raise ParameterError(f"x={x} must be >= 3")
+    _check_budget(budget)
     terms = enumerate_terms(PowerTower(a, b), x)
     windows = _shift_add_windows(Explicit(tuple(terms)), x, primes, budget)
     representable = sum(int(np.count_nonzero(counts)) for _, counts in windows)

@@ -30,6 +30,14 @@ def readme_cli_lines() -> list[str]:
     return [line for line in block.splitlines() if line.startswith("romanoff-lab ")]
 
 
+def workflow_cli_lines() -> list[str]:
+    """The argv of each ``python -m romanoff_lab`` line of the CI workflow,
+    with its shell variable $seed set to 0."""
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    marker = "python -m romanoff_lab "
+    return [line.split(marker, 1)[1].replace("$seed", "0") for line in workflow.splitlines() if marker in line]
+
+
 def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = run(argv + ["--out", str(out)])
@@ -54,6 +62,11 @@ def run_limited(argv, timeout=60):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("s_max", ["0", "-3"])
+    def test_gamma_with_s_max_below_one_is_2(self, s_max, capsys):
+        assert run(["lemmas", "--gamma", "--s-max", s_max]) == 2
+        assert capsys.readouterr() == ("", f"error: --s-max must be >= 1, got {s_max}\n")
+
     def test_lemmas_smoke(self, tmp_path):
         code, out = run_to_file(tmp_path, "lemmas.json", ["lemmas", "--gamma", "--s-max", "12"])
         assert code == 0
@@ -625,6 +638,59 @@ class TestFlagsPerSubcommand:
         argv = self.BASE[command]
         build_parser().parse_args(argv)
         assert run(argv + [flag, "10"]) == 2
+
+    # (argv, and the report and the flags its error line names)
+    UNREAD = [
+        ("romanoff --report theorem9 --a 2 --b 2 --x 100 --P 0", "romanoff --report theorem9", "--P"),
+        ("moments --report poly --poly 1,0,1 --z 10 --x -1", "moments --report poly", "--x"),
+        ("extremal --M 100 --alphas 0.5 --y 3 --z 1", "extremal --alphas", "--y, --z"),
+        ("extremal --M 100 --y 2.2 --z 6.9 --alphas 0.5", "extremal --alphas", "--y, --z"),
+        ("lemmas --prime-sums --x-max -1", "lemmas --prime-sums", "--x-max"),
+        ("lemmas --gamma --abel --tail-limit 5", "lemmas --gamma --abel", "--tail-limit"),
+        ("lemmas --s-max 3", "lemmas", "--s-max"),
+        ("elliptic --curve 1,1 --x 100 --report orders --s 1", "elliptic --report orders", "--s"),
+        ("elliptic --curve 1,1 --x 100 --report orders --sieve-limit 5", "elliptic --report orders", "--sieve-limit"),
+        ("romanoff --report order-dist --prime-limit 5 --budget 3", "romanoff --report order-dist",
+         "--prime-limit, --budget"),
+        ("romanoff --rep schnirelmann --bud 3", "romanoff --report schnirelmann", "--budget"),
+    ]
+
+    @pytest.mark.parametrize("argv,report,flags", UNREAD)
+    def test_flag_its_report_does_not_read_is_2(self, argv, report, flags, capsys):
+        assert run(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"error: {report} does not read {flags}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("moments --report theorem1 --x 10", "moments --report theorem1 needs --seq"),
+            ("moments --report poly --z 10", "moments --report poly needs --poly"),
+            ("moments --report linear --a 6", "moments --report linear needs --bs"),
+            ("moments --report linear", "moments --report linear needs --a, --bs"),
+            ("extremal --M 100 --y 2.2", "extremal needs --z"),
+            ("extremal --M 100", "extremal needs --y, --z"),
+            ("romanoff --report frontier", "romanoff --report frontier needs --seq"),
+            ("romanoff --report profile --x 100", "romanoff --report profile needs --seq"),
+            ("lemmas", "lemmas needs at least one of --gamma/--prime-sums/--min-pk/--abel"),
+        ],
+    )
+    def test_needed_flag_left_out_is_2(self, argv, message, capsys):
+        assert run(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("source", ["README", "CI"])
+    def test_documented_lines_give_only_flags_their_report_reads(self, source):
+        """Each CLI line of the README's example block and of the CI workflow
+        parses and passes the flag table, without running."""
+        if source == "README":
+            lines = [line.split(" ", 1)[1] for line in readme_cli_lines()]
+        else:
+            lines = workflow_cli_lines()
+        assert lines
+        parser = build_parser()
+        for line in lines:
+            argv = shlex.split(line)
+            cli._check_flags(parser, parser.parse_args(argv), argv)
 
     def test_readme_cli_lines_parse(self):
         lines = readme_cli_lines()

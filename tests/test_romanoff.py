@@ -777,6 +777,40 @@ class TestCurveOrdersRefusedUpFront:
                 theorem6_report(spec, x, 1.0, primes100k, budget=least - 1)
 
 
+class TestNegativeBudget:
+    """A negative budget is a usage error, raised where each shift-add report
+    first reads it, before any term or table; a budget of 0 stays a capacity
+    limit (above)."""
+
+    REPORTS = {
+        "profile": lambda primes: representation_counts(Geometric(2, 0), 1000, primes, budget=-1),
+        "frontier": lambda primes: theorem6_report(Geometric(2, 0), 1000, 1.0, primes, budget=-1),
+        "theorem9": lambda primes: theorem9_report(2, 2, 1000, primes, budget=-1),
+    }
+
+    @pytest.mark.parametrize("report", sorted(REPORTS))
+    def test_raises_parameter_error_before_any_term(self, report, primes100k, monkeypatch):
+        def built(*args):
+            raise AssertionError("a term or table was built")
+
+        monkeypatch.setattr(rom_module, "enumerate_terms", built)
+        monkeypatch.setattr(rom_module, "_odd_indicator", built)
+        with pytest.raises(ParameterError, match="budget=-1 must be >= 0"):
+            self.REPORTS[report](primes100k)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--report", "frontier", "--seq", "geom:2", "--x", "1000"],
+            ["--report", "profile", "--seq", "geom:2", "--x", "1000"],
+            ["--report", "theorem9", "--x", "1000"],
+        ],
+    )
+    def test_cli_exits_two(self, argv, capsys):
+        assert run(["romanoff", *argv, "--budget", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: budget=-1 must be >= 0\n")
+
+
 # --- the kernels these reports replaced, kept as oracles ----------------------
 
 

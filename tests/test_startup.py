@@ -69,6 +69,7 @@ def test_call_loads_only_its_modules(argv, extra, tmp_path):
         *(([command, "--help"], 0) for command in SUBCOMMANDS),
         (["moments", "--report", "theorem1"], 2),  # refused before any table
         (["lemmas", "--gamma", "--s-max", "6", "--abel", "--seed", "1"], 0),
+        (["romanoff", "--report", "theorem9", "--P", "0"], 2),  # a flag theorem9 does not read
     ],
 )
 def test_call_that_computes_no_table_loads_no_numpy(argv, code, tmp_path):
