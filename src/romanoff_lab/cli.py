@@ -97,18 +97,13 @@ def make_sieve(args: argparse.Namespace, needed: float):
     return build_sieve(size, cache_dir=os.environ.get(CACHE_ENV_VAR))
 
 
-def _largest_value(
-    args: argparse.Namespace, values: Iterator[int], least: int = 0, keep: Callable | None = None
-) -> int:
+def _largest_value(args: argparse.Namespace, values: Iterator[int], least: int = 0) -> int:
     """The largest of the values and least, read 2^16 at a time: the first
-    block above the sieve cap is refused, before the rest is enumerated.
-    keep, when given, is called with each block read."""
+    block above the sieve cap is refused, before the rest is enumerated."""
     largest = least
     while block := list(islice(values, 2**16)):
         largest = max(largest, max(block))
         _table_size(largest, args.sieve_limit, "a sieve of size", "--sieve-limit")
-        if keep is not None:
-            keep(block)
     return largest
 
 
@@ -139,6 +134,11 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    """argparse type of --alphas: the entry that is no finite float exits 2."""
+    return [_finite_float(v) for v in text.split(",")]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -186,15 +186,16 @@ def _cmd_moments(args: argparse.Namespace) -> None:
             if isinstance(spec, seq.EllipticOrders)
             else None
         )
-        blocks: list = []  # the terms, all in [1, --sieve-limit], as int64 arrays
-        terms = seq.iter_terms(spec, x, primes)
-        largest = _largest_value(args, terms, keep=lambda b: blocks.append(np.array(b, np.int64)))
+        blocks = []  # the terms, all in [1, --sieve-limit]: the first block past it is refused
+        for block in seq.iter_terms(spec, x, primes):
+            _table_size(block.max(), args.sieve_limit, "a sieve of size", "--sieve-limit")
+            blocks.append(block)
         if not blocks:
             raise DomainError(f"sequence has no terms <= {x}")
         values = np.concatenate(blocks)
         blocks.clear()
         values.sort(kind="stable")
-        sieve = make_sieve(args, largest)
+        sieve = make_sieve(args, int(values[-1]))
         report = mom.theorem1_report(values, args.s, args.alpha, M, sieve)
         payload = dataclasses.asdict(report)
         payload["parameters"]["sequence"] = seq.format_sequence_spec(spec)
@@ -217,8 +218,7 @@ def _cmd_extremal(args: argparse.Namespace) -> None:
 
     sieve = make_sieve(args, args.M)
     if args.alphas is not None:
-        alphas = [float(v) for v in args.alphas.split(",")]
-        entries = [dataclasses.asdict(e) for e in ext.alpha_sweep(args.M, alphas, sieve)]
+        entries = [dataclasses.asdict(e) for e in ext.alpha_sweep(args.M, args.alphas, sieve)]
         _emit_json(args, {"report": "alpha_sweep", "M": args.M, "entries": entries})
         return
     result = ext.construct_extremal_set(args.M, args.y, args.z, sieve)
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--y", type=_finite_float, default=None)
     p.add_argument("--z", type=_finite_float, default=None)
-    p.add_argument("--alphas", default=None, help="comma-separated alpha sweep")
+    p.add_argument("--alphas", type=_finite_floats, default=None, help="comma-separated alpha sweep")
 
     p = add("elliptic", _cmd_elliptic, "curve order statistics")
     p.add_argument("--curve", required=True, help="A,B; write a negative A as --curve=-3,2")

@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 
 # generation guard: no family may expand to more terms than this
 MAX_GENERATED_TERMS = 10**8
-# polynomial values evaluated by one int64 Horner pass
+# polynomial values evaluated by one Horner pass (its terms go out 2^16 at a time)
 _TERM_BLOCK = 1 << 20
 
 
@@ -160,12 +160,22 @@ def _least(holds, j: int) -> int:
     return j
 
 
-def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[int]:
+def _blocks(values: list[int] | np.ndarray) -> Iterator[np.ndarray]:
+    """The positive values in blocks of 2^16, int64 unless a value is beyond it."""
+    for i in range(0, len(values), 1 << 16):
+        try:
+            block = np.asarray(values[i : i + (1 << 16)], dtype=np.int64)
+        except OverflowError:  # Python ints, object dtype
+            block = np.array(values[i : i + (1 << 16)], dtype=object)
+        yield block
+
+
+def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[np.ndarray]:
     """The values 0 < R(j) <= x in the order of j = 1, ..., J, the first j at
     which |R(j)| >= j^(k-1) (lead*j - k*max|c_i|) exceeds x, or the Cauchy
-    root bound when the leading coefficient is negative. Horner runs in
-    int64 blocks while sum |c_i| j^i < 2^63, which bounds every partial sum,
-    and in Python ints beyond; more than MAX_GENERATED_TERMS values raise."""
+    root bound when the leading coefficient is negative. Horner runs in int64
+    while sum |c_i| j^i < 2^63 (it bounds every partial sum), on Python ints
+    in a pass past that; more than MAX_GENERATED_TERMS values raise."""
     k = poly.degree
     if k == 0:
         value = poly.coeffs[0]
@@ -182,25 +192,20 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[int]:
     if poly.coeffs[-1] < 0:  # R(j) < 0 past the Cauchy root bound 1 + top/lead
         last = min(last, 1 + top // lead)
     wide = _least(lambda j: sum(abs(c) * j**i for i, c in enumerate(poly.coeffs)) >= 2**63, 1)
+    cap = math.floor(x)  # compared with the float x, an int64 would be rounded
     count = 0
-    for start in range(1, min(last + 1, wide), _TERM_BLOCK):
-        j = np.arange(start, min(start + _TERM_BLOCK, last + 1, wide), dtype=np.int64)
+    for start in range(1, last + 1, _TERM_BLOCK):
+        stop = min(start + _TERM_BLOCK, last + 1)
+        j = np.arange(start, stop, dtype=np.int64 if stop <= wide else object)
         value = np.full_like(j, poly.coeffs[-1])
         for c in reversed(poly.coeffs[:-1]):
             value *= j
             value += c
-        block = [v for v in value.tolist() if 0 < v <= x]
-        count += len(block)
+        value = value[(value > 0) & (value <= cap)]
+        count += len(value)
         if count > MAX_GENERATED_TERMS:
             raise CapacityError("polynomial term generation exceeded the guard")
-        yield from block
-    for j in range(wide, last + 1):
-        value = poly.evaluate(j)
-        if 0 < value <= x:
-            count += 1
-            if count > MAX_GENERATED_TERMS:
-                raise CapacityError("polynomial term generation exceeded the guard")
-            yield value
+        yield from _blocks(value)
 
 
 def elliptic_prime_bound(x: float) -> int:
@@ -212,7 +217,7 @@ def elliptic_prime_bound(x: float) -> int:
 
 def _elliptic_order_terms(
     curve: EllipticCurve, x: float, primes: PrimeList | None
-) -> list[int]:
+) -> np.ndarray:
     from .elliptic import order_sequence
 
     if primes is None:
@@ -220,31 +225,29 @@ def _elliptic_order_terms(
     q_bound = elliptic_prime_bound(x)
     primes.check_range(q_bound)
     counts = order_sequence(curve, q_bound, primes).counts
-    return counts[counts <= x].tolist()
+    return counts[counts <= x]
 
 
 def enumerate_terms(
     spec: SequenceSpec, x: float, primes: PrimeList | None = None
 ) -> list[int]:
     """All terms a_j <= x, with multiplicity, in ascending order."""
-    return sorted(iter_terms(spec, x, primes))
+    blocks = list(iter_terms(spec, x, primes))
+    return np.sort(np.concatenate(blocks)).tolist() if blocks else []
 
 
 def iter_terms(
     spec: SequenceSpec, x: float, primes: PrimeList | None = None
-) -> Iterator[int]:
+) -> Iterator[np.ndarray]:
     """The terms of enumerate_terms in the order they are generated (in j for
-    a polynomial), so that a caller can stop before the last is built."""
+    a polynomial), 2^16 at a time as the arrays of _blocks, so that a caller
+    can stop before the last is built."""
     check_finite("x", x)
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
-    if isinstance(spec, Geometric):
-        out = []
-        value = spec.base**spec.start_exponent
-        while value <= x:
-            out.append(value)
-            value *= spec.base
-        return iter(out)
+    if isinstance(spec, Geometric):  # base^e <= x for e < stop; x >= 1, so stop >= 1
+        stop = _least(lambda e: spec.base**e > x, 1)
+        return _blocks([spec.base**e for e in range(spec.start_exponent, stop)])
     if isinstance(spec, PowerTower):
         out = []
         exponent_bound = math.log(x) / math.log(spec.base) + 2  # float guard
@@ -261,15 +264,15 @@ def iter_terms(
                 break
             out.append(value)
             j += 1
-        return iter(out)
+        return _blocks(out)
     if isinstance(spec, Polynomial):
         return _polynomial_terms(spec.poly, x)
     if isinstance(spec, EllipticOrders):
-        return iter(_elliptic_order_terms(spec.curve, x, primes))
+        return _blocks(_elliptic_order_terms(spec.curve, x, primes))
     if isinstance(spec, Explicit):
         if len(spec.values) > MAX_GENERATED_TERMS:
             raise CapacityError("explicit sequence exceeds the term guard")
-        return (v for v in spec.values if v <= x)
+        return _blocks([v for v in spec.values if v <= x])
     raise ParameterError(f"not a sequence spec: {spec!r}")
 
 

@@ -236,7 +236,7 @@ class TestRefusedBeforeTheyRun:
             sequences_module, "_polynomial_terms", lambda *a: (read.append(v) or v for v in terms(*a))
         )
         assert run(argv + ["65535"]) == 3
-        assert len(read) == 2**16
+        assert sum(map(len, read)) == 2**16
 
 
 class TestReports:

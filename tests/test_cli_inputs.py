@@ -35,6 +35,15 @@ class TestFiniteFloatFlags:
         assert run(["sieve", "--x", "ten"]) == 2
         assert "invalid float value: 'ten'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alphas,entry", [("0.5,,0.4", "''"), ("", "''"), ("0.5,x", "'x'"), ("0.5,nan", "'nan'")]
+    )
+    def test_alpha_list_names_the_flag_and_the_entry(self, alphas, entry, capsys):
+        assert run(["extremal", "--M", "1000", "--alphas", alphas]) == 2
+        err = capsys.readouterr().err
+        assert "argument --alphas: " in err and entry in err
+        assert "Traceback" not in err
+
 
 class TestCurveText:
     def test_round_trip(self):

@@ -1,7 +1,8 @@
 """The T6 frontier and T9 reports against output committed from the kernel
 that built an int64 r over every n <= x, and the memory the windowed kernel
 keeps them in; the T1 report against output committed from the moment sum
-that added Python floats with math.fsum; the T5 report and orders against
+that added Python floats with math.fsum, and on each sequence family against
+output committed from the terms read as Python ints; the T5 report and orders against
 output committed from the lane rounds sized by the baby-step count; pi_2 and
 the order distribution against output committed from the binary search per
 shifted prime and the trial division by every integer up to the cap; the
@@ -122,6 +123,24 @@ def test_theorem1_at_a_million_is_byte_identical(tmp_path):
     argv = ["moments", "--report", "theorem1", "--seq", "poly:1,0", "--x", "1000000", "--s", "3"]
     assert run(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "theorem1-poly10-x1000000-s3.json").read_bytes()
+
+
+# one sequence of each family; the explicit list repeats terms and holds 2^64 + 1
+THEOREM1_SEQUENCES = {
+    "ecorders1_1": "ecorders:1,1",
+    "geom3": "geom:3",
+    "tower2_2": "tower:2:2",
+    "poly1_m20_1": "poly:1,-20,1",
+    "explicit": f"explicit:@{DATA / 'theorem1-explicit-terms.txt'}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM1_SEQUENCES))
+def test_theorem1_of_each_family_is_byte_identical(name, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["moments", "--report", "theorem1", "--seq", THEOREM1_SEQUENCES[name], "--x", "100000", "--s", "2"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"theorem1-{name}-x100000-s2.json").read_bytes()
 
 
 # Linux folds the memory a process replaces at exec into its ru_maxrss, so a

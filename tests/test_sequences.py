@@ -1,11 +1,12 @@
 import math
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romanoff_lab.elliptic import EllipticCurve, count_points
+from romanoff_lab.elliptic import EllipticCurve, count_points, order_sequence
 from romanoff_lab.errors import (
     CapacityError,
     DomainError,
@@ -23,8 +24,10 @@ from romanoff_lab.sequences import (
     congruence_pair_sum,
     count_terms,
     doubling_ratio,
+    elliptic_prime_bound,
     enumerate_terms,
     format_sequence_spec,
+    iter_terms,
     max_multiplicity,
     parse_sequence_spec,
     term_multiplicity,
@@ -86,6 +89,18 @@ class TestEnumerateTerms:
     def test_explicit(self):
         assert enumerate_terms(Explicit((5, 1, 1, 9)), 5) == [1, 1, 5]
 
+    def test_blocks_of_each_family(self, primes100k):
+        # 2^16 + 5 values: the one beyond int64 makes only its own block Python ints
+        values = list(range(1, 2**16 + 4)) + [2**70, 3]
+        assert_blocks_hold(Explicit(tuple(values)), 2.0**71, values)
+        assert_blocks_hold(Explicit((2**64, 5, 2**63 - 1)), 2**63, [5, 2**63 - 1])
+        assert_blocks_hold(Explicit((7, 8)), 6, [])
+        assert_blocks_hold(Geometric(2, 0), 2.0**70, [2**j for j in range(71)])
+        assert_blocks_hold(PowerTower(2, 2), 2.0**64, [2 ** (j * j) for j in range(9)])
+        counts = order_sequence(EllipticCurve(1, 1), elliptic_prime_bound(90000), primes100k).counts
+        orders = [n for n in counts.tolist() if n <= 90000]
+        assert_blocks_hold(EllipticOrders(EllipticCurve(1, 1)), 90000, orders, primes100k)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             Geometric(1, 0)
@@ -96,7 +111,7 @@ class TestEnumerateTerms:
 
 
 def polynomial_terms_oracle(poly: PolynomialSpec, x: float) -> list[int]:
-    """The one-j-at-a-time loop that int64 Horner blocks replaced."""
+    """The one-j-at-a-time loop that int64 Horner blocks replaced, in j order."""
     k = poly.degree
     lead = abs(poly.coeffs[-1])
     tail_max = max((abs(c) for c in poly.coeffs[:-1]), default=0)
@@ -111,7 +126,17 @@ def polynomial_terms_oracle(poly: PolynomialSpec, x: float) -> list[int]:
             out.append(value)
         if j ** (k - 1) * (lead * j - tail_max * k) > x:
             break
-    return sorted(out)
+    return out
+
+
+def assert_blocks_hold(spec, x, expected, primes=None):
+    """iter_terms yields arrays of 1 to 2^16 terms, int64 exactly when every
+    term of the block is below 2^63, that are expected in generation order."""
+    blocks = list(iter_terms(spec, x, primes))
+    for block in blocks:
+        assert isinstance(block, np.ndarray) and 0 < len(block) <= 2**16
+        assert block.dtype == (np.int64 if max(block.tolist()) < 2**63 else object)
+    assert [v for block in blocks for v in block.tolist()] == expected
 
 
 def assert_terms_match_oracle(coeffs, x, block=None):
@@ -125,7 +150,8 @@ def assert_terms_match_oracle(coeffs, x, block=None):
             with pytest.raises(CapacityError):
                 enumerate_terms(Polynomial(poly), x)
             return
-        assert enumerate_terms(Polynomial(poly), x) == expected
+        assert enumerate_terms(Polynomial(poly), x) == sorted(expected)
+        assert_blocks_hold(Polynomial(poly), x, expected)
 
 
 class TestPolynomialTermsAgainstLoop:
