@@ -24,8 +24,7 @@ import json
 import math
 import os
 import sys
-from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import CapacityError, DomainError, ParameterError, TableIntegrityError
 
@@ -97,16 +96,6 @@ def make_sieve(args: argparse.Namespace, needed: float):
     return build_sieve(size, cache_dir=os.environ.get(CACHE_ENV_VAR))
 
 
-def _largest_value(args: argparse.Namespace, values: Iterator[int], least: int = 0) -> int:
-    """The largest of the values and least, read 2^16 at a time: the first
-    block above the sieve cap is refused, before the rest is enumerated."""
-    largest = least
-    while block := list(islice(values, 2**16)):
-        largest = max(largest, max(block))
-        _table_size(largest, args.sieve_limit, "a sieve of size", "--sieve-limit")
-    return largest
-
-
 def make_primes(args: argparse.Namespace, needed: float):
     from .sieve import PrimeList
     return PrimeList.build(_table_size(needed, args.prime_limit, "primes up to", "--prime-limit"))
@@ -172,6 +161,9 @@ def _cmd_sieve(args: argparse.Namespace) -> None:
 def _cmd_moments(args: argparse.Namespace) -> None:
     from . import moments as mom
 
+    def check(largest) -> None:  # for read_blocks: the first block past --sieve-limit is refused
+        _table_size(largest, args.sieve_limit, "a sieve of size", "--sieve-limit")
+
     if args.report == "theorem1":
         import numpy as np
 
@@ -186,10 +178,7 @@ def _cmd_moments(args: argparse.Namespace) -> None:
             if isinstance(spec, seq.EllipticOrders)
             else None
         )
-        blocks = []  # the terms, all in [1, --sieve-limit]: the first block past it is refused
-        for block in seq.iter_terms(spec, x, primes):
-            _table_size(block.max(), args.sieve_limit, "a sieve of size", "--sieve-limit")
-            blocks.append(block)
+        blocks = list(mom.read_blocks(seq.iter_terms(spec, x, primes), check))
         if not blocks:
             raise DomainError(f"sequence has no terms <= {x}")
         values = np.concatenate(blocks)
@@ -202,13 +191,14 @@ def _cmd_moments(args: argparse.Namespace) -> None:
         _emit_json(args, {"report": "theorem1", "moment": payload})
     elif args.report == "poly":
         poly = mom.PolynomialSpec.from_descending(_parse_int_list(args.poly))
-        sieve = make_sieve(args, _largest_value(args, mom.iter_poly_values(poly, args.z)))
+        blocks = mom.read_blocks(mom.iter_poly_values(poly, args.z), check)
+        sieve = make_sieve(args, max(map(max, blocks), default=0))
         report = mom.poly_moment_report(poly, args.z, args.s, sieve)
         _emit_json(args, {"report": "poly", "moment": dataclasses.asdict(report)})
     elif args.report == "linear":
         shifts = _parse_int_list(args.bs)
-        deltas = mom.iter_delta_values(args.a, shifts, args.z)
-        sieve = make_sieve(args, _largest_value(args, deltas, args.a))
+        blocks = mom.read_blocks(mom.iter_delta_values(args.a, shifts, args.z), check)
+        sieve = make_sieve(args, max([args.a, *map(max, blocks)]))
         report = mom.delta_moment_report(args.a, shifts, args.z, args.s, args.x, sieve)
         _emit_json(args, {"report": "linear", "moment": dataclasses.asdict(report)})
 

@@ -60,6 +60,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ParameterError, RangeError
 from .moments import MomentReport, _ratio_power_fsum
+from .sequences import elliptic_prime_bound
 from .sieve import (
     _LANE_PRIME_LIMIT,
     FactorSieve,
@@ -690,10 +691,8 @@ def theorem5_report(
         raise ParameterError(f"s={s} must be >= 1")
     if x < 2:
         raise ParameterError(f"x={x} must be >= 2")
-    if 1 + 2 * x > sieve.limit:
-        raise RangeError(
-            f"orders up to 1+2x = {1 + 2 * x:g} exceed sieve limit {sieve.limit}"
-        )
+    if (bound := elliptic_prime_bound(x)) > sieve.limit:  # Hasse: orders <= x + 2 sqrt(x) + 1
+        raise RangeError(f"orders up to {bound} exceed sieve limit {sieve.limit}")
     orders = _orders_for(curve, x, primes, orders)
     lhs = _ratio_power_fsum(orders.counts, s, sieve)
     pi_x = len(orders.counts)

@@ -15,7 +15,9 @@ bucket's mantissa halves.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,47 +29,34 @@ _SUM_CHUNK = 1 << 13
 _FRACTION_CHUNK = 512  # Fractions per raw (num, den) tree merge of exact_fraction_sum
 
 
-def pair_tree_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Sum (numerator, denominator) pairs without any gcd reduction."""
-    items = list(pairs)
-    if not items:
-        return (0, 1)
+def _tree_total(items: list, add):
+    """The total of a nonempty list as a balanced tree: add adjacent pairs,
+    carry an odd last item up, and repeat until one item is left."""
     while len(items) > 1:
-        merged = []
-        for i in range(0, len(items) - 1, 2):
-            n1, d1 = items[i]
-            n2, d2 = items[i + 1]
-            merged.append((n1 * d2 + n2 * d1, d1 * d2))
+        merged = [add(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
         if len(items) % 2:
             merged.append(items[-1])
         items = merged
     return items[0]
 
 
+def pair_tree_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Sum (numerator, denominator) pairs by _tree_total, without any gcd
+    reduction: the pair a/b + c/d is (ad + cb, bd); (0, 1) for no pairs."""
+    items = list(pairs)
+    if not items:
+        return (0, 1)
+    return _tree_total(items, lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1]))
+
+
 def exact_fraction_sum(fractions: Iterable[Fraction]) -> Fraction:
-    """Exact sum of many Fractions, balanced to keep intermediate gcds cheap."""
-    chunk_totals: list[Fraction] = []
-    buf: list[tuple[int, int]] = []
-    for f in fractions:
-        buf.append((f.numerator, f.denominator))
-        if len(buf) == _FRACTION_CHUNK:
-            n, d = pair_tree_sum(buf)
-            chunk_totals.append(Fraction(n, d))
-            buf.clear()
-    if buf:
-        n, d = pair_tree_sum(buf)
-        chunk_totals.append(Fraction(n, d))
-    if not chunk_totals:
-        return Fraction(0)
-    while len(chunk_totals) > 1:
-        merged = [
-            chunk_totals[i] + chunk_totals[i + 1]
-            for i in range(0, len(chunk_totals) - 1, 2)
-        ]
-        if len(chunk_totals) % 2:
-            merged.append(chunk_totals[-1])
-        chunk_totals = merged
-    return chunk_totals[0]
+    """Exact sum of many Fractions, balanced to keep intermediate gcds cheap: pair_tree_sum
+    of each _FRACTION_CHUNK terms, reduced once, then the same tree over the chunk totals."""
+    terms = iter(fractions)
+    totals = []
+    while chunk := [(f.numerator, f.denominator) for f in islice(terms, _FRACTION_CHUNK)]:
+        totals.append(Fraction(*pair_tree_sum(chunk)))
+    return _tree_total(totals, operator.add) if totals else Fraction(0)
 
 
 def float_sum(blocks: Iterable[np.ndarray]) -> float:

@@ -26,7 +26,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Iterator, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -266,13 +267,29 @@ def lemma3_report(n: int, alpha: float, sieve: FactorSieve) -> Lemma3Report:
     return Lemma3Report(ratio, product, ratio / product)
 
 
-def _family_report(values, what, lead, k, z, s, sieve, parameters) -> MomentReport:
-    """T3/T4 from their values: the moment sum against rhs_core =
+def read_blocks(blocks: Iterable, check: Callable) -> Iterator:
+    """Each block of values (an array, or a list of ints) once check(its largest
+    value) returns: a check that raises refuses the first block past a bound."""
+    for block in blocks:
+        check(block.max() if isinstance(block, np.ndarray) else max(block))
+        yield block
+
+
+def _in_blocks(values: Iterator[int]) -> Iterator[list[int]]:
+    return iter(lambda: list(islice(values, 1 << 16)), [])
+
+
+def _family_report(blocks, what, lead, k, z, s, sieve, parameters) -> MomentReport:
+    """T3/T4 from the blocks of their values: the moment sum against rhs_core =
     (lead/phi(lead) * ln(k+1))^s * s! * z, and the implied constant that
     strips those factors from the lhs. ``what`` names the values in the
     capacity error, and the report's parameters gain the term count."""
-    if max(values, default=0) > sieve.limit:
-        raise CapacityError(f"max {what} exceeds sieve limit {sieve.limit}")
+
+    def check(largest) -> None:
+        if largest > sieve.limit:
+            raise CapacityError(f"max {what} exceeds sieve limit {sieve.limit}")
+
+    values = [v for block in read_blocks(blocks, check) for v in block]
     lhs = _ratio_power_fsum(values, s, sieve)
     lead_ratio = float(totient_ratio(lead, sieve))
     log_k1 = math.log(k + 1)
@@ -292,14 +309,14 @@ def _family_report(values, what, lead, k, z, s, sieve, parameters) -> MomentRepo
 
 def poly_values(poly: PolynomialSpec, z: float) -> list[int]:
     """|R(n)| over -z <= n <= z, skipping the roots of R."""
-    return list(iter_poly_values(poly, z))
+    return [v for block in iter_poly_values(poly, z) for v in block]
 
 
-def iter_poly_values(poly: PolynomialSpec, z: float) -> Iterator[int]:
-    """poly_values one at a time, from n = -z up."""
+def iter_poly_values(poly: PolynomialSpec, z: float) -> Iterator[list[int]]:
+    """poly_values in lists of 2^16 (the last may be shorter), from n = -z up."""
     check_finite("z", z)
     half = math.floor(z)
-    return (abs(r) for r in map(poly.evaluate, range(-half, half + 1)) if r != 0)
+    return _in_blocks(abs(r) for r in map(poly.evaluate, range(-half, half + 1)) if r != 0)
 
 
 def poly_moment_report(
@@ -316,7 +333,6 @@ def poly_moment_report(
         raise ParameterError(f"s={s} must be >= 1")
     if poly.degree < 1:
         raise ParameterError("degree must be >= 1")
-    values = poly_values(poly, z)
     parameters = {
         "coeffs_descending": list(reversed(poly.coeffs)),
         "degree": poly.degree,
@@ -325,7 +341,7 @@ def poly_moment_report(
         "s": s,
     }
     return _family_report(
-        values, "|R(n)|", poly.content, poly.degree, z, s, sieve, parameters
+        iter_poly_values(poly, z), "|R(n)|", poly.content, poly.degree, z, s, sieve, parameters
     )
 
 
@@ -340,15 +356,15 @@ def delta_L(a: int, b: int, bs: Sequence[int]) -> int:
 
 def delta_values(a: int, bs: Sequence[int], z: float) -> list[int]:
     """Delta_L for every L(n) = an + b with b in [-z, z] outside the family."""
-    return list(iter_delta_values(a, bs, z))
+    return [v for block in iter_delta_values(a, bs, z) for v in block]
 
 
-def iter_delta_values(a: int, bs: Sequence[int], z: float) -> Iterator[int]:
-    """delta_values one at a time, from b = -z up."""
+def iter_delta_values(a: int, bs: Sequence[int], z: float) -> Iterator[list[int]]:
+    """delta_values in lists of 2^16 (the last may be shorter), from b = -z up."""
     check_finite("z", z)
     half = math.floor(z)
     excluded = set(int(b) for b in bs)
-    return (delta_L(a, b, bs) for b in range(-half, half + 1) if b not in excluded)
+    return _in_blocks(delta_L(a, b, bs) for b in range(-half, half + 1) if b not in excluded)
 
 
 def delta_moment_report(
@@ -382,7 +398,6 @@ def delta_moment_report(
             "the measured constant is exploratory",
             stacklevel=2,
         )
-    values = delta_values(a, bs, z)
     k = len(bs)
     parameters = {
         "a": a,
@@ -392,4 +407,4 @@ def delta_moment_report(
         "s": s,
         "x": x,
     }
-    return _family_report(values, "Delta_L", a, k, z, s, sieve, parameters)
+    return _family_report(iter_delta_values(a, bs, z), "Delta_L", a, k, z, s, sieve, parameters)

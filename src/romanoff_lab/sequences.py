@@ -191,10 +191,15 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[np.ndarray]:
     last = _least(lambda j: j ** (k - 1) * (lead * j - tail) > x, tail // lead + 1)
     if poly.coeffs[-1] < 0:  # R(j) < 0 past the Cauchy root bound 1 + top/lead
         last = min(last, 1 + top // lead)
+    # c_i j^i is monotone in j, so R <= sum max(c_i, c_i j^i) on [1, j]; that grows with j,
+    # so no term lies below the first j where it is positive, nor in a pass (from 1) below it
+    first = _least(lambda j: j > last or sum(max(c, c * j**i) for i, c in enumerate(poly.coeffs)) > 0, 1)
+    if min(first - 1, last) > MAX_GENERATED_TERMS:
+        raise CapacityError(f"no polynomial term among the first {MAX_GENERATED_TERMS} values of j")
     wide = _least(lambda j: sum(abs(c) * j**i for i, c in enumerate(poly.coeffs)) >= 2**63, 1)
     cap = math.floor(x)  # compared with the float x, an int64 would be rounded
     count = 0
-    for start in range(1, last + 1, _TERM_BLOCK):
+    for start in range(1 + (first - 1) // _TERM_BLOCK * _TERM_BLOCK, last + 1, _TERM_BLOCK):
         stop = min(start + _TERM_BLOCK, last + 1)
         j = np.arange(start, stop, dtype=np.int64 if stop <= wide else object)
         value = np.full_like(j, poly.coeffs[-1])
@@ -205,6 +210,8 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[np.ndarray]:
         count += len(value)
         if count > MAX_GENERATED_TERMS:
             raise CapacityError("polynomial term generation exceeded the guard")
+        if not count and stop - 1 > MAX_GENERATED_TERMS:  # the same rule, where first falls short
+            raise CapacityError(f"no polynomial term among the first {MAX_GENERATED_TERMS} values of j")
         yield from _blocks(value)
 
 
@@ -241,30 +248,20 @@ def iter_terms(
 ) -> Iterator[np.ndarray]:
     """The terms of enumerate_terms in the order they are generated (in j for
     a polynomial), 2^16 at a time as the arrays of _blocks, so that a caller
-    can stop before the last is built."""
+    can stop before the last is built. Each bound on j is found by _least; a
+    polynomial with no term among its first 10^8 values of j raises."""
     check_finite("x", x)
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
     if isinstance(spec, Geometric):  # base^e <= x for e < stop; x >= 1, so stop >= 1
         stop = _least(lambda e: spec.base**e > x, 1)
         return _blocks([spec.base**e for e in range(spec.start_exponent, stop)])
-    if isinstance(spec, PowerTower):
-        out = []
-        exponent_bound = math.log(x) / math.log(spec.base) + 2  # float guard
-        j = 0
-        while True:
-            # j^b >= 2^b > b >= the bound, decided before a huge j^b is built
-            if j >= 2 and spec.power >= exponent_bound:
-                break
-            exponent = j**spec.power
-            if exponent > exponent_bound:
-                break
-            value = spec.base**exponent
-            if value > x:
-                break
-            out.append(value)
-            j += 1
-        return _blocks(out)
+    if isinstance(spec, PowerTower):  # b^(j^p) <= x for j < stop
+        b, p = spec.base, spec.power
+        bound = math.log(x) / math.log(b) + 2  # float guard: j^p > bound gives b^(j^p) > x
+        # j >= 2 and p >= bound give j^p >= 2^p > p >= bound, decided before a huge j^p is built
+        stop = _least(lambda j: (j >= 2 and p >= bound) or j**p > bound or b ** (j**p) > x, 1)
+        return _blocks([b ** (j**p) for j in range(stop)])
     if isinstance(spec, Polynomial):
         return _polynomial_terms(spec.poly, x)
     if isinstance(spec, EllipticOrders):

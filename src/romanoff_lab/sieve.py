@@ -107,7 +107,8 @@ _TRIAL_CERTIFY_FROM = 2**16
 def factorize_trial(n: int) -> list[tuple[int, int]]:
     """Factor n by trial division; (prime, exponent) pairs in ascending order.
 
-    Once the divisor passes _TRIAL_CERTIFY_FROM, a cofactor that is_prime
+    One divide-out step serves every divisor: 2, 3, 5, then 6k +- 1. Once
+    the divisor passes _TRIAL_CERTIFY_FROM, a cofactor that is_prime
     certifies ends the search (tested again whenever it shrinks); one beyond
     the reach of is_prime is trial-divided to the end. Inputs below 2^32
     never get that far and do no extra work.
@@ -115,23 +116,17 @@ def factorize_trial(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ParameterError(f"cannot factor n={n}")
     out = []
-    for d in (2, 3):
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-    d = 5
-    step = 2
+    d, step = 2, 1  # 2, 3, 5, then alternately +2 and +4: 7, 11, 13, 17, ...
     certify = True
-    while d * d <= n:
+    root = math.isqrt(n)  # d <= root, in place of d * d <= n on every step
+    while d <= root:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))
+            root = math.isqrt(n)
             certify = True
         elif d > _TRIAL_CERTIFY_FROM and certify:
             certify = False
@@ -141,7 +136,7 @@ def factorize_trial(n: int) -> list[tuple[int, int]]:
             except CapacityError:
                 pass
         d += step
-        step = 6 - step
+        step = 6 - step if d > 5 else 2
     if n > 1:
         out.append((n, 1))
     return out

@@ -238,6 +238,13 @@ class TestRefusedBeforeTheyRun:
         assert run(argv + ["65535"]) == 3
         assert sum(map(len, read)) == 2**16
 
+    def test_polynomial_terms_far_out_are_3(self):
+        # R(j) = j - 2^70: every j up to 2^70 was walked before the first term
+        argv = "moments --report theorem1 --seq poly:1,-1180591620717411303424 --x 2361183241434822606848"
+        proc = run_limited(argv + " --sieve-limit 1000", timeout=10)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
 
 class TestReports:
     def test_sieve_stats(self, tmp_path):

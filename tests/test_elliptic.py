@@ -316,6 +316,15 @@ class TestTheorem5Report:
         with pytest.raises(RangeError):
             theorem5_report(EllipticCurve(1, 1), 100, 1, small, primes100k)
 
+    def test_table_to_the_hasse_bound_is_enough(self, primes100k):
+        # x + 2 sqrt(x) + 1 = 10201 bounds every order at x = 10^4 (the largest is 10086)
+        curve = EllipticCurve(1, 1)
+        assert max(order_sequence(curve, 10**4, primes100k).counts) <= 10201
+        reports = [theorem5_report(curve, 10**4, 2, build_sieve(n), primes100k) for n in (10201, 20001)]
+        assert reports[0] == reports[1]
+        with pytest.raises(RangeError):
+            theorem5_report(curve, 10**4, 2, build_sieve(10200), primes100k)
+
     def test_sum_beyond_float64_is_capacity_error(self, sieve1m, primes100k):
         # some order n has n/phi(n) >= 2, and 2^2000 is beyond float64
         with pytest.raises(CapacityError, match="s=2000"):

@@ -146,3 +146,24 @@ class TestFloatSum:
             float_sum([np.array(terms)])
         with pytest.raises(OverflowError):
             float_sum([np.array([1.0]), np.array(terms)])
+
+
+class TestOneMergeTree:
+    """pair_tree_sum and exact_fraction_sum share one tree merge; each is
+    checked against a sum that uses no tree."""
+
+    def test_pairs_stay_unreduced(self):
+        # an unreduced sum of pairs, whatever the tree, is
+        # (sum n_i * prod_{j != i} d_j, prod d_j)
+        rng = random.Random(7)
+        for size in (1, 2, 3, 5, 8, 13, 512, 513):
+            pairs = [(rng.randint(-90, 90), rng.randint(1, 90)) for _ in range(size)]
+            den = math.prod(d for _, d in pairs)
+            assert pair_tree_sum(pairs) == (sum(n * (den // d) for n, d in pairs), den)
+
+    @pytest.mark.parametrize("size", [0, 1, 511, 512, 513, 1025])
+    def test_fraction_sum_against_left_to_right(self, size):
+        rng = random.Random(1000 + size)
+        fracs = [Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)) ** 2 for _ in range(size)]
+        assert exact_fraction_sum(fracs) == sum(fracs, Fraction(0))
+        assert exact_fraction_sum(iter(fracs)) == sum(fracs, Fraction(0))

@@ -1,6 +1,7 @@
 """Every library call with a float bound refuses nan and +-inf with
 ParameterError, at once: none hangs, and none raises OverflowError or a bare
-ValueError from int() or math.floor."""
+ValueError from int() or math.floor. Finite inputs that once ran out of
+memory or time are refused within a second too."""
 
 import math
 import signal
@@ -8,10 +9,16 @@ import signal
 import pytest
 
 from romanoff_lab.elliptic import EllipticCurve
-from romanoff_lab.errors import ParameterError
+from romanoff_lab.errors import CapacityError, ParameterError
 from romanoff_lab.extremal import construct_extremal_set
 from romanoff_lab.lemmas import gamma_bound_grid, incomplete_gamma
-from romanoff_lab.moments import PolynomialSpec, delta_moment_report, delta_values, poly_values
+from romanoff_lab.moments import (
+    PolynomialSpec,
+    delta_moment_report,
+    delta_values,
+    poly_moment_report,
+    poly_values,
+)
 from romanoff_lab.romanoff import order_weighted_sum, schnirelmann_pi2
 from romanoff_lab.sequences import (
     EllipticOrders,
@@ -76,3 +83,25 @@ def test_delta_moment_report_refuses_nonfinite_x(value, within_a_second):
     # x bounds the shifts and the advisory z window; nan passed both unseen
     with pytest.raises(ParameterError, match="x="):
         delta_moment_report(2, [1, 3], 10.0, 2, value, SIEVE)
+
+
+# values far past a 1000 table from the first block on: the reports read their
+# values 2^16 at a time and refuse the first block past the table, where
+# building all 2 * 10^9 + 1 of them raised MemoryError under 2 GB
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda: poly_moment_report(PolynomialSpec((1, 0, 1)), 1e9, 1, SIEVE),
+        lambda: delta_moment_report(6, [1], 1e9, 1, 1e9, SIEVE),
+    ],
+    ids=["T3", "T4"],
+)
+def test_family_reports_refuse_the_first_block_past_the_table(report, within_a_second):
+    with pytest.raises(CapacityError, match="exceeds sieve limit 1000"):
+        report()
+
+
+def test_polynomial_whose_terms_start_far_out_is_refused(within_a_second):
+    # R(j) = j - 2^70 is not positive below j = 2^70 + 1; those j were walked
+    with pytest.raises(CapacityError):
+        enumerate_terms(Polynomial(PolynomialSpec((-(2**70), 1))), 2.0**71)

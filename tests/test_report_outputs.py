@@ -7,7 +7,9 @@ output committed from the lane rounds sized by the baby-step count; pi_2 and
 the order distribution against output committed from the binary search per
 shifted prime and the trial division by every integer up to the cap; the
 alpha sweep and the order sum against output committed from the int64 spf
-walk that built one extremal set per alpha; the orders of six curves at 10^5
+walk that built one extremal set per alpha; T3 and T4 against output
+committed from the reports that built every value before comparing the
+largest with the table; the orders of six curves at 10^5
 against digests committed from the lanes that searched the whole Hasse
 interval; theta, the Mertens products and the lemma prime sums against output
 committed from the sums that read the whole prime table as one Python list."""
@@ -142,6 +144,21 @@ def test_theorem1_of_each_family_is_byte_identical(name, tmp_path):
     assert run(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"theorem1-{name}-x100000-s2.json").read_bytes()
 
+
+# T3 and T4 under the default --sieve-limit, each run sizing its table to its largest value
+FAMILY_REPORTS = {
+    "poly-1_0_1-z3000-s2": ["--report", "poly", "--poly", "1,0,1", "--z", "3000", "--s", "2"],
+    "linear-a6-bs1_5-z50-s1-x1000": [
+        "--report", "linear", "--a", "6", "--bs", "1,5", "--z", "50", "--s", "1", "--x", "1000"
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_REPORTS))
+def test_poly_and_linear_reports_are_byte_identical(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["moments", *FAMILY_REPORTS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 # Linux folds the memory a process replaces at exec into its ru_maxrss, so a
 # child of the pytest process would start at pytest's own peak; a small

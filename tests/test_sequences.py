@@ -378,3 +378,68 @@ class TestPrefixProperty:
         for y in (1, 2.5, 4, 17, 100, 1234.5, 2500, 4999, x):
             prefix = full[: bisect_right(full, y)]
             assert enumerate_terms(spec, y, primes100k) == prefix
+
+
+def tower_terms_oracle(base: int, power: int, x) -> list[int]:
+    """[b ** (j ** p) for j in range(J)] filtered to x, where J >= 2 is the
+    first j with j^p > 1100 (compared in logs): from there b^(j^p) >= 2^1100
+    passes every x tried here."""
+    J = 2
+    while power * math.log(J) <= math.log(1100):
+        J += 1
+    return [v for v in (base ** (j**power) for j in range(J)) if v <= x]
+
+
+class TestPowerTowerBound:
+    """The tower's bound from _least against the terms built one j at a time."""
+
+    BASES = [2, 3, 7, 10, 2**20 + 1]
+    POWERS = [2, 3, 5, 64, 10**20]
+    # 2^k - 1, 2^k and 2^k + 1 as integers, and non-integer x on either side
+    XS = [2**k + d for k in range(1, 301) for d in (-1, 0, 1)] + [
+        1.0, 1.5, 2.5, 3.999, 4.0001, 15.5, 16.5, 65536.5, 1e20 / 3, 2.0**200 * 1.5, 1e300
+    ]
+
+    @pytest.mark.parametrize("power", POWERS)
+    @pytest.mark.parametrize("base", BASES)
+    def test_terms_match_the_oracle(self, base, power):
+        for x in self.XS:
+            assert enumerate_terms(PowerTower(base, power), x) == tower_terms_oracle(base, power, x), x
+
+
+class TestTermFreeStart:
+    """A polynomial with more than MAX_GENERATED_TERMS values of j before its
+    first term, or none in a walk longer than that, is refused: up front where
+    the bound of first shows it, else at the end of the first pass past the
+    guard that holds no term."""
+
+    @pytest.mark.parametrize(
+        "coeffs,x,refused",
+        [
+            ((-1000, 1), 500, False),  # R(j) = j - 1000: 1000 values of j before the first term
+            ((-1001, 1), 500, True),  # up front: first = 1002
+            ((0, -999, 1), 10**6, False),  # j^2 - 999 j: first term at j = 1000
+            ((0, -1100, 1), 10**6, True),  # first only shows j >= 34; no pass to 1024 holds a term
+            ((-(2**70), -1), 2.0**71, True),  # negative everywhere: 2^70 values of j were walked
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_guard_on_the_values_of_j_before_a_term(self, coeffs, x, refused, block, monkeypatch):
+        monkeypatch.setattr(seq_module, "MAX_GENERATED_TERMS", 1000)
+        monkeypatch.setattr(seq_module, "_TERM_BLOCK", block)
+        poly = PolynomialSpec(coeffs)
+        if refused:
+            with pytest.raises(CapacityError, match="no polynomial term among the first 1000 values of j"):
+                enumerate_terms(Polynomial(poly), x)
+        else:
+            assert enumerate_terms(Polynomial(poly), x) == sorted(
+                v for v in map(poly.evaluate, range(1, 2000)) if 0 < v <= x
+            )
+
+    def test_passes_below_first_are_skipped_not_shifted(self, monkeypatch):
+        # each block holds the terms of one pass of the grid from j = 1, as
+        # when every pass was evaluated, so the CLI refuses the same block
+        monkeypatch.setattr(seq_module, "_TERM_BLOCK", 7)
+        poly = PolynomialSpec((1, -20, 1))  # first = 5; the first term is R(20) = 1
+        grid = [[v for v in map(poly.evaluate, range(s, s + 7)) if 0 < v <= 10**4] for s in range(1, 200, 7)]
+        assert [b.tolist() for b in iter_terms(Polynomial(poly), 10**4)] == [g for g in grid if g]

@@ -718,3 +718,46 @@ class TestPowmodLanes:
     )
     def test_edges(self, lanes):
         self.check(lanes)
+
+
+def factors_by_every_divisor(n: int) -> list[tuple[int, int]]:
+    """Trial division by every d >= 2, composite or not."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+class TestFactorizeTrialOneDivideOut:
+    """The one divide-out step over 2, 3, 5, 7, 11, ... against division by every d."""
+
+    def test_every_n_to_a_hundred_thousand(self):
+        for n in range(1, 10**5 + 1):
+            assert factorize_trial(n) == factors_by_every_divisor(n), n
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [(65539, 1), (65543, 1)],
+            [(65539, 2)],
+            [(2, 3), (3, 1), (65539, 1), (65543, 1)],
+            [(5, 1), (65543, 1), (65551, 2)],
+            [(65539, 1), (65543, 1), (65551, 1)],
+        ],
+    )
+    def test_primes_just_above_the_certify_divisor(self, factors, monkeypatch):
+        # each n has two prime factors past 65537, the first divisor past
+        # _TRIAL_CERTIFY_FROM = 2^16: is_prime is asked about a composite cofactor
+        from romanoff_lab import sieve as sieve_module
+
+        asked = []
+        monkeypatch.setattr(sieve_module, "is_prime", lambda m: asked.append(m) or is_prime(m))
+        assert factorize_trial(math.prod(p**e for p, e in factors)) == factors
+        assert asked and not any(map(is_prime, asked))
