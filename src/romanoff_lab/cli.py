@@ -178,7 +178,7 @@ def _cmd_moments(args: argparse.Namespace) -> None:
             if isinstance(spec, seq.EllipticOrders)
             else None
         )
-        blocks = list(mom.read_blocks(seq.iter_terms(spec, x, primes), check))
+        blocks = [block for _, block in mom.read_blocks(seq.iter_terms(spec, x, primes), check)]
         if not blocks:
             raise DomainError(f"sequence has no terms <= {x}")
         values = np.concatenate(blocks)
@@ -192,13 +192,13 @@ def _cmd_moments(args: argparse.Namespace) -> None:
     elif args.report == "poly":
         poly = mom.PolynomialSpec.from_descending(_parse_int_list(args.poly))
         blocks = mom.read_blocks(mom.iter_poly_values(poly, args.z), check)
-        sieve = make_sieve(args, max(map(max, blocks), default=0))
+        sieve = make_sieve(args, max((largest for largest, _ in blocks), default=0))
         report = mom.poly_moment_report(poly, args.z, args.s, sieve)
         _emit_json(args, {"report": "poly", "moment": dataclasses.asdict(report)})
     elif args.report == "linear":
         shifts = _parse_int_list(args.bs)
         blocks = mom.read_blocks(mom.iter_delta_values(args.a, shifts, args.z), check)
-        sieve = make_sieve(args, max([args.a, *map(max, blocks)]))
+        sieve = make_sieve(args, max([args.a, *(largest for largest, _ in blocks)]))
         report = mom.delta_moment_report(args.a, shifts, args.z, args.s, args.x, sieve)
         _emit_json(args, {"report": "linear", "moment": dataclasses.asdict(report)})
 

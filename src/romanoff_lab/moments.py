@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -267,12 +267,13 @@ def lemma3_report(n: int, alpha: float, sieve: FactorSieve) -> Lemma3Report:
     return Lemma3Report(ratio, product, ratio / product)
 
 
-def read_blocks(blocks: Iterable, check: Callable) -> Iterator:
-    """Each block of values (an array, or a list of ints) once check(its largest
-    value) returns: a check that raises refuses the first block past a bound."""
+def read_blocks(blocks: Iterable, check: Callable) -> Iterator[tuple]:
+    """(largest, block) for each block of values (an array, or a list of ints) once
+    check(largest) returns: a check that raises refuses the first block past a bound."""
     for block in blocks:
-        check(block.max() if isinstance(block, np.ndarray) else max(block))
-        yield block
+        largest = block.max() if isinstance(block, np.ndarray) else max(block)
+        check(largest)
+        yield largest, block
 
 
 def _in_blocks(values: Iterator[int]) -> Iterator[list[int]]:
@@ -289,7 +290,7 @@ def _family_report(blocks, what, lead, k, z, s, sieve, parameters) -> MomentRepo
         if largest > sieve.limit:
             raise CapacityError(f"max {what} exceeds sieve limit {sieve.limit}")
 
-    values = [v for block in read_blocks(blocks, check) for v in block]
+    values = list(chain.from_iterable(block for _, block in read_blocks(blocks, check)))
     lhs = _ratio_power_fsum(values, s, sieve)
     lead_ratio = float(totient_ratio(lead, sieve))
     log_k1 = math.log(k + 1)
@@ -309,7 +310,7 @@ def _family_report(blocks, what, lead, k, z, s, sieve, parameters) -> MomentRepo
 
 def poly_values(poly: PolynomialSpec, z: float) -> list[int]:
     """|R(n)| over -z <= n <= z, skipping the roots of R."""
-    return [v for block in iter_poly_values(poly, z) for v in block]
+    return list(chain.from_iterable(iter_poly_values(poly, z)))
 
 
 def iter_poly_values(poly: PolynomialSpec, z: float) -> Iterator[list[int]]:
@@ -356,7 +357,7 @@ def delta_L(a: int, b: int, bs: Sequence[int]) -> int:
 
 def delta_values(a: int, bs: Sequence[int], z: float) -> list[int]:
     """Delta_L for every L(n) = an + b with b in [-z, z] outside the family."""
-    return [v for block in iter_delta_values(a, bs, z) for v in block]
+    return list(chain.from_iterable(iter_delta_values(a, bs, z)))
 
 
 def iter_delta_values(a: int, bs: Sequence[int], z: float) -> Iterator[list[int]]:
