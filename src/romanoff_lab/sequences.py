@@ -246,10 +246,9 @@ def enumerate_terms(
 def iter_terms(
     spec: SequenceSpec, x: float, primes: PrimeList | None = None
 ) -> Iterator[np.ndarray]:
-    """The terms of enumerate_terms in the order they are generated (in j for
-    a polynomial), 2^16 at a time as the arrays of _blocks, so that a caller
-    can stop before the last is built. Each bound on j is found by _least; a
-    polynomial with no term among its first 10^8 values of j raises."""
+    """The terms of enumerate_terms in generation order (in j for a polynomial), 2^16 at
+    a time as the arrays of _blocks, so that a caller can stop before the last is built.
+    Bounds on j come from _least; a polynomial walk past j = 10^8 with no term raises."""
     check_finite("x", x)
     if x < 1:
         raise ParameterError(f"x={x} must be >= 1")
