@@ -38,16 +38,18 @@ primes of [4096, 10^5], [8*10^5, 10^6] and [9.8*10^6, 10^7], and 10-18
 against 40 us for the character sum on [5, 4096) (2-core x86 host, CPython
 3.11, numpy 2.4).
 
-_count_points_prime, which also serves single count_points calls, takes the
-scalar BSGS from _BSGS_MIN_PRIME up. Everything else goes to the O(p)
-character sum, which stays as the oracle: #E(F_p) = p + 1 + sum_x
-chi(x^3 + Ax + B) with chi the quadratic character mod p, evaluated through
-a residue table rather than per-x exponentiation. It serves smaller primes,
-primes of bad reduction (p | disc), and the rare prime that
-_BSGS_POINT_TRIES points per side leave ambiguous.
+_count_points_prime, which also serves single count_points calls, counts a
+prime p > 3 of bad reduction (p | disc) in closed form: the cubic has a
+repeated root, so E has a cusp (p | A, B) with p + 1 points or a node with
+p + 1 - (-2AB / p). It takes the scalar BSGS from _BSGS_MIN_PRIME up.
+Everything else goes to the O(p) character sum, which stays as the oracle:
+#E(F_p) = p + 1 + sum_x chi(x^3 + Ax + B) with chi the quadratic character
+mod p, evaluated through a residue table rather than per-x exponentiation.
+It serves smaller good primes and the rare prime that _BSGS_POINT_TRIES
+points per side leave ambiguous.
 Only the character table is capped (_MAX_CHARACTER_PRIME): a prime above
-the cap that BSGS resolves is counted, one that needs the character sum
-raises CapacityError. p = 2 and p = 3 are enumerated directly.
+the cap that BSGS or the closed form counts is counted, one that needs the
+character sum raises CapacityError. p = 2 and p = 3 are enumerated directly.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, RangeError
+from .errors import CapacityError, DomainError, ParameterError, RangeError, check_at_least
 from .moments import MomentReport, _ratio_power_fsum
 from .sequences import elliptic_prime_bound
 from .sieve import (
@@ -304,11 +306,11 @@ def count_points(curve: EllipticCurve, p: int) -> int:
     """#E(F_p): solutions of y^2 = x^3 + Ax + B over F_p, plus infinity.
 
     The congruence count is computed for every prime, including primes of
-    bad reduction (p | discriminant); callers that care should consult
-    curve.singular_primes(). Primes of good reduction from _BSGS_MIN_PRIME
-    up go to BSGS, which has no size cap; the rest, and any prime BSGS
-    leaves ambiguous, go to the character sum, which raises CapacityError
-    above _MAX_CHARACTER_PRIME.
+    bad reduction (p | discriminant), counted in closed form for p > 3;
+    callers that care should consult curve.singular_primes(). Primes of
+    good reduction from _BSGS_MIN_PRIME up go to BSGS, which has no size
+    cap; the smaller ones, and any prime BSGS leaves ambiguous, go to the
+    character sum, which raises CapacityError above _MAX_CHARACTER_PRIME.
     """
     if not is_prime(p):
         raise DomainError(f"p={p} is not prime")
@@ -319,7 +321,10 @@ def _count_points_prime(curve: EllipticCurve, p: int) -> int:
     """count_points without the primality test, for p from a PrimeList."""
     if p <= 3:
         return _count_points_bruteforce(curve, p)
-    if p >= _BSGS_MIN_PRIME and curve.discriminant % p:
+    if curve.discriminant % p == 0:  # a cusp (p | A, B; the symbol is 0) or a node
+        symbol = pow(-2 * curve.A * curve.B, (p - 1) // 2, p)  # Euler: 0, 1 or p - 1
+        return p + 1 - (symbol if symbol <= 1 else -1)
+    if p >= _BSGS_MIN_PRIME:
         order = _count_points_bsgs(curve.A % p, curve.B % p, p)
         if order is not None:
             return order
@@ -660,8 +665,7 @@ def congruence_class_census(
     orders: OrderSequence | None = None,
 ) -> dict[int, int]:
     """#{p <= x : #E(F_p) = a (mod t)} for every residue a in [0, t)."""
-    if t < 1:
-        raise ParameterError(f"modulus t={t} must be >= 1")
+    check_at_least("modulus t", t, 1)
     pi_x = primes.count_leq(x)
     if t > pi_x:  # more residues than primes to count
         raise CapacityError(f"census modulus t={t} exceeds pi(x) = {pi_x}")
@@ -687,10 +691,8 @@ def theorem5_report(
     The absence of complex multiplication is a hypothesis of that upper
     bound; it is not checked here, and the report records that.
     """
-    if s < 1:
-        raise ParameterError(f"s={s} must be >= 1")
-    if x < 2:
-        raise ParameterError(f"x={x} must be >= 2")
+    check_at_least("s", s, 1)
+    check_at_least("x", x, 2)
     if (bound := elliptic_prime_bound(x)) > sieve.limit:  # Hasse: orders <= x + 2 sqrt(x) + 1
         raise RangeError(f"orders up to {bound} exceed sieve limit {sieve.limit}")
     orders = _orders_for(curve, x, primes, orders)

@@ -42,3 +42,9 @@ def check_finite(name: str, value: float) -> None:
     """ParameterError for nan or +-inf; unlike math.isfinite, takes ints of any size."""
     if not -float("inf") < value < float("inf"):
         raise ParameterError(f"{name}={value} is not a finite number")
+
+
+def check_at_least(name: str, value: float, low: int) -> None:
+    """ParameterError for value < low; a nan passes, to meet check_finite's message."""
+    if value < low:
+        raise ParameterError(f"{name}={value} must be >= {low}")

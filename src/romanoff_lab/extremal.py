@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConstructionError, ParameterError, check_finite
+from .errors import CapacityError, ConstructionError, ParameterError, check_at_least, check_finite
 from .moments import _ratio_power_fsum
 from .sieve import FactorSieve, PrimeList
 
@@ -55,8 +55,7 @@ def construct_extremal_set(
     The primes up to z come from one PrimeList, so a z above its cap (10^8)
     raises CapacityError before any table is built.
     """
-    if M < 1:
-        raise ParameterError(f"M={M} must be >= 1")
+    check_at_least("M", M, 1)
     check_finite("z", z)
     if not y >= 2:  # false for nan too
         raise ParameterError(f"y={y} must be >= 2")

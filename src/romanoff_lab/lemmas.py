@@ -9,7 +9,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import CapacityError, DomainError, ParameterError, check_finite
+from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_finite
 
 if TYPE_CHECKING:
     from .sieve import PrimeList
@@ -41,8 +41,7 @@ def incomplete_gamma(s: int, x: float) -> GammaValue:
     if s < 1:
         raise ParameterError(f"s={s} must be a positive integer")
     check_finite("x", x)
-    if x < 0:
-        raise ParameterError(f"x={x} must be >= 0")
+    check_at_least("x", x, 0)
     term = 1.0
     terms = [1.0]
     for i in range(1, s):
@@ -96,10 +95,8 @@ def prime_log_power_sums(
     and tail_ratio = tail * k / (s! * (ln(k+2))^(s-1)) are the empirical
     constants of the two classical bounds these sums satisfy.
     """
-    if k < 1:
-        raise ParameterError(f"k={k} must be >= 1")
-    if s < 1:
-        raise ParameterError(f"s={s} must be >= 1")
+    check_at_least("k", k, 1)
+    check_at_least("s", s, 1)
     primes.check_range(tail_limit)
     if k > tail_limit:
         raise ParameterError(f"k={k} exceeds tail_limit={tail_limit}")

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, check_finite
+from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_finite
 from .exact import exact_fraction_sum, float_sum
 from .sieve import (
     FactorSieve,
@@ -121,8 +121,7 @@ def _ratio_power(n: int, s: int, sieve: FactorSieve, cache: dict) -> Fraction:
 
 def moment_sum(values: Sequence[int], s: int, sieve: FactorSieve) -> Fraction:
     """Exact value of sum (a_n / phi(a_n))^s over the list; always >= len."""
-    if s < 1:
-        raise ParameterError(f"s={s} must be >= 1")
+    check_at_least("s", s, 1)
     cache: dict[int, Fraction] = {}
     return exact_fraction_sum(
         _ratio_power(check_integer(v), s, sieve, cache) for v in values
@@ -163,8 +162,7 @@ def check_theorem1_parameters(s: int, alpha: float, M: float) -> None:
     """theorem1_report's checks that need no term, for a caller to run before it enumerates."""
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha={alpha} must lie in (0, 1)")
-    if s < 1:
-        raise ParameterError(f"s={s} must be >= 1")
+    check_at_least("s", s, 1)
     check_finite("M", M)
 
 
@@ -328,10 +326,8 @@ def poly_moment_report(
     rhs_core = (delta/phi(delta) * ln(k+1))^s * s! * z with delta the content
     and k the degree; the implied constant strips those factors from the lhs.
     """
-    if z < 1:
-        raise ParameterError(f"z={z} must be >= 1")
-    if s < 1:
-        raise ParameterError(f"s={s} must be >= 1")
+    check_at_least("z", z, 1)
+    check_at_least("s", s, 1)
     if poly.degree < 1:
         raise ParameterError("degree must be >= 1")
     parameters = {
@@ -349,8 +345,7 @@ def poly_moment_report(
 def delta_L(a: int, b: int, bs: Sequence[int]) -> int:
     """Discriminant a^(k+1) * prod |b_i - b| of L(n) = an + b against the
     family {an + b_i}; zero exactly when b collides with some b_i."""
-    if a < 1:
-        raise ParameterError(f"a={a} must be >= 1")
+    check_at_least("a", a, 1)
     k = len(bs)
     return a ** (k + 1) * math.prod(abs(bi - b) for bi in bs)
 
@@ -382,12 +377,10 @@ def delta_moment_report(
     The window (ln x)^0.5 <= z <= x is advisory: runs outside it warn but
     proceed, so exploratory parameter scans stay possible.
     """
-    if a < 1:
-        raise ParameterError(f"a={a} must be >= 1")
+    check_at_least("a", a, 1)
     if z <= 0:
         raise ParameterError(f"z={z} must be positive")
-    if s < 1:
-        raise ParameterError(f"s={s} must be >= 1")
+    check_at_least("s", s, 1)
     if len(bs) == 0:
         raise ParameterError("the linear family must be nonempty")
     check_finite("x", x)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError, check_at_least
 from .moments import PolynomialSpec
 from .sieve import (
     _LANE_PRIME_LIMIT,
@@ -61,7 +61,8 @@ from .sequences import (
     pair_cutoff,
 )
 
-# representation_counts work cap, in byte adds of the shift-and-add kernel
+# representation_counts work cap, in byte adds of the shift-and-add kernel; a
+# budget below 0 is a usage error, while 0 is a cap that any term exceeds
 DEFAULT_BUDGET = 10**11
 
 # a term adds at most 1 to a cell, so a uint8 block takes 255 terms; the
@@ -141,8 +142,7 @@ def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: in
     iterator of (n0, counts) with counts[i] = r(n0 + 2i), over windows that
     tile the odd n and then the even n from 0; each counts array is
     overwritten by the next window."""
-    if x < 1:
-        raise ParameterError(f"x={x} must be >= 1")
+    check_at_least("x", x, 1)
     primes.check_range(x)
     _refuse_curve_orders(spec, x, x - 2, primes, budget)
     terms = enumerate_terms(spec, x - 2, primes) if x >= 3 else []
@@ -154,13 +154,6 @@ def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: in
     return _windows(terms, x, primes)
 
 
-def _check_budget(budget: int) -> None:
-    """Each shift-add report calls this before any term or table: a negative
-    budget is a usage error, while 0 is a cap that any term exceeds."""
-    if budget < 0:
-        raise ParameterError(f"budget={budget} must be >= 0")
-
-
 def _refuse_curve_orders(
     spec: SequenceSpec, x: int, y: float, primes: PrimeList, budget: int
 ) -> None:
@@ -170,7 +163,7 @@ def _refuse_curve_orders(
     x + 1 - a >= x - q - isqrt(4q). That sum is a lower bound, so no run
     within the budget is refused. A y that is not a finite number >= 1, or a
     table too short for y, is left to raise where the orders are counted."""
-    _check_budget(budget)
+    check_at_least("budget", budget, 0)
     if (
         not isinstance(spec, EllipticOrders)
         or not 1 <= y < math.inf
@@ -344,10 +337,8 @@ def schnirelmann_pi2(x: float, a: int, primes: PrimeList) -> ShiftedPrimeCount:
     count * (ln x)^2 * phi(a) / (x * a). For odd a only p = 2 can count; for
     even a, an odd p looks up cell p // 2 + a // 2 of the odd-prime indicator."""
     a = check_integer(a)
-    if a < 1:
-        raise ParameterError(f"shift a={a} must be >= 1")
-    if x < 2:
-        raise ParameterError(f"x={x} must be >= 2")
+    check_at_least("shift a", a, 1)
+    check_at_least("x", x, 2)
     primes.check_range(x + a)
     if a % 2:
         count = int(primes.contains(2 + a))
@@ -364,8 +355,7 @@ def multiplicative_order(a: int, p: int, sieve: FactorSieve | None = None) -> in
     Computed by factoring p - 1 (through the sieve when it covers p - 1)
     and descending through the prime divisors.
     """
-    if a < 2:
-        raise ParameterError(f"a={a} must be >= 2")
+    check_at_least("a", a, 2)
     if not is_prime(p):
         raise DomainError(f"p={p} is not prime")
     if a % p == 0:
@@ -469,14 +459,11 @@ def order_distribution(a: int, z: int, trial_cap: int) -> OrderDistribution:
     bound; nothing is silently approximated.
     """
     a, z, trial_cap = check_integer(a), check_integer(z), check_integer(trial_cap)
-    if a < 2:
-        raise ParameterError(f"a={a} must be >= 2")
-    if z < 1:
-        raise ParameterError(f"z={z} must be >= 1")
+    check_at_least("a", a, 2)
+    check_at_least("z", z, 1)
     if z > DEFAULT_EXPONENT_CAP:
         raise CapacityError(f"z={z} exceeds the exponent cap {DEFAULT_EXPONENT_CAP}")
-    if trial_cap < 2:
-        raise ParameterError(f"trial_cap={trial_cap} must be >= 2")
+    check_at_least("trial_cap", trial_cap, 2)
     # a^n - 1 has at most one prime past isqrt(a^z - 1): the cofactor left
     # once the smaller ones are divided out
     ps = PrimeList.build(max(2, min(trial_cap, math.isqrt(a**z - 1)))).values
@@ -512,8 +499,7 @@ def root_count(f: PolynomialSpec, m: int) -> int:
     Requires gcd(content(f), m) = 1, the primitivity hypothesis of the
     root-count bound rho <= c n m^(1-1/n).
     """
-    if m < 1:
-        raise ParameterError(f"m={m} must be >= 1")
+    check_at_least("m", m, 1)
     if m > ROOT_COUNT_MODULUS_CAP:
         raise CapacityError(f"m={m} exceeds the scan cap {ROOT_COUNT_MODULUS_CAP}")
     if math.gcd(f.content, m) != 1:
@@ -550,9 +536,8 @@ def theorem9_report(
     a, b, x = check_integer(a), check_integer(b), check_integer(x)
     if a < 2 or b < 2:
         raise ParameterError("need a >= 2 and b >= 2")
-    if x < 3:
-        raise ParameterError(f"x={x} must be >= 3")
-    _check_budget(budget)
+    check_at_least("x", x, 3)
+    check_at_least("budget", budget, 0)
     terms = enumerate_terms(PowerTower(a, b), x)
     windows = _shift_add_windows(Explicit(tuple(terms)), x, primes, budget)
     representable = sum(int(np.count_nonzero(counts)) for _, counts in windows)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, RangeError, check_finite
+from .errors import CapacityError, DomainError, ParameterError, RangeError, check_at_least, check_finite
 from .moments import PolynomialSpec
 from .sieve import PrimeList
 
@@ -175,7 +175,9 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[np.ndarray]:
     which |R(j)| >= j^(k-1) (lead*j - k*max|c_i|) exceeds x, or the Cauchy
     root bound when the leading coefficient is negative. Horner runs in int64
     while sum |c_i| j^i < 2^63 (it bounds every partial sum), on Python ints
-    in a pass past that; more than MAX_GENERATED_TERMS values raise."""
+    in a pass past that, and skips a pass whose bounds on R (each c_i j^i is
+    monotone) hold no value in (0, x]; more than MAX_GENERATED_TERMS values,
+    or none in the first MAX_GENERATED_TERMS values of j, raise."""
     k = poly.degree
     if k == 0:
         value = poly.coeffs[0]
@@ -201,18 +203,20 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[np.ndarray]:
     count = 0
     for start in range(1 + (first - 1) // _TERM_BLOCK * _TERM_BLOCK, last + 1, _TERM_BLOCK):
         stop = min(start + _TERM_BLOCK, last + 1)
-        j = np.arange(start, stop, dtype=np.int64 if stop <= wide else object)
-        value = np.full_like(j, poly.coeffs[-1])
-        for c in reversed(poly.coeffs[:-1]):
-            value *= j
-            value += c
-        value = value[(value > 0) & (value <= cap)]
-        count += len(value)
-        if count > MAX_GENERATED_TERMS:
-            raise CapacityError("polynomial term generation exceeded the guard")
+        ends = [(c * start**i, c * (stop - 1) ** i) for i, c in enumerate(poly.coeffs)]
+        if sum(map(max, ends)) > 0 and sum(map(min, ends)) <= cap:  # else no term in the pass
+            j = np.arange(start, stop, dtype=np.int64 if stop <= wide else object)
+            value = np.full_like(j, poly.coeffs[-1])
+            for c in reversed(poly.coeffs[:-1]):
+                value *= j
+                value += c
+            value = value[(value > 0) & (value <= cap)]
+            count += len(value)
+            if count > MAX_GENERATED_TERMS:
+                raise CapacityError("polynomial term generation exceeded the guard")
+            yield from _blocks(value)
         if not count and stop - 1 > MAX_GENERATED_TERMS:  # the same rule, where first falls short
             raise CapacityError(f"no polynomial term among the first {MAX_GENERATED_TERMS} values of j")
-        yield from _blocks(value)
 
 
 def elliptic_prime_bound(x: float) -> int:
@@ -250,8 +254,7 @@ def iter_terms(
     a time as the arrays of _blocks, so that a caller can stop before the last is built.
     Bounds on j come from _least; a polynomial walk past j = 10^8 with no term raises."""
     check_finite("x", x)
-    if x < 1:
-        raise ParameterError(f"x={x} must be >= 1")
+    check_at_least("x", x, 1)
     if isinstance(spec, Geometric):  # base^e <= x for e < stop; x >= 1, so stop >= 1
         stop = _least(lambda e: spec.base**e > x, 1)
         return _blocks([spec.base**e for e in range(spec.start_exponent, stop)])
@@ -283,8 +286,7 @@ def term_multiplicity(
     spec: SequenceSpec, n: int, primes: PrimeList | None = None
 ) -> int:
     """ord_A(n) = #{j : a_j = n}."""
-    if n < 1:
-        raise ParameterError(f"n={n} must be >= 1")
+    check_at_least("n", n, 1)
     return sum(1 for v in enumerate_terms(spec, n, primes) if v == n)
 
 

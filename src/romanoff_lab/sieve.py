@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, RangeError, TableIntegrityError, check_finite
+from .errors import CapacityError, ParameterError, RangeError, TableIntegrityError, check_at_least, check_finite
 
 # Hard cap on sieve size; spf entries are 32-bit, so 1e8 costs 400 MB.
 DEFAULT_LIMIT_CAP = 10**8
@@ -496,8 +496,7 @@ def mertens_products(x: float, primes: PrimeList) -> MertensProducts:
     plus = prod (1 + 1/p), minus = prod (1 - 1/p)^-1; both grow like log x,
     and the returned ratios to log x are the empirical Mertens constants.
     """
-    if x < 2:
-        raise ParameterError(f"x={x} must be >= 2")
+    check_at_least("x", x, 2)
     plus = math.exp(math.fsum(math.log1p(1.0 / p) for p in primes.ints(x)))
     minus = math.exp(-math.fsum(math.log1p(-1.0 / p) for p in primes.ints(x)))
     lx = math.log(x)
@@ -506,8 +505,7 @@ def mertens_products(x: float, primes: PrimeList) -> MertensProducts:
 
 def chebyshev_theta(x: float, primes: PrimeList) -> float:
     """theta(x) = sum of log p over primes p <= x."""
-    if x < 2:
-        raise ParameterError(f"x={x} must be >= 2")
+    check_at_least("x", x, 2)
     return math.fsum(map(math.log, primes.ints(x)))
 
 

@@ -499,6 +499,30 @@ class TestAnnihilators:
         assert ell._annihilators(P, a, p, 204, 264) == [207, 216, 225, 234, 243, 252, 261]
 
 
+BAD_PRIMES = [int(p) for p in PrimeList.build(2**20).values if p > 3]
+
+
+class TestBadReduction:
+    """At p > 3 dividing the discriminant the cubic has a double root r, so
+    A = -3 r^2 and B = 2 r^3 (mod p); r = 0 is the cusp."""
+
+    @given(
+        st.sampled_from(BAD_PRIMES),
+        st.integers(min_value=0, max_value=2**20),
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=-50, max_value=50),
+    )
+    @example(BAD_PRIMES[-1], 0, 1, -1)
+    @example(5, 0, 2, 3)
+    @settings(max_examples=100, deadline=None)
+    def test_formula_against_character_sum(self, p, r, k, l):
+        A, B = -3 * r**2 % p + k * p, 2 * r**3 % p + l * p
+        if 4 * A**3 + 27 * B**2 == 0:
+            return
+        curve = EllipticCurve(A, B)
+        assert count_points(curve, p) == ell._count_points_character(curve, p)
+
+
 def euler_criterion_count(A: int, B: int, p: int) -> int:
     """Independent O(p) route: per-x quadratic character by modular powers."""
     return p + 1 + sum(legendre_symbol(x * x * x + A * x + B, p) for x in range(p))
@@ -531,7 +555,7 @@ class TestFallbackToCharacterSum:
         curve = EllipticCurve(-3, 2 + p)  # discriminant 27 p (p + 4)
         assert curve.discriminant % p == 0
         assert count_points(curve, p) == euler_criterion_count(-3, 2 + p, p)
-        assert character_calls == [p]
+        assert character_calls == []
 
     def test_unresolved(self, character_calls, monkeypatch):
         # points that every m of the Hasse interval kills never pin the order
@@ -565,9 +589,18 @@ class TestCharacterTableCap:
             assert checked >= 20
 
     def test_bad_reduction_beyond_cap(self):
-        p = self.P
-        with pytest.raises(CapacityError):
-            count_points(EllipticCurve(-3, 2 + p), p)
+        p = self.P  # y^2 = (x - 1)^2 (x + 2) mod p: a node
+        assert count_points(EllipticCurve(-3, 2 + p), p) == p + 1 - legendre_symbol(3, p)
+
+    def test_lanes_over_a_bad_prime_beyond_cap(self):
+        # 4 + 27 * 791^2 = 16893391 is prime, the one bad prime of (1, 791) here
+        p = 16893391
+        ps = PrimeList.build(17 * 10**6).upto(17 * 10**6)
+        ps = ps[ps > 168 * 10**5]
+        orders = ell._count_points_lanes(EllipticCurve(1, 791), ps)
+        assert len(ps) == 12048
+        assert orders[ps == p].tolist() == [p + 1 - legendre_symbol(-1582, p)]
+        assert np.all((orders - ps - 1) ** 2 <= 4 * ps)
 
     def test_unresolved_beyond_cap(self, monkeypatch):
         monkeypatch.setattr(ell, "_annihilators", lambda P, a, p, lo, hi: list(range(lo, hi + 1)))

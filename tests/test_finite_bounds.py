@@ -105,3 +105,15 @@ def test_polynomial_whose_terms_start_far_out_is_refused(within_a_second):
     # R(j) = j - 2^70 is not positive below j = 2^70 + 1; those j were walked
     with pytest.raises(CapacityError):
         enumerate_terms(Polynomial(PolynomialSpec((-(2**70), 1))), 2.0**71)
+
+
+@pytest.mark.parametrize(
+    "coeffs,x",
+    [
+        ((0, -(2**40), 1), 10),  # j^2 - 2^40 j: not positive below j = 2^40 + 1
+        ((10**30, 0, 1), 10**20),  # j^2 + 10^30: above x at every j
+    ],
+)
+def test_polynomial_passes_that_hold_no_term_are_not_evaluated(coeffs, x, within_a_second):
+    with pytest.raises(CapacityError, match="no polynomial term among the first"):
+        enumerate_terms(Polynomial(PolynomialSpec(coeffs)), x)
