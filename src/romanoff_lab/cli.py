@@ -192,7 +192,7 @@ def _cmd_moments(args: argparse.Namespace) -> None:
     elif args.report == "poly":
         poly = mom.PolynomialSpec.from_descending(_parse_int_list(args.poly))
         blocks = mom.read_blocks(mom.iter_poly_values(poly, args.z), check)
-        sieve = make_sieve(args, max((largest for largest, _ in blocks), default=0))
+        sieve = make_sieve(args, max([poly.content, *(largest for largest, _ in blocks)]))
         report = mom.poly_moment_report(poly, args.z, args.s, sieve)
         _emit_json(args, {"report": "poly", "moment": dataclasses.asdict(report)})
     elif args.report == "linear":

@@ -8,6 +8,8 @@ RuntimeError.  A RuntimeError class carries its CLI exit code as
 (or an OSError on a path) exits 2.
 """
 
+from contextlib import contextmanager
+
 
 class ParameterError(ValueError):
     """A parameter violates a documented precondition."""
@@ -48,3 +50,13 @@ def check_at_least(name: str, value: float, low: int) -> None:
     """ParameterError for value < low; a nan passes, to meet check_finite's message."""
     if value < low:
         raise ParameterError(f"{name}={value} must be >= {low}")
+
+
+@contextmanager
+def float64_range(s: int):
+    """An OverflowError inside, from a float64 value that the power s takes
+    out of range, becomes a CapacityError naming s."""
+    try:
+        yield
+    except OverflowError:
+        raise CapacityError(f"s={s} takes the report beyond the float64 range") from None

@@ -9,7 +9,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_finite
+from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_finite, float64_range
 
 if TYPE_CHECKING:
     from .sieve import PrimeList
@@ -100,10 +100,11 @@ def prime_log_power_sums(
     primes.check_range(tail_limit)
     if k > tail_limit:
         raise ParameterError(f"k={k} exceeds tail_limit={tail_limit}")
-    head = math.fsum(math.log(p) ** s / p for p in primes.ints(k))
-    tail_partial = math.fsum(math.log(p) ** s / (p * p) for p in primes.ints(tail_limit, k))
-    head_ratio = head / math.log(k) ** s if k >= 2 else 0.0
-    tail_ratio = tail_partial * k / (math.factorial(s) * math.log(k + 2) ** (s - 1))
+    with float64_range(s):
+        head = math.fsum(math.log(p) ** s / p for p in primes.ints(k))
+        tail_partial = math.fsum(math.log(p) ** s / (p * p) for p in primes.ints(tail_limit, k))
+        head_ratio = head / math.log(k) ** s if k >= 2 else 0.0
+        tail_ratio = tail_partial * k / (math.factorial(s) * math.log(k + 2) ** (s - 1))
     return PrimeLogPowerSums(head, tail_partial, head_ratio, tail_ratio)
 
 
@@ -124,13 +125,14 @@ def min_pk_sum(k: int, s: int, primes: PrimeList, tail_limit: float) -> MinPkSum
     if k < 1 or s < 1:
         raise ParameterError("k and s must be >= 1")
     primes.check_range(tail_limit)
-    if tail_limit < max(100.0, math.exp(s / 2)):
-        # (ln t)^s / t^2 must be decreasing beyond the cutoff for the bound
-        raise ParameterError(f"tail_limit={tail_limit} too small for s={s}")
-    terms = (min(p, k) * math.log(p) ** s / (p * p) for p in primes.ints(tail_limit))
-    value = 1.0 + math.fsum(terms)
-    tail_bound = k * incomplete_gamma(s + 1, math.log(tail_limit)).value
-    normalized = (value + tail_bound) / (math.factorial(s) * math.log(k + 1) ** s)
+    with float64_range(s):
+        if tail_limit < max(100.0, math.exp(s / 2)):
+            # (ln t)^s / t^2 must be decreasing beyond the cutoff for the bound
+            raise ParameterError(f"tail_limit={tail_limit} too small for s={s}")
+        terms = (min(p, k) * math.log(p) ** s / (p * p) for p in primes.ints(tail_limit))
+        value = 1.0 + math.fsum(terms)
+        tail_bound = k * incomplete_gamma(s + 1, math.log(tail_limit)).value
+        normalized = (value + tail_bound) / (math.factorial(s) * math.log(k + 1) ** s)
     return MinPkSum(value, tail_bound, normalized)
 
 

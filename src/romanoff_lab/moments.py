@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_finite
+from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_finite, float64_range
 from .exact import exact_fraction_sum, float_sum
 from .sieve import (
     FactorSieve,
@@ -82,11 +80,19 @@ class PolynomialSpec:
     def content(self) -> int:
         return reduce(math.gcd, (abs(c) for c in self.coeffs))
 
-    def evaluate(self, n: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
+    def evaluate(self, n):
+        """R(n) by Horner for an int n, or in place for an int64 or object array n."""
+        acc = np.full_like(n, self.coeffs[-1]) if isinstance(n, np.ndarray) else self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc *= n
+            acc += c
         return acc
+
+    def horner_dtype(self, top: int):
+        """int64 while sum |c_i| max(top, 1)^i < 2^63, which bounds every Horner
+        partial sum at |n| <= top; object (Python ints) past that."""
+        bound = sum(abs(c) * max(top, 1) ** i for i, c in enumerate(self.coeffs))
+        return np.int64 if bound < 2**63 else object
 
 
 # values per gather block: bounds the temporary arrays whatever the list size.
@@ -128,16 +134,6 @@ def moment_sum(values: Sequence[int], s: int, sieve: FactorSieve) -> Fraction:
     )
 
 
-@contextmanager
-def _float64_range(s: int):
-    """An OverflowError inside, from a float64 value that the power s takes
-    out of range, becomes a CapacityError naming s."""
-    try:
-        yield
-    except OverflowError:
-        raise CapacityError(f"s={s} takes the report beyond the float64 range") from None
-
-
 def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> float:
     """sum (n/phi(n))^s over the list, correctly rounded from the float terms
     by ``float_sum``; CapacityError when a term or the sum is beyond float64.
@@ -154,7 +150,7 @@ def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> floa
         ratio **= s
         return ratio
 
-    with _float64_range(s), np.errstate(over="ignore"):
+    with float64_range(s), np.errstate(over="ignore"):
         return float_sum(map(terms, range(0, len(arr), _FSUM_BLOCK)))
 
 
@@ -188,7 +184,7 @@ def theorem1_report(
     lhs = _ratio_power_fsum(arr, s, sieve)
     cutoff = math.log(M) ** alpha if M > 1 else 0.0
     small = PrimeList.build(math.floor(cutoff)).ints(math.floor(cutoff)) if cutoff >= 2 else ()
-    with _float64_range(s):
+    with float64_range(s):
         prime_part = math.fsum(omega_count(arr, p) * math.log(p) ** s / p for p in small)
     rhs_core = n_terms + prime_part
     implied = (lhs / rhs_core) ** (1.0 / s)
@@ -265,17 +261,13 @@ def lemma3_report(n: int, alpha: float, sieve: FactorSieve) -> Lemma3Report:
     return Lemma3Report(ratio, product, ratio / product)
 
 
-def read_blocks(blocks: Iterable, check: Callable) -> Iterator[tuple]:
-    """(largest, block) for each block of values (an array, or a list of ints) once
+def read_blocks(blocks: Iterable[np.ndarray], check: Callable) -> Iterator[tuple]:
+    """(largest, block) for each array of positive values (largest 0 if empty) once
     check(largest) returns: a check that raises refuses the first block past a bound."""
     for block in blocks:
-        largest = block.max() if isinstance(block, np.ndarray) else max(block)
+        largest = block.max(initial=0)
         check(largest)
         yield largest, block
-
-
-def _in_blocks(values: Iterator[int]) -> Iterator[list[int]]:
-    return iter(lambda: list(islice(values, 1 << 16)), [])
 
 
 def _family_report(blocks, what, lead, k, z, s, sieve, parameters) -> MomentReport:
@@ -288,11 +280,11 @@ def _family_report(blocks, what, lead, k, z, s, sieve, parameters) -> MomentRepo
         if largest > sieve.limit:
             raise CapacityError(f"max {what} exceeds sieve limit {sieve.limit}")
 
-    values = list(chain.from_iterable(block for _, block in read_blocks(blocks, check)))
+    values = np.concatenate([block for _, block in read_blocks(blocks, check)])
     lhs = _ratio_power_fsum(values, s, sieve)
     lead_ratio = float(totient_ratio(lead, sieve))
     log_k1 = math.log(k + 1)
-    with _float64_range(s):
+    with float64_range(s):
         rhs_core = (lead_ratio * log_k1) ** s * math.factorial(s) * z
         scale = math.factorial(s) * z
         if math.inf in (rhs_core, scale):  # float products overflow to inf
@@ -308,14 +300,17 @@ def _family_report(blocks, what, lead, k, z, s, sieve, parameters) -> MomentRepo
 
 def poly_values(poly: PolynomialSpec, z: float) -> list[int]:
     """|R(n)| over -z <= n <= z, skipping the roots of R."""
-    return list(chain.from_iterable(iter_poly_values(poly, z)))
+    return [v for block in iter_poly_values(poly, z) for v in block.tolist()]
 
 
-def iter_poly_values(poly: PolynomialSpec, z: float) -> Iterator[list[int]]:
-    """poly_values in lists of 2^16 (the last may be shorter), from n = -z up."""
+def iter_poly_values(poly: PolynomialSpec, z: float) -> Iterator[np.ndarray]:
+    """poly_values as arrays, one for each 2^16 values of n from n = -z up (some may be empty)."""
     check_finite("z", z)
     half = math.floor(z)
-    return _in_blocks(abs(r) for r in map(poly.evaluate, range(-half, half + 1)) if r != 0)
+    dtype = poly.horner_dtype(half)
+    for start in range(-half, half + 1, 1 << 16):
+        values = poly.evaluate(np.arange(start, min(start + (1 << 16), half + 1), dtype=dtype))
+        yield np.abs(values[values != 0])
 
 
 def poly_moment_report(
@@ -352,15 +347,16 @@ def delta_L(a: int, b: int, bs: Sequence[int]) -> int:
 
 def delta_values(a: int, bs: Sequence[int], z: float) -> list[int]:
     """Delta_L for every L(n) = an + b with b in [-z, z] outside the family."""
-    return list(chain.from_iterable(iter_delta_values(a, bs, z)))
+    return [v for block in iter_delta_values(a, bs, z) for v in block.tolist()]
 
 
-def iter_delta_values(a: int, bs: Sequence[int], z: float) -> Iterator[list[int]]:
-    """delta_values in lists of 2^16 (the last may be shorter), from b = -z up."""
-    check_finite("z", z)
-    half = math.floor(z)
-    excluded = set(int(b) for b in bs)
-    return _in_blocks(delta_L(a, b, bs) for b in range(-half, half + 1) if b not in excluded)
+def iter_delta_values(a: int, bs: Sequence[int], z: float) -> Iterator[np.ndarray]:
+    """delta_values as the |P(b)| of P(b) = a^(k+1) prod (b_i - b), zero exactly on the family."""
+    check_at_least("a", a, 1)
+    coeffs = [check_integer(a) ** (len(bs) + 1)]
+    for b in map(check_integer, bs):  # times (b_i - b), ascending coefficients
+        coeffs = [b * c - lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+    return iter_poly_values(PolynomialSpec(tuple(coeffs)), z)
 
 
 def delta_moment_report(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,12 +53,9 @@ from .sequences import (
     PowerTower,
     SequenceSpec,
     congruence_pair_sum,
-    count_terms,
-    doubling_ratio,
     elliptic_prime_bound,
     enumerate_terms,
     format_sequence_spec,
-    max_multiplicity,
     pair_cutoff,
 )
 
@@ -283,18 +281,18 @@ def theorem6_report(
     base_params = {"sequence": format_sequence_spec(spec), "x": x, "N_A": n_total}
     log_x = math.log(x)
 
-    gamma1 = doubling_ratio(table, x)
+    half_count = bisect.bisect_right(terms, x / 2)
     raw_pairs, gamma2 = congruence_pair_sum(table, x, alpha, primes)
     hist = _histogram(table, x, primes, budget)
-    rho = max_multiplicity(table, x)
+    rho = max(Counter(terms).values())
     sq = sum(t * t * h for t, h in enumerate(hist.tolist()))
     sq_norm = sq * log_x**2 / (x * n_total * (rho * log_x + n_total))
 
     out = [
         ConstantEstimate(
             name="gamma1",
-            value=gamma1,
-            parameters=dict(base_params, half_count=count_terms(table, x / 2)),
+            value=half_count / n_total,
+            parameters=dict(base_params, half_count=half_count),
             direction="N_A(x/2) >= gamma1 * N_A(x)",
         ),
         ConstantEstimate(

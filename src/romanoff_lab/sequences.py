@@ -173,11 +173,11 @@ def _blocks(values: list[int] | np.ndarray) -> Iterator[np.ndarray]:
 def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[np.ndarray]:
     """The values 0 < R(j) <= x in the order of j = 1, ..., J, the first j at
     which |R(j)| >= j^(k-1) (lead*j - k*max|c_i|) exceeds x, or the Cauchy
-    root bound when the leading coefficient is negative. Horner runs in int64
-    while sum |c_i| j^i < 2^63 (it bounds every partial sum), on Python ints
-    in a pass past that, and skips a pass whose bounds on R (each c_i j^i is
-    monotone) hold no value in (0, x]; more than MAX_GENERATED_TERMS values,
-    or none in the first MAX_GENERATED_TERMS values of j, raise."""
+    root bound when the leading coefficient is negative. Horner runs in the
+    pass's ``horner_dtype`` (int64, or Python ints past it) and skips a pass
+    whose bounds on R (each c_i j^i is monotone) hold no value in (0, x]; more
+    than MAX_GENERATED_TERMS values, or none in the first MAX_GENERATED_TERMS
+    values of j, raise."""
     k = poly.degree
     if k == 0:
         value = poly.coeffs[0]
@@ -198,18 +198,13 @@ def _polynomial_terms(poly: PolynomialSpec, x: float) -> Iterator[np.ndarray]:
     first = _least(lambda j: j > last or sum(max(c, c * j**i) for i, c in enumerate(poly.coeffs)) > 0, 1)
     if min(first - 1, last) > MAX_GENERATED_TERMS:
         raise CapacityError(f"no polynomial term among the first {MAX_GENERATED_TERMS} values of j")
-    wide = _least(lambda j: sum(abs(c) * j**i for i, c in enumerate(poly.coeffs)) >= 2**63, 1)
     cap = math.floor(x)  # compared with the float x, an int64 would be rounded
     count = 0
     for start in range(1 + (first - 1) // _TERM_BLOCK * _TERM_BLOCK, last + 1, _TERM_BLOCK):
         stop = min(start + _TERM_BLOCK, last + 1)
         ends = [(c * start**i, c * (stop - 1) ** i) for i, c in enumerate(poly.coeffs)]
         if sum(map(max, ends)) > 0 and sum(map(min, ends)) <= cap:  # else no term in the pass
-            j = np.arange(start, stop, dtype=np.int64 if stop <= wide else object)
-            value = np.full_like(j, poly.coeffs[-1])
-            for c in reversed(poly.coeffs[:-1]):
-                value *= j
-                value += c
+            value = poly.evaluate(np.arange(start, stop, dtype=poly.horner_dtype(stop - 1)))
             value = value[(value > 0) & (value <= cap)]
             count += len(value)
             if count > MAX_GENERATED_TERMS:
