@@ -34,7 +34,8 @@ CACHE_ENV_VAR = "ROMANOFF_LAB_CACHE"
 
 
 # The flags each (subcommand, report) reads beside --out and --report, a needed
-# one marked !; extremal is keyed by mode, lemmas by toggle (each given adds).
+# one marked ! and a lower bound >=low after its flag; extremal is keyed by mode,
+# lemmas by toggle (each given adds).
 REPORT_FLAGS = {
     ("sieve", None): "--limit --x --prime-limit",
     ("moments", "theorem1"): "--seq! --x --s --alpha --M --sieve-limit --prime-limit",
@@ -42,15 +43,15 @@ REPORT_FLAGS = {
     ("moments", "linear"): "--a! --bs! --z --s --x --sieve-limit",
     ("extremal", "--alphas"): "--M --alphas --sieve-limit",
     ("extremal", None): "--M --y! --z! --sieve-limit",
-    ("elliptic", "theorem5"): "--curve --x --s --census-mod --sieve-limit --prime-limit",
-    ("elliptic", "orders"): "--curve --x --prime-limit",
+    ("elliptic", "theorem5"): "--curve --x >=2 --s >=1 --census-mod >=1 --sieve-limit --prime-limit",
+    ("elliptic", "orders"): "--curve --x >=2 --prime-limit",
     ("romanoff", "frontier"): "--seq! --x --alpha --budget --prime-limit",
     ("romanoff", "profile"): "--seq! --x --budget --prime-limit",
     ("romanoff", "theorem9"): "--a --b --x --budget --prime-limit",
     ("romanoff", "schnirelmann"): "--a --x --prime-limit",
-    ("romanoff", "order-sum"): "--a --b --P --sieve-limit --prime-limit",
+    ("romanoff", "order-sum"): "--a --b --P >=2 --sieve-limit --prime-limit",
     ("romanoff", "order-dist"): "--a --z --trial-cap",
-    ("lemmas", "--gamma"): "--gamma --s-max --x-max",
+    ("lemmas", "--gamma"): "--gamma --s-max >=1 --x-max",
     ("lemmas", "--prime-sums"): "--prime-sums --tail-limit --prime-limit",
     ("lemmas", "--min-pk"): "--min-pk --tail-limit --prime-limit",
     ("lemmas", "--abel"): "--abel --seed",
@@ -63,9 +64,10 @@ def _reports(command: str) -> tuple:
 
 
 def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]) -> None:
-    """Refuse a flag given that its report does not read and a needed flag left
-    out. The subcommand's argv is parsed again over a namespace of Nones, so
-    only the flags given change: no flag value parses to None."""
+    """Refuse a flag given that its report does not read, a needed flag left
+    out and a value below its flag's bound. The subcommand's argv is parsed
+    again over a namespace of Nones, so only the flags given change: no flag
+    value parses to None."""
     command = args.command
     sub = next(a for a in parser._actions if a.dest == "command").choices[command]
     unset = sub.parse_args(argv[argv.index(command) + 1 :], argparse.Namespace(**dict.fromkeys(vars(args))))
@@ -80,6 +82,10 @@ def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace, argv
         raise ParameterError(f"{command} needs at least one of {'/'.join(_reports(command))}")
     if missing := [f[:-1] for f in flags if f.endswith("!") and f[:-1] not in given]:
         raise ParameterError(f"{label} needs {', '.join(missing)}")
+    for flag, bound in zip(flags, flags[1:]):  # before any handler, so before numpy loads
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if bound.startswith(">=") and value is not None and value < int(bound[2:]):
+            raise ParameterError(f"{flag} must be >= {bound[2:]}, got {value}")
 
 
 def _table_size(needed: float, cap: int, table: str, flag: str) -> int:
@@ -233,14 +239,9 @@ def _cmd_elliptic(args: argparse.Namespace) -> None:
 
     curve = seq.parse_curve(args.curve)
     x = args.x
-    if x < 2:
-        raise ParameterError(f"--x must be >= 2, got {x}")
     if args.report == "orders":
         _emit(args, ell.order_sequence(curve, x, make_primes(args, x)).write_csv)
         return
-    for flag, value in (("--s", args.s), ("--census-mod", args.census_mod)):
-        if value is not None and value < 1:  # before any point
-            raise ParameterError(f"{flag} must be >= 1, got {value}")
     sieve = make_sieve(args, 1 + 2 * x)
     primes = make_primes(args, x)
     orders = ell.order_sequence(curve, x, primes)
@@ -302,8 +303,6 @@ def _cmd_romanoff(args: argparse.Namespace) -> None:
             args, {"report": "schnirelmann", "x": args.x, "a": args.a, **out._asdict()}
         )
     elif report == "order-sum":
-        if args.P < 2:
-            raise ParameterError(f"--P must be >= 2, got {args.P}")
         sieve = make_sieve(args, args.P)
         primes = make_primes(args, args.P)
         value = rom.order_weighted_sum(args.a, args.b, args.P, primes, sieve)
@@ -341,8 +340,6 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
 
     records = []
     if args.gamma:
-        if args.s_max < 1:
-            raise ParameterError(f"--s-max must be >= 1, got {args.s_max}")
         for s in range(1, args.s_max + 1):
             worst, ok = lem.gamma_bound_grid(s, args.x_max)
             params = {"s": s, "x_min": lem.GAMMA_GRID_X_MIN,

@@ -60,7 +60,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, RangeError, check_at_least
+from .errors import CapacityError, DomainError, ParameterError, RangeError, check_at_least, check_integer
 from .moments import MomentReport, _ratio_power_fsum
 from .sequences import elliptic_prime_bound
 from .sieve import (
@@ -109,6 +109,8 @@ class EllipticCurve:
     B: int
 
     def __post_init__(self):
+        for name in ("A", "B"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.discriminant == 0:
             raise ParameterError(
                 f"curve ({self.A}, {self.B}) is singular (zero discriminant)"
@@ -155,9 +157,9 @@ class OrderSequence:
 
 def legendre_symbol(a: int, p: int) -> int:
     """Quadratic character of a mod p via Euler's criterion; p an odd prime."""
-    if p == 2 or not is_prime(p):
+    if (p := check_integer("p", p)) == 2 or not is_prime(p):
         raise DomainError(f"p={p} is not an odd prime")
-    a %= p
+    a = check_integer("a", a) % p
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
@@ -312,7 +314,7 @@ def count_points(curve: EllipticCurve, p: int) -> int:
     cap; the smaller ones, and any prime BSGS leaves ambiguous, go to the
     character sum, which raises CapacityError above _MAX_CHARACTER_PRIME.
     """
-    if not is_prime(p):
+    if not is_prime(p := check_integer("p", p)):
         raise DomainError(f"p={p} is not prime")
     return _count_points_prime(curve, p)
 
@@ -665,7 +667,7 @@ def congruence_class_census(
     orders: OrderSequence | None = None,
 ) -> dict[int, int]:
     """#{p <= x : #E(F_p) = a (mod t)} for every residue a in [0, t)."""
-    check_at_least("modulus t", t, 1)
+    t = check_integer("modulus t", t, 1)
     pi_x = primes.count_leq(x)
     if t > pi_x:  # more residues than primes to count
         raise CapacityError(f"census modulus t={t} exceeds pi(x) = {pi_x}")
@@ -691,7 +693,7 @@ def theorem5_report(
     The absence of complex multiplication is a hypothesis of that upper
     bound; it is not checked here, and the report records that.
     """
-    check_at_least("s", s, 1)
+    s = check_integer("s", s, 1)
     check_at_least("x", x, 2)
     if (bound := elliptic_prime_bound(x)) > sieve.limit:  # Hasse: orders <= x + 2 sqrt(x) + 1
         raise RangeError(f"orders up to {bound} exceed sieve limit {sieve.limit}")

@@ -8,6 +8,7 @@ RuntimeError.  A RuntimeError class carries its CLI exit code as
 (or an OSError on a path) exits 2.
 """
 
+import operator
 from contextlib import contextmanager
 
 
@@ -50,6 +51,18 @@ def check_at_least(name: str, value: float, low: int) -> None:
     """ParameterError for value < low; a nan passes, to meet check_finite's message."""
     if value < low:
         raise ParameterError(f"{name}={value} must be >= {low}")
+
+
+def check_integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as a Python int (a numpy integer or a bool reads as the int it holds), then
+    check_at_least against ``low`` if given; a float, integral or not, is refused, not truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name}={value!r} is not an integer") from None
+    if low is not None:
+        check_at_least(name, value, low)
+    return value
 
 
 @contextmanager

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConstructionError, ParameterError, check_at_least, check_finite
+from .errors import CapacityError, ConstructionError, ParameterError, check_finite, check_integer
 from .moments import _ratio_power_fsum
 from .sieve import FactorSieve, PrimeList
 
@@ -55,7 +55,7 @@ def construct_extremal_set(
     The primes up to z come from one PrimeList, so a z above its cap (10^8)
     raises CapacityError before any table is built.
     """
-    check_at_least("M", M, 1)
+    M = check_integer("M", M, 1)
     check_finite("z", z)
     if not y >= 2:  # false for nan too
         raise ParameterError(f"y={y} must be >= 2")
@@ -100,7 +100,7 @@ def alpha_sweep(
     recorded empirical_c = mean_ratio * alpha measures the constant in
     mean_ratio >= c / alpha.
     """
-    log_m = math.log(M) if M >= 1 else 0.0
+    log_m = math.log(M) if check_integer("M", M) >= 1 else 0.0
     built: dict[int, ExtremalSet] = {}  # z is fixed: the set follows floor(y)
     out = []
     for alpha in alphas:

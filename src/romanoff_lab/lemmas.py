@@ -9,7 +9,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_finite, float64_range
+from .errors import (CapacityError, DomainError, ParameterError, check_at_least, check_finite, check_integer,
+                     float64_range)
 
 if TYPE_CHECKING:
     from .sieve import PrimeList
@@ -38,8 +39,7 @@ def incomplete_gamma(s: int, x: float) -> GammaValue:
     Uses the exact closed form (s-1)! e^(-x) sum_{i<s} x^i / i!, equivalent
     to unrolling the recurrence Gamma(s, x) = x^(s-1) e^(-x) + (s-1) Gamma(s-1, x).
     """
-    if s < 1:
-        raise ParameterError(f"s={s} must be a positive integer")
+    s = check_integer("s", s, 1)
     check_finite("x", x)
     check_at_least("x", x, 0)
     term = 1.0
@@ -95,8 +95,7 @@ def prime_log_power_sums(
     and tail_ratio = tail * k / (s! * (ln(k+2))^(s-1)) are the empirical
     constants of the two classical bounds these sums satisfy.
     """
-    check_at_least("k", k, 1)
-    check_at_least("s", s, 1)
+    k, s = check_integer("k", k, 1), check_integer("s", s, 1)
     primes.check_range(tail_limit)
     if k > tail_limit:
         raise ParameterError(f"k={k} exceeds tail_limit={tail_limit}")
@@ -122,8 +121,7 @@ def min_pk_sum(k: int, s: int, primes: PrimeList, tail_limit: float) -> MinPkSum
     normalized = (value + tail_bound) / (s! * (ln(k+1))^s), the empirical
     constant-power witness for this sum.
     """
-    if k < 1 or s < 1:
-        raise ParameterError("k and s must be >= 1")
+    k, s = check_integer("k", k, 1), check_integer("s", s, 1)
     primes.check_range(tail_limit)
     with float64_range(s):
         if tail_limit < max(100.0, math.exp(s / 2)):

@@ -24,17 +24,17 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_finite, float64_range
+from .errors import (CapacityError, DomainError, ParameterError, check_at_least, check_finite, check_integer,
+                     float64_range)
 from .exact import exact_fraction_sum, float_sum
 from .sieve import (
     FactorSieve,
     PrimeList,
-    check_integer,
     int64_values,
     totient_ratio,
 )
@@ -64,13 +64,13 @@ class PolynomialSpec:
     def __post_init__(self):
         if not self.coeffs:
             raise ParameterError("polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(check_integer("coefficient", c) for c in self.coeffs))
         if self.coeffs[-1] == 0:
             raise ParameterError("leading coefficient must be nonzero")
 
     @classmethod
     def from_descending(cls, coeffs: Sequence[int]) -> "PolynomialSpec":
-        return cls(tuple(reversed([int(c) for c in coeffs])))
+        return cls(tuple(coeffs)[::-1])
 
     @property
     def degree(self) -> int:
@@ -109,6 +109,7 @@ def omega_count(values: Sequence[int], d: int) -> int:
         raise DomainError("omega_count needs a nonempty list")
     if not d >= 1:
         raise DomainError(f"modulus d={d} must be >= 1")
+    d = check_integer("d", d)
     if isinstance(values, np.ndarray):
         return sum(
             int(np.count_nonzero(values[start : start + _FSUM_BLOCK] % d == 0))
@@ -127,10 +128,10 @@ def _ratio_power(n: int, s: int, sieve: FactorSieve, cache: dict) -> Fraction:
 
 def moment_sum(values: Sequence[int], s: int, sieve: FactorSieve) -> Fraction:
     """Exact value of sum (a_n / phi(a_n))^s over the list; always >= len."""
-    check_at_least("s", s, 1)
+    s = check_integer("s", s, 1)
     cache: dict[int, Fraction] = {}
     return exact_fraction_sum(
-        _ratio_power(check_integer(v), s, sieve, cache) for v in values
+        _ratio_power(check_integer("n", v), s, sieve, cache) for v in values
     )
 
 
@@ -154,12 +155,14 @@ def _ratio_power_fsum(values: Sequence[int], s: int, sieve: FactorSieve) -> floa
         return float_sum(map(terms, range(0, len(arr), _FSUM_BLOCK)))
 
 
-def check_theorem1_parameters(s: int, alpha: float, M: float) -> None:
-    """theorem1_report's checks that need no term, for a caller to run before it enumerates."""
+def check_theorem1_parameters(s: int, alpha: float, M: float) -> int:
+    """theorem1_report's checks that need no term, for a caller to run before
+    it enumerates; s comes back as a Python int."""
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha={alpha} must lie in (0, 1)")
-    check_at_least("s", s, 1)
+    s = check_integer("s", s, 1)
     check_finite("M", M)
+    return s
 
 
 def theorem1_report(
@@ -174,7 +177,7 @@ def theorem1_report(
     rhs_core = N + sum_{p <= (ln M)^alpha} omega(p) (ln p)^s / p; the implied
     constant is (lhs / rhs_core)^(1/s).
     """
-    check_theorem1_parameters(s, alpha, M)
+    s = check_theorem1_parameters(s, alpha, M)
     if len(values) == 0:
         raise DomainError("theorem1_report needs a nonempty list")
     arr = int64_values(values)
@@ -234,7 +237,7 @@ def lemma2_product_table(limit: int, primes: PrimeList) -> np.ndarray:
     Sweeps primes instead of n: p contributes (1 + 1/p) to each multiple
     m with p > ln m, i.e. to all multiples below e^p.
     """
-    primes.check_range(limit)
+    primes.check_range(limit := check_integer("limit", limit))
     table = np.ones(limit + 1, dtype=np.float64)
     log_limit = math.log(limit) if limit > 1 else 0.0
     for p in primes.ints(limit):  # e^p - 1 >= p; past log_limit, e^p may overflow
@@ -322,7 +325,7 @@ def poly_moment_report(
     and k the degree; the implied constant strips those factors from the lhs.
     """
     check_at_least("z", z, 1)
-    check_at_least("s", s, 1)
+    s = check_integer("s", s, 1)
     if poly.degree < 1:
         raise ParameterError("degree must be >= 1")
     parameters = {
@@ -340,9 +343,8 @@ def poly_moment_report(
 def delta_L(a: int, b: int, bs: Sequence[int]) -> int:
     """Discriminant a^(k+1) * prod |b_i - b| of L(n) = an + b against the
     family {an + b_i}; zero exactly when b collides with some b_i."""
-    check_at_least("a", a, 1)
-    k = len(bs)
-    return a ** (k + 1) * math.prod(abs(bi - b) for bi in bs)
+    a, b = check_integer("a", a, 1), check_integer("b", b)
+    return a ** (len(bs) + 1) * math.prod(abs(check_integer("b_i", bi) - b) for bi in bs)
 
 
 def delta_values(a: int, bs: Sequence[int], z: float) -> list[int]:
@@ -352,9 +354,8 @@ def delta_values(a: int, bs: Sequence[int], z: float) -> list[int]:
 
 def iter_delta_values(a: int, bs: Sequence[int], z: float) -> Iterator[np.ndarray]:
     """delta_values as the |P(b)| of P(b) = a^(k+1) prod (b_i - b), zero exactly on the family."""
-    check_at_least("a", a, 1)
-    coeffs = [check_integer(a) ** (len(bs) + 1)]
-    for b in map(check_integer, bs):  # times (b_i - b), ascending coefficients
+    coeffs = [check_integer("a", a, 1) ** (len(bs) + 1)]
+    for b in map(partial(check_integer, "b_i"), bs):  # times (b_i - b), ascending coefficients
         coeffs = [b * c - lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
     return iter_poly_values(PolynomialSpec(tuple(coeffs)), z)
 
@@ -373,10 +374,10 @@ def delta_moment_report(
     The window (ln x)^0.5 <= z <= x is advisory: runs outside it warn but
     proceed, so exploratory parameter scans stay possible.
     """
-    check_at_least("a", a, 1)
+    a = check_integer("a", a, 1)
     if z <= 0:
         raise ParameterError(f"z={z} must be positive")
-    check_at_least("s", s, 1)
+    s = check_integer("s", s, 1)
     if len(bs) == 0:
         raise ParameterError("the linear family must be nonempty")
     check_finite("x", x)

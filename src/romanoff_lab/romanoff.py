@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, check_at_least
+from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_integer
 from .moments import PolynomialSpec
 from .sieve import (
     _LANE_PRIME_LIMIT,
@@ -42,7 +42,6 @@ from .sieve import (
     _residues,
     _write_csv,
     build_sieve,
-    check_integer,
     factorize_trial,
     is_prime,
     totient_trial,
@@ -126,7 +125,7 @@ def representation_counts(
     twice the bytes it touches, and CapacityError is raised before any add
     when the sum exceeds it.
     """
-    x = check_integer(x)
+    x = check_integer("x", x, 1)
     windows = _shift_add_windows(spec, x, primes, budget)
     # the windows tile both halves of r, so r is never zeroed
     r = np.empty(x + 1, dtype=np.int64)
@@ -140,7 +139,6 @@ def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: in
     iterator of (n0, counts) with counts[i] = r(n0 + 2i), over windows that
     tile the odd n and then the even n from 0; each counts array is
     overwritten by the next window."""
-    check_at_least("x", x, 1)
     primes.check_range(x)
     _refuse_curve_orders(spec, x, x - 2, primes, budget)
     terms = enumerate_terms(spec, x - 2, primes) if x >= 3 else []
@@ -161,7 +159,7 @@ def _refuse_curve_orders(
     x + 1 - a >= x - q - isqrt(4q). That sum is a lower bound, so no run
     within the budget is refused. A y that is not a finite number >= 1, or a
     table too short for y, is left to raise where the orders are counted."""
-    check_at_least("budget", budget, 0)
+    check_integer("budget", budget, 0)
     if (
         not isinstance(spec, EllipticOrders)
         or not 1 <= y < math.inf
@@ -270,7 +268,7 @@ def theorem6_report(
     A is enumerated once; every statistic reads the literal multiset of its
     terms up to x, which holds the terms up to any y <= x as a prefix.
     """
-    x = check_integer(x)
+    x = check_integer("x", x)
     pair_cutoff(x, alpha, primes)  # every check that needs no term comes first
     _refuse_curve_orders(spec, x, x, primes, budget)
     terms = enumerate_terms(spec, x, primes)
@@ -334,8 +332,7 @@ def schnirelmann_pi2(x: float, a: int, primes: PrimeList) -> ShiftedPrimeCount:
     """pi_2(x, a) = #{p <= x : p + a prime}, with the classical normalization
     count * (ln x)^2 * phi(a) / (x * a). For odd a only p = 2 can count; for
     even a, an odd p looks up cell p // 2 + a // 2 of the odd-prime indicator."""
-    a = check_integer(a)
-    check_at_least("shift a", a, 1)
+    a = check_integer("shift a", a, 1)
     check_at_least("x", x, 2)
     primes.check_range(x + a)
     if a % 2:
@@ -353,8 +350,8 @@ def multiplicative_order(a: int, p: int, sieve: FactorSieve | None = None) -> in
     Computed by factoring p - 1 (through the sieve when it covers p - 1)
     and descending through the prime divisors.
     """
-    check_at_least("a", a, 2)
-    if not is_prime(p):
+    a = check_integer("a", a, 2)
+    if not is_prime(p := check_integer("p", p)):
         raise DomainError(f"p={p} is not prime")
     if a % p == 0:
         raise DomainError(f"gcd(a, p) != 1 for a={a}, p={p}")
@@ -399,9 +396,7 @@ def order_weighted_sum(
     nondecreasing in P and convergent, the key sum behind the tower bounds.
     Orders come from _lane_mult_orders; multiplicative_order is their scalar
     oracle. Without a sieve that covers max p - 1, one is built up to max p."""
-    a, b = check_integer(a), check_integer(b)
-    if a < 2 or b < 2:
-        raise ParameterError("need a >= 2 and b >= 2")
+    a, b = check_integer("a", a, 2), check_integer("b", b, 2)
     ps = primes.upto(P)
     if ps.size and (sieve is None or sieve.limit < ps[-1] - 1):
         sieve = build_sieve(int(ps[-1]))
@@ -456,12 +451,10 @@ def order_distribution(a: int, z: int, trial_cap: int) -> OrderDistribution:
     certified prime, that n is flagged and its d_n is a certified lower
     bound; nothing is silently approximated.
     """
-    a, z, trial_cap = check_integer(a), check_integer(z), check_integer(trial_cap)
-    check_at_least("a", a, 2)
-    check_at_least("z", z, 1)
+    a, z = check_integer("a", a, 2), check_integer("z", z, 1)
     if z > DEFAULT_EXPONENT_CAP:
         raise CapacityError(f"z={z} exceeds the exponent cap {DEFAULT_EXPONENT_CAP}")
-    check_at_least("trial_cap", trial_cap, 2)
+    trial_cap = check_integer("trial_cap", trial_cap, 2)
     # a^n - 1 has at most one prime past isqrt(a^z - 1): the cofactor left
     # once the smaller ones are divided out
     ps = PrimeList.build(max(2, min(trial_cap, math.isqrt(a**z - 1)))).values
@@ -497,7 +490,7 @@ def root_count(f: PolynomialSpec, m: int) -> int:
     Requires gcd(content(f), m) = 1, the primitivity hypothesis of the
     root-count bound rho <= c n m^(1-1/n).
     """
-    check_at_least("m", m, 1)
+    m = check_integer("m", m, 1)
     if m > ROOT_COUNT_MODULUS_CAP:
         raise CapacityError(f"m={m} exceeds the scan cap {ROOT_COUNT_MODULUS_CAP}")
     if math.gcd(f.content, m) != 1:
@@ -517,6 +510,7 @@ def konyagin_ratio(f: PolynomialSpec, m: int) -> float:
     """root_count normalized by n * m^(1-1/n), n the degree (>= 1)."""
     if f.degree < 1:
         raise ParameterError("degree must be >= 1 for the normalized ratio")
+    m = check_integer("m", m)
     return root_count(f, m) / (f.degree * m ** (1.0 - 1.0 / f.degree))
 
 
@@ -531,11 +525,8 @@ def theorem9_report(
     """Density of n <= x representable as p + a^(j^b), against both sides of
     the two-sided bound ~ x / (ln x)^(1-1/b) (T9); the representable n are
     the nonzero cells of the shift-add windows, counted window by window."""
-    a, b, x = check_integer(a), check_integer(b), check_integer(x)
-    if a < 2 or b < 2:
-        raise ParameterError("need a >= 2 and b >= 2")
-    check_at_least("x", x, 3)
-    check_at_least("budget", budget, 0)
+    a, b, x = check_integer("a", a, 2), check_integer("b", b, 2), check_integer("x", x, 3)
+    check_integer("budget", budget, 0)
     terms = enumerate_terms(PowerTower(a, b), x)
     windows = _shift_add_windows(Explicit(tuple(terms)), x, primes, budget)
     representable = sum(int(np.count_nonzero(counts)) for _, counts in windows)

@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, RangeError, check_at_least, check_finite
+from .errors import (CapacityError, DomainError, ParameterError, RangeError, check_at_least, check_finite,
+                     check_integer)
 from .moments import PolynomialSpec
 from .sieve import PrimeList
 
@@ -41,6 +42,8 @@ class Geometric:
     start_exponent: int = 0
 
     def __post_init__(self):
+        for name in ("base", "start_exponent"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.base < 2:
             raise ParameterError(f"geometric base must be >= 2, got {self.base}")
         if self.start_exponent not in (0, 1):
@@ -55,6 +58,8 @@ class PowerTower:
     power: int
 
     def __post_init__(self):
+        for name in ("base", "power"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.base < 2 or self.power < 2:
             raise ParameterError("power tower needs base >= 2 and power >= 2")
 
@@ -76,7 +81,7 @@ class Explicit:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v < 1 for v in self.values):
+        if any(check_integer("term", v) < 1 for v in self.values):
             raise ParameterError("explicit sequences must be positive integers")
 
 
@@ -281,7 +286,7 @@ def term_multiplicity(
     spec: SequenceSpec, n: int, primes: PrimeList | None = None
 ) -> int:
     """ord_A(n) = #{j : a_j = n}."""
-    check_at_least("n", n, 1)
+    n = check_integer("n", n, 1)
     return sum(1 for v in enumerate_terms(spec, n, primes) if v == n)
 
 

@@ -26,7 +26,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, RangeError, TableIntegrityError, check_at_least, check_finite
+from .errors import (CapacityError, ParameterError, RangeError, TableIntegrityError, check_at_least,
+                     check_finite, check_integer)
 
 # Hard cap on sieve size; spf entries are 32-bit, so 1e8 costs 400 MB.
 DEFAULT_LIMIT_CAP = 10**8
@@ -42,7 +43,7 @@ _DENSE_SPAN = 4  # FactorSieve.totient_route's density rule
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below ~3.3e24."""
-    if n < 2:
+    if (n := check_integer("n", n)) < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
@@ -67,14 +68,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_integer(value) -> int:
-    """``value`` as a Python int; ParameterError for anything else. A float
-    is refused whole, integral or not, as table limits are."""
-    if not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"value {value!r} is not an integer")
-    return int(value)
-
-
 def int64_values(values) -> np.ndarray:
     """``values`` as a flat int64 array; check_integer's rule for each entry,
     and RangeError for an integer beyond int64. A list is read in one pass
@@ -95,7 +88,7 @@ def int64_values(values) -> np.ndarray:
         # numpy holds [5, 2**63] as float64 and [2**63] as uint64: read the values
         arr = np.asarray(values, dtype=object).ravel()
         for v in arr.tolist():
-            if not -(2**63) <= check_integer(v) < 2**63:
+            if not -(2**63) <= check_integer("n", v) < 2**63:
                 raise RangeError(f"n={v} is beyond int64")
     return arr.astype(np.int64, copy=False)
 
@@ -113,7 +106,7 @@ def factorize_trial(n: int) -> list[tuple[int, int]]:
     the reach of is_prime is trial-divided to the end. Inputs below 2^32
     never get that far and do no extra work.
     """
-    if n < 1:
+    if (n := check_integer("n", n)) < 1:
         raise ParameterError(f"cannot factor n={n}")
     out = []
     d, step = 2, 1  # 2, 3, 5, then alternately +2 and +4: 7, 11, 13, 17, ...
@@ -163,14 +156,16 @@ class FactorSieve:
     limit: int
     spf: np.ndarray
 
-    def check_range(self, n: int) -> None:
-        if not 1 <= n <= self.limit:
+    def check_range(self, n: int) -> int:
+        """n as a Python int, checked to lie in [1, limit]."""
+        if not 1 <= (n := check_integer("n", n)) <= self.limit:
             raise RangeError(f"n={n} outside sieve range [1, {self.limit}]")
+        return n
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of n in ascending prime order; each entry
         read must pass the integrity rule of ``_peel``."""
-        self.check_range(n)
+        n = self.check_range(n)
         out = []
         spf = self.spf
         while n > 1:
@@ -327,13 +322,11 @@ def _store_cached_spf(path: str, limit: int, spf: np.ndarray) -> None:
         pass  # cache is best-effort
 
 
-def _check_limit(table: str, limit: int) -> None:
-    """A table limit is an integer in [2, DEFAULT_LIMIT_CAP]; a float is
-    refused whole, integral or not, rather than failing inside numpy."""
-    if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
-        raise ParameterError(f"{table} limit {limit!r} is not an integer")
-    if not 2 <= limit <= DEFAULT_LIMIT_CAP:
+def _check_limit(table: str, limit: int) -> int:
+    """A table limit, as a Python int in [2, DEFAULT_LIMIT_CAP]."""
+    if not 2 <= (limit := check_integer(f"{table} limit", limit)) <= DEFAULT_LIMIT_CAP:
         raise CapacityError(f"{table} limit {limit} outside [2, {DEFAULT_LIMIT_CAP}]")
+    return limit
 
 
 def build_sieve(limit: int, *, cache_dir: str | None = None) -> FactorSieve:
@@ -342,7 +335,7 @@ def build_sieve(limit: int, *, cache_dir: str | None = None) -> FactorSieve:
     ``cache_dir`` (e.g. from ROMANOFF_LAB_CACHE) memoizes the raw table to
     disk with a version tag and checksum; corrupt files are rebuilt.
     """
-    _check_limit("sieve", limit)
+    limit = _check_limit("sieve", limit)
     if cache_dir:
         path = _spf_cache_path(cache_dir, limit)
         cached = _load_cached_spf(path, limit)
@@ -402,7 +395,7 @@ class PrimeList:
 
     @classmethod
     def build(cls, limit: int) -> "PrimeList":
-        _check_limit("prime table", limit)
+        limit = _check_limit("prime table", limit)
         return cls(limit=limit, values=_sieve_primes(limit))
 
     def check_range(self, x: float, name: str = "x") -> None:
@@ -430,7 +423,7 @@ class PrimeList:
         return chain.from_iterable(step.tolist() for step in self.steps(x, above))
 
     def contains(self, n: int) -> bool:
-        i = int(np.searchsorted(self.values, n))
+        i = int(np.searchsorted(self.values, n := check_integer("n", n)))
         return i < len(self.values) and int(self.values[i]) == n
 
 
@@ -441,7 +434,7 @@ def totient(n: int, sieve: FactorSieve) -> int:
 
 def totient_ratio(n: int, sieve: FactorSieve) -> Fraction:
     """n / phi(n) as an exact rational (always >= 1)."""
-    return Fraction(n, totient(n, sieve))
+    return Fraction(n := sieve.check_range(n), totient(n, sieve))
 
 
 def nu(n: int, sieve: FactorSieve) -> int:
@@ -472,7 +465,7 @@ def totient_table(limit: int) -> np.ndarray:
     Vectorized and exact in integer arithmetic; independent of FactorSieve,
     which makes it a useful cross-check for per-n totient().
     """
-    if limit < 1:
+    if (limit := check_integer("limit", limit)) < 1:
         raise ParameterError(f"limit must be >= 1, got {limit}")
     phi = np.arange(limit + 1, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)

@@ -70,6 +70,12 @@ def test_call_loads_only_its_modules(argv, extra, tmp_path):
         (["moments", "--report", "theorem1"], 2),  # refused before any table
         (["lemmas", "--gamma", "--s-max", "6", "--abel", "--seed", "1"], 0),
         (["romanoff", "--report", "theorem9", "--P", "0"], 2),  # a flag theorem9 does not read
+        # a value below its flag's bound in cli.REPORT_FLAGS
+        (["elliptic", "--curve", "1,1", "--x", "1.5"], 2),
+        (["elliptic", "--curve", "1,1", "--x", "100", "--s", "0"], 2),
+        (["elliptic", "--curve", "1,1", "--x", "100", "--census-mod", "0"], 2),
+        (["romanoff", "--report", "order-sum", "--P", "1"], 2),
+        (["lemmas", "--gamma", "--s-max", "0"], 2),
     ],
 )
 def test_call_that_computes_no_table_loads_no_numpy(argv, code, tmp_path):
