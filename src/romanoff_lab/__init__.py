@@ -47,8 +47,7 @@ _PUBLIC = {
     ),
     "sequences": (
         "EllipticOrders Explicit Geometric Polynomial PowerTower SequenceSpec "
-        "congruence_pair_sum count_terms doubling_ratio enumerate_terms "
-        "format_sequence_spec max_multiplicity parse_sequence_spec term_multiplicity"
+        "congruence_pair_sum enumerate_terms format_sequence_spec parse_sequence_spec"
     ),
     "sieve": (
         "FactorSieve MertensProducts PrimeList build_sieve chebyshev_theta is_prime "

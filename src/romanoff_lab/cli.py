@@ -92,7 +92,8 @@ def _table_size(needed: float, cap: int, table: str, flag: str) -> int:
     """needed rounded up to a table limit of at least 2, within the flag's cap;
     needed is compared before it is rounded, so an infinite one is refused."""
     if needed > cap:
-        raise CapacityError(f"this run needs {table} {needed}, above the {flag} cap {cap}")
+        shown = needed if needed == math.inf else math.ceil(needed)
+        raise CapacityError(f"this run needs {table} {shown}, above the {flag} cap {cap}")
     return max(math.ceil(needed), 2)
 
 

@@ -149,7 +149,7 @@ class OrderSequence:
         return self.counts.tolist()
 
     def hasse_min_margin(self) -> float:
-        return float(hasse_margin(self.curve, self.primes, self.counts).min())
+        return float(_hasse_margins(self.primes, self.counts).min())
 
     def write_csv(self, stream: IO[str]) -> None:
         _write_csv(stream, "p,order\n", self.primes, self.counts)
@@ -628,14 +628,17 @@ def _count_points_lanes(curve: EllipticCurve, ps) -> np.ndarray:
 def hasse_margin(curve: EllipticCurve, p: int, order: int | None = None) -> float:
     """2*sqrt(p) - |#E(F_p) - (p+1)|; positive for every prime.
 
-    A known order #E(F_p) is used as given; otherwise it is counted. Int64
-    arrays of p and orders give each scalar margin bit for bit (np.sqrt
-    rounds as math.sqrt does).
+    A known order #E(F_p) is used as given; otherwise it is counted.
     """
+    p = check_integer("p", p)
     if order is None:
         order = count_points(curve, p)
-    sqrt = np.sqrt if isinstance(p, np.ndarray) else math.sqrt
-    return 2.0 * sqrt(p) - abs(order - (p + 1))
+    return 2.0 * math.sqrt(p) - abs(order - (p + 1))
+
+
+def _hasse_margins(ps: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """hasse_margin over int64 arrays of primes and orders, bit for bit (np.sqrt rounds as math.sqrt)."""
+    return 2.0 * np.sqrt(ps) - np.abs(orders - (ps + 1))
 
 
 def order_sequence(curve: EllipticCurve, x: float, primes: PrimeList) -> OrderSequence:

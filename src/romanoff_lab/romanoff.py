@@ -48,10 +48,9 @@ from .sieve import (
 )
 from .sequences import (
     EllipticOrders,
-    Explicit,
     PowerTower,
     SequenceSpec,
-    congruence_pair_sum,
+    _pair_sum,
     elliptic_prime_bound,
     enumerate_terms,
     format_sequence_spec,
@@ -126,22 +125,21 @@ def representation_counts(
     when the sum exceeds it.
     """
     x = check_integer("x", x, 1)
-    windows = _shift_add_windows(spec, x, primes, budget)
+    _refuse_curve_orders(spec, x, x - 2, primes, budget)
+    terms = enumerate_terms(spec, x - 2, primes) if x >= 3 else []
     # the windows tile both halves of r, so r is never zeroed
     r = np.empty(x + 1, dtype=np.int64)
-    for n0, counts in windows:
+    for n0, counts in _shift_add_windows(terms, x, primes, budget):
         r[n0 : n0 + 2 * len(counts) : 2] = counts
     return RepresentationProfile(spec=spec, x=x, r=r)
 
 
-def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: int):
-    """The terms a <= x - 2 of spec, checked against the budget, then an
-    iterator of (n0, counts) with counts[i] = r(n0 + 2i), over windows that
-    tile the odd n and then the even n from 0; each counts array is
-    overwritten by the next window."""
+def _shift_add_windows(terms: list[int], x: int, primes: PrimeList, budget: int):
+    """The caller's sorted terms a <= x - 2, their cost checked against the
+    budget, as an iterator of (n0, counts) with counts[i] = r(n0 + 2i), over
+    windows that tile the odd n and then the even n from 0; each counts array
+    is overwritten by the next window."""
     primes.check_range(x)
-    _refuse_curve_orders(spec, x, x - 2, primes, budget)
-    terms = enumerate_terms(spec, x - 2, primes) if x >= 3 else []
     cost = len(terms) * (x + 1) - sum(terms)
     if cost > budget:
         raise CapacityError(
@@ -153,12 +151,12 @@ def _shift_add_windows(spec: SequenceSpec, x: int, primes: PrimeList, budget: in
 def _refuse_curve_orders(
     spec: SequenceSpec, x: int, y: float, primes: PrimeList, budget: int
 ) -> None:
-    """Raise CapacityError before curve orders up to y are counted when the
-    shift-add to x must exceed the budget: by Hasse, each prime q with
-    q + 1 + isqrt(4q) <= x - 2 gives a term a <= x - 2 that costs
-    x + 1 - a >= x - q - isqrt(4q). That sum is a lower bound, so no run
-    within the budget is refused. A y that is not a finite number >= 1, or a
-    table too short for y, is left to raise where the orders are counted."""
+    """Check the budget, before any term of any spec, and raise CapacityError
+    before curve orders up to y are counted when the shift-add to x must
+    exceed it: by Hasse, each prime q with q + 1 + isqrt(4q) <= x - 2 gives a
+    term a <= x - 2 that costs x + 1 - a >= x - q - isqrt(4q). That sum is a
+    lower bound, so no run within the budget is refused. A y that is not a finite
+    number >= 1, or a table too short for y, is left to raise where orders are counted."""
     check_integer("budget", budget, 0)
     if (
         not isinstance(spec, EllipticOrders)
@@ -216,11 +214,11 @@ def _windows(terms: list[int], x: int, primes: PrimeList):
             yield 2 * lo + start, counts
 
 
-def _histogram(spec: SequenceSpec, x: int, primes: PrimeList, budget: int) -> np.ndarray:
-    """hist[t] = #{1 <= n <= x : r(n) = t}, folded window by window; bincount
-    reads _HIST_CELLS cells at a time, so its intp copy stays small."""
+def _histogram(terms: list[int], x: int, primes: PrimeList, budget: int) -> np.ndarray:
+    """hist[t] = #{1 <= n <= x : r(n) = t} from the sorted terms a <= x - 2, folded
+    window by window; bincount reads _HIST_CELLS cells at a time (a small intp copy)."""
     hist = np.zeros(1, dtype=np.int64)
-    for _, counts in _shift_add_windows(spec, x, primes, budget):
+    for _, counts in _shift_add_windows(terms, x, primes, budget):
         for s in range(0, len(counts), _HIST_CELLS):
             fold = np.bincount(counts[s : s + _HIST_CELLS], minlength=len(hist))
             fold[: len(hist)] += hist
@@ -265,23 +263,23 @@ def theorem6_report(
     candidate c_1, the fraction of n <= x with r(n) >= c_1 N_A(x)/ln x. Both
     r statistics are read off one histogram of r; r itself is never built.
 
-    A is enumerated once; every statistic reads the literal multiset of its
-    terms up to x, which holds the terms up to any y <= x as a prefix.
+    A is enumerated once, to x, into one sorted list: N_A, the half count and
+    rho_A are read off it, the pair sum takes all of it and the histogram its
+    prefix of terms <= x - 2. No other copy of the terms is made.
     """
     x = check_integer("x", x)
-    pair_cutoff(x, alpha, primes)  # every check that needs no term comes first
+    cutoff = pair_cutoff(x, alpha, primes)  # every check that needs no term comes first
     _refuse_curve_orders(spec, x, x, primes, budget)
     terms = enumerate_terms(spec, x, primes)
     n_total = len(terms)
     if n_total == 0:
         raise DomainError(f"sequence has no terms <= {x}")
-    table = Explicit(tuple(terms))
     base_params = {"sequence": format_sequence_spec(spec), "x": x, "N_A": n_total}
     log_x = math.log(x)
 
     half_count = bisect.bisect_right(terms, x / 2)
-    raw_pairs, gamma2 = congruence_pair_sum(table, x, alpha, primes)
-    hist = _histogram(table, x, primes, budget)
+    raw_pairs, gamma2 = _pair_sum(terms, cutoff, primes)
+    hist = _histogram(terms[: bisect.bisect_right(terms, x - 2)], x, primes, budget)
     rho = max(Counter(terms).values())
     sq = sum(t * t * h for t, h in enumerate(hist.tolist()))
     sq_norm = sq * log_x**2 / (x * n_total * (rho * log_x + n_total))
@@ -526,9 +524,10 @@ def theorem9_report(
     the two-sided bound ~ x / (ln x)^(1-1/b) (T9); the representable n are
     the nonzero cells of the shift-add windows, counted window by window."""
     a, b, x = check_integer("a", a, 2), check_integer("b", b, 2), check_integer("x", x, 3)
-    check_integer("budget", budget, 0)
-    terms = enumerate_terms(PowerTower(a, b), x)
-    windows = _shift_add_windows(Explicit(tuple(terms)), x, primes, budget)
+    spec = PowerTower(a, b)
+    _refuse_curve_orders(spec, x, x, primes, budget)
+    terms = enumerate_terms(spec, x)
+    windows = _shift_add_windows(terms[: bisect.bisect_right(terms, x - 2)], x, primes, budget)
     representable = sum(int(np.count_nonzero(counts)) for _, counts in windows)
     n_total = len(terms)
     pi_x = primes.count_leq(x)

@@ -1,7 +1,6 @@
-"""Declarative sequence families A = {a_j} and their counting statistics
-N_A(x), ord_A(n), rho_A(x), plus the two hypothesis quantities every
-Romanoff-type run needs: the halving ratio N_A(x/2)/N_A(x) and the
-congruence pair sum over small primes.
+"""Declarative sequence families A = {a_j}, the enumeration of their terms up
+to x, and the congruence pair sum over small primes that every Romanoff-type
+run needs.
 
 Each family has a canonical textual form used by the CLI:
 
@@ -15,7 +14,6 @@ Each family has a canonical textual form used by the CLI:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Union
@@ -275,39 +273,6 @@ def iter_terms(
     raise ParameterError(f"not a sequence spec: {spec!r}")
 
 
-def count_terms(
-    spec: SequenceSpec, x: float, primes: PrimeList | None = None
-) -> int:
-    """N_A(x) = #{j : a_j <= x}, with multiplicity."""
-    return len(enumerate_terms(spec, x, primes))
-
-
-def term_multiplicity(
-    spec: SequenceSpec, n: int, primes: PrimeList | None = None
-) -> int:
-    """ord_A(n) = #{j : a_j = n}."""
-    n = check_integer("n", n, 1)
-    return sum(1 for v in enumerate_terms(spec, n, primes) if v == n)
-
-
-def max_multiplicity(
-    spec: SequenceSpec, x: float, primes: PrimeList | None = None
-) -> int:
-    """rho_A(x) = max over n <= x of ord_A(n); 0 for an empty range."""
-    counts = Counter(enumerate_terms(spec, x, primes))
-    return max(counts.values(), default=0)
-
-
-def doubling_ratio(
-    spec: SequenceSpec, x: float, primes: PrimeList | None = None
-) -> float:
-    """N_A(x/2) / N_A(x): the empirical halving constant gamma_1."""
-    terms = enumerate_terms(spec, x, primes)
-    if not terms:
-        raise DomainError(f"sequence has no terms <= {x}")
-    return bisect_right(terms, x / 2) / len(terms)
-
-
 def pair_cutoff(x: float, alpha: float, primes: PrimeList) -> float:
     """The prime cutoff (ln x)^alpha of congruence_pair_sum, checked before any term."""
     if not alpha > 0:  # nan too
@@ -332,13 +297,18 @@ def congruence_pair_sum(
 
     raw = sum over primes p <= (ln x)^alpha of ln(p)/p times the number of
     pairs a_k < a_j <= x with a_j = a_k (mod p): sum_r C(m_r, 2) over the
-    residue classes r, less sum_v C(c_v, 2) over the values v, c_v = ord_A(v).
+    residue classes r, less sum_v C(c_v, 2) over the values v of multiplicity c_v.
     normalized = raw / N_A(x)^2, the empirical gamma_2.
     """
     cutoff = pair_cutoff(x, alpha, primes)
     terms = enumerate_terms(spec, x, primes)
     if not terms:
         raise DomainError(f"sequence has no terms <= {x}")
+    return _pair_sum(terms, cutoff, primes)
+
+
+def _pair_sum(terms: list[int], cutoff: float, primes: PrimeList) -> tuple[float, float]:
+    """congruence_pair_sum over the primes <= cutoff, of the caller's nonempty terms a_j <= x."""
     equal_pairs = sum(c * (c - 1) // 2 for c in Counter(terms).values())
     raw_parts = []
     for p in primes.ints(cutoff):

@@ -144,6 +144,19 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            ("elliptic --curve 1,1 --x 10000000 --census-mod 4", 20000001),
+            ("romanoff --report order-sum --a 2 --b 2 --P 100000000", 100000000),
+        ],
+    )
+    def test_table_size_above_the_cap_is_an_integer(self, argv, size, capsys):
+        # the size is rounded up for the message, not printed as a float
+        assert run(argv.split()) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: this run needs a sieve of size {size}, above the --sieve-limit cap 10000000\n"
+
 
 class TestRefusedBeforeTheyRun:
     """Inputs whose enumeration would exhaust memory or run for hours, or

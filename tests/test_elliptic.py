@@ -254,7 +254,7 @@ class TestOrderArrays:
         got = seq.hasse_min_margin()
         assert type(got) is float
         assert got.hex() == scalar.hex()
-        margins = hasse_margin(seq.curve, seq.primes, seq.counts)
+        margins = ell._hasse_margins(seq.primes, seq.counts)
         assert [m.hex() for m in margins.tolist()] == [
             hasse_margin(seq.curve, p, n).hex() for p, n in seq.entries
         ]

@@ -152,8 +152,9 @@ def test_lemma_sums_beyond_float64_are_capacity_errors(call, s, primes100k):
 
 
 def test_theorem6_reads_its_counts_off_one_list(monkeypatch, primes100k):
-    # the pair sum and the histogram take a copy; gamma_1, the half count and rho_A do not
-    calls = []
+    # T6 and T9 enumerate once and hand that list (or its prefix of terms
+    # <= x - 2) to the pair sum and the windows; no Explicit copy is built
+    calls, copies = [], []
     enumerate_terms = sequences.enumerate_terms
 
     def counted(*args, **kwargs):
@@ -162,9 +163,12 @@ def test_theorem6_reads_its_counts_off_one_list(monkeypatch, primes100k):
 
     monkeypatch.setattr(sequences, "enumerate_terms", counted)
     monkeypatch.setattr(romanoff, "enumerate_terms", counted)
+    monkeypatch.setattr(sequences.Explicit, "__post_init__", lambda self: copies.append(self))
     spec = sequences.Polynomial(PolynomialSpec.from_descending([1, 0, 1]))
     out = romanoff.theorem6_report(spec, 10**4, 1.0, primes100k)
-    assert len(calls) == 3
+    assert calls == [spec] and copies == []
+    romanoff.theorem9_report(2, 2, 10**4, primes100k)
+    assert calls == [spec, sequences.PowerTower(2, 2)] and copies == []
     terms = [n * n + 1 for n in range(1, 100)]
     gamma1 = next(e for e in out if e.name == "gamma1")
     assert gamma1.parameters["half_count"] == sum(t <= 5000 for t in terms)

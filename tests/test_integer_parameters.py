@@ -13,6 +13,7 @@ from romanoff_lab.elliptic import (
     EllipticCurve,
     congruence_class_census,
     count_points,
+    hasse_margin,
     legendre_symbol,
     theorem5_report,
 )
@@ -45,7 +46,7 @@ from romanoff_lab.romanoff import (
     theorem6_report,
     theorem9_report,
 )
-from romanoff_lab.sequences import Explicit, Geometric, PowerTower, enumerate_terms, term_multiplicity
+from romanoff_lab.sequences import Explicit, Geometric, PowerTower, enumerate_terms
 from romanoff_lab.sieve import (
     PrimeList,
     build_sieve,
@@ -106,12 +107,12 @@ SITES = [
     ("PowerTower-base", "base", lambda v: enumerate_terms(PowerTower(v, 2), 10**6), 2),
     ("PowerTower-power", "power", lambda v: enumerate_terms(PowerTower(2, v), 10**6), 2),
     ("Explicit-term", "term", lambda v: enumerate_terms(Explicit((1, v, 3)), 100), 2),
-    ("term_multiplicity-n", "n", lambda v: term_multiplicity(Geometric(2), v), 4),
     ("EllipticCurve-A", "A", lambda v: EllipticCurve(v, 1), 2),
     ("EllipticCurve-B", "B", lambda v: EllipticCurve(1, v), 2),
     ("legendre_symbol-a", "a", lambda v: legendre_symbol(v, 7), 3),
     ("legendre_symbol-p", "p", lambda v: legendre_symbol(2, v), 1000003),
     ("count_points-p", "p", lambda v: count_points(CURVE, v), 10007),
+    ("hasse_margin-p", "p", lambda v: hasse_margin(CURVE, v, 5), 7),
     ("congruence_class_census-t", "modulus t", lambda v: congruence_class_census(CURVE, 100, v, PRIMES), 4),
     ("theorem5_report-s", "s", lambda v: theorem5_report(CURVE, 100, v, SIEVE, PRIMES), 2),
     ("incomplete_gamma-s", "s", lambda v: incomplete_gamma(v, 1.0), 3),

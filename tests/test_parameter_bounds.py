@@ -27,7 +27,7 @@ from romanoff_lab.romanoff import (
     schnirelmann_pi2,
     theorem9_report,
 )
-from romanoff_lab.sequences import Geometric, enumerate_terms, term_multiplicity
+from romanoff_lab.sequences import Geometric, enumerate_terms
 from romanoff_lab.sieve import PrimeList, build_sieve, chebyshev_theta, mertens_products
 
 PRIMES = PrimeList.build(10**4)
@@ -62,7 +62,6 @@ SITES = [
     ("root_count-m", lambda v: root_count(POLY, v), 1, "m=0 must be >= 1"),
     ("theorem9_report-x", lambda v: theorem9_report(2, 2, v, PRIMES), 3, "x=2 must be >= 3"),
     ("iter_terms-x", lambda v: enumerate_terms(Geometric(2), v), 1, "x=0 must be >= 1"),
-    ("term_multiplicity-n", lambda v: term_multiplicity(Geometric(2), v), 1, "n=0 must be >= 1"),
     ("mertens_products-x", lambda v: mertens_products(v, PRIMES), 2, "x=1 must be >= 2"),
     ("chebyshev_theta-x", lambda v: chebyshev_theta(v, PRIMES), 2, "x=1 must be >= 2"),
 ]

@@ -32,6 +32,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 REPORTS = {
     "theorem9-a2-b2": ["romanoff", "--report", "theorem9", "--a", "2", "--b", "2"],
     "frontier-geom2": ["romanoff", "--report", "frontier", "--seq", "geom:2:start=0"],
+    # the one T6 golden with repeated terms (rho_A > 1)
+    "frontier-ecorders1_1": ["romanoff", "--report", "frontier", "--seq", "ecorders:1,1"],
 }
 
 

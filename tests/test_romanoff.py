@@ -1,6 +1,8 @@
 import io
 import math
 import random
+from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -149,7 +151,8 @@ def assert_windows_match_oracle(x, terms, window):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rom_module, "_WINDOW", window)
         prof = representation_counts(spec, x, HYP_PRIMES)
-        hist = rom_module._histogram(spec, x, HYP_PRIMES, rom_module.DEFAULT_BUDGET)
+        below = sorted(a for a in terms if a <= x - 2)
+        hist = rom_module._histogram(below, x, HYP_PRIMES, rom_module.DEFAULT_BUDGET)
     assert np.array_equal(prof.r, oracle)
     assert np.array_equal(hist, np.bincount(oracle[1:]))
 
@@ -365,9 +368,7 @@ class TestTheorem6Report:
         # r(n) >= 0.05 N_A/ln x threshold
         x = 2**16
         prof = representation_counts(Geometric(2, 0), x, primes100k)
-        from romanoff_lab.sequences import count_terms
-
-        threshold = 0.05 * count_terms(Geometric(2, 0), x) / math.log(x)
+        threshold = 0.05 * len(enumerate_terms(Geometric(2, 0), x)) / math.log(x)
         assert density_count(prof, threshold) / x > 0.05
 
 
@@ -666,6 +667,62 @@ class TestBudgetInByteAdds:
         assert prof.total() == primes100k.count_leq(999)
 
 
+@st.composite
+def frontier_cases(draw):
+    """(x, terms): x <= 2000 and a multiset with repeated terms, terms at
+    x - 2, x - 1 and x, and at least one term <= x."""
+    x = draw(st.integers(2, 2000))
+    value = st.sampled_from([a for a in (x - 2, x - 1, x) if a >= 1]) | st.integers(1, x + 3)
+    terms = draw(st.lists(value, min_size=1, max_size=40).filter(lambda t: min(t) <= x))
+    return x, tuple(terms + terms[: draw(st.integers(0, len(terms)))])
+
+
+class TestTheorem6PrefixCut:
+    """T6 reads N_A, the half count and rho_A off its one list and hands the
+    histogram the prefix of terms <= x - 2; Counter and bisect on the drawn
+    multiset, and representation_counts, are the oracles."""
+
+    @given(frontier_cases())
+    @example((2, (1, 1, 2)))
+    @example((3, (1, 2, 3, 3)))
+    @example((2000, (1998, 1999, 2000, 1998, 1999, 2000)))
+    @settings(max_examples=60, deadline=None)
+    def test_statistics_match_plain_counts(self, case):
+        x, terms = case
+        spec = Explicit(terms)
+        gamma1, _, second, *frontier = theorem6_report(spec, x, 1.0, HYP_PRIMES)
+        within = sorted(a for a in terms if a <= x)
+        assert gamma1.parameters["N_A"] == len(within)
+        assert gamma1.parameters["half_count"] == bisect_right(within, x / 2)
+        assert second.parameters["rho_A"] == max(Counter(within).values())
+        prof = representation_counts(spec, x, HYP_PRIMES)
+        assert second.parameters["second_moment"] == second_moment(prof)
+        assert [e.parameters["count"] for e in frontier] == [
+            density_count(prof, e.parameters["threshold"]) for e in frontier
+        ]
+
+    @given(frontier_cases())
+    @example((2, (1, 2)))
+    @example((2000, (1998, 1999, 2000, 1998)))
+    @settings(max_examples=60, deadline=None)
+    def test_budget_edge(self, case):
+        x, terms = case
+        spec = Explicit(terms)
+        below = [a for a in terms if a <= x - 2]
+        cost = len(below) * (x + 1) - sum(below)
+        theorem6_report(spec, x, 1.0, HYP_PRIMES, budget=cost)
+        representation_counts(spec, x, HYP_PRIMES, budget=cost)
+        if cost:
+            message = f"{len(below)} terms cost {cost} byte adds, above budget {cost - 1}"
+            for call in (
+                lambda: theorem6_report(spec, x, 1.0, HYP_PRIMES, budget=cost - 1),
+                lambda: representation_counts(spec, x, HYP_PRIMES, budget=cost - 1),
+            ):
+                with pytest.raises(CapacityError) as refused:
+                    call()
+                assert str(refused.value) == message
+
+
 def hasse_cost_bound(x: int, primes: PrimeList) -> int:
     """Sum of x - q - isqrt(4q) over the primes with q + 1 + isqrt(4q) <= x - 2."""
     return sum(
@@ -856,7 +913,7 @@ def order_distribution_integer_trial(a, z, trial_cap):
 
 def representable_by_histogram(a, b, x, primes):
     """#{n <= x : r(n) > 0} as x minus the zero cell of the r histogram."""
-    terms = Explicit(tuple(enumerate_terms(PowerTower(a, b), x)))
+    terms = enumerate_terms(PowerTower(a, b), x - 2)
     return x - int(rom_module._histogram(terms, x, primes, rom_module.DEFAULT_BUDGET)[0])
 
 
@@ -937,12 +994,12 @@ class TestTheorem9NonzeroCells:
     def test_nonzero_cells_of_any_term_set(self, case, window):
         # uint8 blocks and int32 windows alike: the n = 0 cell is always zero
         x, terms = case
-        spec = Explicit(terms)
+        terms = [a for a in terms if a <= x - 2]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rom_module, "_WINDOW", window)
-            cells = rom_module._shift_add_windows(spec, x, HYP_PRIMES, rom_module.DEFAULT_BUDGET)
+            cells = rom_module._shift_add_windows(terms, x, HYP_PRIMES, rom_module.DEFAULT_BUDGET)
             nonzero = sum(int(np.count_nonzero(counts)) for _, counts in cells)
-        hist = rom_module._histogram(spec, x, HYP_PRIMES, rom_module.DEFAULT_BUDGET)
+        hist = rom_module._histogram(terms, x, HYP_PRIMES, rom_module.DEFAULT_BUDGET)
         assert nonzero == x - int(hist[0])
 
     def test_budget_still_refuses(self, primes100k):

@@ -15,6 +15,7 @@ from romanoff_lab.errors import (
 )
 from romanoff_lab import sequences as seq_module
 from romanoff_lab.moments import PolynomialSpec
+from romanoff_lab.romanoff import theorem6_report
 from romanoff_lab.sequences import (
     EllipticOrders,
     Explicit,
@@ -22,15 +23,11 @@ from romanoff_lab.sequences import (
     Polynomial,
     PowerTower,
     congruence_pair_sum,
-    count_terms,
-    doubling_ratio,
     elliptic_prime_bound,
     enumerate_terms,
     format_sequence_spec,
     iter_terms,
-    max_multiplicity,
     parse_sequence_spec,
-    term_multiplicity,
 )
 
 
@@ -198,18 +195,25 @@ class TestPolynomialTermsAgainstLoop:
                 enumerate_terms(Polynomial(PolynomialSpec((0, 1))), 100)
 
 
-class TestCountingFunctions:
-    def test_geometric_counts(self):
-        spec = Geometric(2, 0)
-        assert count_terms(spec, 5) == 3
-        assert term_multiplicity(spec, 4) == 1
-        assert max_multiplicity(spec, 5) == 1
+def t6_counts(spec, x, primes):
+    """N_A, the half count and rho_A of theorem6_report, the one place they are read."""
+    gamma1, _, second, *_ = theorem6_report(spec, x, 1.0, primes)
+    return gamma1.parameters["N_A"], gamma1.parameters["half_count"], second.parameters["rho_A"]
 
-    def test_explicit_multiplicity(self):
-        spec = Explicit((1, 1, 2))
-        assert term_multiplicity(spec, 1) == 2
-        assert max_multiplicity(spec, 2) == 2
-        assert count_terms(spec, 2) == 3
+
+class TestCountingFunctions:
+    """N_A(x), ord_A(n) and rho_A(x) are read off the sorted list of
+    enumerate_terms, in theorem6_report."""
+
+    def test_geometric_counts(self, primes100k):
+        spec = Geometric(2, 0)
+        assert enumerate_terms(spec, 5) == [1, 2, 4]
+        assert t6_counts(spec, 5, primes100k) == (3, 2, 1)
+
+    def test_explicit_multiplicity(self, primes100k):
+        spec = Explicit((2, 1, 1))
+        assert enumerate_terms(spec, 2) == [1, 1, 2]
+        assert t6_counts(spec, 2, primes100k) == (3, 2, 2)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=40),
@@ -217,71 +221,69 @@ class TestCountingFunctions:
     )
     @settings(max_examples=150, deadline=None)
     def test_multiset_counting_identity(self, values, x):
-        spec = Explicit(tuple(values))
-        total = count_terms(spec, x)
-        assert total == sum(term_multiplicity(spec, n) for n in range(1, x + 1))
-        assert max_multiplicity(spec, x) <= total
+        # the terms <= x with multiplicity, so N_A(x) = sum of ord_A(n) over n <= x
+        assert enumerate_terms(Explicit(tuple(values)), x) == sorted(v for v in values if v <= x)
 
     def test_count_equals_multiplicity_sum(self, primes100k):
         specs = [
             Geometric(2, 0),
             PowerTower(2, 2),
             Polynomial(PolynomialSpec((0, 0, 1))),
-            Explicit((3, 3, 3, 8, 12)),
+            Explicit((12, 3, 8, 3, 3)),
             EllipticOrders(EllipticCurve(1, 1)),
         ]
         x = 40
         for spec in specs:
-            total = count_terms(spec, x, primes100k)
-            by_n = sum(
-                term_multiplicity(spec, n, primes100k) for n in range(1, x + 1)
-            )
-            assert total == by_n
+            terms = enumerate_terms(spec, x, primes100k)
+            assert terms == sorted(terms) and 1 <= terms[0] and terms[-1] <= x
+            assert t6_counts(spec, x, primes100k)[0] == len(terms)
 
     def test_monotone_in_x(self, primes100k):
         spec = EllipticOrders(EllipticCurve(2, 3))
-        counts = [count_terms(spec, x, primes100k) for x in (10, 50, 250, 1000)]
+        counts = [t6_counts(spec, x, primes100k)[0] for x in (10, 50, 250, 1000)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_strictly_monotone_variants_have_rho_one(self):
         for spec in (Geometric(2, 0), Geometric(5, 1), PowerTower(2, 2), PowerTower(3, 4)):
             for x in (1, 7, 100, 10**6):
-                assert max_multiplicity(spec, x) <= 1
+                terms = enumerate_terms(spec, x)
+                assert terms == sorted(set(terms))
 
     def test_polynomial_injective_tail(self):
-        spec = Polynomial(PolynomialSpec((0, 0, 1)))
-        for m in (1, 4, 9, 16, 10):
-            assert term_multiplicity(spec, m) <= 1
+        terms = enumerate_terms(Polynomial(PolynomialSpec((0, 0, 1))), 16)
+        assert terms == [1, 4, 9, 16]
 
     def test_curve_order_multiplicity_bound(self, primes100k):
         # orders land in (sqrt(q)-1)^2..(sqrt(q)+1)^2, so collisions are
         # confined to a sqrt-window: rho_A(x) stays below 9 sqrt(2x)
         spec = EllipticOrders(EllipticCurve(1, 1))
         for x in (100, 1000, 10**4):
-            rho = max_multiplicity(spec, x, primes100k)
+            rho = t6_counts(spec, x, primes100k)[2]
             assert 1 <= rho <= 9 * math.sqrt(2 * x)
 
 
 class TestDoublingRatio:
-    def test_single_value(self):
-        assert doubling_ratio(Explicit((1,)), 4) == 1.0
+    """gamma_1 = N_A(x/2) / N_A(x), as theorem6_report reads it."""
 
-    def test_geometric(self):
+    @staticmethod
+    def gamma1(spec, x, primes):
+        return theorem6_report(spec, x, 1.0, primes)[0].value
+
+    def test_single_value(self, primes100k):
+        assert self.gamma1(Explicit((1,)), 4, primes100k) == 1.0
+
+    def test_geometric(self, primes100k):
         # terms <= 16: {1,2,4,8,16}; terms <= 8: four of them
-        assert doubling_ratio(Geometric(2, 0), 16) == pytest.approx(4 / 5)
+        assert self.gamma1(Geometric(2, 0), 16, primes100k) == pytest.approx(4 / 5)
 
-    def test_polynomial_square_root_scaling(self):
+    def test_polynomial_square_root_scaling(self, primes100k):
         spec = Polynomial(PolynomialSpec((0, 0, 1)))
-        ratio = doubling_ratio(spec, 10**4)
+        ratio = self.gamma1(spec, 10**4, primes100k)
         assert ratio == pytest.approx(1 / math.sqrt(2), rel=0.05)
 
-    def test_empty_is_domain_error(self):
+    def test_empty_is_domain_error(self, primes100k):
         with pytest.raises(DomainError):
-            doubling_ratio(Explicit((100,)), 50)
-
-    def test_half_point_below_one(self):
-        # x/2 < 1 leaves nothing to count on the numerator side
-        assert doubling_ratio(Explicit((1,)), 1.5) == 0.0
+            self.gamma1(Explicit((100,)), 50, primes100k)
 
 
 class TestCongruencePairSum:
