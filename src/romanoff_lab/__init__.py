@@ -31,8 +31,7 @@ _PUBLIC = {
     "exact": "",
     "extremal": "AlphaSweepEntry ExtremalSet alpha_sweep construct_extremal_set",
     "lemmas": (
-        "GammaValue MinPkSum PrimeLogPowerSums abel_check incomplete_gamma "
-        "min_pk_sum prime_log_power_sums"
+        "GammaValue MinPkSum PrimeLogPowerSums abel_check incomplete_gamma prime_sums"
     ),
     "moments": (
         "MomentReport PolynomialSpec delta_L delta_moment_report lemma1_product "

@@ -347,22 +347,18 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
                       "x_max": args.x_max, "step": lem.GAMMA_GRID_STEP}
             records.append(_lemma_record("gamma_bound", params, worst, 1.0, ok))
     if args.prime_sums or args.min_pk:
+        power_ks = (2, 10, 100, 1000) if args.prime_sums else ()
+        min_ks = (1, 2, 10, 100) if args.min_pk else ()
         primes = make_primes(args, args.tail_limit)
-    if args.prime_sums:
-        for k in (2, 10, 100, 1000):
-            for s in (1, 2, 3):
-                out = lem.prime_log_power_sums(k, s, primes, args.tail_limit)
-                ok = math.isfinite(out.head_ratio) and math.isfinite(out.tail_ratio)
-                params = {"k": k, "s": s, "tail_limit": args.tail_limit}
-                record = _lemma_record("prime_log_power_sums", params, out.head_ratio, None, ok)
-                records.append(record)
-    if args.min_pk:
-        for k in (1, 2, 10, 100):
-            for s in (1, 2, 3):
-                out = lem.min_pk_sum(k, s, primes, args.tail_limit)
-                ok = math.isfinite(out.normalized) and out.normalized > 0
-                params = {"k": k, "s": s, "tail_limit": args.tail_limit}
-                records.append(_lemma_record("min_pk_sum", params, out.normalized, None, ok))
+        powers, mins = lem.prime_sums(power_ks, min_ks, (1, 2, 3), primes, args.tail_limit)
+        for (k, s), out in powers.items():
+            ok = math.isfinite(out.head_ratio) and math.isfinite(out.tail_ratio)
+            params = {"k": k, "s": s, "tail_limit": args.tail_limit}
+            records.append(_lemma_record("prime_log_power_sums", params, out.head_ratio, None, ok))
+        for (k, s), out in mins.items():
+            ok = math.isfinite(out.normalized) and out.normalized > 0
+            params = {"k": k, "s": s, "tail_limit": args.tail_limit}
+            records.append(_lemma_record("min_pk_sum", params, out.normalized, None, ok))
     if args.abel:
         import random
 

@@ -60,7 +60,8 @@ from typing import IO
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError, RangeError, check_at_least, check_integer
+from .errors import (CapacityError, DomainError, ParameterError, RangeError, check_at_least, check_finite,
+                     check_integer)
 from .moments import MomentReport, _ratio_power_fsum
 from .sequences import elliptic_prime_bound
 from .sieve import (
@@ -631,8 +632,7 @@ def hasse_margin(curve: EllipticCurve, p: int, order: int | None = None) -> floa
     A known order #E(F_p) is used as given; otherwise it is counted.
     """
     p = check_integer("p", p)
-    if order is None:
-        order = count_points(curve, p)
+    order = count_points(curve, p) if order is None else check_integer("order", order, 1)
     return 2.0 * math.sqrt(p) - abs(order - (p + 1))
 
 
@@ -697,6 +697,7 @@ def theorem5_report(
     bound; it is not checked here, and the report records that.
     """
     s = check_integer("s", s, 1)
+    check_finite("x", x)
     check_at_least("x", x, 2)
     if (bound := elliptic_prime_bound(x)) > sieve.limit:  # Hasse: orders <= x + 2 sqrt(x) + 1
         raise RangeError(f"orders up to {bound} exceed sieve limit {sieve.limit}")

@@ -10,14 +10,14 @@ balanced Fraction tree over the chunk totals.
 ``math.fsum`` gives (Shewchuk, Discrete Comput. Geom. 18, 1997) but taken a
 whole array at a time: the terms are bucketed by binary exponent, as in
 Neal's superaccumulator (arXiv:1505.05571), and ``np.bincount`` adds each
-bucket's mantissa halves.
+bucket's mantissa halves. ``float_sums`` does so for several series at once.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,6 +74,15 @@ def float_sum(blocks: Iterable[np.ndarray]) -> float:
     # map, not a loop variable: a caller's block of terms is freed before
     # the caller makes the next one
     return sum(map(_block_total, blocks)) / (1 << 1127)
+
+
+def float_sums(rows: Iterable[Iterable[np.ndarray]], n: int) -> list[float]:
+    """float_sum of n series at once: each row holds one block of each series,
+    in series order, and each series keeps its own exact total, rounded once."""
+    totals = [0] * n
+    for i, total in enumerate(map(_block_total, chain.from_iterable(rows))):
+        totals[i % n] += total
+    return [total / (1 << 1127) for total in totals]
 
 
 def _block_total(block) -> int:

@@ -62,7 +62,7 @@ def construct_extremal_set(
     if z <= y:
         raise ParameterError(f"need z > y, got y={y}, z={z}")
     primes = PrimeList.build(math.floor(z))
-    window = list(primes.ints(primes.limit, above=y))
+    window = primes.values[primes.values > y].tolist()
     if not window:
         raise ConstructionError(f"no prime in the window ({y}, {z}]")
     Q = math.prod(window)
@@ -71,7 +71,7 @@ def construct_extremal_set(
     if M > sieve.limit:
         raise CapacityError(f"M={M} exceeds sieve limit {sieve.limit}")
     keep = np.ones(M // Q, dtype=bool)  # keep[k - 1]: is Qk a member
-    for p in primes.ints(y):  # y < the least prime of the window <= limit
+    for p in primes.upto(y).tolist():  # y < the least prime of the window <= limit
         keep[p - 1 :: p] = False  # Q has no prime <= y, so p | Qk iff p | k
     members = Q * (np.flatnonzero(keep) + 1)
     mean_ratio = _ratio_power_fsum(members, 1, sieve) / len(members)
@@ -115,14 +115,7 @@ def alpha_sweep(
         key = math.floor(y)
         if key not in built:
             built[key] = construct_extremal_set(M, y, z, sieve)
+        # never empty: Q <= e^theta(z) < M^0.509 < M, as theta(z) < 1.01624 z (Rosser-Schoenfeld 1962)
         ext = built[key]
-        if ext.is_empty:
-            out.append(
-                AlphaSweepEntry(alpha, y, z, ext.Q, 0, math.nan, math.nan)
-            )
-            continue
-        mean = ext.mean_ratio
-        out.append(
-            AlphaSweepEntry(alpha, y, z, ext.Q, ext.count, mean, mean * alpha)
-        )
+        out.append(AlphaSweepEntry(alpha, y, z, ext.Q, ext.count, ext.mean_ratio, ext.mean_ratio * alpha))
     return out

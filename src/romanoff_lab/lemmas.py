@@ -1,12 +1,13 @@
 """Numeric verification of the analytic toolbox: the integer-shape incomplete
-gamma bound, prime log-power sums, the min(p,k) split sum, and the partial
-summation identity."""
+gamma bound, the prime log-power sums and the min(p,k) split sum (both from
+the one walk of ``prime_sums``), and the partial summation identity."""
 
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (CapacityError, DomainError, ParameterError, check_at_least, check_finite, check_integer,
@@ -86,52 +87,71 @@ class PrimeLogPowerSums(NamedTuple):
     tail_ratio: float
 
 
-def prime_log_power_sums(
-    k: int, s: int, primes: PrimeList, tail_limit: float
-) -> PrimeLogPowerSums:
-    """head = sum_{p<=k} (ln p)^s / p and tail = sum_{k<p<=tail_limit} (ln p)^s / p^2.
-
-    head_ratio = head / (ln k)^s (0 for k=1, where the head is the empty sum)
-    and tail_ratio = tail * k / (s! * (ln(k+2))^(s-1)) are the empirical
-    constants of the two classical bounds these sums satisfy.
-    """
-    k, s = check_integer("k", k, 1), check_integer("s", s, 1)
-    primes.check_range(tail_limit)
-    if k > tail_limit:
-        raise ParameterError(f"k={k} exceeds tail_limit={tail_limit}")
-    with float64_range(s):
-        head = math.fsum(math.log(p) ** s / p for p in primes.ints(k))
-        tail_partial = math.fsum(math.log(p) ** s / (p * p) for p in primes.ints(tail_limit, k))
-        head_ratio = head / math.log(k) ** s if k >= 2 else 0.0
-        tail_ratio = tail_partial * k / (math.factorial(s) * math.log(k + 2) ** (s - 1))
-    return PrimeLogPowerSums(head, tail_partial, head_ratio, tail_ratio)
-
-
 class MinPkSum(NamedTuple):
     value: float
     tail_bound: float
     normalized: float
 
 
-def min_pk_sum(k: int, s: int, primes: PrimeList, tail_limit: float) -> MinPkSum:
-    """1 + sum_p min(p, k) (ln p)^s / p^2, truncated at tail_limit.
+def prime_sums(
+    power_ks: Sequence[int], min_ks: Sequence[int], ss: Sequence[int], primes: PrimeList, tail_limit: float
+) -> tuple[dict[tuple[int, int], PrimeLogPowerSums], dict[tuple[int, int], MinPkSum]]:
+    """Both lemma prime sums at each (k, s) of power_ks x ss and of min_ks x ss,
+    keyed and ordered by (k, s), from one walk over the primes p <= tail_limit.
 
-    The remainder over p > tail_limit is bounded by k * Gamma(s+1, ln tail_limit)
-    (monotone comparison with the integral) and reported, never dropped.
-    normalized = (value + tail_bound) / (s! * (ln(k+1))^s), the empirical
-    constant-power witness for this sum.
+    powers: head = sum_{p<=k} (ln p)^s / p, tail = sum_{k<p} (ln p)^s / p^2 and the
+    empirical constants of their classical bounds, head_ratio = head / (ln k)^s (0
+    for k=1, an empty head) and tail_ratio = tail * k / (s! * (ln(k+2))^(s-1)).
+    mins: value = 1 + sum_p min(p, k) (ln p)^s / p^2, the bound k * Gamma(s+1, ln
+    tail_limit) on its remainder over p > tail_limit (monotone comparison with the
+    integral), and normalized = (value + tail_bound) / (s! * (ln(k+1))^s).
+
+    Before the walk, each record in turn checks its k, its s, the tail limit and its own
+    bounds. A step takes ln p once a prime and (ln p)^s by Python's float pow, and
+    float_sums adds each series exactly, to the bits of math.fsum over the primes.
     """
-    k, s = check_integer("k", k, 1), check_integer("s", s, 1)
-    primes.check_range(tail_limit)
-    with float64_range(s):
-        if tail_limit < max(100.0, math.exp(s / 2)):
-            # (ln t)^s / t^2 must be decreasing beyond the cutoff for the bound
-            raise ParameterError(f"tail_limit={tail_limit} too small for s={s}")
-        terms = (min(p, k) * math.log(p) ** s / (p * p) for p in primes.ints(tail_limit))
-        value = 1.0 + math.fsum(terms)
-        tail_bound = k * incomplete_gamma(s + 1, math.log(tail_limit)).value
-        normalized = (value + tail_bound) / (math.factorial(s) * math.log(k + 1) ** s)
-    return MinPkSum(value, tail_bound, normalized)
+    import numpy as np
+
+    from .exact import float_sums
+
+    # s! refuses s >= 171, and below that (ln p)^s is finite for p < 10^28
+    power_scales, min_scales = {}, {}
+    for k, s in product(power_ks, ss):
+        k, s = check_integer("k", k, 1), check_integer("s", s, 1)
+        primes.check_range(tail_limit)
+        if k > tail_limit:
+            raise ParameterError(f"k={k} exceeds tail_limit={tail_limit}")
+        with float64_range(s):
+            power_scales[k, s] = math.log(k) ** s, math.factorial(s) * math.log(k + 2) ** (s - 1)
+    for k, s in product(min_ks, ss):
+        k, s = check_integer("k", k, 1), check_integer("s", s, 1)
+        primes.check_range(tail_limit)
+        with float64_range(s):
+            if tail_limit < max(100.0, math.exp(s / 2)):
+                # (ln t)^s / t^2 must be decreasing beyond the cutoff for the bound
+                raise ParameterError(f"tail_limit={tail_limit} too small for s={s}")
+            tail_bound = k * incomplete_gamma(s + 1, math.log(tail_limit)).value
+            min_scales[k, s] = tail_bound, math.factorial(s) * math.log(k + 1) ** s
+    ss = {s for _, s in [*power_scales, *min_scales]}  # as checked, each once
+
+    def row(step):
+        p, logs = step.astype(np.float64), list(map(math.log, step.tolist()))
+        ls = {s: np.array([v**s for v in logs]) for s in ss}
+        for k, s in power_scales:
+            yield from ((p <= k) * (ls[s] / p), (p > k) * (ls[s] / (p * p)))
+        for k, s in min_scales:
+            yield np.minimum(p, k) * ls[s] / (p * p)
+
+    n = 2 * len(power_scales) + len(min_scales)  # the series, in record order; no walk for none
+    sums = iter(float_sums(map(row, primes.steps(tail_limit) if n else ()), n))
+    powers, mins = {}, {}
+    for (k, s), (log_power, scale) in power_scales.items():
+        head, tail = next(sums), next(sums)
+        powers[k, s] = PrimeLogPowerSums(head, tail, head / log_power if k >= 2 else 0.0, tail * k / scale)
+    for (k, s), (tail_bound, scale) in min_scales.items():
+        value = 1.0 + next(sums)
+        mins[k, s] = MinPkSum(value, tail_bound, (value + tail_bound) / scale)
+    return powers, mins
 
 
 _ABEL_FUNCTIONS = {

@@ -186,7 +186,7 @@ def theorem1_report(
     n_terms = len(arr)
     lhs = _ratio_power_fsum(arr, s, sieve)
     cutoff = math.log(M) ** alpha if M > 1 else 0.0
-    small = PrimeList.build(math.floor(cutoff)).ints(math.floor(cutoff)) if cutoff >= 2 else ()
+    small = PrimeList.build(math.floor(cutoff)).values.tolist() if cutoff >= 2 else ()
     with float64_range(s):
         prime_part = math.fsum(omega_count(arr, p) * math.log(p) ** s / p for p in small)
     rhs_core = n_terms + prime_part
@@ -240,9 +240,10 @@ def lemma2_product_table(limit: int, primes: PrimeList) -> np.ndarray:
     primes.check_range(limit := check_integer("limit", limit))
     table = np.ones(limit + 1, dtype=np.float64)
     log_limit = math.log(limit) if limit > 1 else 0.0
-    for p in primes.ints(limit):  # e^p - 1 >= p; past log_limit, e^p may overflow
-        hi = limit if p > log_limit else min(limit, math.ceil(math.exp(p)) - 1)
-        table[p : hi + 1 : p] *= 1.0 + 1.0 / p
+    for step in primes.steps(limit):
+        for p in step.tolist():  # e^p - 1 >= p; past log_limit, e^p may overflow
+            hi = limit if p > log_limit else min(limit, math.ceil(math.exp(p)) - 1)
+            table[p : hi + 1 : p] *= 1.0 + 1.0 / p
     return table
 
 

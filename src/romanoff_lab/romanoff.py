@@ -278,9 +278,9 @@ def theorem6_report(
     log_x = math.log(x)
 
     half_count = bisect.bisect_right(terms, x / 2)
-    raw_pairs, gamma2 = _pair_sum(terms, cutoff, primes)
     hist = _histogram(terms[: bisect.bisect_right(terms, x - 2)], x, primes, budget)
-    rho = max(Counter(terms).values())
+    raw_pairs, gamma2 = _pair_sum(terms, multiplicities := Counter(terms).values(), cutoff, primes)
+    rho = max(multiplicities)  # one count of the values serves the pair sum and rho_A
     sq = sum(t * t * h for t, h in enumerate(hist.tolist()))
     sq_norm = sq * log_x**2 / (x * n_total * (rho * log_x + n_total))
 

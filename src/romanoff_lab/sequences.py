@@ -304,14 +304,14 @@ def congruence_pair_sum(
     terms = enumerate_terms(spec, x, primes)
     if not terms:
         raise DomainError(f"sequence has no terms <= {x}")
-    return _pair_sum(terms, cutoff, primes)
+    return _pair_sum(terms, Counter(terms).values(), cutoff, primes)
 
 
-def _pair_sum(terms: list[int], cutoff: float, primes: PrimeList) -> tuple[float, float]:
-    """congruence_pair_sum over the primes <= cutoff, of the caller's nonempty terms a_j <= x."""
-    equal_pairs = sum(c * (c - 1) // 2 for c in Counter(terms).values())
+def _pair_sum(terms: list[int], multiplicities, cutoff: float, primes: PrimeList) -> tuple[float, float]:
+    """congruence_pair_sum over the primes <= cutoff of the caller's nonempty terms and their multiplicities."""
+    equal_pairs = sum(c * (c - 1) // 2 for c in multiplicities)
     raw_parts = []
-    for p in primes.ints(cutoff):
+    for p in primes.upto(cutoff).tolist():
         # residues taken on Python ints, exact for terms beyond int64
         m = np.bincount([v % p for v in terms])
         pair_count = int((m * (m - 1) // 2).sum()) - equal_pairs

@@ -21,7 +21,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -388,7 +387,7 @@ _PRIME_STEP = 2**16
 
 @dataclass(frozen=True)
 class PrimeList:
-    """Ascending array of all primes up to ``limit``, read through ``steps`` or ``ints``."""
+    """Ascending array of all primes up to ``limit``; a whole table is read through ``steps``."""
 
     limit: int
     values: np.ndarray
@@ -417,10 +416,6 @@ class PrimeList:
         _PRIME_STEP primes each; RangeError at once for x beyond the table."""
         ps = self.upto(x)[np.searchsorted(self.values, above, side="right") :]
         return (ps[i : i + _PRIME_STEP] for i in range(0, len(ps), _PRIME_STEP))
-
-    def ints(self, x: float, above: float = 0) -> Iterator[int]:
-        """The primes of ``steps`` as Python ints, one step in memory at a time."""
-        return chain.from_iterable(step.tolist() for step in self.steps(x, above))
 
     def contains(self, n: int) -> bool:
         i = int(np.searchsorted(self.values, n := check_integer("n", n)))
@@ -490,8 +485,8 @@ def mertens_products(x: float, primes: PrimeList) -> MertensProducts:
     and the returned ratios to log x are the empirical Mertens constants.
     """
     check_at_least("x", x, 2)
-    plus = math.exp(math.fsum(math.log1p(1.0 / p) for p in primes.ints(x)))
-    minus = math.exp(-math.fsum(math.log1p(-1.0 / p) for p in primes.ints(x)))
+    plus = math.exp(_fsum_each(math.log1p, (1.0 / step for step in primes.steps(x))))
+    minus = math.exp(-_fsum_each(math.log1p, (-1.0 / step for step in primes.steps(x))))
     lx = math.log(x)
     return MertensProducts(plus, minus, plus / lx, minus / lx)
 
@@ -499,7 +494,12 @@ def mertens_products(x: float, primes: PrimeList) -> MertensProducts:
 def chebyshev_theta(x: float, primes: PrimeList) -> float:
     """theta(x) = sum of log p over primes p <= x."""
     check_at_least("x", x, 2)
-    return math.fsum(map(math.log, primes.ints(x)))
+    return _fsum_each(math.log, primes.steps(x))
+
+
+def _fsum_each(f: Callable[[float], float], steps: Iterator[np.ndarray]) -> float:
+    """math.fsum of f over every entry of the steps, one step's Python numbers at a time."""
+    return math.fsum(f(v) for step in steps for v in step.tolist())
 
 
 # CSV lines formatted by one % operation

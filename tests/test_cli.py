@@ -456,6 +456,17 @@ class TestReports:
     def test_lemmas_without_selection_is_2(self):
         assert run(["lemmas"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("lemmas --prime-sums --tail-limit 50 --prime-limit 1000", "k=100 exceeds tail_limit=50.0"),
+            ("lemmas --min-pk --tail-limit 99 --prime-limit 1000", "tail_limit=99.0 too small for s=1"),
+        ],
+    )
+    def test_lemma_grid_too_wide_for_the_tail_limit_is_2(self, argv, message, capsys):
+        assert run(argv.split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSieveCache:
     def test_env_var_populates_cache(self, tmp_path, monkeypatch):
@@ -615,6 +626,21 @@ class TestOneTablePerRun:
         code, _ = run_to_file(tmp_path, "lemmas.json", argv)
         assert code == 0
         assert tables["spf"] == [] and tables["primes"] == [10000]
+
+    def test_lemmas_walk_their_primes_once(self, tmp_path, monkeypatch):
+        # all 24 records of --prime-sums --min-pk come from one walk
+        walks = []
+        steps = PrimeList.steps
+
+        def counted(self, *args):
+            walks.append(args)
+            return steps(self, *args)
+
+        monkeypatch.setattr(PrimeList, "steps", counted)
+        argv = ["lemmas", "--prime-sums", "--min-pk", "--tail-limit", "10000"]
+        code, out = run_to_file(tmp_path, "lemmas.json", argv)
+        assert code == 0 and len(json.loads(out.read_text())["records"]) == 24
+        assert walks == [(10000.0,)]
 
     def test_orders_csv_builds_no_spf(self, tmp_path, tables):
         argv = ["elliptic", "--curve", "1,1", "--x", "3000", "--report", "orders"]

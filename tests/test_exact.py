@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from romanoff_lab import exact
-from romanoff_lab.exact import exact_fraction_sum, float_sum, pair_tree_sum
+from romanoff_lab.exact import exact_fraction_sum, float_sum, float_sums, pair_tree_sum
 
 
 class TestPairTreeSum:
@@ -120,6 +120,19 @@ class TestFloatSum:
         big = np.full(exact._SUM_CHUNK, sign * (2.0 - 2.0**-52))
         assert float_sum([big]) == sign * exact._SUM_CHUNK * (2.0 - 2.0**-52)
         assert float_sum([big, big[:5]]) == math.fsum(np.concatenate([big, big[:5]]).tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(WIDE, max_size=12), min_size=1, max_size=4), st.data())
+    def test_several_series_keep_their_own_totals(self, series, data):
+        # each row holds one block of each series: row j of series i is its j-th cut
+        n, rows = len(series), data.draw(st.integers(0, 4))
+        blocks = []
+        for terms in series:
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), min_size=rows, max_size=rows)))
+            blocks.append(np.split(np.array(terms, dtype=np.float64), cuts) if rows else [])
+        want = [math.fsum(terms) if rows else 0.0 for terms in series]
+        got = float_sums(zip(*blocks), n)
+        assert len(got) == n and all(map(same_bits, got, want))
 
     def test_chunks_of_one_large_block(self):
         rng = np.random.default_rng(3)

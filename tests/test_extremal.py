@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from romanoff_lab.errors import CapacityError, ConstructionError, ParameterError
 from romanoff_lab.extremal import alpha_sweep, construct_extremal_set
 from romanoff_lab.moments import moment_sum, omega_count
-from romanoff_lab.sieve import build_sieve, p_minus, totient_ratio
+from romanoff_lab.sieve import PrimeList, build_sieve, chebyshev_theta, p_minus, totient_ratio
 
 HYP_SIEVE = build_sieve(10**5)
 
@@ -51,6 +51,11 @@ class TestConstruction:
         window_bound = Fraction(3, 2) * Fraction(5, 4)
         for n in ext.members[:200]:
             assert totient_ratio(n, sieve1m) >= window_bound
+
+    def test_m_beyond_the_sieve_is_a_capacity_error(self):
+        # Q = 15 <= M, so the set is not empty, and M = 10^6 lies past a 1000 table
+        with pytest.raises(CapacityError, match="^M=1000000 exceeds sieve limit 1000$"):
+            construct_extremal_set(10**6, 2.5, 6.9, build_sieve(1000))
 
     def test_no_prime_in_window(self, sieve1m):
         with pytest.raises(ConstructionError):
@@ -104,6 +109,21 @@ class TestAlphaSweep:
             assert e.alpha == alpha
             assert (e.Q, e.count, e.mean_ratio) == (ext.Q, ext.count, ext.mean_ratio)
             assert e.empirical_c == ext.mean_ratio * alpha
+
+    @given(st.integers(min_value=55, max_value=10**5), st.sampled_from([0.5, 0.45, 0.4, 0.35, 0.3]))
+    @settings(max_examples=60, deadline=None)
+    def test_never_empty(self, M, alpha):
+        # z = ln M / 2 gives Q <= e^theta(z) < M^0.509, so Q itself is a member
+        try:
+            (entry,) = alpha_sweep(M, [alpha], HYP_SIEVE)
+        except (ParameterError, ConstructionError):  # y < 2, y >= z or no prime in (y, z]
+            return
+        assert entry.count >= 1 and math.log(entry.Q) < 0.509 * math.log(M)
+
+    def test_theta_bound_that_keeps_the_sweep_nonempty(self):
+        # theta(z) < 1.01624 z (Rosser and Schoenfeld, Illinois J. Math. 6, 1962), to ln M = 4000
+        primes = PrimeList.build(2000)
+        assert all(chebyshev_theta(z, primes) < 1.01624 * z for z in range(2, 2001))
 
     def test_mean_ratio_monotone_in_alpha(self, sieve1m):
         entries = alpha_sweep(10**6, [0.50, 0.45, 0.40], sieve1m)

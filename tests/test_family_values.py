@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from romanoff_lab import romanoff, sequences
 from romanoff_lab.cli import run
 from romanoff_lab.errors import CapacityError, ParameterError
-from romanoff_lab.lemmas import min_pk_sum, prime_log_power_sums
+from romanoff_lab.lemmas import prime_sums
 from romanoff_lab.moments import (
     PolynomialSpec,
     delta_L,
@@ -140,9 +140,9 @@ def test_poly_whose_values_all_vanish_sizes_the_sieve_to_the_content(tmp_path):
 @pytest.mark.parametrize(
     "call,s",
     [
-        (lambda primes: prime_log_power_sums(2, 500, primes, 1000), 500),
-        (lambda primes: prime_log_power_sums(1000, 200, primes, 1000), 200),
-        (lambda primes: min_pk_sum(2, 2000, primes, 10**5), 2000),
+        (lambda primes: prime_sums([2], [], [500], primes, 1000), 500),
+        (lambda primes: prime_sums([1000], [], [200], primes, 1000), 200),
+        (lambda primes: prime_sums([], [2], [2000], primes, 10**5), 2000),
     ],
     ids=["head", "tail_ratio", "min_pk"],
 )

@@ -8,7 +8,7 @@ import signal
 
 import pytest
 
-from romanoff_lab.elliptic import EllipticCurve
+from romanoff_lab.elliptic import EllipticCurve, theorem5_report
 from romanoff_lab.errors import CapacityError, ParameterError
 from romanoff_lab.extremal import construct_extremal_set
 from romanoff_lab.lemmas import gamma_bound_grid, incomplete_gamma
@@ -54,6 +54,7 @@ CALLS = {
     "delta_values": lambda v: delta_values(1, [0], v),
     "construct_extremal_set y": lambda v: construct_extremal_set(100, v, 10.0, SIEVE),
     "construct_extremal_set z": lambda v: construct_extremal_set(100, 2.5, v, SIEVE),
+    "theorem5_report": lambda v: theorem5_report(EllipticCurve(1, 1), v, 1, SIEVE, PRIMES),
 }
 
 

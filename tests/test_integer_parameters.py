@@ -19,7 +19,7 @@ from romanoff_lab.elliptic import (
 )
 from romanoff_lab.errors import ParameterError, check_integer
 from romanoff_lab.extremal import alpha_sweep, construct_extremal_set
-from romanoff_lab.lemmas import gamma_bound_grid, incomplete_gamma, min_pk_sum, prime_log_power_sums
+from romanoff_lab.lemmas import gamma_bound_grid, incomplete_gamma, prime_sums
 from romanoff_lab.moments import (
     PolynomialSpec,
     check_theorem1_parameters,
@@ -113,14 +113,16 @@ SITES = [
     ("legendre_symbol-p", "p", lambda v: legendre_symbol(2, v), 1000003),
     ("count_points-p", "p", lambda v: count_points(CURVE, v), 10007),
     ("hasse_margin-p", "p", lambda v: hasse_margin(CURVE, v, 5), 7),
+    ("hasse_margin-order", "order", lambda v: hasse_margin(CURVE, 7, v), 5),
     ("congruence_class_census-t", "modulus t", lambda v: congruence_class_census(CURVE, 100, v, PRIMES), 4),
     ("theorem5_report-s", "s", lambda v: theorem5_report(CURVE, 100, v, SIEVE, PRIMES), 2),
     ("incomplete_gamma-s", "s", lambda v: incomplete_gamma(v, 1.0), 3),
     ("gamma_bound_grid-s", "s", lambda v: gamma_bound_grid(v, 5.0), 3),
-    ("prime_log_power_sums-k", "k", lambda v: prime_log_power_sums(v, 1, PRIMES, 100), 10),
-    ("prime_log_power_sums-s", "s", lambda v: prime_log_power_sums(10, v, PRIMES, 100), 2),
-    ("min_pk_sum-k", "k", lambda v: min_pk_sum(v, 1, PRIMES, 1000), 10),
-    ("min_pk_sum-s", "s", lambda v: min_pk_sum(10, v, PRIMES, 1000), 2),
+    # prime_sums, one row per (grid, parameter) it replaced prime_log_power_sums and min_pk_sum on
+    ("prime_log_power_sums-k", "k", lambda v: prime_sums([v], [], [1], PRIMES, 100), 10),
+    ("prime_log_power_sums-s", "s", lambda v: prime_sums([10], [], [v], PRIMES, 100), 2),
+    ("min_pk_sum-k", "k", lambda v: prime_sums([], [v], [1], PRIMES, 1000), 10),
+    ("min_pk_sum-s", "s", lambda v: prime_sums([], [10], [v], PRIMES, 1000), 2),
     ("representation_counts-x", "x", lambda v: representation_counts(Geometric(2), v, PRIMES).r.tolist(), 100),
     (
         "representation_counts-budget",

@@ -12,7 +12,9 @@ committed from the reports that built every value before comparing the
 largest with the table; the orders of six curves at 10^5
 against digests committed from the lanes that searched the whole Hasse
 interval; theta, the Mertens products and the lemma prime sums against output
-committed from the sums that read the whole prime table as one Python list."""
+committed from the sums that read the whole prime table as one Python list, and
+the lemma prime sums at 10^7 and 10^8 against output committed from the 24
+per-record walks that one walk replaced."""
 
 import hashlib
 import io
@@ -76,6 +78,9 @@ PRIME_TABLE_REPORTS = {
     "sieve-x10000000": ["sieve", "--limit", "10000000", "--prime-limit", "10000000"],
     "lemmas-sums-minpk-x1000000": [
         "lemmas", "--prime-sums", "--min-pk", "--tail-limit", "1000000", "--prime-limit", "1000000"
+    ],
+    "lemmas-sums-minpk-x10000000": [
+        "lemmas", "--prime-sums", "--min-pk", "--tail-limit", "10000000", "--prime-limit", "10000000"
     ],
 }
 
@@ -225,3 +230,21 @@ def test_sieve_at_a_hundred_million_stays_under_120_mb(tmp_path):
     assert code == 0, probe.stderr[-2000:]
     assert out.read_bytes() == (DATA / "sieve-x100000000.json").read_bytes()
     assert max_rss_kb / 1024 < 120, f"peak RSS {max_rss_kb / 1024:.1f} MB"
+
+
+def test_lemma_sums_at_a_hundred_million_stay_under_200_mb(tmp_path):
+    # one walk of 2^16-prime steps for all 24 records held 86 MB at 10^8; the
+    # 24 walks it replaced took 45 s
+    out = tmp_path / "report.json"
+    argv = ["lemmas", "--prime-sums", "--min-pk", "--tail-limit", "100000000", "--prime-limit", "100000000"]
+    probe = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "romanoff_lab", *argv, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, max_rss_kb = map(int, probe.stdout.split())
+    assert code == 0, probe.stderr[-2000:]
+    assert out.read_bytes() == (DATA / "lemmas-sums-minpk-x100000000.json").read_bytes()
+    assert max_rss_kb / 1024 < 200, f"peak RSS {max_rss_kb / 1024:.1f} MB"

@@ -101,7 +101,7 @@ def test_import_loads_no_submodule(tmp_path):
 
 class TestNamespace:
     def test_every_public_name_resolves(self):
-        assert len(romanoff_lab.__all__) == len(set(romanoff_lab.__all__)) == 77
+        assert len(romanoff_lab.__all__) == len(set(romanoff_lab.__all__)) == 76
         for name in romanoff_lab.__all__:
             value = getattr(romanoff_lab, name)
             owners = [m for k, m in sys.modules.items() if k.startswith("romanoff_lab.")]
