@@ -21,7 +21,8 @@ from .sieve import FactorSieve, PrimeList
 
 @dataclass(frozen=True)
 class ExtremalSet:
-    """Construction output; empty (and flagged) when Q > M.
+    """Construction output; empty (and flagged) when Q > M, and then Q is the
+    product of the window's least primes that first exceeds M.
 
     mean_ratio is the correctly rounded sum of the members' n/phi(n)
     (``float_sum``, the bits math.fsum gives) divided by their count (None
@@ -50,8 +51,9 @@ def construct_extremal_set(
     """Members are exactly {n <= M : Q | n and no prime <= y divides n},
     where Q is the product of the primes in (y, z].
 
-    Q is formed in big-integer arithmetic and compared to M before any
-    enumeration; when Q > M the set is empty and flagged rather than an error.
+    Q is formed in ascending order of the primes and compared to M after
+    each one, before any enumeration; at the first partial product above M the
+    set is empty and flagged, with that product as Q, rather than an error.
     The primes up to z come from one PrimeList, so a z above its cap (10^8)
     raises CapacityError before any table is built.
     """
@@ -62,12 +64,14 @@ def construct_extremal_set(
     if z <= y:
         raise ParameterError(f"need z > y, got y={y}, z={z}")
     primes = PrimeList.build(math.floor(z))
-    window = primes.values[primes.values > y].tolist()
-    if not window:
+    Q = 1
+    for step in primes.steps(primes.limit, above=y):
+        for p in step.tolist():
+            Q *= p
+            if Q > M:
+                return ExtremalSet(M=M, y=y, z=z, Q=Q, members=(), mean_ratio=None)
+    if Q == 1:
         raise ConstructionError(f"no prime in the window ({y}, {z}]")
-    Q = math.prod(window)
-    if Q > M:
-        return ExtremalSet(M=M, y=y, z=z, Q=Q, members=(), mean_ratio=None)
     if M > sieve.limit:
         raise CapacityError(f"M={M} exceeds sieve limit {sieve.limit}")
     keep = np.ones(M // Q, dtype=bool)  # keep[k - 1]: is Qk a member

@@ -18,9 +18,9 @@ from romanoff_lab.cli import build_parser, run
 from romanoff_lab.elliptic import EllipticCurve, theorem5_report
 from romanoff_lab.sieve import FactorSieve, PrimeList, build_sieve
 from romanoff_lab.sequences import format_sequence_spec, parse_sequence_spec
+from test_report_outputs import GOLDEN  # tests/ is on sys.path under pytest's default import mode
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-DATA = Path(__file__).resolve().parent / "data"
 
 
 def readme_cli_lines() -> list[str]:
@@ -28,14 +28,6 @@ def readme_cli_lines() -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("romanoff-lab ")]
-
-
-def workflow_cli_lines() -> list[str]:
-    """The argv of each ``python -m romanoff_lab`` line of the CI workflow,
-    with its shell variable $seed set to 0."""
-    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text()
-    marker = "python -m romanoff_lab "
-    return [line.split(marker, 1)[1].replace("$seed", "0") for line in workflow.splitlines() if marker in line]
 
 
 def run_to_file(tmp_path, name, argv):
@@ -334,6 +326,14 @@ class TestReports:
         assert payload["Q"] == 15
         assert payload["count"] == 3333
 
+    def test_empty_extremal_set_prints_the_product_that_passed_m(self, tmp_path):
+        # the whole window's product has more than 4300 digits, past int-to-str
+        code, out = run_to_file(tmp_path, "ext.json", ["extremal", "--M", "1000000", "--y", "2.5", "--z", "20000"])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["empty"] is True
+        assert payload["Q"] == 4849845
+
     def test_moments_theorem1(self, tmp_path):
         code, out = run_to_file(
             tmp_path,
@@ -485,18 +485,13 @@ class TestSieveCache:
 
 
 class TestDeterminism:
-    def test_verify_all_byte_identical(self, tmp_path):
-        code1, first = run_to_file(tmp_path, "v1.json", ["verify-all", "--seed", "0"])
-        code2, second = run_to_file(tmp_path, "v2.json", ["verify-all", "--seed", "0"])
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_verify_all_byte_identical(self, tmp_path, seed):
+        code1, first = run_to_file(tmp_path, "v1.json", ["verify-all", "--seed", seed])
+        code2, second = run_to_file(tmp_path, "v2.json", ["verify-all", "--seed", seed])
         assert code1 == code2 == 0
         assert first.read_bytes() == second.read_bytes()
         assert json.loads(first.read_text())["all_pass"] is True
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_verify_all_matches_committed_output(self, tmp_path, seed):
-        code, out = run_to_file(tmp_path, "v.json", ["verify-all", "--seed", str(seed)])
-        assert code == 0
-        assert out.read_bytes() == (DATA / f"verify-all-seed{seed}.json").read_bytes()
 
     def test_report_byte_identical(self, tmp_path):
         argv = ["romanoff", "--seq", "tower:2:2", "--x", "4096", "--report", "frontier"]
@@ -724,14 +719,15 @@ class TestFlagsPerSubcommand:
         assert run(argv.split()) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    @pytest.mark.parametrize("source", ["README", "CI"])
+    @pytest.mark.parametrize("source", ["README", "golden"])
     def test_documented_lines_give_only_flags_their_report_reads(self, source):
-        """Each CLI line of the README's example block and of the CI workflow
-        parses and passes the flag table, without running."""
+        """Each CLI line of the README's example block and of the golden table,
+        the scale rows that Tier-1 does not run too, parses and passes the flag
+        table, without running."""
         if source == "README":
             lines = [line.split(" ", 1)[1] for line in readme_cli_lines()]
         else:
-            lines = workflow_cli_lines()
+            lines = [row.argv for row in GOLDEN]
         assert lines
         parser = build_parser()
         for line in lines:

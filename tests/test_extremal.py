@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,14 @@ class TestConstruction:
         assert ext.is_empty
         assert ext.Q == 15
         assert ext.mean_ratio is None
+
+    def test_empty_set_stops_at_the_first_product_above_m(self):
+        # the whole window (2.5, 10^8] would be a product of 5.76 M primes
+        start = time.perf_counter()
+        ext = construct_extremal_set(10**6, 2.5, 10**8, build_sieve(1000))
+        assert time.perf_counter() - start < 2
+        assert ext.is_empty
+        assert ext.Q == math.prod([3, 5, 7, 11, 13, 17, 19]) == 4849845
 
     def test_mean_ratio_lower_bound(self, sieve1m):
         ext = construct_extremal_set(10**6, 2.2, 6.9, sieve1m)
