@@ -347,10 +347,8 @@ def _cmd_lemmas(args: argparse.Namespace) -> None:
                       "x_max": args.x_max, "step": lem.GAMMA_GRID_STEP}
             records.append(_lemma_record("gamma_bound", params, worst, 1.0, ok))
     if args.prime_sums or args.min_pk:
-        power_ks = (2, 10, 100, 1000) if args.prime_sums else ()
-        min_ks = (1, 2, 10, 100) if args.min_pk else ()
         primes = make_primes(args, args.tail_limit)
-        powers, mins = lem.prime_sums(power_ks, min_ks, (1, 2, 3), primes, args.tail_limit)
+        powers, mins = lem.prime_sums(primes, args.tail_limit, powers=args.prime_sums, mins=args.min_pk)
         for (k, s), out in powers.items():
             ok = math.isfinite(out.head_ratio) and math.isfinite(out.tail_ratio)
             params = {"k": k, "s": s, "tail_limit": args.tail_limit}

@@ -1,17 +1,17 @@
-"""Numeric verification of the analytic toolbox: the integer-shape incomplete
-gamma bound, the prime log-power sums and the min(p,k) split sum (both from
-the one walk of ``prime_sums``), and the partial summation identity."""
+"""Numeric verification of the analytic toolbox: the integer-shape incomplete gamma
+bound, the prime log-power sums at k in POWER_KS and the min(p,k) split sum at k in
+MIN_KS, both at s in SS from one walk (``prime_sums``), and partial summation."""
 
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import (CapacityError, DomainError, ParameterError, check_at_least, check_finite, check_integer,
-                     float64_range)
+from .errors import CapacityError, DomainError, ParameterError, check_at_least, check_finite, check_integer
 
 if TYPE_CHECKING:
     from .sieve import PrimeList
@@ -43,12 +43,10 @@ def incomplete_gamma(s: int, x: float) -> GammaValue:
     s = check_integer("s", s, 1)
     check_finite("x", x)
     check_at_least("x", x, 0)
-    term = 1.0
-    terms = [1.0]
-    for i in range(1, s):
-        term *= x / i
-        terms.append(term)
     try:
+        if s >= 172:  # (s - 1)! alone is past the float range: refused before the terms
+            raise OverflowError
+        terms = accumulate((x / i for i in range(1, s)), mul, initial=1.0)  # x^i / i!
         value = math.factorial(s - 1) * math.exp(-x) * math.fsum(terms)
         bound = math.factorial(s) * x ** (s - 1) * math.exp(-x) if x >= 1 else None
         if bound == math.inf:  # s! x^(s-1) overflowed on the way
@@ -61,6 +59,10 @@ def incomplete_gamma(s: int, x: float) -> GammaValue:
 GAMMA_GRID_X_MIN = 1.0
 GAMMA_GRID_STEP = 0.25
 _GAMMA_GRID_X_LIMIT = -math.log(sys.float_info.min)
+# the grid of the lemma prime sums: k of the power sums, k of the min(p, k) sum, and s of both
+POWER_KS = (2, 10, 100, 1000)
+MIN_KS = (1, 2, 10, 100)
+SS = (1, 2, 3)
 
 
 def gamma_bound_grid(s: int, x_max: float) -> tuple[float, bool]:
@@ -94,64 +96,58 @@ class MinPkSum(NamedTuple):
 
 
 def prime_sums(
-    power_ks: Sequence[int], min_ks: Sequence[int], ss: Sequence[int], primes: PrimeList, tail_limit: float
+    primes: PrimeList, tail_limit: float, *, powers: bool = True, mins: bool = True
 ) -> tuple[dict[tuple[int, int], PrimeLogPowerSums], dict[tuple[int, int], MinPkSum]]:
-    """Both lemma prime sums at each (k, s) of power_ks x ss and of min_ks x ss,
-    keyed and ordered by (k, s), from one walk over the primes p <= tail_limit.
+    """The power sums at (k, s) in POWER_KS x SS if ``powers`` and the min(p, k) sum
+    at (k, s) in MIN_KS x SS if ``mins``, keyed and ordered by (k, s), from one walk
+    over the primes p <= tail_limit.
 
     powers: head = sum_{p<=k} (ln p)^s / p, tail = sum_{k<p} (ln p)^s / p^2 and the
-    empirical constants of their classical bounds, head_ratio = head / (ln k)^s (0
-    for k=1, an empty head) and tail_ratio = tail * k / (s! * (ln(k+2))^(s-1)).
+    empirical constants of their classical bounds, head_ratio = head / (ln k)^s and
+    tail_ratio = tail * k / (s! * (ln(k+2))^(s-1)).
     mins: value = 1 + sum_p min(p, k) (ln p)^s / p^2, the bound k * Gamma(s+1, ln
     tail_limit) on its remainder over p > tail_limit (monotone comparison with the
     integral), and normalized = (value + tail_bound) / (s! * (ln(k+1))^s).
 
-    Before the walk, each record in turn checks its k, its s, the tail limit and its own
-    bounds. A step takes ln p once a prime and (ln p)^s by Python's float pow, and
-    float_sums adds each series exactly, to the bits of math.fsum over the primes.
+    A step takes ln p once a prime, (ln p)^s by Python's float pow and p^2 once, and
+    splits at each k: a head sums its p <= k, a tail its p > k. float_sums adds each
+    series exactly, to the bits of math.fsum over the primes.
     """
     import numpy as np
 
     from .exact import float_sums
 
-    # s! refuses s >= 171, and below that (ln p)^s is finite for p < 10^28
-    power_scales, min_scales = {}, {}
-    for k, s in product(power_ks, ss):
-        k, s = check_integer("k", k, 1), check_integer("s", s, 1)
-        primes.check_range(tail_limit)
-        if k > tail_limit:
-            raise ParameterError(f"k={k} exceeds tail_limit={tail_limit}")
-        with float64_range(s):
-            power_scales[k, s] = math.log(k) ** s, math.factorial(s) * math.log(k + 2) ** (s - 1)
-    for k, s in product(min_ks, ss):
-        k, s = check_integer("k", k, 1), check_integer("s", s, 1)
-        primes.check_range(tail_limit)
-        with float64_range(s):
-            if tail_limit < max(100.0, math.exp(s / 2)):
-                # (ln t)^s / t^2 must be decreasing beyond the cutoff for the bound
-                raise ParameterError(f"tail_limit={tail_limit} too small for s={s}")
-            tail_bound = k * incomplete_gamma(s + 1, math.log(tail_limit)).value
-            min_scales[k, s] = tail_bound, math.factorial(s) * math.log(k + 1) ** s
-    ss = {s for _, s in [*power_scales, *min_scales]}  # as checked, each once
+    power_grid = list(product(POWER_KS, SS)) if powers else []
+    min_grid = list(product(MIN_KS, SS)) if mins else []
+    if not (power_grid or min_grid):  # no walk for no record
+        return {}, {}
+    primes.check_range(tail_limit)
+    if too_big := [k for k in POWER_KS if powers and k > tail_limit]:
+        raise ParameterError(f"k={too_big[0]} exceeds tail_limit={tail_limit}")
+    if min_grid and tail_limit < 100:  # the bound needs (ln t)^s / t^2 decreasing past max(100, e^(s/2))
+        raise ParameterError(f"tail_limit={tail_limit} too small for s=1")
 
     def row(step):
         p, logs = step.astype(np.float64), list(map(math.log, step.tolist()))
-        ls = {s: np.array([v**s for v in logs]) for s in ss}
-        for k, s in power_scales:
-            yield from ((p <= k) * (ls[s] / p), (p > k) * (ls[s] / (p * p)))
-        for k, s in min_scales:
-            yield np.minimum(p, k) * ls[s] / (p * p)
+        pp, ls = p * p, {s: np.array([v**s for v in logs]) for s in SS}
+        cut = {k: np.searchsorted(step, k, side="right") for k in POWER_KS}
+        for k, s in power_grid:
+            yield from (ls[s][: cut[k]] / p[: cut[k]], ls[s][cut[k] :] / pp[cut[k] :])
+        for k, s in min_grid:
+            yield np.minimum(p, k) * ls[s] / pp
 
-    n = 2 * len(power_scales) + len(min_scales)  # the series, in record order; no walk for none
-    sums = iter(float_sums(map(row, primes.steps(tail_limit) if n else ()), n))
-    powers, mins = {}, {}
-    for (k, s), (log_power, scale) in power_scales.items():
+    sums = iter(float_sums(map(row, primes.steps(tail_limit)), 2 * len(power_grid) + len(min_grid)))
+    power_sums, min_sums = {}, {}
+    for k, s in power_grid:
         head, tail = next(sums), next(sums)
-        powers[k, s] = PrimeLogPowerSums(head, tail, head / log_power if k >= 2 else 0.0, tail * k / scale)
-    for (k, s), (tail_bound, scale) in min_scales.items():
+        scale = math.factorial(s) * math.log(k + 2) ** (s - 1)
+        power_sums[k, s] = PrimeLogPowerSums(head, tail, head / math.log(k) ** s, tail * k / scale)
+    for k, s in min_grid:
         value = 1.0 + next(sums)
-        mins[k, s] = MinPkSum(value, tail_bound, (value + tail_bound) / scale)
-    return powers, mins
+        tail_bound = k * incomplete_gamma(s + 1, math.log(tail_limit)).value
+        scale = math.factorial(s) * math.log(k + 1) ** s
+        min_sums[k, s] = MinPkSum(value, tail_bound, (value + tail_bound) / scale)
+    return power_sums, min_sums
 
 
 _ABEL_FUNCTIONS = {

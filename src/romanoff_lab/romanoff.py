@@ -126,6 +126,7 @@ def representation_counts(
     """
     x = check_integer("x", x, 1)
     _refuse_curve_orders(spec, x, x - 2, primes, budget)
+    primes.check_range(x)  # before the terms and r
     terms = enumerate_terms(spec, x - 2, primes) if x >= 3 else []
     # the windows tile both halves of r, so r is never zeroed
     r = np.empty(x + 1, dtype=np.int64)
@@ -270,6 +271,7 @@ def theorem6_report(
     x = check_integer("x", x)
     cutoff = pair_cutoff(x, alpha, primes)  # every check that needs no term comes first
     _refuse_curve_orders(spec, x, x, primes, budget)
+    primes.check_range(x)
     terms = enumerate_terms(spec, x, primes)
     n_total = len(terms)
     if n_total == 0:

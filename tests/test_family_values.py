@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from romanoff_lab import romanoff, sequences
 from romanoff_lab.cli import run
-from romanoff_lab.errors import CapacityError, ParameterError
-from romanoff_lab.lemmas import prime_sums
+from romanoff_lab.errors import ParameterError
 from romanoff_lab.moments import (
     PolynomialSpec,
     delta_L,
@@ -135,20 +134,6 @@ def test_poly_whose_values_all_vanish_sizes_the_sieve_to_the_content(tmp_path):
     expected = {"report": "poly", "moment": dataclasses.asdict(report)}
     assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
     assert report.lhs == 0.0
-
-
-@pytest.mark.parametrize(
-    "call,s",
-    [
-        (lambda primes: prime_sums([2], [], [500], primes, 1000), 500),
-        (lambda primes: prime_sums([1000], [], [200], primes, 1000), 200),
-        (lambda primes: prime_sums([], [2], [2000], primes, 10**5), 2000),
-    ],
-    ids=["head", "tail_ratio", "min_pk"],
-)
-def test_lemma_sums_beyond_float64_are_capacity_errors(call, s, primes100k):
-    with pytest.raises(CapacityError, match=f"s={s} "):
-        call(primes100k)
 
 
 def test_theorem6_reads_its_counts_off_one_list(monkeypatch, primes100k):

@@ -9,7 +9,7 @@ import signal
 import pytest
 
 from romanoff_lab.elliptic import EllipticCurve, theorem5_report
-from romanoff_lab.errors import CapacityError, ParameterError
+from romanoff_lab.errors import CapacityError, ParameterError, RangeError
 from romanoff_lab.extremal import construct_extremal_set
 from romanoff_lab.lemmas import gamma_bound_grid, incomplete_gamma
 from romanoff_lab.moments import (
@@ -19,7 +19,7 @@ from romanoff_lab.moments import (
     poly_moment_report,
     poly_values,
 )
-from romanoff_lab.romanoff import order_weighted_sum, schnirelmann_pi2
+from romanoff_lab.romanoff import order_weighted_sum, representation_counts, schnirelmann_pi2, theorem6_report
 from romanoff_lab.sequences import (
     EllipticOrders,
     Geometric,
@@ -118,3 +118,31 @@ def test_polynomial_whose_terms_start_far_out_is_refused(within_a_second):
 def test_polynomial_passes_that_hold_no_term_are_not_evaluated(coeffs, x, within_a_second):
     with pytest.raises(CapacityError, match="no polynomial term among the first"):
         enumerate_terms(Polynomial(PolynomialSpec(coeffs)), x)
+
+
+# the table check needs no term, so it comes before the terms are listed and r is
+# allocated: the identity's 2 * 10^7 terms took 1.1 GB, and 10^12 cells of r raised
+# MemoryError and 10^30 numpy's ValueError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: representation_counts(Polynomial(PolynomialSpec((0, 1))), 2 * 10**7, PRIMES),
+        lambda: theorem6_report(Polynomial(PolynomialSpec((0, 1))), 2 * 10**7, 1.0, PRIMES),
+        lambda: representation_counts(Geometric(2), 10**12, PRIMES),
+        lambda: representation_counts(Geometric(2), 10**30, PRIMES),
+    ],
+    ids=["profile-identity", "theorem6-identity", "profile-geom-1e12", "profile-geom-1e30"],
+)
+def test_short_table_is_refused_before_the_terms(call, within_a_second):
+    with pytest.raises(RangeError, match="exceeds prime table limit 10000$"):
+        call()
+
+
+def test_gamma_past_the_float_range_is_refused_before_its_terms(within_a_second):
+    # (s - 1)! overflows a float from s = 172 on; s = 10^30 once looped without end
+    assert math.isfinite(incomplete_gamma(171, 0.5).value)
+    with pytest.raises(CapacityError) as at_172:
+        incomplete_gamma(172, 2.0)
+    with pytest.raises(CapacityError) as far:
+        incomplete_gamma(10**30, 2.0)
+    assert str(far.value) == str(at_172.value).replace("s=172", f"s={10**30}")

@@ -19,7 +19,7 @@ from romanoff_lab.elliptic import (
 )
 from romanoff_lab.errors import ParameterError, check_integer
 from romanoff_lab.extremal import alpha_sweep, construct_extremal_set
-from romanoff_lab.lemmas import gamma_bound_grid, incomplete_gamma, prime_sums
+from romanoff_lab.lemmas import gamma_bound_grid, incomplete_gamma
 from romanoff_lab.moments import (
     PolynomialSpec,
     check_theorem1_parameters,
@@ -118,11 +118,6 @@ SITES = [
     ("theorem5_report-s", "s", lambda v: theorem5_report(CURVE, 100, v, SIEVE, PRIMES), 2),
     ("incomplete_gamma-s", "s", lambda v: incomplete_gamma(v, 1.0), 3),
     ("gamma_bound_grid-s", "s", lambda v: gamma_bound_grid(v, 5.0), 3),
-    # prime_sums, one row per (grid, parameter) it replaced prime_log_power_sums and min_pk_sum on
-    ("prime_log_power_sums-k", "k", lambda v: prime_sums([v], [], [1], PRIMES, 100), 10),
-    ("prime_log_power_sums-s", "s", lambda v: prime_sums([10], [], [v], PRIMES, 100), 2),
-    ("min_pk_sum-k", "k", lambda v: prime_sums([], [v], [1], PRIMES, 1000), 10),
-    ("min_pk_sum-s", "s", lambda v: prime_sums([], [10], [v], PRIMES, 1000), 2),
     ("representation_counts-x", "x", lambda v: representation_counts(Geometric(2), v, PRIMES).r.tolist(), 100),
     (
         "representation_counts-budget",

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from romanoff_lab import exact
 from romanoff_lab import sieve as sieve_module
-from romanoff_lab.errors import CapacityError, DomainError, ParameterError, RangeError, check_integer, float64_range
+from romanoff_lab.errors import DomainError, ParameterError, RangeError, check_integer, float64_range
 from romanoff_lab.lemmas import (
+    MIN_KS,
+    POWER_KS,
+    SS,
     MinPkSum,
     PrimeLogPowerSums,
     abel_check,
@@ -82,40 +86,31 @@ class TestIncompleteGamma:
 
 
 def power_sums(k, s, primes, tail_limit):
-    """The PrimeLogPowerSums of one (k, s) from prime_sums."""
-    return prime_sums([k], [], [s], primes, tail_limit)[0][k, s]
+    """The PrimeLogPowerSums of one (k, s) of the grid from prime_sums."""
+    return prime_sums(primes, tail_limit, mins=False)[0][k, s]
 
 
 def min_sum(k, s, primes, tail_limit):
-    """The MinPkSum of one (k, s) from prime_sums."""
-    return prime_sums([], [k], [s], primes, tail_limit)[1][k, s]
+    """The MinPkSum of one (k, s) of the grid from prime_sums."""
+    return prime_sums(primes, tail_limit, powers=False)[1][k, s]
 
 
 class TestPrimeLogPowerSums:
-    def test_empty_head(self, primes100k):
-        out = power_sums(1, 1, primes100k, 10**4)
-        assert out.head == 0.0
-        assert out.head_ratio == 0.0
-
     def test_single_term(self, primes100k):
         out = power_sums(2, 1, primes100k, 10**4)
         assert out.head == pytest.approx(math.log(2) / 2, rel=1e-12)
 
-    def test_three_terms(self, primes100k):
-        out = power_sums(5, 1, primes100k, 10**4)
-        expected = math.log(2) / 2 + math.log(3) / 3 + math.log(5) / 5
-        assert out.head == pytest.approx(expected, rel=1e-12)
-
     def test_ratios_bounded(self, primes100k):
+        # the lemma's bounds past the grid, on the scalar oracle
         for s in range(1, 7):
             for k in (2, 10, 100, 10**4):
-                out = power_sums(k, s, primes100k, 10**5)
+                out = oracle_power_sums(k, s, primes100k, 10**5)
                 assert 0 < out.head_ratio < 10
                 assert out.tail_ratio < 10
 
     def test_ratios_bounded_at_scale(self, primes1m):
         for s in (1, 3, 6):
-            out = power_sums(10**6, s, primes1m, 10**6)
+            out = oracle_power_sums(10**6, s, primes1m, 10**6)
             assert 0 < out.head_ratio < 10
 
     def test_range_error(self, primes100k):
@@ -141,10 +136,11 @@ class TestMinPkSum:
         assert out.value == pytest.approx(expected, rel=1e-12)
 
     def test_nondecreasing_in_k(self, primes100k):
-        mins = prime_sums([], [1, 2, 5, 50, 500], [2], primes100k, 10**4)[1]
-        vals = [out.value for out in mins.values()]
-        assert list(mins) == [(k, 2) for k in (1, 2, 5, 50, 500)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        mins = prime_sums(primes100k, 10**4, powers=False)[1]
+        assert list(mins) == [(k, s) for k in MIN_KS for s in SS]
+        for s in SS:
+            vals = [mins[k, s].value for k in MIN_KS]
+            assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_tail_bound_shrinks(self, primes100k):
         near = min_sum(10, 1, primes100k, 10**3)
@@ -202,50 +198,42 @@ PRIMES_100K = PrimeList.build(10**5)  # hypothesis tests cannot take pytest fixt
 
 class TestOneWalk:
     @settings(max_examples=200, deadline=None)
-    # a few tail limits past the table, and k or s of 0, pin the order of the refusals
-    @given(st.one_of(st.integers(100, 10**5), st.just(10**5 + 1)), st.data())
-    def test_every_field_equals_the_scalar_oracle(self, tail_limit, data):
-        power_ks = data.draw(st.lists(st.integers(0, tail_limit + 10), max_size=4), "power_ks")
-        min_ks = data.draw(st.lists(st.integers(0, 10**9), max_size=4), "min_ks")
-        # mostly small s; a few past 170! and past (ln p)^s overflowing at p <= 10^5 (s >= 291)
-        small_s = st.integers(0, math.floor(2 * math.log(tail_limit)))
-        ss = data.draw(st.lists(st.one_of(small_s, small_s, st.integers(1, 320)), min_size=1, max_size=3), "ss")
+    # tail limits below 100 and 1000 and past the table pin the order of the refusals
+    @given(st.one_of(st.integers(1, 10**5), st.just(10**5 + 1)), st.booleans(), st.booleans(), st.data())
+    def test_every_field_equals_the_scalar_oracle(self, tail_limit, powers, mins, data):
         step = data.draw(st.sampled_from([7, 64, sieve_module._PRIME_STEP]), "step")
+        grids = POWER_KS if powers else (), MIN_KS if mins else ()
         try:
-            want = oracle_records(power_ks, min_ks, ss, PRIMES_100K, tail_limit)
-        except (ParameterError, RangeError, CapacityError) as refused:
+            want = oracle_records(*grids, SS, PRIMES_100K, tail_limit)
+        except (ParameterError, RangeError) as refused:
             want = refused
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sieve_module, "_PRIME_STEP", step)
             if isinstance(want, Exception):
                 with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
-                    prime_sums(power_ks, min_ks, ss, PRIMES_100K, tail_limit)
+                    prime_sums(PRIMES_100K, tail_limit, powers=powers, mins=mins)
                 return
-            got = prime_sums(power_ks, min_ks, ss, PRIMES_100K, tail_limit)
+            got = prime_sums(PRIMES_100K, tail_limit, powers=powers, mins=mins)
         # == on NamedTuples compares every field; the keys come in record order
         assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
 
     @pytest.mark.parametrize(
-        "power_ks, min_ks, ss, tail_limit",
+        "powers, mins, tail_limit",
         [
-            ([2, 10], [], [1, 200, 500], 1000),  # 200 fails on s!, before 500 overflows (ln p)^s
-            ([2], [], [300, 400], 10**5),  # (ln p)^400 overflows at a smaller p than (ln p)^300
-            ([1000], [], [200], 1000),
-            ([2], [1], [2000], 10**5),
-            ([], [1, 2], [3, 40], 10**5),  # e^(40/2) > 10^5
-            ([10, 2000], [], [1], 1000),
-            ([10], [1], [1], 99),
-            ([2000], [0], [1], 1000),  # the power record comes first
-            ([0], [], [1], 2 * 10**5),  # k before the tail limit
-            ([10], [], [1, 0], 2 * 10**5),  # the table, at the first record, before s=0
-            ([], [2], [1, 0], 50),  # s=1's own bound, before s=0
+            (True, False, 500),  # the first k past the tail limit
+            (True, True, 99),  # the power records come first
+            (False, True, 99),
+            (True, True, 2 * 10**5),  # the table, before any k
+            (False, True, math.nan),
         ],
+        ids=["k", "k-before-s", "s", "table", "nan"],
     )
-    def test_refuses_the_first_record_the_oracle_refuses(self, power_ks, min_ks, ss, tail_limit, primes100k):
-        with pytest.raises((ParameterError, RangeError, CapacityError)) as want:
-            oracle_records(power_ks, min_ks, ss, primes100k, tail_limit)
+    def test_refuses_the_first_record_the_oracle_refuses(self, powers, mins, tail_limit, primes100k):
+        grids = POWER_KS if powers else (), MIN_KS if mins else ()
+        with pytest.raises((ParameterError, RangeError)) as want:
+            oracle_records(*grids, SS, primes100k, tail_limit)
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            prime_sums(power_ks, min_ks, ss, primes100k, tail_limit)
+            prime_sums(primes100k, tail_limit, powers=powers, mins=mins)
 
     def test_one_walk_serves_every_record(self, primes100k, monkeypatch):
         calls = []
@@ -256,18 +244,27 @@ class TestOneWalk:
             return steps(self, *args)
 
         monkeypatch.setattr(PrimeList, "steps", counted)
-        powers, mins = prime_sums([2, 10, 100, 1000], [1, 2, 10, 100], [1, 2, 3], primes100k, 10**5)
+        powers, mins = prime_sums(primes100k, 10**5)
         assert calls == [(10**5,)] and len(powers) == len(mins) == 12
 
-    def test_empty_grids_walk_nothing(self, primes100k, monkeypatch):
-        monkeypatch.setattr(PrimeList, "steps", None)  # a walk would call None
-        # (ln p)^300 overflows at p <= 10^5, but no record takes it
-        assert prime_sums([], [], [1, 300], primes100k, 10**5) == ({}, {})
-        assert prime_sums([2, 10], [1], [], primes100k, 10**5) == ({}, {})
+    def test_each_head_and_tail_sums_only_its_own_side_of_k(self, primes100k, monkeypatch):
+        terms = []
+        float_sums = exact.float_sums
 
-    def test_no_prime_up_to_the_tail_limit(self, primes100k):
-        out = prime_sums([1], [], [1, 2], primes100k, 1.5)[0]
-        assert all(v == (0.0, 0.0, 0.0, 0.0) for v in out.values())
+        def counted(rows, n):
+            rows = [list(row) for row in rows]
+            terms.append(sum(block.size for row in rows for block in row))
+            return float_sums(rows, n)
+
+        monkeypatch.setattr(exact, "float_sums", counted)
+        prime_sums(primes100k, 10**5)
+        # a head and its tail split the primes: 12 + 12 series of 9592 terms, not 24 + 12
+        assert terms == [24 * 9592]
+
+    def test_empty_grids_walk_nothing(self, monkeypatch):
+        monkeypatch.setattr(PrimeList, "steps", None)  # a walk would call None
+        # the table stops at 10, far below the tail limit, and is not read
+        assert prime_sums(PrimeList.build(10), 10**5, powers=False, mins=False) == ({}, {})
 
 
 class TestAbelCheck:

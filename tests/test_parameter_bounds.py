@@ -10,7 +10,7 @@ import pytest
 from romanoff_lab.elliptic import EllipticCurve, congruence_class_census, hasse_margin, theorem5_report
 from romanoff_lab.errors import CapacityError, ParameterError
 from romanoff_lab.extremal import construct_extremal_set
-from romanoff_lab.lemmas import incomplete_gamma, prime_sums
+from romanoff_lab.lemmas import incomplete_gamma
 from romanoff_lab.moments import (
     PolynomialSpec,
     check_theorem1_parameters,
@@ -42,9 +42,6 @@ SITES = [
     ("congruence_class_census-t", lambda v: congruence_class_census(CURVE, 100, v, PRIMES), 1, "modulus t=0 must be >= 1"),
     ("construct_extremal_set-M", lambda v: construct_extremal_set(v, 2.5, 10.0, SIEVE), 1, "M=0 must be >= 1"),
     ("incomplete_gamma-x", lambda v: incomplete_gamma(2, v), 0, "x=-1 must be >= 0"),
-    ("prime_log_power_sums-k", lambda v: prime_sums([v], [], [1], PRIMES, 100), 1, "k=0 must be >= 1"),
-    ("prime_log_power_sums-s", lambda v: prime_sums([1], [], [v], PRIMES, 100), 1, "s=0 must be >= 1"),
-    ("min_pk_sum-k", lambda v: prime_sums([], [v], [1], PRIMES, 100), 1, "k=0 must be >= 1"),
     ("hasse_margin-order", lambda v: hasse_margin(CURVE, 7, v), 1, "order=0 must be >= 1"),
     ("moment_sum-s", lambda v: moment_sum([1, 2, 3], v, SIEVE), 1, "s=0 must be >= 1"),
     ("check_theorem1_parameters-s", lambda v: check_theorem1_parameters(v, 0.5, 10.0), 1, "s=0 must be >= 1"),

@@ -17,26 +17,20 @@ from romanoff_lab.sieve import PrimeList, chebyshev_theta, mertens_products
 
 STEPS = [1, 7, 64, sieve_module._PRIME_STEP]
 DEFAULT_STEP = sieve_module._PRIME_STEP
-# (power ks, min ks, ss) of the lemma prime sums: k = 10 at s = 1 and 3 (6 series),
-# and the 36-series grid of `lemmas --prime-sums --min-pk`
-LEMMA_GRIDS = {
-    "lemma": ([10], [10], [1, 3]),
-    "lemma_command": ([2, 10, 100, 1000], [1, 2, 10, 100], [1, 2, 3]),
-}
 
 
-def walk_readers(primes: PrimeList, x: int, lemma_grids=tuple(LEMMA_GRIDS)) -> dict:
+def walk_readers(primes: PrimeList, x: int, lemma: bool = True) -> dict:
     """Every float a walk reader returns at x, as hex, and a digest of the table;
-    the lemma prime sums on each of the named grids."""
+    the lemma prime sums if ``lemma``."""
     table = lemma2_product_table(x, primes)
     bits = {
         "theta": chebyshev_theta(x, primes).hex(),
         "mertens": [v.hex() for v in mertens_products(x, primes)],
         "lemma2": hashlib.sha256(table.tobytes()).hexdigest(),
     }
-    for name in lemma_grids:
-        powers, mins = prime_sums(*LEMMA_GRIDS[name], primes, x)
-        bits[name] = [v.hex() for out in [*powers.values(), *mins.values()] for v in out]
+    if lemma:
+        powers, mins = prime_sums(primes, x)
+        bits["lemma"] = [v.hex() for out in [*powers.values(), *mins.values()] for v in out]
     return bits
 
 
@@ -55,10 +49,8 @@ def default_bits(primes1m, edges):
 def test_every_reader_keeps_its_bits_at_any_step(step, primes1m, edges, default_bits, monkeypatch):
     monkeypatch.setattr(sieve_module, "_PRIME_STEP", step)
     # the lemma walk pays one exact block total per series per step: on the
-    # 2^16-prime edge the command's grid runs from a step of 64, the small grid
-    # from a step of 7, and neither at a step of 1
-    far = ("lemma", "lemma_command") if step >= 64 else ("lemma",) if step > 1 else ()
-    got = [walk_readers(primes1m, edges[0]), walk_readers(primes1m, edges[1], far)]
+    # 2^16-prime edge its 36 blocks a step run from a step of 64 only
+    got = [walk_readers(primes1m, edges[0]), walk_readers(primes1m, edges[1], step >= 64)]
     assert got == [default_bits[0], {key: default_bits[1][key] for key in got[1]}]
 
 

@@ -9,6 +9,7 @@ that wrote its golden, which is why the golden does not depend on today's code.
 
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -61,6 +62,16 @@ def node_order(out: bytes) -> None:
     # 4 + 27 * 791^2 = 16893391 is prime: a node there, so #E = p + 1 - (-1582 / p)
     p = 16893391
     assert f"\n{p},{p + 1 - (1 if pow(-1582, (p - 1) // 2, p) == 1 else -1)}\n".encode() in out
+
+
+def t1_mean_value(out: bytes) -> None:
+    # sum_{n<=N} (n/phi(n))^s = c_s N + O((ln N)^s), c_s = prod_p (1 + ((p/(p-1))^s - 1)/p)
+    # (Montgomery and Vaughan, Multiplicative Number Theory I, ch. 2); c_1 = zeta(2)zeta(3)/zeta(6),
+    # c_2 and c_3 from the product over p <= 10^8 and its tail, about exp(s / (10^8 ln 10^8))
+    c = {1: 1.9435964368, 2: 4.4310778299, 3: 11.5429301577}
+    moment = json.loads(out)["moment"]
+    n, s = moment["parameters"]["N"], moment["parameters"]["s"]
+    assert abs(moment["lhs"] - c[s] * n) <= math.log(n) ** s, (moment["lhs"], c[s] * n)
 
 
 EXPLICIT = shlex.quote(f"explicit:@{DATA / 'theorem1-explicit-terms.txt'}")
@@ -132,10 +143,10 @@ GOLDEN = [
         "675cc8261e9904f9e3b86e94149f147c58da9f5926681c7dbc28e9c9623b25af", check=node_order, scale=True),
     # T1: written by the moment sum that added Python floats with math.fsum
     Row("theorem1-poly10-x1e6-s3", "moments --report theorem1 --seq poly:1,0 --x 1000000 --s 3",
-        "theorem1-poly10-x1000000-s3.json"),
+        "theorem1-poly10-x1000000-s3.json", check=t1_mean_value),
     # the terms as 10^7 Python ints in one list held 532 MB at peak; as int64 arrays, about 215 MB
     Row("theorem1-poly10-x1e7-s2", "moments --report theorem1 --seq poly:1,0 --x 10000000 --s 2",
-        "theorem1-poly10-x10000000-s2.json", 300),
+        "theorem1-poly10-x10000000-s2.json", 300, t1_mean_value),
     # T1 on each family and at 10^8 (1.57 GB at peak): written by T1 over terms read as Python ints;
     # the explicit list repeats terms and holds 2^64 + 1
     Row("theorem1-ecorders1_1", "moments --report theorem1 --seq ecorders:1,1 --x 100000 --s 2",
@@ -147,7 +158,7 @@ GOLDEN = [
     Row("theorem1-explicit", f"moments --report theorem1 --seq {EXPLICIT} --x 100000 --s 2",
         "theorem1-explicit-x100000-s2.json"),
     Row("theorem1-poly10-x1e8-s2", "moments --report theorem1 --seq poly:1,0 --x 100000000 --s 2 --sieve-limit 100000000",
-        "theorem1-poly10-x100000000-s2.json", scale=True),
+        "theorem1-poly10-x100000000-s2.json", check=t1_mean_value, scale=True),
     # T3 and T4 under the default --sieve-limit: written by the reports that built every value before the table check
     Row("poly-1_0_1-z3000", "moments --report poly --poly 1,0,1 --z 3000 --s 2", "poly-1_0_1-z3000-s2.json"),
     Row("linear-bs1_5-z50", "moments --report linear --a 6 --bs 1,5 --z 50 --s 1 --x 1000",
